@@ -287,6 +287,7 @@ class RationalFunctions:
 
 QQ = Rationals()
 QQ_T = RationalFunctions(QQ)
+T_GEN = ((Fraction(0), Fraction(1)), (Fraction(1),))  # t in Q(t), as QQ_T.from_poly makes it
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,13 @@ header followed by ``---`` and a body of operator expressions:
 Header keys: ``vars`` (space/comma separated; a first variable named ``t``
 makes the document parametric, enabling ``dt`` and routing telescoping
 through the finite-reduction layer), ``rank`` (default 1), ``order``
-(grevlex | block | lex | dtelim | weightlex:w1,w2,..), ``field`` (QQ(t),
-the only supported value).  Body lines are ideal generators; module-style
-documents may also carry ``L <entry> | <entry> | ..`` matrix rows and an
-``f <expr>`` integrand line.
+(grevlex | block | lex | lex:s1,s2,.. | dtelim | weightlex:w1,w2,..),
+``field`` (QQ(t), the only supported value).  A lex order compares the 2n
+exponents in the order of its slot codes: 0..n-1 name x_1..x_n and n..2n-1
+name d_1..d_n, counting a leading ``t`` as variable 1; plain ``lex`` is
+x_1..x_n, d_1..d_n.  weightlex takes 2n non-negative weights.  Body lines
+are ideal generators; module-style documents may also carry
+``L <entry> | <entry> | ..`` matrix rows and an ``f <expr>`` integrand line.
 
 Expression grammar (products expand left-to-right, non-commutatively):
 
@@ -43,16 +46,15 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import factorial
 
-from .arith import QQ_T, BudgetExhaustedError, InconsistencyError
+from .arith import QQ_T, T_GEN, BudgetExhaustedError, InconsistencyError
 from .extension import ParametricPresentation, build_extension, embedded_unit
 from .groebner import buchberger
 from .kregular import (
-    build_ideal,
     count_regular_graphs,
-    derivation_L,
     model_polynomials,
     regular_presentation,
     scalar_product_input,
+    scalar_product_presentation,
     scalar_product_series,
     verify_ode_on_series,
 )
@@ -80,8 +82,6 @@ from .weyl import (
     sorted_terms,
     weightlex_order,
 )
-
-T_GEN = QQ_T.from_poly((Fraction(0), Fraction(1)))
 
 
 class ParseError(Exception):
@@ -142,6 +142,13 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = re.compile(r"^(t|d.*|e[0-9]+)$")
 
 
+def _int_list(arg, what):
+    try:
+        return tuple(int(w) for w in arg.split(",")) if arg else ()
+    except ValueError:
+        raise ParseError(f"bad {what} {arg!r}")
+
+
 def _make_order(spec, n):
     if spec is None:
         return None
@@ -151,17 +158,21 @@ def _make_order(spec, n):
     if name == "block":
         return block_order(n)
     if name == "lex":
-        return lex_order(n)
+        if not arg:
+            return lex_order(n, range(2 * n))
+        sequence = _int_list(arg, "lex slot codes")
+        if sorted(sequence) != list(range(2 * n)):
+            raise ParseError(f"lex needs each slot code 0..{2*n - 1} once, got {arg!r}")
+        return lex_order(n, sequence)
     if name == "dtelim":
         return dtelim_order(n)
     if name == "weightlex":
-        try:
-            weights = tuple(int(w) for w in arg.split(",")) if arg else ()
-        except ValueError:
-            raise ParseError(f"bad weightlex weights {arg!r}")
+        weights = _int_list(arg, "weightlex weights")
         if len(weights) != 2 * n:
             raise ParseError(f"weightlex needs {2*n} weights, got {len(weights)}")
-        return weightlex_order(weights)
+        if min(weights) < 0:  # 1 must stay the smallest monomial
+            raise ParseError(f"weightlex weights must be non-negative, got {arg!r}")
+        return weightlex_order(n, weights)
     raise ParseError(f"unknown order {name!r}")
 
 
@@ -505,6 +516,8 @@ def format_document(doc, operators, note=None):
     order_line = doc.order.kind
     if order_line == "weightlex":
         order_line += ":" + ",".join(str(w) for w in doc.order.weights)
+    elif order_line == "lex" and doc.order.sequence != tuple(range(2 * doc.order.n)):
+        order_line += ":" + ",".join(str(s) for s in doc.order.sequence)
     lines.append(f"order {order_line}")
     lines.append("---")
     lines.extend(print_operator(op, doc) for op in operators)
@@ -615,12 +628,16 @@ def run_telescope(doc, config):
 # subcommands
 
 
-def _read_doc(path):
+def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_document(fh.read())
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+
+
+def _read_doc(path):
+    return parse_document(_read_text(path))
 
 
 def _write(path, content):
@@ -709,11 +726,7 @@ def _cmd_telescope(args):
 def _parse_fg_document(path, k):
     """Read a user-supplied (f, g) pair: lines 'f <expr>' and 'g <expr>'
     over variables p1..pk (no derivatives, no t)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
+    text = _read_text(path)
     doc = parse_document(
         "vars " + " ".join(f"p{i}" for i in range(1, k + 1)) + "\n---\n"
     )
@@ -748,12 +761,7 @@ def _cmd_kregular(args):
     t0 = time.time()
     if args.fg:
         f, g = _parse_fg_document(args.fg, args.k)
-        inp = scalar_product_input(f, g, args.k)
-        order = grevlex(args.k)
-        basis = buchberger(build_ideal(inp), order)
-        ctx = ReductionContext(inp.algebra, order, basis)
-        pres = DerivedPresentation(ctx, ((derivation_L(inp),),),
-                                   inp.algebra.one())
+        pres = scalar_product_presentation(scalar_product_input(f, g, args.k))
     else:
         f, g = model_polynomials(args.k)
         inp, pres = regular_presentation(args.k)
@@ -814,8 +822,7 @@ def _cmd_verify_series(args):
                     raise ParseError("ODE coefficients must be polynomials in t")
                 poly = num
         coeffs.append(tuple(poly))
-    with open(args.series, "r", encoding="utf-8") as fh:
-        vals = fh.read().split()
+    vals = _read_text(args.series).split()
     try:
         series = tuple(Fraction(v) for v in vals)
     except (ValueError, ZeroDivisionError) as exc:

@@ -25,7 +25,7 @@ component index ``h*s + i``.
 from dataclasses import dataclass
 
 from .groebner import buchberger, lrem
-from .weyl import Algebra, Monomial, WeylOperator, mul, op_add
+from .weyl import Algebra, Monomial, WeylOperator, mul
 
 
 def dt_degree(a):
@@ -236,31 +236,3 @@ def embedded_unit(ext, h=0, i=1):
         {Monomial((0,) * ext.algebra.n, (0,) * ext.algebra.n, comp): ext.algebra.field.one},
     )
 
-
-def apply_dt_action(ext, a):
-    """One application of the d_t action in the flat module: a |-> a.L.
-
-    This is the matrix half of the derivation; the coefficientwise d/dt
-    half is handled by the telescoping layer.
-    """
-    assert a.algebra.n == ext.algebra.n and a.algebra.r == ext.algebra.r
-    flat = ext.algebra
-    out = flat.zero()
-    for j in range(1, ext.r + 1):
-        comp_terms = {
-            Monomial(m.alpha, m.beta, 1): c for m, c in a.terms.items() if m.comp == j
-        }
-        if not comp_terms:
-            continue
-        a_j = WeylOperator(flat.with_rank(1), comp_terms)
-        for k in range(1, ext.r + 1):
-            entry = ext.l_matrix[j - 1][k - 1]
-            if entry.is_zero():
-                continue
-            prod = mul(a_j, entry)
-            shifted = WeylOperator(
-                flat,
-                {Monomial(m.alpha, m.beta, k): c for m, c in prod.terms.items()},
-            )
-            out = op_add(out, shifted)
-    return out

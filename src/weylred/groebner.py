@@ -49,13 +49,10 @@ class DivisionCertificate:
 
     def reexpand(self):
         """The operator remainder + sum q_i g_i + sum d_j w_j."""
-        from .weyl import Algebra
-
-        A = self.remainder.algebra
         total = self.remainder
         for i, q in self.quotients.items():
             total = total + mul(q, self.basis[i])
-        alg1 = Algebra(A.n, 1, A.field, A.dt)
+        alg1 = self.remainder.algebra.with_rank(1)
         for j, w in enumerate(self.dw):
             if w is None or w.is_zero():
                 continue
@@ -79,7 +76,7 @@ def lrem(a, basis, order, certificate=True):
     F = A.field
     lead = []
     for g in basis:
-        lm, lc, _ = leading_data(g, order)
+        lm, lc = leading_data(g, order)
         lead.append((lm, lc, g))
 
     cert = None
@@ -123,7 +120,7 @@ def lrem(a, basis, order, certificate=True):
         cert = DivisionCertificate(
             tuple(basis),
             {
-                i: WeylOperator(_scalar_algebra(A), terms)
+                i: WeylOperator(A.with_rank(1), terms)
                 for i, terms in quotients.items()
             },
             tuple(None for _ in range(A.n)),
@@ -143,12 +140,6 @@ class _HeapItem:
 
     def __lt__(self, other):
         return self.key > other.key
-
-
-def _scalar_algebra(A):
-    from .weyl import Algebra
-
-    return Algebra(A.n, 1, A.field, A.dt)
 
 
 def _cert_add_quotient_dict(quotients, i, mono, coeff, F):
@@ -277,7 +268,7 @@ def buchberger(gens, order):
         if g.is_zero():
             continue
         F = g.algebra.field
-        _, lc, _ = leading_data(g, order)
+        _, lc = leading_data(g, order)
         G.append(op_scale(g, F.inv(lc)))
     if not G:
         return ()
@@ -305,8 +296,8 @@ def buchberger(gens, order):
 
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
-        lmi, lci, _ = leading_data(G[i], order)
-        lmj, lcj, _ = leading_data(G[j], order)
+        lmi, lci = leading_data(G[i], order)
+        lmj, lcj = leading_data(G[j], order)
         lcm = Monomial(
             tuple(max(a, b) for a, b in zip(lmi.alpha, lmj.alpha)),
             tuple(max(a, b) for a, b in zip(lmi.beta, lmj.beta)),

@@ -25,13 +25,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .arith import QQ_T
+from .arith import QQ_T, T_GEN
 from .groebner import buchberger, ideal_membership
 from .reduction import ReductionContext
 from .telescoping import DerivedPresentation
 from .weyl import Algebra, WeylOperator, grevlex, mul, op_add, op_scale, op_sub
-
-T_GEN = QQ_T.from_poly((Fraction(0), Fraction(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +219,25 @@ def derivation_L(inp):
     return _eval_at_operators(inp.g_tilde, inp.u, inp.algebra)
 
 
-def regular_presentation(k, order=None, validate=True):
+def scalar_product_presentation(inp, order=None, validate=True):
     """GB of the ideal plus derivation, packaged for the telescoping layer.
 
-    Returns (inp, pres) where pres.f is the class of 1 — the element whose
-    telescoper is the ODE of the k-regular generating function.
+    pres.f is the class of 1 — the element whose telescoper is the ODE of
+    the generating function <e^f, e^{t g}>.  The order defaults to grevlex.
     """
-    inp = from_model(k)
     if order is None:
-        order = grevlex(k)
+        order = grevlex(inp.k)
     basis = buchberger(build_ideal(inp), order)
     ctx = ReductionContext(inp.algebra, order, basis)
-    pres = DerivedPresentation(
+    return DerivedPresentation(
         ctx, ((derivation_L(inp),),), inp.algebra.one(), validate=validate
     )
-    return inp, pres
+
+
+def regular_presentation(k, order=None, validate=True):
+    """(inp, pres) for the k-regular graph model; see scalar_product_presentation."""
+    inp = from_model(k)
+    return inp, scalar_product_presentation(inp, order, validate)
 
 
 def contains_pk_minus_t(inp, basis, order):

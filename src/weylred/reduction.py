@@ -66,7 +66,7 @@ class ReductionContext:
         self.algebra = algebra
         self.order = order
         self.basis = tuple(basis)
-        self.lead = tuple(leading_data(g, order)[:2] for g in self.basis)
+        self.lead = tuple(leading_data(g, order) for g in self.basis)
         self._eta_cache = {}
 
     def is_irreducible_monomial(self, m: Monomial):
@@ -274,7 +274,7 @@ def compute_eta_basis(ctx, eta, tracer=None, certificate=True):
                 )
             vanished.add(m)
             continue
-        lm, lc, _ = leading_data(red, order)
+        lm, lc = leading_data(red, order)
         inv = F.inv(lc)
         red = op_scale(red, inv)
         cert = _cert_scale(cert, inv, F)

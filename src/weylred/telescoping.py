@@ -14,6 +14,9 @@ eta-basis construction with a majority-elected tracer, interpolates the
 matrix of [L(.)]_eta back into F_p(t), finds the per-prime relation through
 a denominator-free recurrence plus pointwise kernels, and lifts the result
 to Q(t) by CRT and rational reconstruction, confirming with one extra prime.
+Both drivers find relations with the same incremental echelon form
+(_RelationFinder): the direct driver over Q(t), the modular driver at the
+rank probes and kernel points of each prime.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .weyl import (
     WeylOperator,
     coefficientwise_dt,
     evaluate_and_reduce,
+    leading_monomial,
     mul,
     op_scale,
 )
@@ -128,7 +132,8 @@ class DerivedPresentation:
                 if not rem.is_zero():
                     raise ValueError(
                         "module is not stable under the derivation: "
-                        f"basis element with lead {ctx.order.key} fails"
+                        "basis element with lead "
+                        f"{_mono_str(leading_monomial(g, ctx.order))} fails"
                     )
 
 
@@ -283,7 +288,7 @@ class _RelationFinder:
 def relation_search(F, vectors):
     """First linear dependency among the prefix of the vectors, or None.
 
-    Returns coefficients (c_0 .. c_N) in F with c_N != 0 for the minimal N
+    Returns coefficients (c_0 .. c_N) in F with c_N = 1 for the minimal N
     such that g_0..g_N are dependent; None when all vectors are independent.
     """
     vectors = list(vectors)
@@ -325,16 +330,16 @@ class Telescoper:
         return tuple(pdeg(c) for c in self.coefficients)
 
 
-def _normalize_rational_relation(coeffs):
-    """(num, den) pairs over Q(t) -> primitive ZZ[t] tuple, lc(c_N) > 0."""
-    polys = []
-    # clear each to a QQ[t] polynomial against the common denominator
-    den_lcm = (Fraction(1),)
-    for _, d in coeffs:
-        den_lcm = plcm(QQ, den_lcm, d)
-    for n, d in coeffs:
-        cof = pdivmod(QQ, den_lcm, d)[0]
-        polys.append(pmul(QQ, n, cof))
+def _clear_denominators(F, fracs):
+    """(num, den) pairs over F(t) -> (lcm of the dens, numerators over it)."""
+    den = (F.one,)
+    for _, d in fracs:
+        den = plcm(F, den, d)
+    return den, [pmul(F, n, pdivmod(F, den, d)[0]) for n, d in fracs]
+
+
+def _primitive_positive(polys):
+    """QQ[t] tuple -> collectively primitive ZZ[t] tuple with lc(c_N) > 0."""
     zpolys = collective_primitive(polys)
     if zpolys[-1][-1] < 0:
         zpolys = [tuple(-c for c in p) for p in zpolys]
@@ -355,15 +360,11 @@ def _normalize_modp_relation(Fp, polys):
 
 def telescoper_from_field_relation(F, rel):
     """Normalize a relation over Q(t) or F_p(t) into a canonical Telescoper."""
-    if isinstance(F, RationalFunctions) and isinstance(F.base, PrimeField):
-        Fp = F.base
-        den_lcm = (Fp.one,)
-        for _, d in rel:
-            den_lcm = plcm(Fp, den_lcm, d)
-        polys = [pmul(Fp, n, pdivmod(Fp, den_lcm, d)[0]) for n, d in rel]
-        return Telescoper(_normalize_modp_relation(Fp, polys), modulus=Fp.p)
     assert isinstance(F, RationalFunctions)
-    return Telescoper(_normalize_rational_relation(rel))
+    _, polys = _clear_denominators(F.base, rel)
+    if isinstance(F.base, PrimeField):
+        return Telescoper(_normalize_modp_relation(F.base, polys), modulus=F.base.p)
+    return Telescoper(_primitive_positive(polys))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +474,7 @@ def _evaluate_context(pres, img):
     return ctx, L_p, f_p
 
 
-def _point_images(pres, ref, rho, img):
+def _point_images(pres, ref, img):
     """Evaluate at (p, a), replay the eta-basis, return numeric (g0, matrix).
 
     Any disagreement with the reference (row lms, supports outside B) is an
@@ -497,65 +498,60 @@ def _point_images(pres, ref, rho, img):
     return g0, tuple(rows)
 
 
-class _PointCache:
-    """Shared, lazily extended pool of evaluation points for one prime."""
+class _SamplePool:
+    """Lazily grown list of (point, sample) pairs shared by several streams."""
 
-    def __init__(self, pres, ref, rho, prime, rng, cfg, log):
-        self.pres = pres
-        self.ref = ref
-        self.rho = rho
-        self.prime = prime
-        self.rng = rng
-        self.cfg = cfg
-        self.log = log
-        self.points = []
-        self.data = []
-        self.used = set()
-        self.tries = 0
-
-    def extend_one(self):
-        while True:
-            self.tries += 1
-            if self.tries > self.cfg.max_point_tries + len(self.points):
-                raise UnluckyEvaluationError(
-                    f"no usable evaluation points mod {self.prime}",
-                    prime_level=True,
-                )
-            a = self.rng.randrange(1, self.prime)
-            if a in self.used:
-                continue
-            self.used.add(a)
-            try:
-                g0, rows = _point_images(
-                    self.pres, self.ref, self.rho,
-                    ModularImage(self.prime, a),
-                )
-            except UnluckyEvaluationError as e:
-                if e.prime_level:
-                    raise
-                self.log.append(f"  discard point {a}")
-                continue
-            self.points.append(a)
-            self.data.append((g0, rows))
-            return
+    def __init__(self, draw):
+        self.draw = draw  # () -> the next (point, sample) pair
+        self.samples = []
 
     def stream(self, pick):
-        """Yield (a, pick(data)) pairs, growing the pool on demand."""
+        """Yield (point, pick(sample)) pairs, growing the pool on demand."""
         i = 0
         while True:
-            while i >= len(self.points):
-                self.extend_one()
-            yield self.points[i], pick(self.data[i])
+            if i == len(self.samples):
+                self.samples.append(self.draw())
+            point, sample = self.samples[i]
+            yield point, pick(sample)
             i += 1
 
 
-def _interpolated_system(cache, Fp, nb, cfg):
+def _evaluation_draw(pres, ref, prime, rng, cfg, log):
+    """draw() for the evaluation pool of one prime: a fresh point a and the
+    numeric (g0, matrix) there.  Repeated and unlucky points are skipped;
+    after cfg.max_point_tries skips the prime is given up."""
+    used = set()
+    skips = 0
+
+    def draw():
+        nonlocal skips
+        while True:
+            if skips >= cfg.max_point_tries:
+                raise UnluckyEvaluationError(
+                    f"no usable evaluation points mod {prime}",
+                    prime_level=True,
+                )
+            a = rng.randrange(1, prime)
+            if a not in used:
+                used.add(a)
+                try:
+                    return a, _point_images(pres, ref, ModularImage(prime, a))
+                except UnluckyEvaluationError as e:
+                    if e.prime_level:
+                        raise
+                    log.append(f"  discard point {a}")
+            skips += 1
+
+    return draw
+
+
+def _interpolated_system(points, Fp, nb, cfg):
     """Reconstruct g0 and the [L(.)]_eta matrix as F_p(t) entries."""
     g0 = []
     for j in range(nb):
         g0.append(
             adaptive_reconstruct(
-                Fp, cache.stream(lambda d, j=j: d[0][j]), max_points=cfg.max_points
+                Fp, points.stream(lambda d, j=j: d[0][j]), max_points=cfg.max_points
             )
         )
     rows = []
@@ -565,7 +561,7 @@ def _interpolated_system(cache, Fp, nb, cfg):
             row.append(
                 adaptive_reconstruct(
                     Fp,
-                    cache.stream(lambda d, i=i, j=j: d[1][i][j]),
+                    points.stream(lambda d, i=i, j=j: d[1][i][j]),
                     max_points=cfg.max_points,
                 )
             )
@@ -573,68 +569,20 @@ def _interpolated_system(cache, Fp, nb, cfg):
     return g0, rows
 
 
-def _kernel_at_point(Fp, vectors):
-    """1-dim kernel of the row span at a point: d with sum d_i v_i = 0.
-
-    Returns the kernel vector normalized to d_last = 1, or None when the
-    kernel is not one-dimensional or avoids the last coordinate.
-    """
-    k = len(vectors)
-    dim = len(vectors[0]) if vectors else 0
-    # columns of the transposed system; eliminate to find nullspace of v -> sum d_i v_i
-    mat = [list(col) for col in zip(*vectors)] if dim else []
-    pivots = []
-    rank = 0
-    for col in range(k):
-        sel = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] % Fp.p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = pow(mat[rank][col], -1, Fp.p)
-        mat[rank] = [c * inv % Fp.p for c in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % Fp.p:
-                c = mat[r][col]
-                mat[r] = [(a - c * b) % Fp.p for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(k) if c not in pivots]
-    if len(free) != 1 or free[0] != k - 1:
-        return None
-    d = [0] * k
-    d[k - 1] = 1
-    for r, col in enumerate(pivots):
-        d[col] = (-mat[r][k - 1]) % Fp.p
-    return tuple(d)
-
-
-def _prime_relation(pres, ref, rho, prime, idx, cfg):
+def _prime_relation(pres, ref, prime, idx, cfg):
     """Canonical relation modulo one prime, with its local transcript."""
     log = [f"prime[{idx}] {prime}"]
     rng = random.Random(f"{cfg.seed}/prime/{idx}")
     Fp = PrimeField(prime)
     nb = len(ref[1])
-    cache = _PointCache(pres, ref, rho, prime, rng, cfg, log)
+    points = _SamplePool(_evaluation_draw(pres, ref, prime, rng, cfg, log))
 
-    g0_rf, mat_rf = _interpolated_system(cache, Fp, nb, cfg)
+    g0_rf, mat_rf = _interpolated_system(points, Fp, nb, cfg)
 
     # clear to polynomial data: g0 = v0/Q, matrix = P/D
-    Q = (Fp.one,)
-    for _, d in g0_rf:
-        Q = plcm(Fp, Q, d)
-    v0 = tuple(pmul(Fp, n, pdivmod(Fp, Q, d)[0]) for n, d in g0_rf)
-    D = (Fp.one,)
-    for row in mat_rf:
-        for _, d in row:
-            D = plcm(Fp, D, d)
-    P = [
-        [pmul(Fp, n, pdivmod(Fp, D, d)[0]) for n, d in row]
-        for row in mat_rf
-    ]
+    Q, v0 = _clear_denominators(Fp, g0_rf)
+    D, entries = _clear_denominators(Fp, [e for row in mat_rf for e in row])
+    P = [entries[i * nb:(i + 1) * nb] for i in range(nb)]
 
     # denominator-free derivative sequence: g_i = w_i / (D^i Q^{i+1})
     DQ = pmul(Fp, D, Q)
@@ -655,89 +603,64 @@ def _prime_relation(pres, ref, rho, prime, idx, cfg):
             out.append(acc)
         return tuple(out)
 
-    ws = [v0]
+    def at(psi, w):
+        return [peval(Fp, c, psi) for c in w]
+
     probes = []
     while len(probes) < cfg.rank_probes:
         theta = rng.randrange(1, prime)
         if theta not in probes:
             probes.append(theta)
 
-    def rank_at(theta, vectors):
-        rows = [[peval(Fp, c, theta) for c in w] for w in vectors]
-        rank = 0
-        cols = nb
-        for col in range(cols):
-            sel = next((r for r in range(rank, len(rows)) if rows[r][col] % prime), None)
-            if sel is None:
-                continue
-            rows[rank], rows[sel] = rows[sel], rows[rank]
-            inv = pow(rows[rank][col], -1, prime)
-            rows[rank] = [c * inv % prime for c in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col] % prime:
-                    c = rows[r][col]
-                    rows[r] = [(a - c * b) % prime for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank
-
-    N = None
+    # N is the first index at which w_0..w_N are dependent at every probe;
+    # a probe stays rank-deficient once its finder has reported a relation
+    ws = [v0]
+    pending = [(theta, _RelationFinder(Fp, nb)) for theta in probes]
     while True:
-        k = len(ws)
-        if all(rank_at(theta, ws) < k for theta in probes):
-            N = k - 1
+        pending = [(theta, finder) for theta, finder in pending
+                   if finder.push(at(theta, ws[-1])) is None]
+        if not pending:
             break
-        assert k <= nb, "relation must appear within dim(B) steps"
-        ws.append(step(ws[-1], k - 1))
+        assert len(ws) <= nb, "relation must appear within dim(B) steps"
+        ws.append(step(ws[-1], len(ws) - 1))
+    N = len(ws) - 1
 
-    # pointwise kernels, interpolated coordinate by coordinate
-    kern_cache = {"points": [], "values": []}
+    # pointwise kernels, interpolated coordinate by coordinate; a point is
+    # used only where the kernel is one-dimensional and reaches w_N
+    kernel_points = set()
 
-    def kern_extend():
+    def kernel_draw():
         fails = 0
         while True:
             psi = rng.randrange(1, prime)
-            if psi in kern_cache["points"]:
+            if psi in kernel_points:
                 continue
-            vecs = [[peval(Fp, c, psi) for c in w] for w in ws]
-            d = _kernel_at_point(Fp, vecs)
-            if d is None:
-                fails += 1
-                if fails > 64:
-                    raise UnluckyEvaluationError(
-                        f"kernel never one-dimensional mod {prime}",
-                        prime_level=True,
-                    )
-                continue
-            kern_cache["points"].append(psi)
-            kern_cache["values"].append(d)
-            return
-
-    def kern_stream(i):
-        pos = 0
-        while True:
-            while pos >= len(kern_cache["points"]):
-                kern_extend()
-            yield kern_cache["points"][pos], kern_cache["values"][pos][i]
-            pos += 1
+            rel = relation_search(Fp, [at(psi, w) for w in ws])
+            if rel is not None and len(rel) == len(ws):
+                kernel_points.add(psi)
+                return psi, rel
+            fails += 1
+            if fails > 64:
+                raise UnluckyEvaluationError(
+                    f"kernel never one-dimensional mod {prime}",
+                    prime_level=True,
+                )
 
     if N == 0 and all(not w for w in ws[0]):
         polys = [(Fp.one,)]
     else:
+        kernels = _SamplePool(kernel_draw)
         d_rf = []
         for i in range(N):
-            d_rf.append(
-                adaptive_reconstruct(Fp, kern_stream(i), max_points=cfg.max_points)
-            )
+            d_rf.append(adaptive_reconstruct(
+                Fp, kernels.stream(lambda d, i=i: d[i]), max_points=cfg.max_points))
         d_rf.append(((Fp.one,), (Fp.one,)))
         # c_i = d_i * D^i Q^{i+1}, cleared to polynomials
-        den_lcm = (Fp.one,)
-        for _, d in d_rf:
-            den_lcm = plcm(Fp, den_lcm, d)
+        _, nums = _clear_denominators(Fp, d_rf)
         polys = []
         u = Q
-        for i, (n, d) in enumerate(d_rf):
-            cof = pdivmod(Fp, den_lcm, d)[0]
-            polys.append(pmul(Fp, pmul(Fp, n, cof), u))
+        for num in nums:
+            polys.append(pmul(Fp, num, u))
             u = pmul(Fp, u, DQ)
     rel = _normalize_modp_relation(Fp, polys)
 
@@ -757,7 +680,7 @@ def _prime_relation(pres, ref, rho, prime, idx, cfg):
 
     if cfg.fault_prime is not None:
         rel = cfg.fault_prime(idx, rel)
-    log.append(f"  points={len(cache.points)} N={N} degs={tuple(pdeg(c) for c in rel)}")
+    log.append(f"  points={len(points.samples)} N={N} degs={tuple(pdeg(c) for c in rel)}")
     return {"idx": idx, "prime": prime, "rel": rel,
             "shape": (len(rel) - 1, tuple(pdeg(c) for c in rel)), "log": log}
 
@@ -846,7 +769,7 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
             next_idx += 1
         with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
             futs = {
-                i: pool.submit(_prime_relation, pres, ref, rho, p, i, cfg)
+                i: pool.submit(_prime_relation, pres, ref, p, i, cfg)
                 for i, p in wave
             }
         for i, p in wave:
@@ -884,10 +807,7 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
             coeffs.append(pnorm(QQ, tuple(poly)))
         if not coeffs[-1]:
             return None
-        zpolys = collective_primitive(coeffs)
-        if zpolys[-1][-1] < 0:
-            zpolys = [tuple(-c for c in p) for p in zpolys]
-        return tuple(tuple(p) for p in zpolys), [r["prime"] for r in kept], \
+        return _primitive_positive(coeffs), [r["prime"] for r in kept], \
             [r for r in good if r["shape"] != best_shape]
 
     run_wave(cfg.min_primes)
@@ -925,7 +845,7 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
             discarded.append(check_prime)
             continue
         try:
-            got = _prime_relation(pres, ref, rho, check_prime, check_idx, cfg)
+            got = _prime_relation(pres, ref, check_prime, check_idx, cfg)
         except UnluckyEvaluationError:
             discarded.append(check_prime)
             continue

@@ -412,11 +412,10 @@ def sorted_terms(P: WeylOperator, order: MonomialOrder):
 
 
 def leading_data(P: WeylOperator, order: MonomialOrder):
-    """(lm, lc, lt) of a nonzero operator."""
+    """(lm, lc) of a nonzero operator."""
     if P.is_zero():
         raise ValueError("leading data of the zero operator")
-    lm, lc = sorted_terms(P, order)[0]
-    return lm, lc, (lm, lc)
+    return sorted_terms(P, order)[0]
 
 
 def leading_monomial(P, order):

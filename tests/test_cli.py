@@ -169,6 +169,29 @@ def test_gb_subcommand(workdir, airy_path):
     assert len(gb_doc.generators) == 5
 
 
+@pytest.mark.parametrize(
+    "order", ["grevlex", "block", "lex", "lex:1,0,3,2", "dtelim", "weightlex:1,2,1,1"]
+)
+def test_gb_round_trip_every_order(tmp_path, order):
+    src = tmp_path / "two.op"
+    src.write_text(f"vars x y\norder {order}\n---\ndx - x^2 + y\ndy - y^2 + x\n")
+    out, again = tmp_path / "two.gb", tmp_path / "two2.gb"
+    assert main(["gb", str(src), "-o", str(out)]) == 0
+    text = out.read_text()
+    assert f"\norder {order}\n" in text
+    assert parse_document(text).order == parse_document(src.read_text()).order
+    assert main(["gb", str(out), "-o", str(again)]) == 0
+    assert again.read_text() == text
+
+
+@pytest.mark.parametrize("order", ["lex:0,1,2", "lex:0,0,1,2", "lex:0,1,2,x",
+                                   "weightlex:1,1", "weightlex:-1,1,1,1", "ordinal"])
+def test_bad_order_exit_code(tmp_path, order):
+    src = tmp_path / "bad_order.op"
+    src.write_text(f"vars x y\norder {order}\n---\ndx - x^2\n")
+    assert main(["gb", str(src)]) == 2
+
+
 def test_reduce_subcommand(workdir, airy_path):
     out = workdir / "red.txt"
     rc = main(["reduce", str(airy_path), "--target", "y^2", "--eta", "x^2",
@@ -320,6 +343,9 @@ def k3_module_path(workdir):
 
 def test_exit_code_missing_file(workdir):
     assert main(["gb", str(workdir / "nope.op")]) == 2
+    ode = workdir / "present.ode"
+    ode.write_text("vars t\n---\n7*dt^2 - t\n")
+    assert main(["verify-series", str(ode), str(workdir / "nope.series")]) == 2
 
 
 def test_exit_code_parse_error(workdir):

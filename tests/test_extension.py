@@ -10,7 +10,6 @@ from _helpers import T, operators, qqt_elements
 from weylred.arith import QQ_T
 from weylred.extension import (
     ParametricPresentation,
-    apply_dt_action,
     build_extension,
     compute_ell,
     division_respects_dt_degree,
@@ -21,7 +20,7 @@ from weylred.extension import (
 )
 from weylred.groebner import buchberger, lrem
 from weylred.reduction import ReductionContext
-from weylred.telescoping import DerivedPresentation, telescope_direct
+from weylred.telescoping import DerivedPresentation, apply_linear, telescope_direct
 from weylred.weyl import Algebra, block_order, dtelim_order, grevlex, mul
 
 TWO = QQ_T.from_int(2)
@@ -120,8 +119,8 @@ def test_quadratic_dt_action_and_flatten(quad):
     pres, _ = quad
     ext = build_extension(pres)
     e1, e2 = embedded_unit(ext, 0, 1), embedded_unit(ext, 1, 1)
-    assert apply_dt_action(ext, e1) == e2
-    out = apply_dt_action(ext, e2)
+    assert apply_linear(ext.l_matrix, e1) == e2
+    out = apply_linear(ext.l_matrix, e2)
     assert list(out.terms.values()) == [T] and next(iter(out.terms)).comp == 1
 
     dt = pres.algebra.dvar(0)
