@@ -20,8 +20,7 @@ candidate survives a confirming evaluation.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 

@@ -130,7 +130,8 @@ class RunConfig:
     worker_count: int = 4
 
     def __post_init__(self):
-        assert self.mode in ("direct", "modular")
+        if self.mode not in ("direct", "modular"):
+            raise ValueError(f"mode must be 'direct' or 'modular', not {self.mode!r}")
         if self.rho < 0:
             raise ValueError("rho must be non-negative")
         if min(self.prime_count_initial, self.point_budget,
@@ -594,26 +595,30 @@ def _metrics(tele, gb_seconds, telescope_seconds, extra=None):
     return rec
 
 
+def solve_presentation(pres, config):
+    """Telescope a presentation in config.mode; returns (telescoper, transcript),
+    where the transcript is None in direct mode."""
+    if config.mode == "direct":
+        tele = telescope_direct(pres, rho=config.rho,
+                                degree_ceiling=config.degree_ceiling)
+        return tele, None
+    cfg = ModularConfig(
+        seed=config.seed,
+        workers=config.worker_count,
+        min_primes=config.prime_count_initial,
+        max_points=config.point_budget,
+    )
+    run = telescope_modular(pres, rho=config.rho, config=cfg,
+                            degree_ceiling=config.degree_ceiling)
+    return run.telescoper, "\n".join(run.transcript) + "\n"
+
+
 def run_telescope(doc, config):
     """Drive telescoping on a parsed document; returns a report dict."""
     t0 = time.time()
     pres = _module_presentation(doc)
     t1 = time.time()
-    transcript = None
-    if config.mode == "modular":
-        cfg = ModularConfig(
-            seed=config.seed,
-            workers=config.worker_count,
-            min_primes=config.prime_count_initial,
-            max_points=config.point_budget,
-        )
-        run = telescope_modular(pres, rho=config.rho, config=cfg,
-                                degree_ceiling=config.degree_ceiling)
-        tele = run.telescoper
-        transcript = "\n".join(run.transcript) + "\n"
-    else:
-        tele = telescope_direct(pres, rho=config.rho,
-                                degree_ceiling=config.degree_ceiling)
+    tele, transcript = solve_presentation(pres, config)
     t2 = time.time()
     extra = {"mode": config.mode, "seed": config.seed}
     return {
@@ -769,13 +774,7 @@ def _cmd_kregular(args):
     config = RunConfig(seed=args.seed, rho=args.rho,
                        mode="modular" if args.modular else "direct",
                        worker_count=args.workers, point_budget=args.point_budget)
-    if config.mode == "modular":
-        cfg = ModularConfig(seed=config.seed, workers=config.worker_count,
-                            max_points=config.point_budget)
-        run = telescope_modular(pres, rho=config.rho, config=cfg)
-        tele = run.telescoper
-    else:
-        tele = telescope_direct(pres, rho=config.rho)
+    tele, _ = solve_presentation(pres, config)
     t2 = time.time()
     lines = [telescoper_document(tele).rstrip("\n")]
     metrics = _metrics(tele, t1 - t0, t2 - t1,

@@ -27,9 +27,7 @@ from .weyl import (
     mul_monomial,
     op_scale,
     shadow_divides,
-    shadow_product,
     shadow_quotient,
-    sorted_terms,
 )
 
 

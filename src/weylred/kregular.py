@@ -22,7 +22,6 @@ Polynomials in ``p_1..p_k`` are plain dicts: exponent tuple -> Fraction.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial
 
 from .arith import QQ_T, T_GEN

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .arith import QQ
 from .weyl import (
-    Algebra,
     Monomial,
     WeylOperator,
     leading_data,
@@ -34,7 +32,6 @@ from .weyl import (
     mul_monomial,
     op_scale,
     shadow_divides,
-    sorted_terms,
 )
 from .groebner import (
     DivisionCertificate,

@@ -10,20 +10,19 @@ linear relation among the g_i is a telescoper for the integral.
 Two drivers are provided.  telescope_direct runs the whole computation over
 Q(t) and is meant for small instances and as a correctness reference.
 telescope_modular evaluates at t = a modulo word-size primes p, replays the
-eta-basis construction with a majority-elected tracer, interpolates the
-matrix of [L(.)]_eta back into F_p(t), finds the per-prime relation through
-a denominator-free recurrence plus pointwise kernels, and lifts the result
+eta-basis construction with a majority-elected tracer, interpolates g_0 and
+the matrix of [L(.)]_eta back into F_p(t), and lifts the per-prime relations
 to Q(t) by CRT and rational reconstruction, confirming with one extra prime.
-Both drivers find relations with the same incremental echelon form
-(_RelationFinder): the direct driver over Q(t), the modular driver at the
-rank probes and kernel points of each prime.
+Both drivers end in telescoper_from_system, which walks the derivative
+sequence through the same incremental echelon form (_RelationFinder): over
+Q(t) for the direct driver and over F_p(t) for each prime of the modular one.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
@@ -37,17 +36,12 @@ from .arith import (
     collective_primitive,
     crt_combine,
     adaptive_reconstruct,
-    padd,
     pdeg,
     pdivmod,
-    peval,
     pgcd,
     plcm,
     pmul,
     pnorm,
-    pderiv,
-    pscale,
-    psub,
     random_prime_31,
     rational_reconstruct,
 )
@@ -233,16 +227,14 @@ def confine(pres_or_ctx, rho=1, L=None, f=None, degree_ceiling=40):
         )
 
 
-def derivative_sequence_step(g, conf: Confinement):
-    """One step g -> dg/dt + g . M where M memoizes [L(.)]_eta over B."""
-    if len(g) != len(conf.B):
-        raise ValueError(f"vector has length {len(g)}, confinement has {len(conf.B)}")
-    F = conf.field
+def derivative_sequence_step(F, g, matrix):
+    """One step g -> dg/dt + g . M over F, where M = [L(B_i)]_eta row by row."""
+    if len(g) != len(matrix):
+        raise ValueError(f"vector has length {len(g)}, matrix has {len(matrix)} rows")
     out = [F.derivative(c) for c in g]
-    for i, c in enumerate(g):
+    for c, row in zip(g, matrix):
         if F.is_zero(c):
             continue
-        row = conf.reduced_L_images[conf.B[i]]
         for j, rc in enumerate(row):
             out[j] = F.add(out[j], F.mul(c, rc))
     return tuple(out)
@@ -290,12 +282,11 @@ def relation_search(F, vectors):
 
     Returns coefficients (c_0 .. c_N) in F with c_N = 1 for the minimal N
     such that g_0..g_N are dependent; None when all vectors are independent.
+    The vectors are consumed lazily: none after g_N is drawn.
     """
-    vectors = list(vectors)
-    if not vectors:
-        return None
-    finder = _RelationFinder(F, len(vectors[0]))
+    finder = None
     for vec in vectors:
+        finder = finder or _RelationFinder(F, len(vec))
         rel = finder.push(vec)
         if rel is not None:
             return rel
@@ -367,6 +358,19 @@ def telescoper_from_field_relation(F, rel):
     return Telescoper(_primitive_positive(polys))
 
 
+def telescoper_from_system(F, g0, matrix):
+    """Canonical telescoper from the first F-linear relation among g_0 and
+    g_{i+1} = dg_i/dt + g_i . matrix; g_0..g_nb are always dependent."""
+
+    def sequence():
+        g = g0
+        for _ in range(len(g0) + 1):
+            yield g
+            g = derivative_sequence_step(F, g, matrix)
+
+    return telescoper_from_field_relation(F, relation_search(F, sequence()))
+
+
 # ---------------------------------------------------------------------------
 # direct driver over Q(t)
 
@@ -383,31 +387,13 @@ def telescope_direct(pres: DerivedPresentation, rho=1, verify=True, max_rho=4,
     last_err = None
     for attempt_rho in range(rho, max_rho + 1):
         conf = confine(pres, rho=attempt_rho, degree_ceiling=degree_ceiling)
-        tel = _telescope_from_confinement(pres, conf)
+        tel = telescoper_from_system(conf.field, conf.f_vector, conf.matrix)
         if not verify:
             return tel
         if _certify_telescoper(pres, conf, tel):
             return tel
         last_err = f"certificate check failed at rho={attempt_rho}"
     raise InconsistencyError(last_err or "telescoper certification failed")
-
-
-def _telescope_from_confinement(pres, conf):
-    F = conf.field
-    nb = len(conf.B)
-    if nb == 0 or all(F.is_zero(c) for c in conf.f_vector):
-        one = (1,)
-        return Telescoper((one,))
-    finder = _RelationFinder(F, nb)
-    g = conf.f_vector
-    rel = finder.push(g)
-    steps = 0
-    while rel is None:
-        assert steps <= nb, "relation must appear within dim(B) steps"
-        g = derivative_sequence_step(g, conf)
-        rel = finder.push(g)
-        steps += 1
-    return telescoper_from_field_relation(F, rel)
 
 
 def _certify_telescoper(pres, conf, tel):
@@ -442,7 +428,6 @@ class ModularConfig:
     vote_rounds: int = 3
     max_point_tries: int = 64
     max_points: int = 512
-    rank_probes: int = 2
     fault_vote: object = None  # callable(vote_idx, triple) -> triple
     fault_prime: object = None  # callable(prime_idx, coeff tuple) -> coeff tuple
 
@@ -578,109 +563,11 @@ def _prime_relation(pres, ref, prime, idx, cfg):
     points = _SamplePool(_evaluation_draw(pres, ref, prime, rng, cfg, log))
 
     g0_rf, mat_rf = _interpolated_system(points, Fp, nb, cfg)
-
-    # clear to polynomial data: g0 = v0/Q, matrix = P/D
-    Q, v0 = _clear_denominators(Fp, g0_rf)
-    D, entries = _clear_denominators(Fp, [e for row in mat_rf for e in row])
-    P = [entries[i * nb:(i + 1) * nb] for i in range(nb)]
-
-    # denominator-free derivative sequence: g_i = w_i / (D^i Q^{i+1})
-    DQ = pmul(Fp, D, Q)
-    dD, dQ = pderiv(Fp, D), pderiv(Fp, Q)
-
-    def step(w, i):
-        out = []
-        for j in range(nb):
-            acc = pmul(Fp, pderiv(Fp, w[j]), DQ)
-            drag = padd(Fp, pscale(Fp, pmul(Fp, dD, Q), Fp.from_int(i)),
-                        pscale(Fp, pmul(Fp, D, dQ), Fp.from_int(i + 1)))
-            acc = psub(Fp, acc, pmul(Fp, w[j], drag))
-            dot = ()
-            for l in range(nb):
-                if w[l]:
-                    dot = padd(Fp, dot, pmul(Fp, w[l], P[l][j]))
-            acc = padd(Fp, acc, pmul(Fp, dot, Q))
-            out.append(acc)
-        return tuple(out)
-
-    def at(psi, w):
-        return [peval(Fp, c, psi) for c in w]
-
-    probes = []
-    while len(probes) < cfg.rank_probes:
-        theta = rng.randrange(1, prime)
-        if theta not in probes:
-            probes.append(theta)
-
-    # N is the first index at which w_0..w_N are dependent at every probe;
-    # a probe stays rank-deficient once its finder has reported a relation
-    ws = [v0]
-    pending = [(theta, _RelationFinder(Fp, nb)) for theta in probes]
-    while True:
-        pending = [(theta, finder) for theta, finder in pending
-                   if finder.push(at(theta, ws[-1])) is None]
-        if not pending:
-            break
-        assert len(ws) <= nb, "relation must appear within dim(B) steps"
-        ws.append(step(ws[-1], len(ws) - 1))
-    N = len(ws) - 1
-
-    # pointwise kernels, interpolated coordinate by coordinate; a point is
-    # used only where the kernel is one-dimensional and reaches w_N
-    kernel_points = set()
-
-    def kernel_draw():
-        fails = 0
-        while True:
-            psi = rng.randrange(1, prime)
-            if psi in kernel_points:
-                continue
-            rel = relation_search(Fp, [at(psi, w) for w in ws])
-            if rel is not None and len(rel) == len(ws):
-                kernel_points.add(psi)
-                return psi, rel
-            fails += 1
-            if fails > 64:
-                raise UnluckyEvaluationError(
-                    f"kernel never one-dimensional mod {prime}",
-                    prime_level=True,
-                )
-
-    if N == 0 and all(not w for w in ws[0]):
-        polys = [(Fp.one,)]
-    else:
-        kernels = _SamplePool(kernel_draw)
-        d_rf = []
-        for i in range(N):
-            d_rf.append(adaptive_reconstruct(
-                Fp, kernels.stream(lambda d, i=i: d[i]), max_points=cfg.max_points))
-        d_rf.append(((Fp.one,), (Fp.one,)))
-        # c_i = d_i * D^i Q^{i+1}, cleared to polynomials
-        _, nums = _clear_denominators(Fp, d_rf)
-        polys = []
-        u = Q
-        for num in nums:
-            polys.append(pmul(Fp, num, u))
-            u = pmul(Fp, u, DQ)
-    rel = _normalize_modp_relation(Fp, polys)
-
-    # exact check: sum_i c_i w_i (DQ)^(N-i) = 0 coordinate-wise
-    for j in range(nb):
-        acc = ()
-        scale = (Fp.one,)
-        for i in range(N, -1, -1):
-            acc = padd(Fp, acc, pmul(Fp, pmul(Fp, rel[i], ws[i][j]), scale))
-            if i:
-                scale = pmul(Fp, scale, DQ)
-        if acc:
-            raise UnluckyEvaluationError(
-                f"per-prime relation fails exact check mod {prime}",
-                prime_level=True,
-            )
-
+    rel = telescoper_from_system(RationalFunctions(Fp), g0_rf, mat_rf).coefficients
     if cfg.fault_prime is not None:
         rel = cfg.fault_prime(idx, rel)
-    log.append(f"  points={len(points.samples)} N={N} degs={tuple(pdeg(c) for c in rel)}")
+    log.append(f"  points={len(points.samples)} N={len(rel) - 1} "
+               f"degs={tuple(pdeg(c) for c in rel)}")
     return {"idx": idx, "prime": prime, "rel": rel,
             "shape": (len(rel) - 1, tuple(pdeg(c) for c in rel)), "log": log}
 

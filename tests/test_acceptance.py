@@ -6,6 +6,7 @@ series recurrences, commutative Groebner bases via sympy, backtracking
 graph enumeration, and hand-checked small reductions.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -25,6 +26,7 @@ from weylred.arith import (
     random_prime_31,
     rational_reconstruct,
 )
+from weylred.cli import telescoper_document
 from weylred.groebner import buchberger, lrem, rrem
 from weylred.kregular import (
     build_ideal,
@@ -232,6 +234,11 @@ def test_criterion_07_four_and_five_regular():
     run5 = telescope_modular(pres5, config=ModularConfig(seed=0, workers=4))
     tel5 = run5.telescoper
     assert (tel5.order, max(tel5.degrees)) == (6, 125)
+    # N = 6 and |B| = 6, the largest per-prime relation search in the suite:
+    # SHA-256 of the telescoper document followed by the joined transcript
+    text = telescoper_document(tel5) + "\n".join(run5.transcript)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "059539f3a3d12e1bfcb87babd61d17e73688c67e1df935ddb78b387572d57e67")
     f5, g5 = model_polynomials(5)
     assert verify_ode_on_series(tel5, scalar_product_series(f5, g5, 12),
                                 allow_partial=True)
@@ -240,8 +247,6 @@ def test_criterion_07_four_and_five_regular():
 
 def test_criterion_08_modular_direct_equality(airy, k3):
     """Modular output is byte-identical to direct, independent of worker count."""
-    from weylred.cli import telescoper_document
-
     for pres in (airy.pres, k3.pres):
         direct_doc = telescoper_document(telescope_direct(pres))
         runs = [

@@ -370,6 +370,8 @@ def test_degree_ceiling_two_suffices_for_k3(workdir, k3_module_path):
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(point_budget=0)
+    with pytest.raises(ValueError):
+        RunConfig(mode="bogus")
     RunConfig(rho=0)  # zero margin is allowed
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from _helpers import T, operators, qqt_elements
 from weylred.arith import QQ, QQ_T, PrimeField, RationalFunctions
-from weylred.cli import telescoper_document
+from weylred.cli import _module_presentation, parse_document, telescoper_document
 from weylred.reduction import compute_eta_basis, largest_monomial_of_degree, reduce_eta
 from weylred.telescoping import (
     Confinement,
@@ -47,12 +47,12 @@ def test_confine_golden(airy):
 
 def test_derivative_sequence_golden(airy):
     conf = confine(airy.pres, rho=1)
-    g1 = derivative_sequence_step(conf.f_vector, conf)
-    g2 = derivative_sequence_step(g1, conf)
+    g1 = derivative_sequence_step(conf.field, conf.f_vector, conf.matrix)
+    g2 = derivative_sequence_step(conf.field, g1, conf.matrix)
     assert g1 == (QQ_T.zero, QQ_T.neg(HALF))
     assert g2 == (QQ_T.div(T, QQ_T.from_int(7)), QQ_T.zero)
     with pytest.raises(ValueError):
-        derivative_sequence_step((QQ_T.one,), conf)  # wrong length
+        derivative_sequence_step(conf.field, (QQ_T.one,), conf.matrix)  # wrong length
 
 
 def assert_effective(conf, ctx, L, f):
@@ -105,6 +105,16 @@ def test_relation_search_dependent_pair():
     v = (QQ.one, QQ.from_int(2))
     rel = relation_search(QQ, [v, tuple(QQ.mul(QQ.from_int(2), c) for c in v)])
     assert rel == (QQ.from_int(-2), QQ.one)
+    # a generator is consumed only up to the dependent vector
+    drawn = []
+
+    def vectors():
+        for k in range(1, 5):
+            drawn.append(k)
+            yield tuple(QQ.mul(QQ.from_int(k), c) for c in v)
+
+    assert relation_search(QQ, vectors()) == (QQ.from_int(-2), QQ.one)
+    assert drawn == [1, 2]
 
 
 def test_relation_search_independent():
@@ -128,7 +138,7 @@ def test_relation_search_is_a_kernel_vector(rows):
     if rel is None:
         return
     n = len(rel)
-    assert rel[-1] == QQ.one  # the pointwise kernels of the modular driver rely on it
+    assert rel[-1] == QQ.one  # so the telescoper's leading coefficient is nonzero
     for j in range(3):
         total = QQ.zero
         for i in range(n):
@@ -209,9 +219,27 @@ def test_rho_invariance_k_regular(k2, k3, rho):
 # the modular driver
 
 
-def test_modular_matches_direct(airy):
-    tel = telescope_direct(airy.pres, rho=1)
-    run = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
+def airy_family_document(a, b, c):
+    """Integrand exp(q), q = (x^3 + c y^3)/3 - x(t + a z) - y(t + b z)."""
+    return (
+        "vars t x y z\n"
+        "---\n"
+        f"dx - x^2 + t + {a}*z\n"
+        f"dy - {c}*y^2 + t + {b}*z\n"
+        f"dz + {a}*x + {b}*y\n"
+        "dt + x + y\n"
+    )
+
+
+# (2, 2, 3) has the order-1 telescoper d_t: with a = b the shift z -> z - t/a
+# takes t out of q
+@pytest.mark.parametrize("problem", ["airy", (2, 2, 3), (1, 3, 2)],
+                         ids=["airy", "a2b2c3", "a1b3c2"])
+def test_modular_matches_direct(airy, problem):
+    pres = airy.pres if problem == "airy" else _module_presentation(
+        parse_document(airy_family_document(*problem)))
+    tel = telescope_direct(pres, rho=1)
+    run = telescope_modular(pres, rho=1, config=ModularConfig(seed=7, workers=2))
     assert run.telescoper == tel
     assert run.primes_used and not run.primes_discarded
 
