@@ -58,10 +58,9 @@ def main():
                     help="switch from direct elimination to the modular "
                          "pipeline at this k (default 5)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=4)
-    ap.add_argument("--point-budget", type=int, default=512,
-                    help="evaluation points per prime; k >= 6 needs more "
-                         "(try 2048)")
+    ap.add_argument("--workers", type=int, default=ModularConfig.workers)
+    ap.add_argument("--point-budget", type=int, default=ModularConfig.max_points,
+                    help="evaluation points per reconstructed entry and prime")
     ap.add_argument("--series-terms", type=int, default=12,
                     help="verify the ODE against this many series terms "
                          "(0 skips the check)")

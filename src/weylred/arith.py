@@ -57,9 +57,7 @@ class InconsistencyError(Exception):
 class Rationals:
     """The field of arbitrary-precision rationals; payloads are Fractions."""
 
-    name = "QQ"
     has_t = False
-    char = 0
 
     @property
     def zero(self):
@@ -103,9 +101,6 @@ class Rationals:
     def derivative(self, a):
         raise ValueError("field QQ carries no parameter t")
 
-    def random_element(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
     def __repr__(self):
         return "QQ"
 
@@ -116,15 +111,10 @@ class PrimeField:
 
     p: int
 
-    name = "GF"
     has_t = False
 
     def __post_init__(self):
         assert self.p >= 2 and is_prime(self.p), f"not a prime: {self.p}"
-
-    @property
-    def char(self):
-        return self.p
 
     @property
     def zero(self):
@@ -168,9 +158,6 @@ class PrimeField:
     def derivative(self, a):
         raise ValueError(f"field GF({self.p}) carries no parameter t")
 
-    def random_element(self, rng):
-        return rng.randrange(self.p)
-
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -185,12 +172,7 @@ class RationalFunctions:
 
     base: object
 
-    name = "RatFunc"
     has_t = True
-
-    @property
-    def char(self):
-        return self.base.char
 
     @property
     def zero(self):
@@ -272,14 +254,6 @@ class RationalFunctions:
             raise UnluckyEvaluationError(f"denominator vanishes at t = {x}")
         return F.div(peval(F, a[0], x), dv)
 
-    def random_element(self, rng):
-        F = self.base
-        num = pnorm(F, tuple(F.random_element(rng) for _ in range(rng.randint(1, 3))))
-        den = ()
-        while not den:
-            den = pnorm(F, tuple(F.random_element(rng) for _ in range(rng.randint(1, 3))))
-        return self.normalize(num, den)
-
     def __repr__(self):
         return f"{self.base!r}(t)"
 
@@ -323,12 +297,6 @@ def psub(F, a, b):
     for i, x in enumerate(b):
         c[i] = F.sub(c[i], x)
     return pnorm(F, c)
-
-
-def pscale(F, a, s):
-    if F.is_zero(s):
-        return ()
-    return pnorm(F, tuple(F.mul(c, s) for c in a))
 
 
 _KRONECKER_CUTOFF = 64
@@ -423,10 +391,6 @@ def peval(F, a, x):
     return acc
 
 
-def pfrom_ints(F, ints):
-    return pnorm(F, tuple(F.from_int(n) for n in ints))
-
-
 def interpolate(F, points):
     """Lagrange interpolation through distinct points, via Newton differences."""
     xs = [x for x, _ in points]
@@ -446,12 +410,6 @@ def interpolate(F, points):
 
 # ---------------------------------------------------------------------------
 # rationals over Q[t] utilities (used by telescoper normalization)
-
-
-def qpoly_clear_denominators(coeffs):
-    """Fraction tuple -> (int tuple, common denominator)."""
-    den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    return tuple(int(c * den) for c in coeffs), den
 
 
 def collective_primitive(polys):
@@ -634,16 +592,15 @@ def cauchy_interpolate(F, points, deg_bounds):
     return (num, den)
 
 
-def adaptive_reconstruct(F, stream, max_points=512, confirm_extra=1):
+def adaptive_reconstruct(F, stream, max_points=512):
     """Reconstruct a rational function from a stream of (point, value) pairs.
 
     Degree bounds start at (1, 1) and double on failure.  When the next
     doubling would need more than ``max_points`` samples, one last attempt is
     made at the largest bounds the budget affords before giving up.  A
     candidate is accepted only after it matches every consumed point plus
-    ``confirm_extra`` fresh ones.  Raises BudgetExhaustedError (carrying the
-    best candidate so far) when the stream or the ``max_points`` budget runs
-    out.
+    one fresh one.  Raises BudgetExhaustedError (carrying the best candidate
+    so far) when the stream or the ``max_points`` budget runs out.
     """
     it = iter(stream)
     pts = []
@@ -662,22 +619,18 @@ def adaptive_reconstruct(F, stream, max_points=512, confirm_extra=1):
                 raise BudgetExhaustedError("evaluation stream exhausted", best=best)
 
     while True:
-        need = d_num + d_den + 1 + confirm_extra
+        need = d_num + d_den + 2  # the fit plus the fresh confirming point
         final = need >= max_points
         if need > max_points:
-            d_num = d_den = max(0, (max_points - 1 - confirm_extra) // 2)
-            need = d_num + d_den + 1 + confirm_extra
+            d_num = d_den = max(0, (max_points - 2) // 2)
+            need = d_num + d_den + 2
         take(need - len(pts))
         cand = cauchy_interpolate(F, pts, (d_num, d_den))
         if cand is not None:
             num, den = cand
-            ok = True
-            for a, v in pts[-confirm_extra:]:
-                dv = peval(F, den, a)
-                if F.is_zero(dv) or not F.eq(peval(F, num, a), F.mul(v, dv)):
-                    ok = False
-                    break
-            if ok:
+            a, v = pts[-1]
+            dv = peval(F, den, a)
+            if not F.is_zero(dv) and F.eq(peval(F, num, a), F.mul(v, dv)):
                 return cand
             best = cand
         if final:

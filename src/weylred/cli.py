@@ -69,6 +69,7 @@ from .telescoping import (
 )
 from .weyl import (
     Algebra,
+    Monomial,
     WeylOperator,
     block_order,
     dtelim_order,
@@ -115,28 +116,6 @@ class OperatorDocument:
     @property
     def parametric(self):
         return self.algebra.dt
-
-
-@dataclass
-class RunConfig:
-    """Knobs shared by the run drivers; all budgets must be positive."""
-
-    seed: int = 0
-    rho: int = 1
-    mode: str = "direct"
-    prime_count_initial: int = 2
-    point_budget: int = 2048
-    degree_ceiling: int = 40
-    worker_count: int = 4
-
-    def __post_init__(self):
-        if self.mode not in ("direct", "modular"):
-            raise ValueError(f"mode must be 'direct' or 'modular', not {self.mode!r}")
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative")
-        if min(self.prime_count_initial, self.point_budget,
-               self.degree_ceiling, self.worker_count) < 1:
-            raise ValueError("all budgets must be positive")
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -488,7 +467,7 @@ def print_operator(op, doc):
     for m, c in sorted_terms(op, doc.order):
         factors = _mono_factors(m, doc)
         cs, loose = _coeff_str(c)
-        neg = not loose and cs.startswith("-")
+        neg = cs.startswith("-") and not (loose and factors)
         if neg:
             cs = cs[1:]
         bare_one = cs == "1"
@@ -529,7 +508,7 @@ def format_document(doc, operators, note=None):
 # run drivers
 
 
-def _module_presentation(doc, validate=True):
+def _module_presentation(doc):
     if doc.parametric:
         pres = ParametricPresentation(doc.algebra, tuple(doc.generators), doc.order)
         ext = build_extension(pres)
@@ -538,10 +517,9 @@ def _module_presentation(doc, validate=True):
         order = grevlex(ext.algebra.n)
         basis = buchberger(ext.s_generators, order)
         ctx = ReductionContext(ext.algebra, order, basis)
-        f = doc.f
-        if f is not None:
+        if doc.f is not None:
             raise ParseError("parametric documents take f = e1 implicitly")
-        return DerivedPresentation(ctx, ext.l_matrix, embedded_unit(ext), validate=validate)
+        return DerivedPresentation(ctx, ext.l_matrix, embedded_unit(ext))
     if not doc.l_rows:
         raise ParseError("telescoping a module document needs L matrix rows")
     r = doc.algebra.r
@@ -552,33 +530,20 @@ def _module_presentation(doc, validate=True):
     )
     basis = buchberger(tuple(doc.generators), doc.order)
     ctx = ReductionContext(doc.algebra, doc.order, basis)
-    return DerivedPresentation(ctx, tuple(tuple(row) for row in doc.l_rows), f,
-                               validate=validate)
+    return DerivedPresentation(ctx, tuple(tuple(row) for row in doc.l_rows), f)
+
+
+_TELESCOPER_DOC = OperatorDocument(Algebra(1, 1, QQ_T, dt=True), dtelim_order(1), ())
 
 
 def telescoper_document(tele):
-    lines = ["vars t", "order dtelim", "---"]
-    parts = []
-    for i in range(len(tele.coefficients) - 1, -1, -1):
-        c = tele.coefficients[i]
-        if not c or not any(c):
-            continue
-        cs, loose = _coeff_str((tuple(Fraction(v) for v in c), (Fraction(1),)))
-        mono = "" if i == 0 else ("dt" if i == 1 else f"dt^{i}")
-        if loose and mono:
-            cs = f"({cs})"
-        if mono:
-            parts.append(mono if cs == "1" else f"{cs}*{mono}")
-        else:
-            parts.append(cs)
-    body = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            body += " - " + p[1:]
-        else:
-            body += " + " + p
-    lines.append(body)
-    return "\n".join(lines) + "\n"
+    """The telescoper as a one-operator document in t and d_t."""
+    A = _TELESCOPER_DOC.algebra
+    op = WeylOperator(A, {
+        Monomial((0,), (i,), 1): (tuple(Fraction(v) for v in c), (Fraction(1),))
+        for i, c in enumerate(tele.coefficients)
+    })
+    return format_document(_TELESCOPER_DOC, [op])
 
 
 def _metrics(tele, gb_seconds, telescope_seconds, extra=None):
@@ -595,32 +560,27 @@ def _metrics(tele, gb_seconds, telescope_seconds, extra=None):
     return rec
 
 
-def solve_presentation(pres, config):
-    """Telescope a presentation in config.mode; returns (telescoper, transcript),
-    where the transcript is None in direct mode."""
-    if config.mode == "direct":
-        tele = telescope_direct(pres, rho=config.rho,
-                                degree_ceiling=config.degree_ceiling)
-        return tele, None
-    cfg = ModularConfig(
-        seed=config.seed,
-        workers=config.worker_count,
-        min_primes=config.prime_count_initial,
-        max_points=config.point_budget,
-    )
-    run = telescope_modular(pres, rho=config.rho, config=cfg,
-                            degree_ceiling=config.degree_ceiling)
+def solve_presentation(pres, mode, config, rho=1, degree_ceiling=40):
+    """Telescope a presentation in `mode` ("direct" or "modular", the latter
+    run with `config`); returns (telescoper, transcript), where the
+    transcript is None in direct mode."""
+    if mode == "direct":
+        return telescope_direct(pres, rho=rho, degree_ceiling=degree_ceiling), None
+    if mode != "modular":
+        raise ValueError(f"mode must be 'direct' or 'modular', not {mode!r}")
+    run = telescope_modular(pres, rho=rho, config=config,
+                            degree_ceiling=degree_ceiling)
     return run.telescoper, "\n".join(run.transcript) + "\n"
 
 
-def run_telescope(doc, config):
+def run_telescope(doc, mode, config, rho=1, degree_ceiling=40):
     """Drive telescoping on a parsed document; returns a report dict."""
     t0 = time.time()
     pres = _module_presentation(doc)
     t1 = time.time()
-    tele, transcript = solve_presentation(pres, config)
+    tele, transcript = solve_presentation(pres, mode, config, rho, degree_ceiling)
     t2 = time.time()
-    extra = {"mode": config.mode, "seed": config.seed}
+    extra = {"mode": mode, "seed": config.seed}
     return {
         "telescoper": tele,
         "document": telescoper_document(tele),
@@ -714,12 +674,16 @@ def _cmd_confine(args):
     return 0
 
 
+def _modular_config(args):
+    """A run subcommand's ModularConfig, built (and so checked) in either mode."""
+    return ModularConfig(seed=args.seed, workers=args.workers,
+                         max_points=args.point_budget)
+
+
 def _cmd_telescope(args):
     doc = _read_doc(args.file)
-    config = RunConfig(seed=args.seed, rho=args.rho, mode=args.mode,
-                       worker_count=args.workers, point_budget=args.point_budget,
-                       degree_ceiling=args.degree_ceiling)
-    report = run_telescope(doc, config)
+    config = _modular_config(args)
+    report = run_telescope(doc, args.mode, config, args.rho, args.degree_ceiling)
     _write(args.out, report["document"])
     if args.metrics:
         _write(args.metrics, json.dumps(report["metrics"], indent=2) + "\n")
@@ -763,6 +727,7 @@ def _parse_fg_document(path, k):
 def _cmd_kregular(args):
     if args.model != "ll,se":
         raise ParseError("built-in model is 'll,se'; supply --fg for other variants")
+    config = _modular_config(args)
     t0 = time.time()
     if args.fg:
         f, g = _parse_fg_document(args.fg, args.k)
@@ -771,14 +736,12 @@ def _cmd_kregular(args):
         f, g = model_polynomials(args.k)
         inp, pres = regular_presentation(args.k)
     t1 = time.time()
-    config = RunConfig(seed=args.seed, rho=args.rho,
-                       mode="modular" if args.modular else "direct",
-                       worker_count=args.workers, point_budget=args.point_budget)
-    tele, _ = solve_presentation(pres, config)
+    mode = "modular" if args.modular else "direct"
+    tele, _ = solve_presentation(pres, mode, config, args.rho)
     t2 = time.time()
     lines = [telescoper_document(tele).rstrip("\n")]
     metrics = _metrics(tele, t1 - t0, t2 - t1,
-                       {"mode": config.mode, "seed": config.seed, "k": args.k})
+                       {"mode": mode, "seed": config.seed, "k": args.k})
     status = 0
     if args.series_check is not None:
         n_terms = max(args.series_check, metrics["order"] + metrics["degree"] + 1)
@@ -840,9 +803,8 @@ def main(argv=None):
     default_seed = int(os.environ.get("WEYLRED_SEED", "0"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        if out:
-            p.add_argument("-o", "--out", default=None, help="output file (default stdout)")
+    def common(p):
+        p.add_argument("-o", "--out", default=None, help="output file (default stdout)")
 
     p = sub.add_parser("gb", help="reduced Groebner basis of a document's generators")
     p.add_argument("file")
@@ -873,8 +835,8 @@ def main(argv=None):
     p.add_argument("--mode", choices=("direct", "modular"), default="direct")
     p.add_argument("--rho", type=int, default=1)
     p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--point-budget", type=int, default=2048)
+    p.add_argument("--workers", type=int, default=ModularConfig.workers)
+    p.add_argument("--point-budget", type=int, default=ModularConfig.max_points)
     p.add_argument("--degree-ceiling", type=int, default=40)
     p.add_argument("--metrics", default=None)
     p.add_argument("--transcript", default=None)
@@ -890,8 +852,8 @@ def main(argv=None):
     mode.add_argument("--direct", action="store_true")
     p.add_argument("--rho", type=int, default=1)
     p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--point-budget", type=int, default=2048)
+    p.add_argument("--workers", type=int, default=ModularConfig.workers)
+    p.add_argument("--point-budget", type=int, default=ModularConfig.max_points)
     p.add_argument("--series-check", type=int, default=None)
     p.add_argument("--count-check", type=int, default=None)
     p.add_argument("--metrics", default=None)

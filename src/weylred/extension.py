@@ -46,24 +46,6 @@ def dt_degree_mod(a, basis, order):
     return dt_degree(rem)
 
 
-def division_respects_dt_degree(a, basis, order):
-    """Check that dividing `a` by `basis` only ever uses multiples whose
-    d_t degree stays within dt_degree(a).
-
-    With an elimination order this should always hold; the certificate
-    quotients make the property observable after the fact.
-    """
-    bound = dt_degree(a)
-    rem, cert = lrem(a, basis, order)
-    assert cert.verifies(a)
-    if dt_degree(rem) > bound:
-        return False
-    for i, q in cert.quotients.items():
-        if dt_degree(mul(q, basis[i])) > bound:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ParametricPresentation:
     """Generators of a left ideal in a t-extended operator algebra.
@@ -165,7 +147,7 @@ def compute_ell(gb, s, order, ceiling=20):
     )
 
 
-def build_extension(pres, ceiling=20):
+def build_extension(pres):
     """Flatten a parametric ideal into (S, L) over a free W_x(t)-module.
 
     Returns an :class:`ExtensionResult` whose `s_generators` generate the
@@ -174,7 +156,7 @@ def build_extension(pres, ceiling=20):
     """
     algebra, order, s = pres.algebra, pres.order, pres.s
     gb = buchberger(pres.generators, order)
-    ell = compute_ell(gb, s, order, ceiling=ceiling)
+    ell = compute_ell(gb, s, order)
     r = (ell + 1) * s
     flat = Algebra(algebra.n - 1, r, algebra.field, dt=False)
 
@@ -213,18 +195,6 @@ def build_extension(pres, ceiling=20):
         gb=gb,
         source=pres,
     )
-
-
-def flatten_member(ext, a):
-    """Map an operator of the source presentation into the flat module.
-
-    The input is first rewritten to its normal form modulo the elimination
-    basis, so any d_t powers are pushed below the level bound.
-    """
-    rem, cert = lrem(a, ext.gb, ext.source.order)
-    assert cert.verifies(a)
-    assert dt_degree(rem) <= ext.ell
-    return flatten_operator(rem, ext.ell, ext.algebra)
 
 
 def embedded_unit(ext, h=0, i=1):

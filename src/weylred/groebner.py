@@ -232,11 +232,6 @@ def merge_certificates(first, second):
     return DivisionCertificate(basis, quotients, tuple(dw), second.remainder)
 
 
-def certificate_identity_holds(original, cert):
-    """Exact re-expansion check: original == remainder + sum q g + sum d w."""
-    return cert.verifies(original)
-
-
 # ---------------------------------------------------------------------------
 # Buchberger
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .arith import QQ_T, T_GEN
-from .groebner import buchberger, ideal_membership
+from .groebner import buchberger
 from .reduction import ReductionContext
 from .telescoping import DerivedPresentation
 from .weyl import Algebra, WeylOperator, grevlex, mul, op_add, op_scale, op_sub
@@ -218,31 +218,22 @@ def derivation_L(inp):
     return _eval_at_operators(inp.g_tilde, inp.u, inp.algebra)
 
 
-def scalar_product_presentation(inp, order=None, validate=True):
-    """GB of the ideal plus derivation, packaged for the telescoping layer.
+def scalar_product_presentation(inp):
+    """Grevlex GB of the ideal plus derivation, packaged for the telescoping layer.
 
     pres.f is the class of 1 — the element whose telescoper is the ODE of
-    the generating function <e^f, e^{t g}>.  The order defaults to grevlex.
+    the generating function <e^f, e^{t g}>.
     """
-    if order is None:
-        order = grevlex(inp.k)
+    order = grevlex(inp.k)
     basis = buchberger(build_ideal(inp), order)
     ctx = ReductionContext(inp.algebra, order, basis)
-    return DerivedPresentation(
-        ctx, ((derivation_L(inp),),), inp.algebra.one(), validate=validate
-    )
+    return DerivedPresentation(ctx, ((derivation_L(inp),),), inp.algebra.one())
 
 
-def regular_presentation(k, order=None, validate=True):
+def regular_presentation(k):
     """(inp, pres) for the k-regular graph model; see scalar_product_presentation."""
     inp = from_model(k)
-    return inp, scalar_product_presentation(inp, order, validate)
-
-
-def contains_pk_minus_t(inp, basis, order):
-    """Check p_k - t ∈ S (the degenerate-localization sanity property)."""
-    target = op_sub(inp.algebra.xvar(inp.k - 1), inp.algebra.scalar(T_GEN))
-    return ideal_membership(target, basis, order)
+    return inp, scalar_product_presentation(inp)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .weyl import (
@@ -374,56 +373,3 @@ def largest_monomial_of_degree(algebra, order, s):
             if best_key is None or k > best_key:
                 best, best_key = m, k
     return best
-
-
-# ---------------------------------------------------------------------------
-# Griffiths-Dwork irreducibility oracle (independent commutative route)
-
-
-def gd_irreducibility_oracle(n, f_terms, degree_cap):
-    """Standard monomials of the Jacobian ideal of a homogeneous polynomial.
-
-    f_terms maps exponent tuples (length n) to rational coefficients.
-    Returns (standard, gb) where standard is the set of exponent tuples of
-    degree <= degree_cap outside the leading-term ideal, and gb is the
-    commutative grevlex Groebner basis as a list of {exponents: Fraction}.
-    The commutative side is computed by sympy, keeping this check
-    independent of the operator engine.
-    """
-    import sympy
-
-    if not f_terms:
-        raise ValueError("zero polynomial")
-    degs = {sum(e) for e in f_terms}
-    if len(degs) != 1:
-        raise ValueError("polynomial is not homogeneous")
-
-    xs = sympy.symbols(f"x1:{n + 1}")
-    f = sympy.Integer(0)
-    for e, c in f_terms.items():
-        term = sympy.Rational(c)
-        for xi, ei in zip(xs, e):
-            term *= xi**ei
-        f += term
-    jac = [sympy.expand(sympy.diff(f, xi)) for xi in xs]
-    gb = sympy.groebner([g for g in jac if g != 0], *xs, order="grevlex")
-
-    gb_polys = []
-    lead_exps = []
-    for poly in gb.polys:
-        d = {}
-        for exps, coef in poly.terms():
-            d[tuple(int(e) for e in exps)] = Fraction(*sympy.fraction(sympy.Rational(coef)))
-        gb_polys.append(d)
-        lead_exps.append(tuple(int(e) for e in poly.LM(order="grevlex").exponents))
-
-    standard = set()
-    for d in range(degree_cap + 1):
-        for split in combinations_with_replacement(range(n), d):
-            vec = [0] * n
-            for i in split:
-                vec[i] += 1
-            e = tuple(vec)
-            if not any(all(a >= b for a, b in zip(e, le)) for le in lead_exps):
-                standard.add(e)
-    return standard, gb_polys

@@ -49,6 +49,7 @@ from .weyl import (
     Algebra,
     Monomial,
     WeylOperator,
+    _mono_str,
     coefficientwise_dt,
     evaluate_and_reduce,
     leading_monomial,
@@ -105,30 +106,30 @@ class DerivedPresentation:
     """A module W_x(t)^r/S with the derivation a -> da/dt + a.Lambda and an f.
 
     L is an r x r matrix of scalar operators.  On construction the stored
-    Groebner basis is spot-checked for stability under the derivation
+    Groebner basis is checked for stability under the derivation
     (lrem(dg/dt + L(g), G) = 0 for every basis element g), which is what
     makes the derivation well defined on the quotient.
     """
 
     __slots__ = ("ctx", "L", "f")
 
-    def __init__(self, ctx: ReductionContext, L, f: WeylOperator, validate=True):
+    def __init__(self, ctx: ReductionContext, L, f: WeylOperator):
         r = ctx.algebra.r
         L = tuple(tuple(row) for row in L)
-        assert len(L) == r and all(len(row) == r for row in L)
+        if len(L) != r or any(len(row) != r for row in L):
+            raise ValueError(f"L must be a {r}x{r} matrix")
         self.ctx = ctx
         self.L = L
         self.f = f
-        if validate:
-            for g in ctx.basis:
-                img = coefficientwise_dt(g) + apply_linear(L, g)
-                rem, _ = lrem(img, ctx.basis, ctx.order, certificate=False)
-                if not rem.is_zero():
-                    raise ValueError(
-                        "module is not stable under the derivation: "
-                        "basis element with lead "
-                        f"{_mono_str(leading_monomial(g, ctx.order))} fails"
-                    )
+        for g in ctx.basis:
+            img = coefficientwise_dt(g) + apply_linear(L, g)
+            rem, _ = lrem(img, ctx.basis, ctx.order, certificate=False)
+            if not rem.is_zero():
+                raise ValueError(
+                    "module is not stable under the derivation: "
+                    "basis element with lead "
+                    f"{_mono_str(leading_monomial(g, ctx.order))} fails"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +174,13 @@ def confine(pres_or_ctx, rho=1, L=None, f=None, degree_ceiling=40):
 
     Callable either with a DerivedPresentation or with an explicit
     (ctx, L, f) triple; the latter form serves the modular driver, which
-    works over evaluated coefficient fields.
+    works over evaluated coefficient fields.  The threshold degree starts at
+    rho and may not pass degree_ceiling.
     """
+    if rho < 0:
+        raise ValueError(f"rho must be non-negative, got {rho}")
+    if degree_ceiling < 1:
+        raise ValueError(f"degree ceiling must be positive, got {degree_ceiling}")
     if isinstance(pres_or_ctx, DerivedPresentation):
         ctx, L, f = pres_or_ctx.ctx, pres_or_ctx.L, pres_or_ctx.f
     else:
@@ -375,25 +381,20 @@ def telescoper_from_system(F, g0, matrix):
 # direct driver over Q(t)
 
 
-def telescope_direct(pres: DerivedPresentation, rho=1, verify=True, max_rho=4,
-                     degree_ceiling=40):
+def telescope_direct(pres: DerivedPresentation, rho=1, degree_ceiling=40):
     """Telescoper over Q(t), computed without modular arithmetic.
 
     The produced relation is re-expanded through the unreduced derivative
     chain and certified exactly (the residue must reduce to zero with a
-    verifying division certificate); failure escalates rho and reruns.
+    verifying division certificate); failure escalates rho, at most three
+    times, and reruns.
     """
-    F = pres.ctx.algebra.field
-    last_err = None
-    for attempt_rho in range(rho, max_rho + 1):
+    for attempt_rho in range(rho, rho + 4):
         conf = confine(pres, rho=attempt_rho, degree_ceiling=degree_ceiling)
         tel = telescoper_from_system(conf.field, conf.f_vector, conf.matrix)
-        if not verify:
-            return tel
         if _certify_telescoper(pres, conf, tel):
             return tel
-        last_err = f"certificate check failed at rho={attempt_rho}"
-    raise InconsistencyError(last_err or "telescoper certification failed")
+    raise InconsistencyError(f"certificate check failed at rho={attempt_rho}")
 
 
 def _certify_telescoper(pres, conf, tel):
@@ -418,18 +419,38 @@ def _certify_telescoper(pres, conf, tel):
 # modular driver
 
 
+_MIN_PRIMES = 2  # primes in the first wave; CRT needs two of one shape
+_TRACER_VOTES = 3  # (prime, point) pairs that vote on the reference
+_VOTE_ROUNDS = 3  # vote rounds before the election is given up
+_MAX_POINT_TRIES = 64  # skipped points before a prime or a vote is given up
+
+
 @dataclass
 class ModularConfig:
+    """Settings of one modular run.
+
+    seed: seeds every random choice, so it fixes the transcript.
+    workers: threads per wave of primes; the transcript does not depend on it.
+    max_primes: primes tried before giving up; the consistency check may add four.
+    max_points: points one reconstructed entry may use per prime.
+    fault_vote, fault_prime: test hooks, (vote_idx, triple) -> triple and
+      (prime_idx, coeffs) -> coeffs, that replace a tracer vote or a
+      per-prime relation.
+    """
+
     seed: int = 0
     workers: int = 4
-    min_primes: int = 2
     max_primes: int = 16
-    tracer_votes: int = 3
-    vote_rounds: int = 3
-    max_point_tries: int = 64
-    max_points: int = 512
-    fault_vote: object = None  # callable(vote_idx, triple) -> triple
-    fault_prime: object = None  # callable(prime_idx, coeff tuple) -> coeff tuple
+    max_points: int = 2048
+    fault_vote: object = None
+    fault_prime: object = None
+
+    def __post_init__(self):
+        for name, low in (("workers", 1), ("max_points", 1),
+                          ("max_primes", _MIN_PRIMES)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -438,13 +459,6 @@ class ModularRun:
     transcript: tuple
     primes_used: tuple
     primes_discarded: tuple
-
-
-def _mono_str(m: Monomial):
-    parts = [f"x{i + 1}^{e}" for i, e in enumerate(m.alpha) if e]
-    parts += [f"d{i + 1}^{e}" for i, e in enumerate(m.beta) if e]
-    body = "*".join(parts) if parts else "1"
-    return body if m.comp == 1 else f"{body}@e{m.comp}"
 
 
 def _evaluate_context(pres, img):
@@ -504,14 +518,14 @@ class _SamplePool:
 def _evaluation_draw(pres, ref, prime, rng, cfg, log):
     """draw() for the evaluation pool of one prime: a fresh point a and the
     numeric (g0, matrix) there.  Repeated and unlucky points are skipped;
-    after cfg.max_point_tries skips the prime is given up."""
+    after _MAX_POINT_TRIES skips the prime is given up."""
     used = set()
     skips = 0
 
     def draw():
         nonlocal skips
         while True:
-            if skips >= cfg.max_point_tries:
+            if skips >= _MAX_POINT_TRIES:
                 raise UnluckyEvaluationError(
                     f"no usable evaluation points mod {prime}",
                     prime_level=True,
@@ -573,14 +587,14 @@ def _prime_relation(pres, ref, prime, idx, cfg):
 
 
 def _elect_reference(pres, rho, cfg, prime_iter, log, degree_ceiling):
-    """Majority vote on (eta, B, tracer, row_lms) over tracer_votes pairs."""
-    for round_no in range(cfg.vote_rounds):
+    """Majority vote on (eta, B, tracer, row_lms) over _TRACER_VOTES pairs."""
+    for round_no in range(_VOTE_ROUNDS):
         votes = []
-        for v in range(cfg.tracer_votes):
+        for v in range(_TRACER_VOTES):
             vote_rng = random.Random(f"{cfg.seed}/vote/{round_no}/{v}")
             prime = next(prime_iter)
             triple = None
-            for _ in range(cfg.max_point_tries):
+            for _ in range(_MAX_POINT_TRIES):
                 a = vote_rng.randrange(1, prime)
                 try:
                     ctx, L_p, f_p = _evaluate_context(pres, ModularImage(prime, a))
@@ -654,7 +668,7 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         for _ in range(count):
             wave.append((next_idx, next(primes)))
             next_idx += 1
-        with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             futs = {
                 i: pool.submit(_prime_relation, pres, ref, p, i, cfg)
                 for i, p in wave
@@ -697,7 +711,7 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         return _primitive_positive(coeffs), [r["prime"] for r in kept], \
             [r for r in good if r["shape"] != best_shape]
 
-    run_wave(cfg.min_primes)
+    run_wave(_MIN_PRIMES)
     candidate = None
     while True:
         candidate = merged_candidate()

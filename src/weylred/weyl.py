@@ -18,7 +18,7 @@ Two regimes share this representation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -58,12 +58,12 @@ def shadow_quotient(m2: Monomial, m1: Monomial):
     )
 
 
-def shadow_product(m1: Monomial, m2: Monomial, comp=None):
-    return Monomial(
-        tuple(a + b for a, b in zip(m1.alpha, m2.alpha)),
-        tuple(a + b for a, b in zip(m1.beta, m2.beta)),
-        comp if comp is not None else max(m1.comp, m2.comp),
-    )
+def _mono_str(m: Monomial):
+    """Slot-indexed text of a monomial, e.g. x2^1*d3^1@e2 (transcripts, errors)."""
+    parts = [f"x{i + 1}^{e}" for i, e in enumerate(m.alpha) if e]
+    parts += [f"d{i + 1}^{e}" for i, e in enumerate(m.beta) if e]
+    body = "*".join(parts) if parts else "1"
+    return body if m.comp == 1 else f"{body}@e{m.comp}"
 
 
 @dataclass(frozen=True)
@@ -172,18 +172,7 @@ class WeylOperator:
     def __repr__(self):
         if not self.terms:
             return "<0>"
-        bits = []
-        for m, c in list(self.terms.items())[:8]:
-            parts = [f"({c})"]
-            for i, e in enumerate(m.alpha):
-                if e:
-                    parts.append(f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}")
-            for i, e in enumerate(m.beta):
-                if e:
-                    parts.append(f"d{i + 1}^{e}" if e > 1 else f"d{i + 1}")
-            if self.algebra.r > 1:
-                parts.append(f"e{m.comp}")
-            bits.append("*".join(parts))
+        bits = [f"({c})*{_mono_str(m)}" for m, c in list(self.terms.items())[:8]]
         more = "" if len(self.terms) <= 8 else f" +{len(self.terms) - 8} terms"
         return f"<{' + '.join(bits)}{more}>"
 
@@ -424,29 +413,6 @@ def leading_monomial(P, order):
 
 # ---------------------------------------------------------------------------
 # actions and coefficient maps
-
-
-def apply_to_polynomial(P: WeylOperator, poly: dict):
-    """Act on a commutative polynomial {exponent tuple: coefficient}.
-
-    x_i acts by multiplication and d_i by d/dx_i.  Test oracle for ``mul``:
-    the action is an algebra homomorphism.
-    """
-    A = P.algebra
-    assert A.r == 1 and not A.dt
-    F = A.field
-    out = {}
-    for m, c in P.terms.items():
-        for e, d in poly.items():
-            if any(ei < bi for ei, bi in zip(e, m.beta)):
-                continue
-            factor = 1
-            for ei, bi in zip(e, m.beta):
-                factor *= factorial(ei) // factorial(ei - bi)
-            new = tuple(ei - bi + ai for ei, bi, ai in zip(e, m.beta, m.alpha))
-            v = F.mul(F.mul(c, d), F.from_int(factor))
-            out[new] = F.add(out.get(new, F.zero), v)
-    return {e: c for e, c in out.items() if not F.is_zero(c)}
 
 
 def coefficientwise_dt(P: WeylOperator):

@@ -14,6 +14,7 @@ from math import factorial
 
 import pytest
 
+from _oracles import apply_to_polynomial, gd_irreducibility_oracle
 from weylred.arith import (
     QQ,
     QQ_T,
@@ -40,7 +41,6 @@ from weylred.kregular import (
 from weylred.reduction import (
     ReductionContext,
     compute_eta_basis,
-    gd_irreducibility_oracle,
     largest_monomial_of_degree,
     reduce_eta,
     reduced_form,
@@ -56,7 +56,6 @@ from weylred.weyl import (
     Algebra,
     Monomial,
     WeylOperator,
-    apply_to_polynomial,
     block_order,
     lex_order,
     mul,

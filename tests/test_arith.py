@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import qpoly_clear_denominators
 from weylred.arith import (
     QQ,
     QQ_T,
@@ -30,7 +31,6 @@ from weylred.arith import (
     pmonic,
     pmul,
     pnorm,
-    qpoly_clear_denominators,
     random_prime_31,
     rational_reconstruct,
 )

@@ -1,16 +1,21 @@
 """Document parsing, printing, subcommands, and exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import weylred
 from weylred.arith import QQ_T
 from weylred.cli import (
     OperatorDocument,
     ParseError,
-    RunConfig,
     main,
     parse_document,
     parse_operator,
@@ -18,6 +23,7 @@ from weylred.cli import (
     run_telescope,
 )
 from weylred.kregular import build_ideal, derivation_L, from_model
+from weylred.telescoping import ModularConfig
 from weylred.weyl import Algebra, grevlex
 
 T = QQ_T.from_poly((Fraction(0), Fraction(1)))
@@ -59,6 +65,7 @@ def test_parse_normalizes_products(doc1):
     assert parse_operator("x1*dx1", doc1).terms == {
         doc1.algebra.monomial((1,), (1,)): QQ_T.one
     }
+    assert print_operator(parse_operator("x1 + 1 - t^2", doc1), doc1) == "x1 - t^2 + 1"
 
 
 def test_parse_rational_function_coefficients(doc1):
@@ -240,6 +247,10 @@ def test_telescope_module_document(workdir, airy_module_path):
     out = workdir / "mod.tele"
     assert main(["telescope", str(airy_module_path), "-o", str(out)]) == 0
     assert out.read_text().splitlines()[-1] == "7*dt^2 - t"
+    # a larger starting margin still leaves room to escalate
+    out5 = workdir / "mod5.tele"
+    assert main(["telescope", str(airy_module_path), "--rho", "5", "-o", str(out5)]) == 0
+    assert out5.read_text() == out.read_text()
 
 
 def test_modular_worker_independence(workdir, airy_module_path):
@@ -360,6 +371,54 @@ def test_exit_code_budget_exhausted(k3_module_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["telescope", "{module}", "--workers", "0"],
+    ["telescope", "{module}", "--mode", "modular", "--workers", "0"],
+    ["telescope", "{module}", "--point-budget", "0"],
+    ["telescope", "{module}", "--rho", "-1"],
+    ["telescope", "{module}", "--mode", "modular", "--rho", "-1"],
+    ["telescope", "{module}", "--degree-ceiling", "0"],
+    ["kregular", "--k", "2", "--workers", "0"],
+    ["kregular", "--k", "2", "--point-budget", "0"],
+    ["kregular", "--k", "2", "--rho", "-1"],
+    ["confine", "{module}", "--rho", "-1"],
+], ids=lambda argv: " ".join(a for a in argv if a != "{module}"))
+def test_exit_code_bad_run_value(airy_module_path, argv):
+    assert main([a.format(module=airy_module_path) for a in argv]) == 2
+
+
+def test_validation_survives_optimize(tmp_path):
+    """Run-value and shape checks raise ValueError under python -O too."""
+    script = tmp_path / "checks.py"
+    script.write_text(textwrap.dedent("""
+        from weylred.cli import solve_presentation
+        from weylred.kregular import regular_presentation
+        from weylred.telescoping import DerivedPresentation, ModularConfig, confine
+
+        _, pres = regular_presentation(2)
+        lam = pres.L[0][0]
+        checks = [
+            lambda: ModularConfig(workers=0),
+            lambda: ModularConfig(max_points=0),
+            lambda: DerivedPresentation(pres.ctx, ((lam, lam),), pres.f),
+            lambda: confine(pres, rho=-1),
+            lambda: solve_presentation(pres, "bogus", ModularConfig()),
+        ]
+        for i, check in enumerate(checks):
+            try:
+                check()
+            except ValueError:
+                continue
+            raise SystemExit(f"check {i} raised no ValueError")
+    """))
+    src = Path(weylred.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_degree_ceiling_two_suffices_for_k3(workdir, k3_module_path):
     out = workdir / "k3b.tele"
     rc = main(["telescope", str(k3_module_path), "--degree-ceiling", "2",
@@ -367,17 +426,18 @@ def test_degree_ceiling_two_suffices_for_k3(workdir, k3_module_path):
     assert rc == 0
 
 
-def test_run_config_validation():
+def test_run_config_validation(airy_module_path):
     with pytest.raises(ValueError):
-        RunConfig(point_budget=0)
+        ModularConfig(max_points=0)
+    doc = parse_document(airy_module_path.read_text())
     with pytest.raises(ValueError):
-        RunConfig(mode="bogus")
-    RunConfig(rho=0)  # zero margin is allowed
+        run_telescope(doc, "bogus", ModularConfig())
+    run_telescope(doc, "direct", ModularConfig(), rho=0)  # zero margin is allowed
 
 
 def test_run_telescope_api(airy_module_path):
     doc = parse_document(airy_module_path.read_text())
-    report = run_telescope(doc, RunConfig(mode="modular", seed=9))
+    report = run_telescope(doc, "modular", ModularConfig(seed=9))
     assert report["telescoper"].coefficients == ((0, -1), (), (7,))
     assert report["transcript"] is not None
     assert report["metrics"]["mode"] == "modular"

@@ -7,16 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import T, operators, qqt_elements
+from _oracles import division_respects_dt_degree, flatten_member
 from weylred.arith import QQ_T
 from weylred.extension import (
     ParametricPresentation,
     build_extension,
     compute_ell,
-    division_respects_dt_degree,
     dt_degree,
     dt_degree_mod,
     embedded_unit,
-    flatten_member,
 )
 from weylred.groebner import buchberger, lrem
 from weylred.reduction import ReductionContext

@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _helpers import fractions, operators, qqt_elements
+from _oracles import certificate_identity_holds
 from weylred.arith import QQ_T
 from weylred.groebner import (
     buchberger,
-    certificate_identity_holds,
     ideal_membership,
     lrem,
     merge_certificates,

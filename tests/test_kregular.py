@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _helpers import T
+from _oracles import contains_pk_minus_t
 from weylred.arith import QQ_T
 from weylred.groebner import buchberger
 from weylred.kregular import (
     build_ideal,
-    contains_pk_minus_t,
     count_regular_graphs,
     derivation_L,
     from_model,

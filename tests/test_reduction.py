@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import T, operators, qqt_elements
+from _oracles import gd_irreducibility_oracle
 from weylred.arith import QQ, QQ_T
 from weylred.groebner import buchberger
 from weylred.reduction import (
     ReductionContext,
     UnluckyTracerError,
     compute_eta_basis,
-    gd_irreducibility_oracle,
     largest_monomial_of_degree,
     reduce_eta,
     reduced_form,

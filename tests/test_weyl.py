@@ -7,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _helpers import T, monomials, nonzero_fractions, operators
+from _oracles import apply_to_polynomial, shadow_product
 from weylred.arith import QQ, QQ_T, ModularImage, PrimeField, UnluckyEvaluationError
 from weylred.weyl import (
     Algebra,
     Monomial,
-    apply_to_polynomial,
     block_order,
     coefficientwise_dt,
     compare,
@@ -26,7 +26,6 @@ from weylred.weyl import (
     op_add,
     op_scale,
     shadow_divides,
-    shadow_product,
     shadow_quotient,
     sorted_terms,
     weightlex_order,
