@@ -114,7 +114,8 @@ class PrimeField:
     has_t = False
 
     def __post_init__(self):
-        assert self.p >= 2 and is_prime(self.p), f"not a prime: {self.p}"
+        if not is_prime(self.p):
+            raise ValueError(f"not a prime: {self.p}")
 
     @property
     def zero(self):
@@ -147,6 +148,8 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     def div(self, a, b):
+        if not b:
+            raise ZeroDivisionError("division by zero")
         return a * pow(b, -1, self.p) % self.p
 
     def is_zero(self, a):
@@ -167,7 +170,14 @@ class RationalFunctions:
     """Rational functions in t over a base field.
 
     Payloads are ``(num, den)`` pairs of dense polynomials, normalized so
-    that gcd(num, den) = 1 and den is monic.  Zero is ``((), (one,))``.
+    that gcd(num, den) = 1 and den is monic.  Zero is ``((), (one,))``, so
+    ``len(den) == 1`` means ``den == (one,)``.
+
+    The operations rely on this invariant of their operands to skip the gcd
+    where the result is canonical without one (Henrici's rule; Knuth, TAOCP
+    vol. 2, 4.5.1): a sum over a unit or a shared denominator needs no
+    cross-multiplied gcd, a product only cancels gcd(an, bd) and gcd(bn, ad),
+    and an inverse only rescales to a monic denominator.
     """
 
     base: object
@@ -196,10 +206,7 @@ class RationalFunctions:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return self.zero
-        g = pgcd(F, num, den)
-        if len(g) > 1:
-            num = pdivmod(F, num, g)[0]
-            den = pdivmod(F, den, g)[0]
+        num, den = _cancel(F, num, den)
         lc = den[-1]
         if not F.eq(lc, F.one):
             inv = F.inv(lc)
@@ -210,6 +217,14 @@ class RationalFunctions:
     def add(self, a, b):
         F = self.base
         (an, ad), (bn, bd) = a, b
+        if ad == bd:
+            num = padd(F, an, bn)
+            return (num, ad) if len(ad) == 1 else self.normalize(num, ad)
+        # gcd(an*bd + bn, bd) = gcd(bn, bd) = 1: no cancellation over a unit ad
+        if len(ad) == 1:
+            return (padd(F, pmul(F, an, bd), bn), bd)
+        if len(bd) == 1:
+            return (padd(F, an, pmul(F, bn, ad)), ad)
         num = padd(F, pmul(F, an, bd), pmul(F, bn, ad))
         return self.normalize(num, pmul(F, ad, bd))
 
@@ -219,16 +234,28 @@ class RationalFunctions:
     def mul(self, a, b):
         F = self.base
         (an, ad), (bn, bd) = a, b
-        return self.normalize(pmul(F, an, bn), pmul(F, ad, bd))
+        if not an or not bn:
+            return self.zero
+        # an/ad and bn/bd are coprime, so only an, bd and bn, ad can share a
+        # factor; monic over monic quotients keep the denominator monic.
+        if len(bd) > 1:
+            an, bd = _cancel(F, an, bd)
+        if len(ad) > 1:
+            bn, ad = _cancel(F, bn, ad)
+        den = bd if len(ad) == 1 else ad if len(bd) == 1 else pmul(F, ad, bd)
+        return (pmul(F, an, bn), den)
 
     def neg(self, a):
         F = self.base
         return (tuple(F.neg(c) for c in a[0]), a[1])
 
     def inv(self, a):
-        if not a[0]:
+        F = self.base
+        n, d = a
+        if not n:
             raise ZeroDivisionError("inverse of zero")
-        return self.normalize(a[1], a[0])
+        c = F.inv(n[-1])
+        return (tuple(F.mul(x, c) for x in d), tuple(F.mul(x, c) for x in n))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -243,6 +270,8 @@ class RationalFunctions:
         # (n/d)' = (n'd - nd') / d^2
         F = self.base
         n, d = a
+        if len(d) == 1:
+            return (pderiv(F, n), d)
         num = psub(F, pmul(F, pderiv(F, n), d), pmul(F, n, pderiv(F, d)))
         return self.normalize(num, pmul(F, d, d))
 
@@ -373,6 +402,14 @@ def pgcd(F, a, b):
     return pmonic(F, a)
 
 
+def _cancel(F, num, den):
+    """Divide num and den by their gcd, when it is not constant."""
+    g = pgcd(F, num, den)
+    if len(g) == 1:
+        return num, den
+    return pdivmod(F, num, g)[0], pdivmod(F, den, g)[0]
+
+
 def plcm(F, a, b):
     if not a or not b:
         return ()
@@ -477,9 +514,10 @@ class ModularImage:
     payload: object = None
 
     def __post_init__(self):
-        assert self.prime % 2 == 1 and self.prime < (1 << 31), "odd prime below 2^31 required"
-        if self.point is not None:
-            assert 0 <= self.point < self.prime
+        if self.prime % 2 != 1 or self.prime >= (1 << 31):
+            raise ValueError(f"odd prime below 2^31 required, got {self.prime}")
+        if self.point is not None and not 0 <= self.point < self.prime:
+            raise ValueError(f"point {self.point} outside [0, {self.prime})")
 
 
 def crt_combine(residues):

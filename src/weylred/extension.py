@@ -59,12 +59,15 @@ class ParametricPresentation:
     order: object
 
     def __post_init__(self):
-        assert self.algebra.dt, "expected an algebra with a d_t slot"
+        if not self.algebra.dt:
+            raise ValueError("expected an algebra with a d_t slot")
         if getattr(self.order, "kind", None) != "dtelim":
             raise ValueError("order must eliminate d_t (use dtelim_order)")
         for g in self.generators:
-            assert g.algebra.n == self.algebra.n
-            assert not g.is_zero()
+            if g.algebra.n != self.algebra.n:
+                raise ValueError("generator arity differs from the algebra's")
+            if g.is_zero():
+                raise ValueError("zero generator")
 
     @property
     def s(self):

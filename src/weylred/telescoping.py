@@ -316,7 +316,8 @@ class Telescoper:
     modulus: int = None
 
     def __post_init__(self):
-        assert self.coefficients and self.coefficients[-1], "c_N must be nonzero"
+        if not (self.coefficients and self.coefficients[-1]):
+            raise ValueError("c_N must be nonzero")
 
     @property
     def order(self):

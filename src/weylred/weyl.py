@@ -77,10 +77,12 @@ class Algebra:
 
     def monomial(self, alpha, beta, comp=1):
         alpha, beta = tuple(alpha), tuple(beta)
-        assert len(alpha) == len(beta) == self.n
-        assert 1 <= comp <= self.r
-        if self.dt:
-            assert alpha[0] == 0, "slot 0 is reserved for d_t; t lives in the field"
+        if not len(alpha) == len(beta) == self.n:
+            raise ValueError(f"exponent vectors must have length {self.n}")
+        if not 1 <= comp <= self.r:
+            raise ValueError(f"component {comp} outside 1..{self.r}")
+        if self.dt and alpha[0]:
+            raise ValueError("slot 0 is reserved for d_t; t lives in the field")
         return Monomial(alpha, beta, comp)
 
     def unit_monomial(self, comp=1):

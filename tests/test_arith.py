@@ -22,6 +22,7 @@ from weylred.arith import (
     crt_combine,
     interpolate,
     is_prime,
+    padd,
     pdeg,
     pderiv,
     pdivmod,
@@ -31,6 +32,7 @@ from weylred.arith import (
     pmonic,
     pmul,
     pnorm,
+    psub,
     random_prime_31,
     rational_reconstruct,
 )
@@ -58,10 +60,12 @@ def test_prime_field_canonical_representatives():
     assert F.inv(3) == 5
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        F.div(3, 0)
 
 
 def test_prime_field_rejects_composite_modulus():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         PrimeField(91)
 
 
@@ -124,6 +128,87 @@ def test_derivative_product_rule(a, b):
     lhs = F.derivative(F.mul(a, b))
     rhs = F.add(F.mul(F.derivative(a), b), F.mul(a, F.derivative(b)))
     assert F.eq(lhs, rhs)
+
+
+_SHAPES = ("zero", "const", "poly", "frac", "shared_num", "shared_den")
+
+
+@st.composite
+def rf_pairs(draw, F):
+    """Canonical pairs (a, b) over F covering every shortcut of add and mul:
+    zero, constants, unit denominators, equal denominators, exactly one unit
+    denominator, and a factor h shared across the two operands."""
+    K = F.base
+    poly = st.lists(st.integers(-4, 4), max_size=3).map(
+        lambda cs: pnorm(K, tuple(K.from_int(c) for c in cs)))
+    nonzero = poly.filter(bool)
+    h = draw(nonzero)
+
+    def operand(shape):
+        num, den = draw(poly), draw(nonzero)
+        if shape == "zero":
+            return F.zero
+        if shape == "const":
+            return F.from_int(draw(st.integers(-4, 4)))
+        if shape == "poly":
+            return F.from_poly(num)
+        if shape == "shared_num":
+            return F.normalize(pmul(K, num, h), den)
+        if shape == "shared_den":
+            return F.normalize(num, pmul(K, den, h))
+        return F.normalize(num, den)
+
+    a = operand(draw(st.sampled_from(_SHAPES)))
+    if draw(st.booleans()):
+        # (q*ad + r) / ad keeps a's denominator when r is coprime to ad;
+        # r = -an and r = h - an make a + b cancel all or part of it
+        q = draw(poly)
+        r = draw(st.sampled_from(((K.one,), psub(K, (), a[0]), psub(K, h, a[0]))))
+        b = F.normalize(padd(K, pmul(K, q, a[1]), r), a[1])
+    else:
+        b = operand(draw(st.sampled_from(_SHAPES)))
+    return a, b
+
+
+def assert_canonical(F, x):
+    num, den = x
+    K = F.base
+    assert den and den[-1] == K.one, "denominator must be monic"
+    if num:
+        assert pdeg(pgcd(K, num, den)) == 0, "numerator and denominator must be coprime"
+    else:
+        assert x == F.zero
+
+
+@pytest.mark.parametrize("F", [QQ_T, FPT], ids=["QQ(t)", "GF(1000003)(t)"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_rational_function_ops_match_schoolbook(F, data):
+    """Every operation equals normalize() of the textbook formula."""
+    K = F.base
+    a, b = data.draw(rf_pairs(F))
+    (an, ad), (bn, bd) = a, b
+    expected = {
+        "add": (F.add(a, b), F.normalize(padd(K, pmul(K, an, bd), pmul(K, bn, ad)),
+                                         pmul(K, ad, bd))),
+        "sub": (F.sub(a, b), F.normalize(psub(K, pmul(K, an, bd), pmul(K, bn, ad)),
+                                         pmul(K, ad, bd))),
+        "mul": (F.mul(a, b), F.normalize(pmul(K, an, bn), pmul(K, ad, bd))),
+        "derivative": (F.derivative(a), F.normalize(
+            psub(K, pmul(K, pderiv(K, an), ad), pmul(K, an, pderiv(K, ad))),
+            pmul(K, ad, ad))),
+    }
+    if bn:
+        expected["div"] = (F.div(a, b), F.normalize(pmul(K, an, bd), pmul(K, ad, bn)))
+        expected["inv"] = (F.inv(b), F.normalize(bd, bn))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.div(a, b)
+        with pytest.raises(ZeroDivisionError):
+            F.inv(b)
+    for op, (got, want) in expected.items():
+        assert got == want, op
+        assert_canonical(F, got)
 
 
 def test_evaluate():
@@ -219,7 +304,7 @@ def test_random_prime_31_in_range():
 
 def test_modular_image_validation():
     ModularImage(1000003, 5, payload=())
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ModularImage(4, None)
 
 

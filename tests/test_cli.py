@@ -391,9 +391,13 @@ def test_validation_survives_optimize(tmp_path):
     """Run-value and shape checks raise ValueError under python -O too."""
     script = tmp_path / "checks.py"
     script.write_text(textwrap.dedent("""
+        from weylred.arith import QQ_T, ModularImage, PrimeField
         from weylred.cli import solve_presentation
+        from weylred.extension import ParametricPresentation
         from weylred.kregular import regular_presentation
-        from weylred.telescoping import DerivedPresentation, ModularConfig, confine
+        from weylred.telescoping import (
+            DerivedPresentation, ModularConfig, Telescoper, confine)
+        from weylred.weyl import Algebra, dtelim_order
 
         _, pres = regular_presentation(2)
         lam = pres.L[0][0]
@@ -403,6 +407,13 @@ def test_validation_survives_optimize(tmp_path):
             lambda: DerivedPresentation(pres.ctx, ((lam, lam),), pres.f),
             lambda: confine(pres, rho=-1),
             lambda: solve_presentation(pres, "bogus", ModularConfig()),
+            lambda: PrimeField(4),
+            lambda: ModularImage(4, 9),
+            lambda: Telescoper(()),
+            lambda: ParametricPresentation(
+                Algebra(2, field=QQ_T), (Algebra(2, field=QQ_T).dvar(0),),
+                dtelim_order(2)),
+            lambda: Algebra(2, 1, QQ_T, dt=True).monomial((1, 0), (0, 0)),
         ]
         for i, check in enumerate(checks):
             try:

@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

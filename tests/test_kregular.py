@@ -22,7 +22,6 @@ from weylred.kregular import (
     mp_mul,
     mp_scale,
     mp_weight,
-    regular_presentation,
     scalar_product_input,
     scalar_product_series,
     verify_ode_on_series,
