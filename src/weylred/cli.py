@@ -620,21 +620,30 @@ def _cmd_gb(args):
     return 0
 
 
+def _reduction_context(doc):
+    """The reduction context of a document's generators under its order."""
+    basis = buchberger(tuple(doc.generators), doc.order)
+    return ReductionContext(doc.algebra, doc.order, basis)
+
+
+def _eta_monomial(text, doc):
+    """The monomial an --eta value names; anything else is a ParseError."""
+    support = list(parse_operator(text, doc).support())
+    if len(support) != 1:
+        raise ParseError("--eta must be a single monomial")
+    return support[0]
+
+
 def _cmd_reduce(args):
     doc = _read_doc(args.file)
-    basis = buchberger(tuple(doc.generators), doc.order)
-    ctx = ReductionContext(doc.algebra, doc.order, basis)
+    ctx = _reduction_context(doc)
     target = parse_operator(args.target, doc)
     red, cert = reduced_form(target, ctx)
-    assert cert.verifies(target)
+    if not cert.verifies(target - red):
+        raise InconsistencyError("reduced-form certificate failed")
     lines = [f"reduced: {print_operator(red, doc)}"]
     if args.eta:
-        eta_op = parse_operator(args.eta, doc)
-        support = list(eta_op.support())
-        if len(support) != 1:
-            raise ParseError("--eta must be a single monomial")
-        (eta_m,) = support
-        eb = compute_eta_basis(ctx, eta_m)
+        eb = compute_eta_basis(ctx, _eta_monomial(args.eta, doc))
         out = reduce_eta(red, ctx, eb)
         lines.append(f"reduced_eta: {print_operator(out, doc)}")
     _write(args.out, "\n".join(lines) + "\n")
@@ -643,14 +652,8 @@ def _cmd_reduce(args):
 
 def _cmd_eta_basis(args):
     doc = _read_doc(args.file)
-    basis = buchberger(tuple(doc.generators), doc.order)
-    ctx = ReductionContext(doc.algebra, doc.order, basis)
-    eta_op = parse_operator(args.eta, doc)
-    support = list(eta_op.support())
-    if len(support) != 1:
-        raise ParseError("--eta must be a single monomial")
-    (eta_m,) = support
-    eb = compute_eta_basis(ctx, eta_m)
+    ctx = _reduction_context(doc)
+    eb = compute_eta_basis(ctx, _eta_monomial(args.eta, doc))
     lines = [f"rows: {len(eb.rows)}"]
     lines += [f"row: {print_operator(r.op, doc)}" for r in eb.rows]
     lines += [f"tracer: {len(eb.tracer)} skipped"]
@@ -847,9 +850,7 @@ def main(argv=None):
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--model", default="ll,se")
     p.add_argument("--fg", default=None)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--modular", action="store_true")
-    mode.add_argument("--direct", action="store_true")
+    p.add_argument("--modular", action="store_true")
     p.add_argument("--rho", type=int, default=1)
     p.add_argument("--seed", type=int, default=default_seed)
     p.add_argument("--workers", type=int, default=ModularConfig.workers)

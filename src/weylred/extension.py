@@ -24,6 +24,7 @@ component index ``h*s + i``.
 
 from dataclasses import dataclass
 
+from .arith import InconsistencyError
 from .groebner import buchberger, lrem
 from .weyl import Algebra, Monomial, WeylOperator, mul
 
@@ -114,15 +115,16 @@ def flatten_operator(a, ell, target):
     """Rewrite a d_t-bounded operator as an element of the flat module.
 
     Monomials ``x^alpha d^beta d_t^h e_i`` with ``h <= ell`` map to
-    ``x^alpha d^beta e_{h*s+i}`` (slot 0 dropped).  Raises AssertionError
-    if some monomial exceeds the level bound.
+    ``x^alpha d^beta e_{h*s+i}`` (slot 0 dropped).  Raises ValueError if
+    some monomial exceeds the level bound.
     """
     src = a.algebra
     s = src.r
     terms = {}
     for m, c in a.terms.items():
         h = m.beta[0]
-        assert h <= ell, "operator exceeds the stabilization level"
+        if h > ell:
+            raise ValueError("operator exceeds the stabilization level")
         flat = Monomial(m.alpha[1:], m.beta[1:], h * s + m.comp)
         terms[flat] = c
     return WeylOperator(target, terms)
@@ -168,7 +170,8 @@ def build_extension(pres):
         dg = dt_degree(g)
         for k in range(ell - dg + 1):
             shifted = mul(_dt_power(algebra, k), g) if k else g
-            assert dt_degree(shifted) == dg + k
+            if dt_degree(shifted) != dg + k:
+                raise InconsistencyError("d_t shift changed the d_t degree")
             s_gens.append(flatten_operator(shifted, ell, flat))
 
     rows = []
@@ -176,8 +179,10 @@ def build_extension(pres):
         for i in range(1, s + 1):
             source_elt = _dt_basis_element(algebra, h + 1, i)
             rem, cert = lrem(source_elt, gb, order)
-            assert cert.verifies(source_elt)
-            assert dt_degree(rem) <= ell, "normal form escaped the level bound"
+            if not cert.verifies(source_elt - rem):
+                raise InconsistencyError("division certificate failed")
+            if dt_degree(rem) > ell:
+                raise InconsistencyError("normal form escaped the level bound")
             flat_rem = flatten_operator(rem, ell, flat)
             row = []
             for k in range(1, r + 1):

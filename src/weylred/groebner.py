@@ -1,10 +1,11 @@
 """Left Groebner bases of submodules of W^r, with certified division.
 
-Division tracks certificates: ``a = remainder + sum_i q_i g_i`` for left
-division, ``a = remainder + sum_j d_j w_j`` for right division by the d's.
-Certificates compose additively across alternating reduction steps and can be
-re-expanded and checked exactly, which is how the test suite establishes
-soundness of everything built on top.
+Division returns a remainder and a certificate witnessing that
+``a - remainder`` lies in S + dW^r: ``sum_i q_i g_i`` for left division,
+``sum_j d_j w_j`` for right division by the d's.  A certificate names an
+element, so certificates add and scale like the elements they name, and each
+can be re-expanded and checked exactly, which is how the test suite
+establishes soundness of everything built on top.
 
 S-pairs are driven by the commutative shadows of leading monomials (legal
 because the product of two monomials always has the componentwise sum as its
@@ -33,42 +34,55 @@ from .weyl import (
 
 @dataclass
 class DivisionCertificate:
-    """Exact bookkeeping for one or more division passes.
+    """A witness of membership in S + dW^r: the element sum q_i g_i + sum d_j w_j.
 
     ``basis`` is the tuple of generators quotients refer to (by index);
-    ``dw`` has one rank-matching operator per slot j, meaning sum_j d_j w_j.
-    The represented identity is  input = remainder + sum q_i g_i + sum d_j w_j.
+    ``dw`` has one operator (or None) per slot j, meaning sum_j d_j w_j.
     """
 
     basis: tuple
     quotients: dict
     dw: tuple
-    remainder: WeylOperator
 
-    def reexpand(self):
-        """The operator remainder + sum q_i g_i + sum d_j w_j."""
-        total = self.remainder
+    def __add__(self, other):
+        if self.basis and other.basis and self.basis != other.basis:
+            raise ValueError("certificates refer to different bases")
+        quotients = dict(self.quotients)
+        for i, q in other.quotients.items():
+            quotients[i] = quotients[i] + q if i in quotients else q
+        dw = tuple(
+            w1 if w2 is None else w2 if w1 is None else w1 + w2
+            for w1, w2 in zip(self.dw, other.dw)
+        )
+        return DivisionCertificate(self.basis or other.basis, quotients, dw)
+
+    def scale(self, c):
+        return DivisionCertificate(
+            self.basis,
+            {i: op_scale(q, c) for i, q in self.quotients.items()},
+            tuple(None if w is None else op_scale(w, c) for w in self.dw),
+        )
+
+    def verifies(self, x):
+        """Whether x == sum q_i g_i + sum d_j w_j exactly."""
+        total = x.algebra.zero()
         for i, q in self.quotients.items():
             total = total + mul(q, self.basis[i])
-        alg1 = self.remainder.algebra.with_rank(1)
+        alg1 = x.algebra.with_rank(1)
         for j, w in enumerate(self.dw):
-            if w is None or w.is_zero():
-                continue
-            total = total + mul(alg1.dvar(j), w)
-        return total
-
-    def verifies(self, original):
-        return self.reexpand() == original
+            if w is not None:
+                total = total + mul(alg1.dvar(j), w)
+        return total == x
 
 
 def lrem(a, basis, order, certificate=True):
     """Left division remainder of a by a list of nonzero operators.
 
     Repeatedly rewrites the largest monomial divisible by some leading
-    monomial (first matching generator wins).  Returns (remainder, cert);
-    cert is None when certificate=False.  When ``basis`` is a Groebner basis
-    the remainder is the canonical normal form, and the map a -> remainder
-    is K-linear.
+    monomial (first matching generator wins).  Returns (remainder, cert),
+    where cert witnesses a - remainder = sum q_i g_i; it is None when
+    certificate=False.  When ``basis`` is a Groebner basis the remainder is
+    the canonical normal form, and the map a -> remainder is K-linear.
     """
     A = a.algebra
     F = A.field
@@ -121,8 +135,7 @@ def lrem(a, basis, order, certificate=True):
                 i: WeylOperator(A.with_rank(1), terms)
                 for i, terms in quotients.items()
             },
-            tuple(None for _ in range(A.n)),
-            remainder,
+            (None,) * A.n,
         )
     return remainder, cert
 
@@ -155,8 +168,8 @@ def rrem(a, certificate=True):
 
     Uses x^al d^be e_j = d_i (x^al d^{be-e_i} e_j) - al_i x^{al-e_i} d^{be-e_i} e_j
     repeatedly (each step drops total degree by 2), so the remainder is free
-    of d's and unique; the map is K-linear.  Returns (remainder, cert) with
-    cert.dw the per-slot w_j in  a = remainder + sum_j d_j w_j.
+    of d's and unique; the map is K-linear.  Returns (remainder, cert), where
+    cert witnesses a - remainder = sum_j d_j w_j.
     """
     A = a.algebra
     assert not A.dt, "right reduction happens in the plain algebra"
@@ -203,33 +216,8 @@ def rrem(a, certificate=True):
     remainder = WeylOperator(A, work)
     cert = None
     if certificate:
-        cert = DivisionCertificate(
-            (),
-            {},
-            tuple(WeylOperator(A, d) for d in dw),
-            remainder,
-        )
+        cert = DivisionCertificate((), {}, tuple(WeylOperator(A, d) for d in dw))
     return remainder, cert
-
-
-def merge_certificates(first, second):
-    """Compose: ``second`` reduces ``first.remainder`` further."""
-    assert first is not None and second is not None
-    basis = first.basis or second.basis
-    if first.basis and second.basis:
-        assert first.basis == second.basis
-    quotients = dict(first.quotients)
-    for i, q in second.quotients.items():
-        quotients[i] = q if i not in quotients else quotients[i] + q
-    dw = []
-    for w1, w2 in zip(first.dw, second.dw):
-        if w1 is None or w1.is_zero():
-            dw.append(w2)
-        elif w2 is None or w2.is_zero():
-            dw.append(w1)
-        else:
-            dw.append(w1 + w2)
-    return DivisionCertificate(basis, quotients, tuple(dw), second.remainder)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +328,3 @@ def _autoreduce(G, order):
                 changed = True
     return tuple(kept)
 
-
-def ideal_membership(a, basis, order):
-    """Whether a lies in the left submodule generated by a Groebner basis."""
-    if a.is_zero():
-        return True
-    rem, _ = lrem(a, basis, order, certificate=False)
-    return rem.is_zero()

@@ -3,14 +3,17 @@
 The plain reduced form alternates right division by (d_1..d_n) with left
 division by a Groebner basis of S until no monomial is reducible by either
 rule.  The result is K-linear and sound (input minus output lies in
-S + dW^r, witnessed by a certificate) but deliberately incomplete: some
+S + dW^r, and a certificate witnesses it) but deliberately incomplete: some
 elements of S + dW^r have nonzero reduced forms.
 
 The eta-basis closes that gap below a monomial threshold eta: it echelonizes
 the reduced forms of the defect elements  x^gamma g - lc(g) d^beta x^(alpha+gamma) e_j
 over all products with leading monomial <= eta, giving a basis of the
 irreducible elements of S + dW^r supported <= eta.  Subtracting matches
-against these rows upgrades the reduced form to [.]_eta.
+against these rows upgrades the reduced form to [.]_eta.  Each row carries a
+certificate witnessing that the row itself lies in S + dW^r, so the witness
+of a - [a]_eta is the witness of a - [a] plus the same multiples of the row
+witnesses.
 
 A tracer remembers which candidate monomials contributed nothing so that
 modular replays of the same computation can skip them; replays verify the
@@ -32,12 +35,7 @@ from .weyl import (
     op_scale,
     shadow_divides,
 )
-from .groebner import (
-    DivisionCertificate,
-    lrem,
-    merge_certificates,
-    rrem,
-)
+from .groebner import DivisionCertificate, lrem, rrem
 
 
 class UnluckyTracerError(Exception):
@@ -77,59 +75,21 @@ class ReductionContext:
 def reduced_form(a, ctx, certificate=True):
     """The reduced form [a]: alternate right and left division to a fixpoint.
 
-    Returns (result, cert); cert re-expands  a = [a] + sum q g + sum d w
-    and is None when certificate=False.
+    Returns ([a], cert); cert witnesses a - [a] in S + dW^r and is None when
+    certificate=False.
     """
-    n = a.algebra.n
-    cert = (
-        DivisionCertificate((), {}, tuple(None for _ in range(n)), a)
-        if certificate
-        else None
-    )
+    cert = DivisionCertificate((), {}, (None,) * a.algebra.n) if certificate else None
     r = a
     while not ctx.is_irreducible(r):
-        r2, c = rrem(r, certificate=certificate)
+        r, c = rrem(r, certificate=certificate)
         if certificate:
-            cert = merge_certificates(cert, c)
-        r = r2
+            cert = cert + c
         if ctx.is_irreducible(r):
             break
-        r2, c = lrem(r, ctx.basis, ctx.order, certificate=certificate)
+        r, c = lrem(r, ctx.basis, ctx.order, certificate=certificate)
         if certificate:
-            cert = merge_certificates(cert, c)
-        r = r2
+            cert = cert + c
     return r, cert
-
-
-# ---------------------------------------------------------------------------
-# certificate linear algebra (rows combine linearly, so do their witnesses)
-
-
-def _cert_scale(cert, c, F):
-    if cert is None:
-        return None
-    quot = {i: op_scale(q, c) for i, q in cert.quotients.items()}
-    dw = tuple(None if w is None else op_scale(w, c) for w in cert.dw)
-    return DivisionCertificate(cert.basis, quot, dw, op_scale(cert.remainder, c))
-
-
-def _cert_sub(c1, c2):
-    """Combine witnesses for row1 - row2 (remainders subtract too)."""
-    if c1 is None or c2 is None:
-        return None
-    basis = c1.basis or c2.basis
-    quot = dict(c1.quotients)
-    for i, q in c2.quotients.items():
-        quot[i] = (-q) if i not in quot else quot[i] - q
-    dw = []
-    for w1, w2 in zip(c1.dw, c2.dw):
-        if w2 is None or w2.is_zero():
-            dw.append(w1)
-        elif w1 is None or w1.is_zero():
-            dw.append(-w2)
-        else:
-            dw.append(w1 - w2)
-    return DivisionCertificate(basis, quot, tuple(dw), c1.remainder - c2.remainder)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +101,7 @@ class EtaRow:
     candidate: Monomial  # the H-monomial this row came from
     op: WeylOperator  # irreducible, monic at lm
     lm: Monomial
-    cert: object  # witness that op lies in S + dW^r (remainder slot unused)
+    cert: object  # witnesses op itself in S + dW^r (None without certificates)
 
 
 @dataclass(frozen=True)
@@ -228,8 +188,7 @@ def _defect_element(ctx, m, gi, gamma, certificate):
         quot = {gi: WeylOperator(scalar_alg, {xgamma: F.one})}
         dw = [None] * n
         dw[i] = -w
-        cert = DivisionCertificate(ctx.basis, quot, tuple(dw), A.with_rank(A.r).zero())
-        # identity so far: raw = (sum q g + sum d w) + 0 ... by construction
+        cert = DivisionCertificate(ctx.basis, quot, tuple(dw))
     return raw, cert
 
 
@@ -246,6 +205,7 @@ def compute_eta_basis(ctx, eta, tracer=None, certificate=True):
         return cached
 
     F = ctx.algebra.field
+    minus_one = F.neg(F.one)
     order = ctx.order
     candidates = _enumerate_candidates(ctx, eta)
     rows = []  # list of EtaRow, ascending insertion, full Gauss-Jordan form
@@ -255,14 +215,9 @@ def compute_eta_basis(ctx, eta, tracer=None, certificate=True):
         if tracer is not None and m in tracer:
             continue
         gi, gamma = candidates[m]
-        raw, seed_cert = _defect_element(ctx, m, gi, gamma, certificate)
+        raw, cert = _defect_element(ctx, m, gi, gamma, certificate)
         red, red_cert = reduced_form(raw, ctx, certificate=certificate)
-        cert = None
-        if certificate:
-            # raw = red + (div parts); raw itself = seed parts; so
-            # red = seed parts - div parts, remainder slot zero.
-            cert = _cert_sub(seed_cert, _strip_remainder(red_cert))
-        red, cert = _eliminate(red, cert, rows, F, order)
+        red, sub = _eliminate(red, rows, certificate)
         if red.is_zero():
             if tracer is not None:
                 raise UnluckyTracerError(
@@ -273,18 +228,15 @@ def compute_eta_basis(ctx, eta, tracer=None, certificate=True):
         lm, lc = leading_data(red, order)
         inv = F.inv(lc)
         red = op_scale(red, inv)
-        cert = _cert_scale(cert, inv, F)
+        if certificate:
+            # red = (raw - (raw - [raw]) - subtracted rows) / lc
+            cert = cert.scale(inv) + (red_cert + sub).scale(F.neg(inv))
         new_row = EtaRow(m, red, lm, cert)
         # back-substitute into existing rows to keep the form canonical
         for k, row in enumerate(rows):
-            c = row.op.coefficient(lm)
-            if not F.is_zero(c):
-                op2 = row.op - op_scale(red, c)
-                cert2 = (
-                    _cert_sub(row.cert, _cert_scale(cert, c, F))
-                    if certificate
-                    else None
-                )
+            if not F.is_zero(row.op.coefficient(lm)):
+                op2, sub = _eliminate(row.op, (new_row,), certificate)
+                cert2 = row.cert + sub.scale(minus_one) if certificate else None
                 rows[k] = EtaRow(row.candidate, op2, row.lm, cert2)
         rows.append(new_row)
 
@@ -294,47 +246,34 @@ def compute_eta_basis(ctx, eta, tracer=None, certificate=True):
     return result
 
 
-def _strip_remainder(cert):
-    if cert is None:
-        return None
-    return DivisionCertificate(
-        cert.basis, cert.quotients, cert.dw, cert.remainder.algebra.zero()
-    )
+def _eliminate(op, rows, certificate):
+    """Subtract c * row.op for each row, c the coefficient of row.lm in op.
 
-
-def _eliminate(op, cert, rows, F, order, cert_tracks_op=True):
-    """Subtract row multiples until no monomial matches any row's lm.
-
-    When cert re-expands to op itself (row building) the witness follows the
-    subtraction; when it re-expands to input-minus-op (reduce_eta) the row's
-    contribution moves to the other side and is added instead.
+    One pass suffices: the rows are in Gauss-Jordan form, so no row's lm
+    occurs in another row.  Returns (reduced op, witness of the subtracted
+    part sum c * row.op); the witness is None when certificate=False.
     """
-    changed = True
-    while changed and not op.is_zero():
-        changed = False
-        for row in rows:
-            c = op.coefficient(row.lm)
-            if not F.is_zero(c):
-                op = op - op_scale(row.op, c)
-                if cert is not None:
-                    adj = c if cert_tracks_op else F.neg(c)
-                    cert = _cert_sub(cert, _cert_scale(row.cert, adj, F))
-                changed = True
-    return op, cert
+    F = op.algebra.field
+    sub = DivisionCertificate((), {}, (None,) * op.algebra.n) if certificate else None
+    for row in rows:
+        c = op.coefficient(row.lm)
+        if not F.is_zero(c):
+            op = op - op_scale(row.op, c)
+            if certificate:
+                sub = sub + row.cert.scale(c)
+    return op, sub
 
 
 def reduce_eta(a, ctx, basis: EtaBasis, certificate=False):
     """The strengthened reduction [a]_eta = Eliminate([a], rows of the basis).
 
-    Returns the operator, or (operator, cert) when certificate=True.
+    Returns the operator, or (operator, cert) when certificate=True; cert
+    witnesses a - [a]_eta in S + dW^r.
     """
     red, cert = reduced_form(a, ctx, certificate=certificate)
-    F = ctx.algebra.field
-    red, cert2 = _eliminate(red, _strip_remainder(cert) if certificate else None,
-                            list(basis.rows), F, ctx.order, cert_tracks_op=False)
+    red, sub = _eliminate(red, basis.rows, certificate)
     if certificate:
-        final = DivisionCertificate(cert2.basis, cert2.quotients, cert2.dw, red)
-        return red, final
+        return red, cert + sub
     return red
 
 

@@ -185,7 +185,8 @@ def confine(pres_or_ctx, rho=1, L=None, f=None, degree_ceiling=40):
         ctx, L, f = pres_or_ctx.ctx, pres_or_ctx.L, pres_or_ctx.f
     else:
         ctx = pres_or_ctx
-        assert L is not None and f is not None
+        if L is None or f is None:
+            raise ValueError("confine needs L and f with a reduction context")
     order = ctx.order
     A = ctx.algebra
     F = A.field

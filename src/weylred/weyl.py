@@ -385,12 +385,6 @@ def dtelim_order(n, **kw):
     return MonomialOrder("dtelim", n, **kw)
 
 
-def compare(m1: Monomial, m2: Monomial, order: MonomialOrder):
-    """-1, 0, or 1 as m1 <, =, > m2 under the order."""
-    k1, k2 = order.key(m1), order.key(m2)
-    return -1 if k1 < k2 else (0 if k1 == k2 else 1)
-
-
 def sorted_terms(P: WeylOperator, order: MonomialOrder):
     """Terms of P sorted descending under the order; cached per order."""
     cached = P._sorted.get(order)
@@ -444,7 +438,8 @@ def evaluate_and_reduce(P: WeylOperator, img):
     t-denominator vanishes at the chosen point.
     """
     A = P.algebra
-    assert not A.dt, "cannot evaluate t in a t-extended algebra"
+    if A.dt:
+        raise ValueError("cannot evaluate t in a t-extended algebra")
     p, a = img.prime, img.point
     Fp = PrimeField(p)
     F = A.field
@@ -454,7 +449,8 @@ def evaluate_and_reduce(P: WeylOperator, img):
         for m, c in P.terms.items():
             out[m] = _fraction_mod(c, p)
     else:
-        assert isinstance(F, RationalFunctions) and a is not None
+        if not isinstance(F, RationalFunctions) or a is None:
+            raise ValueError("expected Q or Q(t) coefficients and a point for t")
         for m, (num, den) in P.terms.items():
             nv = _poly_mod_eval(num, p, a)
             dv = _poly_mod_eval(den, p, a)

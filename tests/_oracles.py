@@ -11,8 +11,8 @@ from math import factorial
 
 from weylred.arith import T_GEN
 from weylred.extension import dt_degree, flatten_operator
-from weylred.groebner import ideal_membership, lrem
-from weylred.weyl import Monomial, WeylOperator, mul, op_sub
+from weylred.groebner import lrem
+from weylred.weyl import Monomial, MonomialOrder, WeylOperator, mul, op_sub
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +35,12 @@ def shadow_product(m1: Monomial, m2: Monomial, comp=None):
         tuple(a + b for a, b in zip(m1.beta, m2.beta)),
         comp if comp is not None else max(m1.comp, m2.comp),
     )
+
+
+def compare(m1: Monomial, m2: Monomial, order: MonomialOrder):
+    """-1, 0, or 1 as m1 <, =, > m2 under the order."""
+    k1, k2 = order.key(m1), order.key(m2)
+    return -1 if k1 < k2 else (0 if k1 == k2 else 1)
 
 
 def apply_to_polynomial(P: WeylOperator, poly: dict):
@@ -64,9 +70,18 @@ def apply_to_polynomial(P: WeylOperator, poly: dict):
 # groebner
 
 
-def certificate_identity_holds(original, cert):
-    """Exact re-expansion check: original == remainder + sum q g + sum d w."""
-    return cert.verifies(original)
+def certificate_identity_holds(witnessed, cert):
+    """Exact re-expansion check: witnessed == sum q g + sum d w, where a
+    division's witnessed element is its input minus its remainder."""
+    return cert.verifies(witnessed)
+
+
+def ideal_membership(a, basis, order):
+    """Whether a lies in the left submodule generated by a Groebner basis."""
+    if a.is_zero():
+        return True
+    rem, _ = lrem(a, basis, order, certificate=False)
+    return rem.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +97,7 @@ def division_respects_dt_degree(a, basis, order):
     """
     bound = dt_degree(a)
     rem, cert = lrem(a, basis, order)
-    assert cert.verifies(a)
+    assert cert.verifies(a - rem)
     if dt_degree(rem) > bound:
         return False
     for i, q in cert.quotients.items():
@@ -98,7 +113,7 @@ def flatten_member(ext, a):
     basis, so any d_t powers are pushed below the level bound.
     """
     rem, cert = lrem(a, ext.gb, ext.source.order)
-    assert cert.verifies(a)
+    assert cert.verifies(a - rem)
     assert dt_degree(rem) <= ext.ell
     return flatten_operator(rem, ext.ell, ext.algebra)
 

@@ -130,7 +130,7 @@ def test_criterion_02_reduction_goldens(airy):
 
     rem, cert = lrem(y2, airy.gb, airy.order)
     assert rem == z + A.operator({A.monomial((0, 0, 0), (0, 1, 0)): QQ_T.one}) + A.scalar(T)
-    assert cert.verifies(y2)
+    assert cert.verifies(y2 - rem)
 
     red, _ = reduced_form(y2, airy.ctx)
     assert red == z + A.scalar(T)
@@ -317,7 +317,7 @@ def test_criterion_09_property_sweeps(airy, k2):
             rem, cert = reduced_form(u, airy.ctx)
         else:
             rem, cert = reduce_eta(u, airy.ctx, B_eta, certificate=True)
-        assert cert.verifies(u)
+        assert cert.verifies(u - rem)
 
     # -- K-linearity of [.] and [.]_eta
     for i in range(100):

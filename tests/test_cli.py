@@ -382,25 +382,44 @@ def test_exit_code_budget_exhausted(k3_module_path):
     ["kregular", "--k", "2", "--point-budget", "0"],
     ["kregular", "--k", "2", "--rho", "-1"],
     ["confine", "{module}", "--rho", "-1"],
+    ["kregular", "--k", "2", "--direct"],
 ], ids=lambda argv: " ".join(a for a in argv if a != "{module}"))
 def test_exit_code_bad_run_value(airy_module_path, argv):
-    assert main([a.format(module=airy_module_path) for a in argv]) == 2
+    try:
+        code = main([a.format(module=airy_module_path) for a in argv])
+    except SystemExit as exc:  # argparse exits by itself on an unknown flag
+        code = exc.code
+    assert code == 2
 
 
 def test_validation_survives_optimize(tmp_path):
-    """Run-value and shape checks raise ValueError under python -O too."""
+    """Run-value and shape checks raise ValueError under python -O too, and
+    forced failures of the certificate path raise InconsistencyError."""
+    doc = tmp_path / "airy.op"
+    doc.write_text(AIRY_DOC)
     script = tmp_path / "checks.py"
     script.write_text(textwrap.dedent("""
-        from weylred.arith import QQ_T, ModularImage, PrimeField
-        from weylred.cli import solve_presentation
-        from weylred.extension import ParametricPresentation
+        import sys
+        from unittest import mock
+
+        from weylred import extension
+        from weylred.arith import (
+            QQ_T, T_GEN, InconsistencyError, ModularImage, PrimeField)
+        from weylred.cli import main, solve_presentation
+        from weylred.extension import (
+            ParametricPresentation, build_extension, flatten_operator)
+        from weylred.groebner import DivisionCertificate
         from weylred.kregular import regular_presentation
         from weylred.telescoping import (
             DerivedPresentation, ModularConfig, Telescoper, confine)
-        from weylred.weyl import Algebra, dtelim_order
+        from weylred.weyl import Algebra, dtelim_order, evaluate_and_reduce
 
         _, pres = regular_presentation(2)
         lam = pres.L[0][0]
+        B = Algebra(2, 1, QQ_T, dt=True)
+        param = ParametricPresentation(  # level 1: d_t^2 = t, d_x = 0
+            B, (B.dvar(0) * B.dvar(0) - B.scalar(T_GEN), B.dvar(1)),
+            dtelim_order(2))
         checks = [
             lambda: ModularConfig(workers=0),
             lambda: ModularConfig(max_points=0),
@@ -414,6 +433,11 @@ def test_validation_survives_optimize(tmp_path):
                 Algebra(2, field=QQ_T), (Algebra(2, field=QQ_T).dvar(0),),
                 dtelim_order(2)),
             lambda: Algebra(2, 1, QQ_T, dt=True).monomial((1, 0), (0, 0)),
+            lambda: confine(pres.ctx),
+            lambda: evaluate_and_reduce(B.one(), ModularImage(7, 2)),
+            lambda: evaluate_and_reduce(
+                Algebra(1, field=PrimeField(7)).one(), ModularImage(7, 2)),
+            lambda: flatten_operator(B.dvar(0), 0, Algebra(1, 1, QQ_T)),
         ]
         for i, check in enumerate(checks):
             try:
@@ -421,11 +445,29 @@ def test_validation_survives_optimize(tmp_path):
             except ValueError:
                 continue
             raise SystemExit(f"check {i} raised no ValueError")
+
+        failed_witness = mock.patch.object(
+            DivisionCertificate, "verifies", return_value=False)
+        forced = [
+            failed_witness,
+            mock.patch.object(extension, "compute_ell", return_value=0),
+            mock.patch.object(extension, "mul", lambda a, b: b),
+        ]
+        for i, patch in enumerate(forced):
+            with patch:
+                try:
+                    build_extension(param)
+                except InconsistencyError:
+                    continue
+            raise SystemExit(f"forced failure {i} raised no InconsistencyError")
+        with failed_witness:
+            if main(["reduce", sys.argv[1], "--target", "y^2"]) != 4:
+                raise SystemExit("reduce accepted a failed witness")
     """))
     src = Path(weylred.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-O", str(script)], env=env,
+    proc = subprocess.run([sys.executable, "-O", str(script), str(doc)], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 

@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _helpers import T, operators, qqt_elements
-from _oracles import gd_irreducibility_oracle
+from _oracles import compare, gd_irreducibility_oracle
 from weylred.arith import QQ, QQ_T
-from weylred.groebner import buchberger
+from weylred.groebner import DivisionCertificate, buchberger, lrem
 from weylred.reduction import (
     ReductionContext,
     UnluckyTracerError,
@@ -24,7 +24,6 @@ from weylred.weyl import (
     Algebra,
     Monomial,
     block_order,
-    compare,
     dtelim_order,
     grevlex,
     lex_order,
@@ -47,7 +46,7 @@ def test_reduced_form_golden(airy):
     y, z = A.xvar(1), A.xvar(2)
     red, cert = reduced_form(mul(y, y), airy.ctx)
     assert red == z + A.scalar(T)
-    assert cert.verifies(mul(y, y))
+    assert cert.verifies(mul(y, y) - red)
 
 
 def test_eta_basis_golden(airy):
@@ -68,7 +67,7 @@ def test_reduce_eta_golden(airy):
     B = compute_eta_basis(airy.ctx, largest_monomial_of_degree(A, airy.order, 2))
     red, cert = reduce_eta(mul(y, y), airy.ctx, B, certificate=True)
     assert red == A.scalar(qt([0, Fraction(4, 7)]))
-    assert cert.verifies(mul(y, y))
+    assert cert.verifies(mul(y, y) - red)
 
 
 def test_eta_basis_cached(airy):
@@ -175,10 +174,49 @@ def test_reduce_eta_linear(airy, u, v, a, b):
                  max_terms=3, max_exp=2))
 def test_reduction_sound_and_idempotent(airy, u):
     red, cert = reduced_form(u, airy.ctx)
-    assert cert.verifies(u)
+    assert cert.verifies(u - red)
     assert airy.ctx.is_irreducible(red)
     again, _ = reduced_form(red, airy.ctx, certificate=False)
     assert again == red
+
+
+_AIRY_OPS = operators(Algebra(3, field=QQ_T), coeffs=qqt_elements(max_deg=1),
+                      max_terms=2, max_exp=2)
+_WITNESS_ROUTES = st.sampled_from(("lrem", "reduced_form"))
+
+
+@given(_AIRY_OPS, _AIRY_OPS, qqt_elements(max_deg=1), qqt_elements(max_deg=1),
+       _WITNESS_ROUTES, _WITNESS_ROUTES)
+def test_witnesses_combine_linearly(airy, u, v, a, b, route_u, route_v):
+    """Witnesses of u - [u] and v - [v] combine into one of their combination."""
+    def witness(x, route):
+        if route == "lrem":
+            return lrem(x, airy.gb, airy.order)
+        return reduced_form(x, airy.ctx)
+
+    ru, cu = witness(u, route_u)
+    rv, cv = witness(v, route_v)
+    combo = op_scale(u - ru, a) + op_scale(v - rv, b)
+    assert (cu.scale(a) + cv.scale(b)).verifies(combo)
+
+
+def test_witness_rejects_tampering(airy):
+    """Dropping one quotient or perturbing one dw entry breaks the witness."""
+    A = airy.algebra
+    y2 = mul(A.xvar(1), A.xvar(1))
+    red, cert = reduced_form(y2, airy.ctx)
+    assert cert.verifies(y2 - red)
+    quotients = [i for i, q in cert.quotients.items() if not q.is_zero()]
+    slots = [j for j, w in enumerate(cert.dw) if w is not None and not w.is_zero()]
+    assert quotients and slots
+    for i in quotients:
+        kept = {k: q for k, q in cert.quotients.items() if k != i}
+        assert not DivisionCertificate(cert.basis, kept, cert.dw).verifies(y2 - red)
+    for j in slots:
+        dw = list(cert.dw)
+        dw[j] = dw[j] + A.one()
+        bad = DivisionCertificate(cert.basis, cert.quotients, tuple(dw))
+        assert not bad.verifies(y2 - red)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _helpers import T, monomials, nonzero_fractions, operators
-from _oracles import apply_to_polynomial, shadow_product
+from _oracles import apply_to_polynomial, compare, shadow_product
 from weylred.arith import QQ, QQ_T, ModularImage, PrimeField, UnluckyEvaluationError
 from weylred.weyl import (
     Algebra,
     Monomial,
     block_order,
     coefficientwise_dt,
-    compare,
     dtelim_order,
     evaluate_and_reduce,
     grevlex,
