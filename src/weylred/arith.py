@@ -38,15 +38,11 @@ class UnluckyEvaluationError(Exception):
 
 
 class BudgetExhaustedError(Exception):
-    """An evaluation/point/prime budget ran out; carries the best candidate."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """An evaluation/point/prime budget ran out."""
 
 
 class InconsistencyError(Exception):
-    """Cross-prime or cross-point results disagree beyond repair."""
+    """A witness, a certificate or a cross-prime/cross-point check failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +507,6 @@ class ModularImage:
 
     prime: int
     point: int | None = None
-    payload: object = None
 
     def __post_init__(self):
         if self.prime % 2 != 1 or self.prime >= (1 << 31):
@@ -637,24 +632,21 @@ def adaptive_reconstruct(F, stream, max_points=512):
     doubling would need more than ``max_points`` samples, one last attempt is
     made at the largest bounds the budget affords before giving up.  A
     candidate is accepted only after it matches every consumed point plus
-    one fresh one.  Raises BudgetExhaustedError (carrying the best candidate
-    so far) when the stream or the ``max_points`` budget runs out.
+    one fresh one.  Raises BudgetExhaustedError when the stream or the
+    ``max_points`` budget runs out.
     """
     it = iter(stream)
     pts = []
-    best = None
     d_num = d_den = 1
 
     def take(k):
         for _ in range(k):
             if len(pts) >= max_points:
-                raise BudgetExhaustedError(
-                    f"evaluation budget {max_points} exhausted", best=best
-                )
+                raise BudgetExhaustedError(f"evaluation budget {max_points} exhausted")
             try:
                 pts.append(next(it))
             except StopIteration:
-                raise BudgetExhaustedError("evaluation stream exhausted", best=best)
+                raise BudgetExhaustedError("evaluation stream exhausted")
 
     while True:
         need = d_num + d_den + 2  # the fit plus the fresh confirming point
@@ -670,10 +662,7 @@ def adaptive_reconstruct(F, stream, max_points=512):
             dv = peval(F, den, a)
             if not F.is_zero(dv) and F.eq(peval(F, num, a), F.mul(v, dv)):
                 return cand
-            best = cand
         if final:
-            raise BudgetExhaustedError(
-                f"evaluation budget {max_points} exhausted", best=best
-            )
+            raise BudgetExhaustedError(f"evaluation budget {max_points} exhausted")
         d_num *= 2
         d_den *= 2

@@ -15,10 +15,12 @@ Header keys: ``vars`` (space/comma separated; a first variable named ``t``
 makes the document parametric, enabling ``dt`` and routing telescoping
 through the finite-reduction layer), ``rank`` (default 1), ``order``
 (grevlex | block | lex | lex:s1,s2,.. | dtelim | weightlex:w1,w2,..),
-``field`` (QQ(t), the only supported value).  A lex order compares the 2n
-exponents in the order of its slot codes: 0..n-1 name x_1..x_n and n..2n-1
-name d_1..d_n, counting a leading ``t`` as variable 1; plain ``lex`` is
-x_1..x_n, d_1..d_n.  weightlex takes 2n non-negative weights.  Body lines
+``field`` (QQ(t), the only supported value).  The order line is read by
+``weyl.order_from_spec`` and written back as ``MonomialOrder.spec``.  A lex
+order compares the 2n exponents in the order of its slot codes: 0..n-1 name
+x_1..x_n and n..2n-1 name d_1..d_n, counting a leading ``t`` as variable 1;
+plain ``lex`` is x_1..x_n, d_1..d_n.  weightlex takes 2n non-negative
+weights.  grevlex, block and dtelim take no arguments.  Body lines
 are ideal generators; module-style documents may also carry
 ``L <entry> | <entry> | ..`` matrix rows and an ``f <expr>`` integrand line.
 
@@ -32,8 +34,8 @@ Expression grammar (products expand left-to-right, non-commutatively):
 rank-r document every additive term needs an ``e<k>`` component factor.
 
 Exit codes: 0 success, 1 failed check, 2 parse/usage error, 3 budget
-exhausted, 4 inconsistent modular data.  ``WEYLRED_SEED`` overrides the
-default seed.
+exhausted, 4 inconsistent result (a witness, certificate or cross-prime
+check failed).  ``WEYLRED_SEED`` overrides the default seed.
 """
 
 import argparse
@@ -71,17 +73,15 @@ from .weyl import (
     Algebra,
     Monomial,
     WeylOperator,
-    block_order,
     dtelim_order,
     grevlex,
-    lex_order,
     mul,
     op_add,
     op_neg,
     op_scale,
     op_sub,
+    order_from_spec,
     sorted_terms,
-    weightlex_order,
 )
 
 
@@ -120,40 +120,6 @@ class OperatorDocument:
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = re.compile(r"^(t|d.*|e[0-9]+)$")
-
-
-def _int_list(arg, what):
-    try:
-        return tuple(int(w) for w in arg.split(",")) if arg else ()
-    except ValueError:
-        raise ParseError(f"bad {what} {arg!r}")
-
-
-def _make_order(spec, n):
-    if spec is None:
-        return None
-    name, _, arg = spec.partition(":")
-    if name == "grevlex":
-        return grevlex(n)
-    if name == "block":
-        return block_order(n)
-    if name == "lex":
-        if not arg:
-            return lex_order(n, range(2 * n))
-        sequence = _int_list(arg, "lex slot codes")
-        if sorted(sequence) != list(range(2 * n)):
-            raise ParseError(f"lex needs each slot code 0..{2*n - 1} once, got {arg!r}")
-        return lex_order(n, sequence)
-    if name == "dtelim":
-        return dtelim_order(n)
-    if name == "weightlex":
-        weights = _int_list(arg, "weightlex weights")
-        if len(weights) != 2 * n:
-            raise ParseError(f"weightlex needs {2*n} weights, got {len(weights)}")
-        if min(weights) < 0:  # 1 must stay the smallest monomial
-            raise ParseError(f"weightlex weights must be non-negative, got {arg!r}")
-        return weightlex_order(n, weights)
-    raise ParseError(f"unknown order {name!r}")
 
 
 def parse_document(text):
@@ -202,10 +168,13 @@ def parse_document(text):
     if n == 0:
         raise ParseError("need at least one variable")
     algebra = Algebra(n, rank, QQ_T, dt=parametric)
-    order_spec = header.get("order", (None, None))[1]
-    order = _make_order(order_spec, n) if order_spec else (
-        dtelim_order(n) if parametric else grevlex(n)
-    )
+    lineno, spec = header.get("order", (None, ""))
+    try:
+        order = order_from_spec(spec, n) if spec else (
+            dtelim_order(n) if parametric else grevlex(n)
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc), line=lineno)
 
     doc = OperatorDocument(algebra, order, tuple(var_names))
     for lineno, line in body:
@@ -493,12 +462,7 @@ def format_document(doc, operators, note=None):
     lines.append(f"vars {vars_line.strip()}")
     if doc.algebra.r > 1:
         lines.append(f"rank {doc.algebra.r}")
-    order_line = doc.order.kind
-    if order_line == "weightlex":
-        order_line += ":" + ",".join(str(w) for w in doc.order.weights)
-    elif order_line == "lex" and doc.order.sequence != tuple(range(2 * doc.order.n)):
-        order_line += ":" + ",".join(str(s) for s in doc.order.sequence)
-    lines.append(f"order {order_line}")
+    lines.append(f"order {doc.order.spec}")
     lines.append("---")
     lines.extend(print_operator(op, doc) for op in operators)
     return "\n".join(lines) + "\n"
@@ -506,6 +470,12 @@ def format_document(doc, operators, note=None):
 
 # ---------------------------------------------------------------------------
 # run drivers
+
+
+def _reduction_context(doc):
+    """The reduction context of a document's generators under its order."""
+    basis = buchberger(tuple(doc.generators), doc.order)
+    return ReductionContext(doc.algebra, doc.order, basis)
 
 
 def _module_presentation(doc):
@@ -528,9 +498,9 @@ def _module_presentation(doc):
     f = doc.f if doc.f is not None else (
         WeylOperator(doc.algebra, {doc.algebra.unit_monomial(1): QQ_T.one})
     )
-    basis = buchberger(tuple(doc.generators), doc.order)
-    ctx = ReductionContext(doc.algebra, doc.order, basis)
-    return DerivedPresentation(ctx, tuple(tuple(row) for row in doc.l_rows), f)
+    return DerivedPresentation(
+        _reduction_context(doc), tuple(tuple(row) for row in doc.l_rows), f
+    )
 
 
 _TELESCOPER_DOC = OperatorDocument(Algebra(1, 1, QQ_T, dt=True), dtelim_order(1), ())
@@ -547,10 +517,9 @@ def telescoper_document(tele):
 
 
 def _metrics(tele, gb_seconds, telescope_seconds, extra=None):
-    degs = [len(c) - 1 if c and any(c) else None for c in tele.coefficients]
     rec = {
-        "order": len(tele.coefficients) - 1,
-        "degree": max((d for d in degs if d is not None), default=0),
+        "order": tele.order,
+        "degree": max(tele.degrees),
         "gb_seconds": round(gb_seconds, 3),
         "telescope_seconds": round(telescope_seconds, 3),
         "coefficients": [[str(Fraction(v)) for v in c] for c in tele.coefficients],
@@ -618,12 +587,6 @@ def _cmd_gb(args):
     basis = buchberger(tuple(doc.generators), doc.order)
     _write(args.out, format_document(doc, basis, note="reduced Groebner basis"))
     return 0
-
-
-def _reduction_context(doc):
-    """The reduction context of a document's generators under its order."""
-    basis = buchberger(tuple(doc.generators), doc.order)
-    return ReductionContext(doc.algebra, doc.order, basis)
 
 
 def _eta_monomial(text, doc):
@@ -879,7 +842,7 @@ def main(argv=None):
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     except InconsistencyError as exc:
-        print(f"inconsistent modular data: {exc}", file=sys.stderr)
+        print(f"inconsistent result: {exc}", file=sys.stderr)
         return 4
 
 

@@ -172,7 +172,8 @@ def rrem(a, certificate=True):
     cert witnesses a - remainder = sum_j d_j w_j.
     """
     A = a.algebra
-    assert not A.dt, "right reduction happens in the plain algebra"
+    if A.dt:
+        raise ValueError("right reduction happens in the plain algebra")
     F = A.field
     work = dict(a.terms)
     dw = [dict() for _ in range(A.n)] if certificate else None

@@ -368,13 +368,13 @@ def count_regular_graphs(k, n):
 # gluing the two: check a telescoper against a truncated series
 
 
-def verify_ode_on_series(tele, series, margin=1, allow_partial=False):
+def verify_ode_on_series(tele, series, allow_partial=False):
     """True iff Σ c_i(t) (d/dt)^i annihilates the series up to truncation.
 
     `series` lists the coefficients of t^0..t^M.  Requires enough terms to
-    make the zero check meaningful: M >= order + max coefficient degree +
-    margin, otherwise ValueError (an inconclusive check is not `False`).
-    With allow_partial=True only M >= order + margin is required; the check
+    make the zero check meaningful: M >= order + max coefficient degree + 1,
+    otherwise ValueError (an inconclusive check is not `False`).
+    With allow_partial=True only M >= order + 1 is required; the check
     then covers the t^0..t^(M-order) coefficients of the image, which are
     fully determined by the truncation, and nothing beyond.
     """
@@ -383,7 +383,7 @@ def verify_ode_on_series(tele, series, margin=1, allow_partial=False):
     N = len(coeffs) - 1
     maxdeg = max((len(c) - 1 for c in coeffs if c), default=0)
     M = len(series) - 1
-    needed = N + margin if allow_partial else N + maxdeg + margin
+    needed = N + 1 if allow_partial else N + maxdeg + 1
     if M < needed:
         raise ValueError(f"series to t^{M} too short: need at least t^{needed}")
     sev = [Fraction(v) for v in series]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .weyl import (
     Monomial,
@@ -56,7 +55,8 @@ class ReductionContext:
     def __init__(self, algebra, order, basis):
         if not order.hypothesis_finiteness:
             raise ValueError("order does not guarantee finite eta-basis enumeration")
-        assert order.n == algebra.n
+        if order.n != algebra.n:
+            raise ValueError(f"order for n={order.n} in an algebra with n={algebra.n}")
         self.algebra = algebra
         self.order = order
         self.basis = tuple(basis)
@@ -282,33 +282,17 @@ def reduce_eta(a, ctx, basis: EtaBasis, certificate=False):
 
 
 def largest_monomial_of_degree(algebra, order, s):
-    """Max monomial of total degree s under the order, over all components."""
+    """Max monomial of total degree s under the order, over all components.
+
+    That is v^s e_1 for the largest single variable v (see MonomialOrder);
+    slot 0 holds no x when the algebra is t-extended.
+    """
     n = algebra.n
-    if order.kind in ("grevlex", "block"):
-        alpha = tuple(s if i == (1 if algebra.dt else 0) else 0 for i in range(n))
-        return Monomial(alpha, (0,) * n, 1)
-    if order.kind == "lex":
-        slot = order.sequence[0]
-        alpha = [0] * n
-        beta = [0] * n
-        if slot < n:
-            alpha[slot] = s
-        else:
-            beta[slot - n] = s
-        return Monomial(tuple(alpha), tuple(beta), 1)
-    if order.kind == "dtelim":
-        beta = tuple(s if i == 0 else 0 for i in range(n))
-        return Monomial((0,) * n, beta, 1)
-    # generic scan (weightlex and friends)
-    best = None
-    best_key = None
-    for split in combinations_with_replacement(range(2 * n), s):
-        vec = [0] * (2 * n)
-        for i in split:
-            vec[i] += 1
-        for comp in range(1, algebra.r + 1):
-            m = Monomial(tuple(vec[:n]), tuple(vec[n:]), comp)
-            k = order.key(m)
-            if best_key is None or k > best_key:
-                best, best_key = m, k
-    return best
+
+    def power(slot, e):
+        vec = (0,) * slot + (e,) + (0,) * (2 * n - 1 - slot)
+        return Monomial(vec[:n], vec[n:], 1)
+
+    slots = range(1 if algebra.dt else 0, 2 * n)
+    v = max(slots, key=lambda slot: order.key(power(slot, 1)))
+    return power(v, s)

@@ -91,7 +91,8 @@ def apply_linear(L, a: WeylOperator):
     """a -> a . Lambda with row-vector convention: comp k gets sum_j a_j L[j][k]."""
     A = a.algebra
     r = A.r
-    assert len(L) == r and all(len(row) == r for row in L)
+    if len(L) != r or any(len(row) != r for row in L):
+        raise ValueError(f"L must be a {r}x{r} matrix")
     out = A.zero()
     for j, aj in _components(a).items():
         for k in range(r):
@@ -722,10 +723,7 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         if next_idx >= cfg.max_primes:
             for r in sorted(results.values(), key=lambda r: r["idx"]):
                 log.extend(r["log"])
-            raise BudgetExhaustedError(
-                f"no reconstruction after {next_idx} primes",
-                best=results,
-            )
+            raise BudgetExhaustedError(f"no reconstruction after {next_idx} primes")
         run_wave(min(2, cfg.max_primes - next_idx))
 
     coeffs, kept_primes, shape_rejects = candidate

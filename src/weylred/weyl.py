@@ -180,7 +180,8 @@ class WeylOperator:
 
 
 def op_add(P, Q):
-    assert P.algebra == Q.algebra
+    if P.algebra is not Q.algebra and P.algebra != Q.algebra:
+        raise ValueError("operands live in different algebras")
     F = P.algebra.field
     terms = dict(P.terms)
     for m, c in Q.terms.items():
@@ -189,7 +190,8 @@ def op_add(P, Q):
 
 
 def op_sub(P, Q):
-    assert P.algebra == Q.algebra
+    if P.algebra is not Q.algebra and P.algebra != Q.algebra:
+        raise ValueError("operands live in different algebras")
     F = P.algebra.field
     terms = dict(P.terms)
     for m, c in Q.terms.items():
@@ -303,23 +305,43 @@ class MonomialOrder:
 
     kind: 'grevlex' (over all 2n exponents), 'lex' (stated variable sequence),
     'block' (grevlex on x, ties by grevlex on d), 'weightlex' (weighted degree
-    then lex), or 'dtelim' (d_t exponent first, then grevlex on the rest).
-    ``sequence`` lists slot codes: 0..n-1 for x_i, n..2n-1 for d_i.
-    Components break ties: term-over-position by default, with e_1 largest.
+    then lex on x_1..x_n, d_1..d_n), or 'dtelim' (d_t exponent first, then
+    grevlex on the rest).  Only lex takes a ``sequence`` of slot codes (0..n-1
+    for x_i, n..2n-1 for d_i) and only weightlex ``weights``, one non-negative
+    weight per slot so that 1 stays the smallest monomial.  Components break
+    ties, e_1 largest.  ``spec`` is the text form, such as ``grevlex``,
+    ``lex:1,0,3,2`` or ``weightlex:1,2,1,1``; ``order_from_spec`` reads it.
+
+    Multiplicative means u <= v implies u*m <= v*m, so a product of s
+    variables is at most v^s for the largest variable v.
     """
 
     kind: str
     n: int
     sequence: tuple = ()
     weights: tuple = ()
-    position_over_term: bool = False
 
     def __post_init__(self):
-        assert self.kind in ("grevlex", "lex", "block", "weightlex", "dtelim")
-        if self.kind in ("lex", "weightlex"):
-            assert sorted(self.sequence) == list(range(2 * self.n))
+        kind, n = self.kind, self.n
+        if kind not in ("grevlex", "lex", "block", "weightlex", "dtelim"):
+            raise ValueError(f"unknown order {kind!r}")
+        if self.sequence and kind != "lex" or self.weights and kind != "weightlex":
+            raise ValueError(f"order {kind} takes no arguments")
+        if kind == "lex" and sorted(self.sequence) != list(range(2 * n)):
+            raise ValueError(f"lex needs each slot code 0..{2 * n - 1} once")
+        if kind == "weightlex" and len(self.weights) != 2 * n:
+            raise ValueError(f"weightlex needs {2 * n} weights, got {len(self.weights)}")
+        if any(w < 0 for w in self.weights):
+            raise ValueError("weightlex weights must be non-negative")
+
+    @property
+    def spec(self):
+        """The text form that ``order_from_spec`` reads back."""
         if self.kind == "weightlex":
-            assert len(self.weights) == 2 * self.n
+            return "weightlex:" + ",".join(map(str, self.weights))
+        if self.kind == "lex" and self.sequence != tuple(range(2 * self.n)):
+            return "lex:" + ",".join(map(str, self.sequence))
+        return self.kind
 
     def _shadow_key(self, alpha, beta):
         vec = alpha + beta
@@ -335,18 +357,14 @@ class MonomialOrder:
                 tuple(-v for v in reversed(beta)),
             )
         if self.kind == "weightlex":
-            w = sum(wi * v for wi, v in zip(self.weights, vec))
-            return (w,) + tuple(vec[s] for s in self.sequence)
+            return (sum(wi * v for wi, v in zip(self.weights, vec)),) + vec
         # dtelim: beta[0] dominates, then graded on everything else
         rest = alpha + beta[1:]
         return (beta[0], sum(rest), tuple(-v for v in reversed(rest)))
 
     def key(self, m: Monomial):
         """Sort key: ascending tuple order agrees with the monomial order."""
-        shadow = self._shadow_key(m.alpha, m.beta)
-        if self.position_over_term:
-            return (-m.comp,) + shadow
-        return shadow + (-m.comp,)
+        return self._shadow_key(m.alpha, m.beta) + (-m.comp,)
 
     @property
     def hypothesis_finiteness(self):
@@ -364,25 +382,39 @@ class MonomialOrder:
         return False
 
 
-def grevlex(n, **kw):
-    return MonomialOrder("grevlex", n, **kw)
+def order_from_spec(spec, n):
+    """The order on n variable pairs that a ``MonomialOrder.spec`` names
+    (plain ``lex`` is x_1..x_n, d_1..d_n); ValueError if it names none."""
+    kind, _, arg = spec.partition(":")
+    try:
+        values = tuple(int(v) for v in arg.split(",")) if arg else ()
+    except ValueError:
+        raise ValueError(f"bad order arguments {arg!r}") from None
+    if kind == "weightlex":
+        return MonomialOrder(kind, n, weights=values)
+    if kind == "lex" and not values:
+        values = tuple(range(2 * n))
+    return MonomialOrder(kind, n, sequence=values)
 
 
-def block_order(n, **kw):
-    return MonomialOrder("block", n, **kw)
+def grevlex(n):
+    return MonomialOrder("grevlex", n)
 
 
-def lex_order(n, sequence, **kw):
-    return MonomialOrder("lex", n, sequence=tuple(sequence), **kw)
+def block_order(n):
+    return MonomialOrder("block", n)
 
 
-def weightlex_order(n, weights, sequence=None, **kw):
-    seq = tuple(sequence) if sequence is not None else tuple(range(2 * n))
-    return MonomialOrder("weightlex", n, sequence=seq, weights=tuple(weights), **kw)
+def lex_order(n, sequence):
+    return MonomialOrder("lex", n, sequence=tuple(sequence))
 
 
-def dtelim_order(n, **kw):
-    return MonomialOrder("dtelim", n, **kw)
+def weightlex_order(n, weights):
+    return MonomialOrder("weightlex", n, weights=tuple(weights))
+
+
+def dtelim_order(n):
+    return MonomialOrder("dtelim", n)
 
 
 def sorted_terms(P: WeylOperator, order: MonomialOrder):

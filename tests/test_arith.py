@@ -303,7 +303,7 @@ def test_random_prime_31_in_range():
 
 
 def test_modular_image_validation():
-    ModularImage(1000003, 5, payload=())
+    ModularImage(1000003, 5)
     with pytest.raises(ValueError):
         ModularImage(4, None)
 

@@ -192,7 +192,8 @@ def test_gb_round_trip_every_order(tmp_path, order):
 
 
 @pytest.mark.parametrize("order", ["lex:0,1,2", "lex:0,0,1,2", "lex:0,1,2,x",
-                                   "weightlex:1,1", "weightlex:-1,1,1,1", "ordinal"])
+                                   "weightlex:1,1", "weightlex:-1,1,1,1", "ordinal",
+                                   "grevlex:1", "dtelim:0"])
 def test_bad_order_exit_code(tmp_path, order):
     src = tmp_path / "bad_order.op"
     src.write_text(f"vars x y\norder {order}\n---\ndx - x^2\n")
@@ -399,6 +400,8 @@ def test_validation_survives_optimize(tmp_path):
     doc.write_text(AIRY_DOC)
     script = tmp_path / "checks.py"
     script.write_text(textwrap.dedent("""
+        import contextlib
+        import io
         import sys
         from unittest import mock
 
@@ -408,11 +411,14 @@ def test_validation_survives_optimize(tmp_path):
         from weylred.cli import main, solve_presentation
         from weylred.extension import (
             ParametricPresentation, build_extension, flatten_operator)
-        from weylred.groebner import DivisionCertificate
+        from weylred.groebner import DivisionCertificate, rrem
         from weylred.kregular import regular_presentation
+        from weylred.reduction import ReductionContext
         from weylred.telescoping import (
-            DerivedPresentation, ModularConfig, Telescoper, confine)
-        from weylred.weyl import Algebra, dtelim_order, evaluate_and_reduce
+            DerivedPresentation, ModularConfig, Telescoper, apply_linear, confine)
+        from weylred.weyl import (
+            Algebra, MonomialOrder, dtelim_order, evaluate_and_reduce, grevlex,
+            lex_order, op_add, op_sub, weightlex_order)
 
         _, pres = regular_presentation(2)
         lam = pres.L[0][0]
@@ -438,6 +444,15 @@ def test_validation_survives_optimize(tmp_path):
             lambda: evaluate_and_reduce(
                 Algebra(1, field=PrimeField(7)).one(), ModularImage(7, 2)),
             lambda: flatten_operator(B.dvar(0), 0, Algebra(1, 1, QQ_T)),
+            lambda: ReductionContext(Algebra(2), grevlex(3), (Algebra(2).dvar(0),)),
+            lambda: apply_linear(((lam,),), Algebra(2, 2, QQ_T).one()),
+            lambda: rrem(B.dvar(1)),
+            lambda: op_add(Algebra(2).one(), Algebra(2, field=QQ_T).one()),
+            lambda: op_sub(Algebra(2).one(), Algebra(3).one()),
+            lambda: MonomialOrder("bogus", 2),
+            lambda: lex_order(2, (0, 0, 1, 2)),
+            lambda: weightlex_order(2, (1, 1)),
+            lambda: weightlex_order(2, (-1, 1, 1, 1)),
         ]
         for i, check in enumerate(checks):
             try:
@@ -460,9 +475,10 @@ def test_validation_survives_optimize(tmp_path):
                 except InconsistencyError:
                     continue
             raise SystemExit(f"forced failure {i} raised no InconsistencyError")
-        with failed_witness:
-            if main(["reduce", sys.argv[1], "--target", "y^2"]) != 4:
-                raise SystemExit("reduce accepted a failed witness")
+        with failed_witness, contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["reduce", sys.argv[1], "--target", "y^2"])
+        if code != 4 or "modular" in err.getvalue():
+            raise SystemExit(f"reduce on a failed witness: {code} {err.getvalue()!r}")
     """))
     src = Path(weylred.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -29,6 +29,7 @@ from weylred.weyl import (
     lex_order,
     mul,
     op_scale,
+    order_from_spec,
     weightlex_order,
 )
 
@@ -267,6 +268,15 @@ ORDER_CASES = [
     (weightlex_order(2, (1, 1, 1, 1)), Algebra(2)),
     (weightlex_order(2, (1, 2, 2, 3)), Algebra(2)),
     (dtelim_order(2), Algebra(2)),
+    pytest.param(grevlex(2), Algebra(2, 2), id="grevlex-r2"),
+    pytest.param(lex_order(2, (1, 0, 3, 2)), Algebra(2, 3), id="lex-r3"),
+    pytest.param(dtelim_order(2), Algebra(2, 3), id="dtelim-r3"),
+    pytest.param(grevlex(3), Algebra(3), id="grevlex-n3"),
+    pytest.param(block_order(3), Algebra(3, 2), id="block-n3-r2"),
+    pytest.param(lex_order(3, (5, 0, 3, 1, 4, 2)), Algebra(3), id="lex-n3-d3-first"),
+    pytest.param(weightlex_order(3, (2, 0, 1, 1, 3, 0)), Algebra(3), id="weightlex-n3"),
+    pytest.param(weightlex_order(2, (0, 1, 1, 1)), Algebra(2, 2), id="weightlex-zero-r2"),
+    pytest.param(lex_order(2, (3, 1, 2, 0)), Algebra(2), id="lex-d2-first"),
 ]
 
 
@@ -280,10 +290,16 @@ def test_largest_monomial_is_maximal(order, algebra, s):
     for exps in product(range(s + 1), repeat=2 * n):
         if sum(exps) != s:
             continue
-        m = Monomial(exps[:n], exps[n:], 1)
-        if best is None or compare(m, best, order) > 0:
-            best = m
+        for comp in range(1, algebra.r + 1):
+            m = Monomial(exps[:n], exps[n:], comp)
+            if best is None or compare(m, best, order) > 0:
+                best = m
     assert order.key(got) == order.key(best)
+
+
+@pytest.mark.parametrize("order,algebra", ORDER_CASES, ids=lambda v: getattr(v, "kind", ""))
+def test_order_spec_round_trip(order, algebra):
+    assert order_from_spec(order.spec, order.n) == order
 
 
 def test_largest_monomial_dt_slot():
