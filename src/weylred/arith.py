@@ -5,11 +5,18 @@ Fields are lightweight frozen objects that operate on plain payloads:
 * ``Rationals()`` works on :class:`fractions.Fraction`,
 * ``PrimeField(p)`` works on ints canonicalized to ``[0, p)``,
 * ``RationalFunctions(base)`` works on ``(num, den)`` pairs of dense
-  univariate polynomials in ``t`` over the base field.
+  univariate polynomials in ``t``: over F_p with coefficients in F_p and a
+  monic den, over Q with int coefficients (the ring ``ZZ``), coprime in
+  Z[t] content included, and lc(den) > 0.  Either way every element has
+  exactly one payload.
 
 A dense polynomial is a tuple of payloads, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Containers (operators,
 matrices, telescopers) carry the field tag; individual payloads do not.
+
+Q[t] gcds run over Z[t] with the heuristic gcd GCDHEU (Char, Geddes and
+Gonnet, JSC 1989), which falls back to a primitive Euclid; F_p[t] gcds run
+Euclid.
 
 The module also provides the reconstruction primitives used by the modular
 telescoping pipeline: Chinese remaindering, rational reconstruction, Cauchy
@@ -162,65 +169,128 @@ class PrimeField:
 
 
 @dataclass(frozen=True)
-class RationalFunctions:
-    """Rational functions in t over a base field.
+class Integers:
+    """The ring of integers; payloads are ints.
 
-    Payloads are ``(num, den)`` pairs of dense polynomials, normalized so
-    that gcd(num, den) = 1 and den is monic.  Zero is ``((), (one,))``, so
-    ``len(den) == 1`` means ``den == (one,)``.
+    Not a field: it is the coefficient ring of the numerators and
+    denominators of Q(t).  The polynomial helpers recognise the instance
+    ``ZZ``, so use that one.
+    """
+
+    zero = 0
+    one = 1
+
+    def from_int(self, n):
+        return n
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def is_zero(self, a):
+        return not a
+
+    def __repr__(self):
+        return "ZZ"
+
+
+ZZ = Integers()
+
+
+@dataclass(frozen=True)
+class RationalFunctions:
+    """Rational functions in t over Q or F_p.
+
+    Payloads are ``(num, den)`` pairs of dense polynomials over ``ring``, in
+    lowest terms.  Over F_p, ``ring`` is the base field, gcd(num, den) = 1
+    and den is monic.  Over Q, ``ring`` is ``ZZ``: num and den are int
+    tuples with gcd(num, den) = 1 in Z[t], content included, and
+    lc(den) > 0.  Zero is ``((), (1,))`` in both, so every element has
+    exactly one payload, and a den of length 1 is ``(1,)`` over F_p and a
+    positive integer over Q.
 
     The operations rely on this invariant of their operands to skip the gcd
     where the result is canonical without one (Henrici's rule; Knuth, TAOCP
-    vol. 2, 4.5.1): a sum over a unit or a shared denominator needs no
-    cross-multiplied gcd, a product only cancels gcd(an, bd) and gcd(bn, ad),
-    and an inverse only rescales to a monic denominator.
+    vol. 2, 4.5.1): a sum over a constant or a shared denominator needs no
+    cross-multiplied gcd, only an integer content can cancel over a constant
+    denominator, a product only cancels gcd(an, bd) and gcd(bn, ad), and an
+    inverse only rescales the new denominator.
     """
 
     base: object
 
     has_t = True
 
+    def __post_init__(self):
+        object.__setattr__(
+            self, "ring", ZZ if isinstance(self.base, Rationals) else self.base)
+
     @property
     def zero(self):
-        return ((), (self.base.one,))
+        return ((), (self.ring.one,))
 
     @property
     def one(self):
-        return ((self.base.one,), (self.base.one,))
+        return ((self.ring.one,), (self.ring.one,))
 
     def from_int(self, n):
-        c = self.base.from_int(n)
-        return (pconst(self.base, c), (self.base.one,))
+        F = self.ring
+        return (pconst(F, F.from_int(n)), (F.one,))
 
-    def from_poly(self, num):
-        return self.normalize(num, (self.base.one,))
+    def from_poly(self, poly):
+        """The element of a polynomial in t: over Q its coefficients may be
+        ints or Fractions, over F_p they are residues."""
+        if self.ring is ZZ:
+            d = math.lcm(*(c.denominator for c in poly))
+            return self.normalize(
+                tuple(c.numerator * (d // c.denominator) for c in poly), (d,))
+        return self.normalize(poly, (self.ring.one,))
 
     def normalize(self, num, den):
-        F = self.base
+        F = self.ring
         num, den = pnorm(F, num), pnorm(F, den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return self.zero
-        num, den = _cancel(F, num, den)
+        return self._unit_den(*_cancel(F, num, den))
+
+    def _unit_den(self, num, den):
+        """Scale num/den by a unit so that den is monic over F_p, or has a
+        positive leading coefficient over Q."""
+        F = self.ring
         lc = den[-1]
-        if not F.eq(lc, F.one):
-            inv = F.inv(lc)
-            num = tuple(F.mul(c, inv) for c in num)
-            den = tuple(F.mul(c, inv) for c in den)
-        return (num, den)
+        if F is ZZ:
+            return (num, den) if lc > 0 else (_pscale(num, -1), _pscale(den, -1))
+        if F.eq(lc, F.one):
+            return (num, den)
+        inv = F.inv(lc)
+        return (tuple(F.mul(c, inv) for c in num), tuple(F.mul(c, inv) for c in den))
 
     def add(self, a, b):
-        F = self.base
+        F = self.ring
         (an, ad), (bn, bd) = a, b
         if ad == bd:
             num = padd(F, an, bn)
-            return (num, ad) if len(ad) == 1 else self.normalize(num, ad)
-        # gcd(an*bd + bn, bd) = gcd(bn, bd) = 1: no cancellation over a unit ad
+            return self.normalize(num, ad) if len(ad) > 1 else _content_free(F, num, ad)
+        # A non-constant factor of bd divides an*bd + bn*ad only if it divides
+        # bn, so over a constant ad at most an integer content cancels.
         if len(ad) == 1:
-            return (padd(F, pmul(F, an, bd), bn), bd)
+            c = ad[0]
+            num = padd(F, pmul(F, an, bd), _pscale(bn, c))
+            return _content_free(F, num, _pscale(bd, c))
         if len(bd) == 1:
-            return (padd(F, an, pmul(F, bn, ad)), ad)
+            c = bd[0]
+            num = padd(F, _pscale(an, c), pmul(F, bn, ad))
+            return _content_free(F, num, _pscale(ad, c))
         num = padd(F, pmul(F, an, bd), pmul(F, bn, ad))
         return self.normalize(num, pmul(F, ad, bd))
 
@@ -228,30 +298,29 @@ class RationalFunctions:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        F = self.base
+        F = self.ring
         (an, ad), (bn, bd) = a, b
         if not an or not bn:
             return self.zero
-        # an/ad and bn/bd are coprime, so only an, bd and bn, ad can share a
-        # factor; monic over monic quotients keep the denominator monic.
-        if len(bd) > 1:
+        # an/ad and bn/bd are in lowest terms, so only an, bd and bn, ad can
+        # share a factor; the quotients keep den monic, or lc(den) > 0.
+        one = (F.one,)
+        if bd != one:
             an, bd = _cancel(F, an, bd)
-        if len(ad) > 1:
+        if ad != one:
             bn, ad = _cancel(F, bn, ad)
-        den = bd if len(ad) == 1 else ad if len(bd) == 1 else pmul(F, ad, bd)
+        den = bd if ad == one else ad if bd == one else pmul(F, ad, bd)
         return (pmul(F, an, bn), den)
 
     def neg(self, a):
-        F = self.base
+        F = self.ring
         return (tuple(F.neg(c) for c in a[0]), a[1])
 
     def inv(self, a):
-        F = self.base
         n, d = a
         if not n:
             raise ZeroDivisionError("inverse of zero")
-        c = F.inv(n[-1])
-        return (tuple(F.mul(x, c) for x in d), tuple(F.mul(x, c) for x in n))
+        return self._unit_den(d, n)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -264,10 +333,10 @@ class RationalFunctions:
 
     def derivative(self, a):
         # (n/d)' = (n'd - nd') / d^2
-        F = self.base
+        F = self.ring
         n, d = a
         if len(d) == 1:
-            return (pderiv(F, n), d)
+            return _content_free(F, pderiv(F, n), d)
         num = psub(F, pmul(F, pderiv(F, n), d), pmul(F, n, pderiv(F, d)))
         return self.normalize(num, pmul(F, d, d))
 
@@ -285,7 +354,7 @@ class RationalFunctions:
 
 QQ = Rationals()
 QQ_T = RationalFunctions(QQ)
-T_GEN = ((Fraction(0), Fraction(1)), (Fraction(1),))  # t in Q(t), as QQ_T.from_poly makes it
+T_GEN = ((0, 1), (1,))  # t in Q(t), as QQ_T.from_poly makes it
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +380,13 @@ def pdeg(a):
 def padd(F, a, b):
     if len(a) < len(b):
         a, b = b, a
-    c = list(a)
-    for i, x in enumerate(b):
-        c[i] = F.add(c[i], x)
+    if F is ZZ:
+        c = [x + y for x, y in zip(a, b)]
+        c += a[len(b):]
+    else:
+        c = list(a)
+        for i, x in enumerate(b):
+            c[i] = F.add(c[i], x)
     return pnorm(F, c)
 
 
@@ -330,6 +403,13 @@ _KRONECKER_CUTOFF = 64
 def pmul(F, a, b):
     if not a or not b:
         return ()
+    if F is ZZ:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return tuple(out)  # Z is a domain: lc(a) lc(b) is not zero
     if (
         isinstance(F, PrimeField)
         and len(a) >= _KRONECKER_CUTOFF
@@ -393,24 +473,170 @@ def pmonic(F, a):
 
 
 def pgcd(F, a, b):
-    while b:
-        a, b = b, pdivmod(F, a, b)[1]
-    return pmonic(F, a)
+    """(g, a/g, b/g) for the gcd g of a and b: monic over a field; over ZZ
+    the gcd in Z[t], content included, with lc(g) > 0 (GCDHEU, then Euclid).
+    gcd(0, 0) gives three zero polynomials."""
+    if F is ZZ:
+        return _zz_gcd(a, b)
+    x, y = a, b
+    while y:
+        x, y = y, pdivmod(F, x, y)[1]
+    g = pmonic(F, x)
+    if not g or g == (F.one,):
+        return g, a, b
+    return g, pdivmod(F, a, g)[0], pdivmod(F, b, g)[0]
+
+
+def pexquo(F, a, b):
+    """The quotient a / b, for b dividing a."""
+    if F is ZZ:
+        q = _zz_divide(a, b)
+        if q is None:
+            raise ValueError(f"{b} does not divide {a} in Z[t]")
+        return q
+    return pdivmod(F, a, b)[0]
+
+
+def _pscale(a, c):
+    """a times the integer c."""
+    return a if c == 1 else tuple(x * c for x in a)
 
 
 def _cancel(F, num, den):
-    """Divide num and den by their gcd, when it is not constant."""
-    g = pgcd(F, num, den)
-    if len(g) == 1:
-        return num, den
-    return pdivmod(F, num, g)[0], pdivmod(F, den, g)[0]
+    """num and den divided by their gcd; over a constant den that is at most
+    an integer content, and no polynomial gcd runs."""
+    if len(den) == 1:
+        return _content_free(F, num, den)
+    return pgcd(F, num, den)[1:]
+
+
+def _content_free(F, num, den):
+    """num/den over a constant or shared denominator, which may share only an
+    integer content; zero comes out as ((), (1,)).  Over a field it is already
+    in lowest terms."""
+    if F is not ZZ:
+        return (num, den)
+    g = math.gcd(*num, *den)
+    return (_quo_int(num, g), _quo_int(den, g))
 
 
 def plcm(F, a, b):
+    """lcm of a and b: monic over a field; over ZZ with lc > 0."""
     if not a or not b:
         return ()
-    g = pgcd(F, a, b)
-    return pmonic(F, pmul(F, pdivmod(F, a, g)[0], b))
+    m = pmul(F, pgcd(F, a, b)[1], b)
+    if F is ZZ:
+        return m if m[-1] > 0 else _pscale(m, -1)
+    return pmonic(F, m)
+
+
+# ---------------------------------------------------------------------------
+# gcds in Z[t]
+
+
+_HEU_TRIES = 6  # values of xi GCDHEU tries before Euclid takes over
+
+
+def _zz_gcd(a, b):
+    if not a or not b:
+        g = a or b
+        u = -1 if g and g[-1] < 0 else 1  # the unit that makes lc(g) > 0
+        return _pscale(g, u), (u,) if a else (), (u,) if b else ()
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    c = math.gcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:
+        return (c,), _quo_int(a, c), _quo_int(b, c)
+    pa, pb = _quo_int(a, ca), _quo_int(b, cb)
+    heu = _zz_heu_gcd(pa, pb)
+    if heu is None:
+        g = _zz_euclid_gcd(pa, pb)
+        heu = g, _zz_divide(pa, g), _zz_divide(pb, g)
+    g, qa, qb = heu
+    return _pscale(g, c), _pscale(qa, ca // c), _pscale(qb, cb // c)
+
+
+def _quo_int(a, c):
+    return a if c == 1 else tuple(x // c for x in a)
+
+
+def _zz_heu_gcd(a, b):
+    """GCDHEU on primitive a, b of positive degree: (g, a/g, b/g) for their
+    gcd g with lc(g) > 0, or None when every xi tried fails.
+
+    h = gcd(a(xi), b(xi)) is written in symmetric xi-adic digits.  For
+    xi >= 2 min(|a|, |b|) + 2 in the max norm, the primitive part of that
+    candidate is the gcd as soon as it divides a and b (Char, Geddes and
+    Gonnet, JSC 1989; Liao and Fateman, ISSAC 1995); the trial division
+    gives the cofactors.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_TRIES):
+        g = _xi_adic(math.gcd(peval(ZZ, a, xi), peval(ZZ, b, xi)), xi)
+        if len(g) == 1:
+            return (1,), a, b
+        g = _quo_int(g, math.gcd(*g) if g[-1] > 0 else -math.gcd(*g))
+        qa = _zz_divide(a, g)
+        if qa is not None:
+            qb = _zz_divide(b, g)
+            if qb is not None:
+                return g, qa, qb
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011  # about 2.73 xi^(5/4)
+    return None
+
+
+def _zz_euclid_gcd(a, b):
+    """gcd with lc > 0 of primitive a, b in Z[t], by primitive pseudo-remainders."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _zz_prem(a, b)
+        a, b = b, _quo_int(r, math.gcd(*r))
+    return a if a[-1] > 0 else _pscale(a, -1)
+
+
+def _zz_prem(a, b):
+    """Pseudo-remainder of a by b: of lc(b)^k a by b, for some k >= 0."""
+    r, db, lc = list(a), len(b) - 1, b[-1]
+    while len(r) > db:
+        c, shift = r[-1], len(r) - 1 - db
+        r = [x * lc for x in r]
+        for i, y in enumerate(b):
+            r[shift + i] -= c * y
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
+def _xi_adic(h, xi):
+    """The polynomial g with g(xi) = h and digits in (-xi/2, xi/2]."""
+    digits, half = [], xi // 2
+    while h:
+        h, d = divmod(h, xi)
+        if d > half:
+            d -= xi
+            h += 1
+        digits.append(d)
+    return tuple(digits)
+
+
+def _zz_divide(a, b):
+    """a / b in Z[t] when b divides a, else None."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return None if a else ()
+    lc, r = b[-1], list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + db], lc)
+        if m:
+            return None
+        if c:
+            q[k] = c
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    if any(r[:db]):
+        return None
+    return tuple(q)
 
 
 def pderiv(F, a):
@@ -427,7 +653,8 @@ def peval(F, a, x):
 def interpolate(F, points):
     """Lagrange interpolation through distinct points, via Newton differences."""
     xs = [x for x, _ in points]
-    assert len(set(xs)) == len(xs), "repeated abscissae"
+    if len(set(xs)) != len(xs):
+        raise ValueError("repeated abscissae")
     # divided differences
     coeffs = [y for _, y in points]
     for j in range(1, len(points)):
@@ -548,7 +775,8 @@ def rational_reconstruct(u, modulus):
     Standard half-extended Euclid on (N, u); the failure outcome is expected
     (it is the signal that more primes are required).
     """
-    assert 0 <= u < modulus
+    if not 0 <= u < modulus:
+        raise ValueError(f"residue {u} outside [0, {modulus})")
     bound = math.isqrt(modulus // 2)
     r0, r1 = modulus, u
     t0, t1 = 0, 1
@@ -608,7 +836,7 @@ def cauchy_interpolate(F, points, deg_bounds):
     num, den = r1, v1
     if not den:
         return None
-    g = pgcd(F, num, den) if num else ()
+    g = pgcd(F, num, den)[0] if num else ()
     if num and pdeg(g) > 0:
         return None
     inv = F.inv(den[-1])

@@ -313,7 +313,7 @@ class _ExprParser:
         kind, val, pos = self.take()
         A = self.scalar_algebra
         if kind == "num":
-            return A.scalar(QQ_T.from_poly((Fraction(val),)))
+            return A.scalar(QQ_T.from_int(val))
         if kind == "op" and val == "(":
             v = self.expr()
             if self.take()[:2] != ("op", ")"):
@@ -396,12 +396,16 @@ def _coeff_str(c):
     """Render a rational-function coefficient.
 
     Returns (text, loose): `loose` is True when the text is a bare sum that
-    must be parenthesized before multiplying it with a monomial.
+    must be parenthesized before multiplying it with a monomial.  The text
+    shows num/den over a monic den.
     """
     num, den = c
+    lc = den[-1]
+    num = [Fraction(x, lc) for x in num]
+    den = [Fraction(x, lc) for x in den]
     ns = _poly_str(num)
     num_terms = len([x for x in num if x])
-    if list(den) == [Fraction(1)]:
+    if len(den) == 1:
         return ns, num_terms > 1
     ds = _poly_str(den)
     if num_terms > 1 or not num:
@@ -492,9 +496,6 @@ def _module_presentation(doc):
         return DerivedPresentation(ctx, ext.l_matrix, embedded_unit(ext))
     if not doc.l_rows:
         raise ParseError("telescoping a module document needs L matrix rows")
-    r = doc.algebra.r
-    if len(doc.l_rows) != r or any(len(row) != r for row in doc.l_rows):
-        raise ParseError(f"L must be a {r}x{r} matrix")
     f = doc.f if doc.f is not None else (
         WeylOperator(doc.algebra, {doc.algebra.unit_monomial(1): QQ_T.one})
     )
@@ -510,8 +511,7 @@ def telescoper_document(tele):
     """The telescoper as a one-operator document in t and d_t."""
     A = _TELESCOPER_DOC.algebra
     op = WeylOperator(A, {
-        Monomial((0,), (i,), 1): (tuple(Fraction(v) for v in c), (Fraction(1),))
-        for i, c in enumerate(tele.coefficients)
+        Monomial((0,), (i,), 1): QQ_T.from_poly(c) for i, c in enumerate(tele.coefficients)
     })
     return format_document(_TELESCOPER_DOC, [op])
 
@@ -680,10 +680,10 @@ def _parse_fg_document(path, k):
                 raise ParseError("f and g must be polynomials in p1..pk",
                                  line=lineno)
             num, den = c
-            if len(num) > 1 or list(den) != [Fraction(1)]:
+            if len(num) > 1 or len(den) > 1:
                 raise ParseError("f and g must have rational coefficients",
                                  line=lineno)
-            poly[m.alpha] = Fraction(num[0]) if num else Fraction(0)
+            poly[m.alpha] = Fraction(num[0], den[0]) if num else Fraction(0)
         polys[key] = poly
     if "f" not in polys or "g" not in polys:
         raise ParseError("fg file needs both an 'f' and a 'g' line")
@@ -746,9 +746,9 @@ def _cmd_verify_series(args):
         for m, c in op.terms.items():
             if m.beta[0] == i:
                 num, den = c
-                if list(den) != [Fraction(1)]:
+                if len(den) > 1:
                     raise ParseError("ODE coefficients must be polynomials in t")
-                poly = num
+                poly = tuple(Fraction(x, den[0]) for x in num)
         coeffs.append(tuple(poly))
     vals = _read_text(args.series).split()
     try:

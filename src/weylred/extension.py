@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .arith import InconsistencyError
 from .groebner import buchberger, lrem
-from .weyl import Algebra, Monomial, WeylOperator, mul
+from .weyl import Algebra, Monomial, WeylOperator, dtelim_order, mul
 
 
 def dt_degree(a):
@@ -51,8 +51,9 @@ def dt_degree_mod(a, basis, order):
 class ParametricPresentation:
     """Generators of a left ideal in a t-extended operator algebra.
 
-    `algebra` must have ``dt=True`` and `order` must eliminate ``d_t``
-    (its kind is checked); `s` is the rank of the ambient free module.
+    `algebra` must have ``dt=True`` and `order` must be the d_t-eliminating
+    ``dtelim_order`` of the algebra's arity; `s` is the rank of the ambient
+    free module.
     """
 
     algebra: Algebra
@@ -62,8 +63,9 @@ class ParametricPresentation:
     def __post_init__(self):
         if not self.algebra.dt:
             raise ValueError("expected an algebra with a d_t slot")
-        if getattr(self.order, "kind", None) != "dtelim":
-            raise ValueError("order must eliminate d_t (use dtelim_order)")
+        if self.order != dtelim_order(self.algebra.n):
+            raise ValueError(
+                f"order must eliminate d_t: use dtelim_order({self.algebra.n})")
         for g in self.generators:
             if g.algebra.n != self.algebra.n:
                 raise ValueError("generator arity differs from the algebra's")
@@ -207,7 +209,9 @@ def build_extension(pres):
 
 def embedded_unit(ext, h=0, i=1):
     """The flat image of the basis direction d_t^h e_i."""
-    assert 0 <= h <= ext.ell and 1 <= i <= ext.source.s
+    if not (0 <= h <= ext.ell and 1 <= i <= ext.source.s):
+        raise ValueError(f"no basis direction d_t^{h} e_{i}: need 0 <= h <= {ext.ell}"
+                         f" and 1 <= i <= {ext.source.s}")
     comp = h * ext.source.s + i
     return WeylOperator(
         ext.algebra,

@@ -159,7 +159,8 @@ def _operator_from_poly(algebra, poly):
 
 def scalar_product_input(f, g, k):
     """Assemble the ScalarProductInput, checking that the u_j commute."""
-    assert k >= 1
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     algebra = Algebra(k, 1, QQ_T)
     g_tilde = {}
     for r, c in g.items():
@@ -303,7 +304,8 @@ def count_regular_graphs(k, n):
     degree multisets are merged, and branches die as soon as a residual
     exceeds the number of available partners.
     """
-    assert k >= 0 and n >= 0
+    if k < 0 or n < 0:
+        raise ValueError(f"k and n must be non-negative, got {k} and {n}")
     if n == 0:
         return 1
     if (k * n) % 2 or k > n - 1:
@@ -378,7 +380,9 @@ def verify_ode_on_series(tele, series, allow_partial=False):
     then covers the t^0..t^(M-order) coefficients of the image, which are
     fully determined by the truncation, and nothing beyond.
     """
-    assert tele.modulus is None, "series verification runs over the rationals"
+    if tele.modulus is not None:
+        raise ValueError("series verification runs over the rationals, "
+                         f"not mod {tele.modulus}")
     coeffs = tele.coefficients
     N = len(coeffs) - 1
     maxdeg = max((len(c) - 1 for c in coeffs if c), default=0)

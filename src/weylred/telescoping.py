@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import (
     BudgetExhaustedError,
@@ -38,6 +37,7 @@ from .arith import (
     adaptive_reconstruct,
     pdeg,
     pdivmod,
+    pexquo,
     pgcd,
     plcm,
     pmul,
@@ -330,16 +330,16 @@ class Telescoper:
         return tuple(pdeg(c) for c in self.coefficients)
 
 
-def _clear_denominators(F, fracs):
-    """(num, den) pairs over F(t) -> (lcm of the dens, numerators over it)."""
-    den = (F.one,)
+def _clear_denominators(R, fracs):
+    """(num, den) payloads over R -> the numerators over the lcm of the dens."""
+    den = (R.one,)
     for _, d in fracs:
-        den = plcm(F, den, d)
-    return den, [pmul(F, n, pdivmod(F, den, d)[0]) for n, d in fracs]
+        den = plcm(R, den, d)
+    return [pmul(R, n, pexquo(R, den, d)) for n, d in fracs]
 
 
 def _primitive_positive(polys):
-    """QQ[t] tuple -> collectively primitive ZZ[t] tuple with lc(c_N) > 0."""
+    """Q[t] or Z[t] tuple -> collectively primitive Z[t] tuple with lc(c_N) > 0."""
     zpolys = collective_primitive(polys)
     if zpolys[-1][-1] < 0:
         zpolys = [tuple(-c for c in p) for p in zpolys]
@@ -350,7 +350,7 @@ def _normalize_modp_relation(Fp, polys):
     """F_p[t] tuple -> content-free with c_N monic."""
     content = ()
     for p in polys:
-        content = pgcd(Fp, content, p) if content else pnorm(Fp, p)
+        content = pgcd(Fp, content, p)[0] if content else pnorm(Fp, p)
     if pdeg(content) > 0:
         polys = [pdivmod(Fp, p, content)[0] for p in polys]
     assert polys[-1], "leading relation coefficient vanished"
@@ -361,7 +361,7 @@ def _normalize_modp_relation(Fp, polys):
 def telescoper_from_field_relation(F, rel):
     """Normalize a relation over Q(t) or F_p(t) into a canonical Telescoper."""
     assert isinstance(F, RationalFunctions)
-    _, polys = _clear_denominators(F.base, rel)
+    polys = _clear_denominators(F.ring, rel)
     if isinstance(F.base, PrimeField):
         return Telescoper(_normalize_modp_relation(F.base, polys), modulus=F.base.p)
     return Telescoper(_primitive_positive(polys))
@@ -411,7 +411,7 @@ def _certify_telescoper(pres, conf, tel):
             h = coefficientwise_dt(h) + apply_linear(pres.L, h)
         if not c:
             continue
-        scal = F.from_poly(tuple(Fraction(v) for v in c))
+        scal = F.from_poly(c)
         total = total + op_scale(h, scal)
     basis_e = compute_eta_basis(pres.ctx, conf.eta, certificate=True)
     red, cert = reduce_eta(total, pres.ctx, basis_e, certificate=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd
 from typing import NamedTuple
 
 from .arith import QQ, PrimeField, Rationals, RationalFunctions, UnluckyEvaluationError
@@ -467,7 +467,9 @@ def evaluate_and_reduce(P: WeylOperator, img):
 
     Raises UnluckyEvaluationError when a denominator vanishes: prime-level if
     a rational coefficient's denominator is divisible by p, point-level if a
-    t-denominator vanishes at the chosen point.
+    t-denominator vanishes at the chosen point.  A Q(t) payload num/den has
+    coprime contents, so a coefficient of num/lc(den) or den/lc(den) has a
+    denominator divisible by p exactly when p divides lc(den).
     """
     A = P.algebra
     if A.dt:
@@ -484,18 +486,25 @@ def evaluate_and_reduce(P: WeylOperator, img):
         if not isinstance(F, RationalFunctions) or a is None:
             raise ValueError("expected Q or Q(t) coefficients and a point for t")
         for m, (num, den) in P.terms.items():
-            nv = _poly_mod_eval(num, p, a)
+            lc = den[-1]
+            if lc % p == 0:
+                # name the first such denominator, from the top of num down
+                dens = (lc // gcd(c, lc) for c in num[::-1] + den[::-1])
+                raise UnluckyEvaluationError(
+                    f"denominator {next(d for d in dens if d % p == 0)} divisible by {p}",
+                    prime_level=True,
+                )
             dv = _poly_mod_eval(den, p, a)
             if dv == 0:
                 raise UnluckyEvaluationError(
                     f"coefficient denominator vanishes at t={a} (mod {p})"
                 )
-            out[m] = nv * pow(dv, -1, p) % p
+            out[m] = _poly_mod_eval(num, p, a) * pow(dv, -1, p) % p
     return WeylOperator(target, out)
 
 
 def _poly_mod_eval(coeffs, p, a):
     acc = 0
     for c in reversed(coeffs):
-        acc = (acc * a + _fraction_mod(c, p)) % p
+        acc = (acc * a + c) % p
     return acc

@@ -25,6 +25,15 @@ def qpoly_clear_denominators(coeffs):
     return tuple(int(c * den) for c in coeffs), den
 
 
+def zz_heu_gcd_oracle(a, b):
+    """gcd in Z[t] of int tuples (lowest degree first), by sympy's GCDHEU."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_zz_heu_gcd
+
+    g = dup_zz_heu_gcd(list(reversed(a)), list(reversed(b)), ZZ)[0]
+    return tuple(int(c) for c in reversed(g)) if any(g) else ()
+
+
 # ---------------------------------------------------------------------------
 # weyl
 

@@ -1,16 +1,20 @@
 """Coefficient arithmetic: fields, dense t-polynomials, reconstruction."""
 
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import qpoly_clear_denominators
+from _oracles import qpoly_clear_denominators, zz_heu_gcd_oracle
+from weylred import arith
 from weylred.arith import (
     QQ,
     QQ_T,
+    ZZ,
     BudgetExhaustedError,
     UnluckyEvaluationError,
     ModularImage,
@@ -27,6 +31,7 @@ from weylred.arith import (
     pderiv,
     pdivmod,
     peval,
+    pexquo,
     pgcd,
     plcm,
     pmonic,
@@ -80,11 +85,14 @@ def test_prime_field_inverse_and_sub(a, b):
 
 
 def test_rational_function_normalization_golden():
-    # (2t^2 - 2) / (4t + 4) -> (t - 1) / 2
+    # (2t^2 - 2) / (4t + 4) -> (t - 1) / 2, as integer polynomials
     a = qq_t((-2, 0, 2), (4, 4))
     num, den = a
-    assert num == (Fraction(-1, 2), Fraction(1, 2))
-    assert den == (Fraction(1),)
+    assert num == (-1, 1) and den == (2,)
+    assert all(type(c) is int for c in num + den)
+    # 1 / (t + 1/7) -> 7 / (7t + 1); -3t / 12t^2 -> -1 / (4t)
+    assert QQ_T.inv(QQ_T.from_poly((Fraction(1, 7), Fraction(1)))) == ((7,), (1, 7))
+    assert qq_t((0, -3), (0, 0, 12)) == ((-1,), (0, 4))
 
 
 def test_zero_payloads_normalize():
@@ -113,11 +121,9 @@ def test_rational_function_field_axioms(a, b, c):
 
 @given(rf_qq)
 def test_rational_function_invariants(a):
+    assert_canonical(QQ_T, a)
     num, den = a
-    assert den and den[-1] == 1, "denominator must be monic"
-    if num:
-        g = pgcd(QQ, num, den)
-        assert pdeg(g) == 0, "numerator and denominator must be coprime"
+    assert all(type(c) is int for c in num + den)
     # normalization is idempotent
     assert QQ_T.normalize(num, den) == a
 
@@ -136,9 +142,10 @@ _SHAPES = ("zero", "const", "poly", "frac", "shared_num", "shared_den")
 @st.composite
 def rf_pairs(draw, F):
     """Canonical pairs (a, b) over F covering every shortcut of add and mul:
-    zero, constants, unit denominators, equal denominators, exactly one unit
-    denominator, and a factor h shared across the two operands."""
-    K = F.base
+    zero, constants, unit or constant denominators, equal denominators,
+    exactly one constant denominator, and a factor h shared across the two
+    operands."""
+    K = F.ring
     poly = st.lists(st.integers(-4, 4), max_size=3).map(
         lambda cs: pnorm(K, tuple(K.from_int(c) for c in cs)))
     nonzero = poly.filter(bool)
@@ -171,11 +178,20 @@ def rf_pairs(draw, F):
 
 
 def assert_canonical(F, x):
+    """den is monic over F_p; over Q, num and den are int polynomials with
+    lc(den) > 0 and coprime in Z[t], content included; checked with the
+    Euclidean gcd over the field."""
     num, den = x
-    K = F.base
-    assert den and den[-1] == K.one, "denominator must be monic"
+    K = F.ring
+    if K is ZZ:
+        assert den and den[-1] > 0, "lc(den) must be positive"
+        assert math.gcd(*num, *den) == 1, "num and den must share no content"
+        num, den = (tuple(Fraction(c) for c in p) for p in (num, den))
+        K = QQ
+    else:
+        assert den and den[-1] == K.one, "denominator must be monic"
     if num:
-        assert pdeg(pgcd(K, num, den)) == 0, "numerator and denominator must be coprime"
+        assert pdeg(pgcd(K, num, den)[0]) == 0, "numerator and denominator must be coprime"
     else:
         assert x == F.zero
 
@@ -185,7 +201,7 @@ def assert_canonical(F, x):
 @given(data=st.data())
 def test_rational_function_ops_match_schoolbook(F, data):
     """Every operation equals normalize() of the textbook formula."""
-    K = F.base
+    K = F.ring
     a, b = data.draw(rf_pairs(F))
     (an, ad), (bn, bd) = a, b
     expected = {
@@ -241,17 +257,54 @@ def test_pdivmod_round_trip(a, b):
 
 @given(poly_qq, poly_qq)
 def test_pgcd_divides_both(a, b):
-    g = pgcd(QQ, a, b)
+    g, ca, cb = pgcd(QQ, a, b)
     if not g:
         assert not a and not b
         return
     assert g[-1] == 1  # monic
-    for p in (a, b):
+    for p, cp in ((a, ca), (b, cb)):
         if p:
             assert not pdivmod(QQ, p, g)[1]
+        assert pmul(QQ, cp, g) == p  # the cofactors
     m = plcm(QQ, a, b)
     if a and b:
         assert pdeg(m) == pdeg(a) + pdeg(b) - pdeg(g)
+
+
+zpoly = st.lists(st.integers(-60, 60), max_size=6).map(lambda cs: pnorm(ZZ, tuple(cs)))
+
+
+def _fractions(p):
+    return tuple(Fraction(c) for c in p)
+
+
+def _primitive(p):
+    c = math.gcd(*p)
+    return tuple(x // c for x in p)
+
+
+@settings(max_examples=200)
+@given(zpoly, zpoly, zpoly)
+def test_zz_gcd_matches_euclid_over_q(a, b, h):
+    """The Z[t] gcd, on random inputs and on inputs with a planted common
+    factor h, is the monic Euclidean gcd over Q up to a positive content
+    that is the gcd of the contents; the GCDHEU route agrees with sympy's,
+    and the primitive Euclid it falls back to agrees as well, called
+    directly and through pgcd with GCDHEU switched off."""
+    for x, y in ((a, b), (pmul(ZZ, a, h), pmul(ZZ, b, h))):
+        g, cx, cy = pgcd(ZZ, x, y)
+        assert pmonic(QQ, _fractions(g)) == pgcd(QQ, _fractions(x), _fractions(y))[0]
+        assert g == zz_heu_gcd_oracle(x, y)
+        if not g:
+            assert not x and not y
+            continue
+        assert g[-1] > 0 and math.gcd(*g) == math.gcd(*x, *y)
+        for p, cp in ((x, cx), (y, cy)):
+            assert pmul(ZZ, cp, g) == p and pexquo(ZZ, p, g) == cp
+        if len(x) > 1 and len(y) > 1:
+            assert arith._zz_euclid_gcd(_primitive(x), _primitive(y)) == _primitive(g)
+        with mock.patch.object(arith, "_HEU_TRIES", 0):
+            assert pgcd(ZZ, x, y) == (g, cx, cy)
 
 
 def test_pderiv_and_peval():

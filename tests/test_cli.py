@@ -366,6 +366,16 @@ def test_exit_code_parse_error(workdir):
     assert main(["gb", str(bad)]) == 2
 
 
+def test_exit_code_non_square_l(workdir, capsys):
+    """A module document whose L is not r x r exits 2 from every subcommand
+    that builds its presentation, with the presentation's own message."""
+    bad = workdir / "wide_l.op"
+    bad.write_text("vars x\n---\ndx - x\nL 1 | x\nf 1\n")
+    for argv in (["telescope", str(bad)], ["confine", str(bad)]):
+        assert main(argv) == 2
+        assert "L must be a 1x1 matrix" in capsys.readouterr().err
+
+
 def test_exit_code_budget_exhausted(k3_module_path):
     rc = main(["telescope", str(k3_module_path), "--mode", "modular",
                "--point-budget", "1"])
@@ -407,12 +417,16 @@ def test_validation_survives_optimize(tmp_path):
 
         from weylred import extension
         from weylred.arith import (
-            QQ_T, T_GEN, InconsistencyError, ModularImage, PrimeField)
+            QQ, QQ_T, T_GEN, InconsistencyError, ModularImage, PrimeField,
+            interpolate, rational_reconstruct)
         from weylred.cli import main, solve_presentation
         from weylred.extension import (
-            ParametricPresentation, build_extension, flatten_operator)
+            ParametricPresentation, build_extension, embedded_unit,
+            flatten_operator)
         from weylred.groebner import DivisionCertificate, rrem
-        from weylred.kregular import regular_presentation
+        from weylred.kregular import (
+            count_regular_graphs, model_polynomials, regular_presentation,
+            scalar_product_input, verify_ode_on_series)
         from weylred.reduction import ReductionContext
         from weylred.telescoping import (
             DerivedPresentation, ModularConfig, Telescoper, apply_linear, confine)
@@ -426,6 +440,8 @@ def test_validation_survives_optimize(tmp_path):
         param = ParametricPresentation(  # level 1: d_t^2 = t, d_x = 0
             B, (B.dvar(0) * B.dvar(0) - B.scalar(T_GEN), B.dvar(1)),
             dtelim_order(2))
+        ext = build_extension(param)
+        f2, g2 = model_polynomials(2)
         checks = [
             lambda: ModularConfig(workers=0),
             lambda: ModularConfig(max_points=0),
@@ -453,6 +469,14 @@ def test_validation_survives_optimize(tmp_path):
             lambda: lex_order(2, (0, 0, 1, 2)),
             lambda: weightlex_order(2, (1, 1)),
             lambda: weightlex_order(2, (-1, 1, 1, 1)),
+            lambda: ParametricPresentation(B, param.generators, dtelim_order(3)),
+            lambda: interpolate(QQ, [(1, 2), (1, 3)]),
+            lambda: rational_reconstruct(7, 7),
+            lambda: embedded_unit(ext, h=ext.ell + 1),
+            lambda: embedded_unit(ext, i=0),
+            lambda: verify_ode_on_series(Telescoper(((1,),), modulus=7), (1,) * 9),
+            lambda: count_regular_graphs(2, -1),
+            lambda: scalar_product_input(f2, g2, 0),
         ]
         for i, check in enumerate(checks):
             try:

@@ -44,6 +44,9 @@ def test_presentation_validation():
     with pytest.raises(ValueError):
         ParametricPresentation(Algebra(2, field=QQ_T), (Algebra(2, field=QQ_T).dvar(0),),
                                dtelim_order(2))
+    with pytest.raises(ValueError):  # a d_t-eliminating order of the wrong arity
+        ParametricPresentation(A, (A.dvar(0) * A.dvar(0) - A.scalar(T), A.dvar(1)),
+                               dtelim_order(3))
 
 
 def test_dt_degree(quad):

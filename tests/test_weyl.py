@@ -240,3 +240,21 @@ def test_evaluate_and_reduce_prime_level():
         raise AssertionError("expected a prime-level unlucky signal")
     except UnluckyEvaluationError as e:
         assert e.prime_level
+
+
+
+@pytest.mark.parametrize("c,message,prime_level", [
+    (QQ_T.inv(QQ_T.from_poly((Fraction(1, 7), 1))), "denominator 7 divisible by 7", True),
+    (QQ_T.from_poly((Fraction(1, 7), Fraction(1, 7))), "denominator 7 divisible by 7", True),
+    (QQ_T.from_poly((Fraction(3, 14), Fraction(1, 7), Fraction(5, 49))),
+     "denominator 49 divisible by 7", True),
+    (QQ_T.inv(QQ_T.from_poly((-3, 1))), "coefficient denominator vanishes at t=3 (mod 7)",
+     False),
+], ids=["1/(t+1/7)", "(t+1)/7", "top-coefficient-first", "1/(t-3)"])
+def test_evaluate_and_reduce_prime_level_qt(c, message, prime_level):
+    """Over Q(t), p = 7 dividing a coefficient's denominator discards the
+    prime whatever the point; a denominator vanishing at t = 3 only the point."""
+    with pytest.raises(UnluckyEvaluationError) as e:
+        evaluate_and_reduce(Algebra(1, field=QQ_T).scalar(c), ModularImage(7, 3))
+    assert e.value.prime_level is prime_level
+    assert str(e.value) == message
