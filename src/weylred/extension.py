@@ -31,7 +31,8 @@ from .weyl import Algebra, Monomial, WeylOperator, dtelim_order, mul
 
 def dt_degree(a):
     """Largest d_t exponent appearing in `a` (0 for the zero operator)."""
-    assert a.algebra.dt
+    if not a.algebra.dt:
+        raise ValueError("expected an operator with a d_t slot")
     if a.is_zero():
         return 0
     return max(m.beta[0] for m in a.terms)
@@ -66,6 +67,8 @@ class ParametricPresentation:
         if self.order != dtelim_order(self.algebra.n):
             raise ValueError(
                 f"order must eliminate d_t: use dtelim_order({self.algebra.n})")
+        if not self.generators:
+            raise ValueError("a parametric presentation needs a generator")
         for g in self.generators:
             if g.algebra.n != self.algebra.n:
                 raise ValueError("generator arity differs from the algebra's")
@@ -140,7 +143,8 @@ def compute_ell(gb, s, order, ceiling=20):
     at most ell.  A non-stabilizing (or too slowly stabilizing) input
     trips the ceiling and raises ValueError.
     """
-    assert gb, "empty basis never stabilizes"
+    if not gb:
+        raise ValueError("an empty basis never stabilizes")
     algebra = gb[0].algebra
     for ell in range(ceiling + 1):
         if all(

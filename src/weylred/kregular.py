@@ -250,7 +250,6 @@ def _z_factor(r):
 
 def _exp_truncated(poly, weight_cap, nvars):
     unit = {(0,) * nvars: Fraction(1)}
-    assert all(mp_weight(r) > 0 for r in poly), "exponent of a constant term"
     acc = dict(unit)
     term = dict(unit)
     m = 0
@@ -272,9 +271,13 @@ def scalar_product_series(f, g, N):
     which is sound because every pairing at t^n only touches weight n*wg.
     """
     keys = list(f) + list(g)
-    assert keys, "need at least one nonzero polynomial"
+    if not keys:
+        raise ValueError("need at least one nonzero polynomial")
     nvars = len(keys[0])
-    assert all(len(r) == nvars for r in keys)
+    if any(len(r) != nvars for r in keys):
+        raise ValueError("f and g must use the same variables")
+    if any(c and mp_weight(r) == 0 for r, c in f.items()):
+        raise ValueError("f has a constant term; e^f is not a truncatable series")
     wg = max((mp_weight(r) for r in g), default=0)
     cap = wg * N
     E = _exp_truncated({r: Fraction(c) for r, c in f.items() if c}, cap, nvars)

@@ -99,7 +99,6 @@ class Algebra:
 
     def xvar(self, i, comp=1):
         """The operator x_{i+1} (slot index i, 0-based)."""
-        assert not (self.dt and i == 0)
         alpha = [0] * self.n
         alpha[i] = 1
         return WeylOperator(

@@ -233,6 +233,7 @@ def test_criterion_07_four_and_five_regular():
     run5 = telescope_modular(pres5, config=ModularConfig(seed=0, workers=4))
     tel5 = run5.telescoper
     assert (tel5.order, max(tel5.degrees)) == (6, 125)
+    assert telescoper_document(telescope_direct(pres5)) == telescoper_document(tel5)
     # N = 6 and |B| = 6, the largest per-prime relation search in the suite:
     # SHA-256 of the telescoper document followed by the joined transcript
     text = telescoper_document(tel5) + "\n".join(run5.transcript)

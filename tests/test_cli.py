@@ -248,7 +248,7 @@ def test_telescope_module_document(workdir, airy_module_path):
     out = workdir / "mod.tele"
     assert main(["telescope", str(airy_module_path), "-o", str(out)]) == 0
     assert out.read_text().splitlines()[-1] == "7*dt^2 - t"
-    # a larger starting margin still leaves room to escalate
+    # a larger starting margin gives the same certified telescoper
     out5 = workdir / "mod5.tele"
     assert main(["telescope", str(airy_module_path), "--rho", "5", "-o", str(out5)]) == 0
     assert out5.read_text() == out.read_text()
@@ -394,10 +394,19 @@ def test_exit_code_budget_exhausted(k3_module_path):
     ["kregular", "--k", "2", "--rho", "-1"],
     ["confine", "{module}", "--rho", "-1"],
     ["kregular", "--k", "2", "--direct"],
+    ["kregular", "--k", "1", "--fg", "{fg_constant}", "--series-check", "4"],
+    ["kregular", "--k", "1", "--fg", "{fg_zero}", "--series-check", "4"],
+    ["telescope", "{no_generators}"],
 ], ids=lambda argv: " ".join(a for a in argv if a != "{module}"))
-def test_exit_code_bad_run_value(airy_module_path, argv):
+def test_exit_code_bad_run_value(airy_module_path, tmp_path, argv):
+    inputs = {"module": airy_module_path}
+    for name, text in (("fg_constant", "f 1 + p1^2/2\ng p1\n"),
+                       ("fg_zero", "f 0\ng 0\n"),
+                       ("no_generators", "vars t x\n---\n")):
+        inputs[name] = tmp_path / name
+        inputs[name].write_text(text)
     try:
-        code = main([a.format(module=airy_module_path) for a in argv])
+        code = main([a.format(**inputs) for a in argv])
     except SystemExit as exc:  # argparse exits by itself on an unknown flag
         code = exc.code
     assert code == 2
@@ -421,12 +430,12 @@ def test_validation_survives_optimize(tmp_path):
             interpolate, rational_reconstruct)
         from weylred.cli import main, solve_presentation
         from weylred.extension import (
-            ParametricPresentation, build_extension, embedded_unit,
-            flatten_operator)
+            ParametricPresentation, build_extension, compute_ell, dt_degree,
+            embedded_unit, flatten_operator)
         from weylred.groebner import DivisionCertificate, rrem
         from weylred.kregular import (
             count_regular_graphs, model_polynomials, regular_presentation,
-            scalar_product_input, verify_ode_on_series)
+            scalar_product_input, scalar_product_series, verify_ode_on_series)
         from weylred.reduction import ReductionContext
         from weylred.telescoping import (
             DerivedPresentation, ModularConfig, Telescoper, apply_linear, confine)
@@ -477,6 +486,13 @@ def test_validation_survives_optimize(tmp_path):
             lambda: verify_ode_on_series(Telescoper(((1,),), modulus=7), (1,) * 9),
             lambda: count_regular_graphs(2, -1),
             lambda: scalar_product_input(f2, g2, 0),
+            lambda: ParametricPresentation(B, (), dtelim_order(2)),
+            lambda: compute_ell((), 1, dtelim_order(2)),
+            lambda: scalar_product_series({(0,): 1, (2,): 1}, {(1,): 1}, 4),
+            lambda: scalar_product_series({}, {}, 4),
+            lambda: scalar_product_series({(1,): 1}, {(1, 0): 1}, 4),
+            lambda: dt_degree(Algebra(2, field=QQ_T).dvar(0)),
+            lambda: Algebra(2, 1, QQ_T, dt=True).xvar(0),
         ]
         for i, check in enumerate(checks):
             try:

@@ -2,19 +2,23 @@
 
 import hashlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import T, operators, qqt_elements
-from weylred.arith import QQ, QQ_T, PrimeField, RationalFunctions
+from weylred import telescoping
+from weylred.arith import QQ, QQ_T, InconsistencyError, PrimeField, RationalFunctions
 from weylred.cli import _module_presentation, parse_document, telescoper_document
+from weylred.groebner import DivisionCertificate
 from weylred.reduction import compute_eta_basis, reduce_eta
 from weylred.telescoping import (
     DerivedPresentation,
     ModularConfig,
     Telescoper,
+    _certify_telescoper,
     apply_linear,
     confine,
     derivative_sequence_step,
@@ -199,6 +203,35 @@ def test_unstable_module_rejected(airy):
     bad_L = ((airy.algebra.with_rank(1).xvar(0),),)
     with pytest.raises(ValueError, match=r"basis element with lead x2\^1\*d3\^1 fails"):
         DerivedPresentation(airy.ctx, bad_L, airy.pres.f)
+
+
+def test_certificate_rejects_perturbed_telescoper(k3):
+    tel = telescope_direct(k3.pres)
+    c0 = tel.coefficients[0]
+    bad = Telescoper(((c0[0] + 1,) + c0[1:],) + tel.coefficients[1:])
+    eta = confine(k3.pres).eta
+    _certify_telescoper(k3.pres, eta, tel)
+    with pytest.raises(InconsistencyError, match="telescoper certificate failed"):
+        _certify_telescoper(k3.pres, eta, bad)
+
+
+def test_certificate_has_its_own_chain(k3):
+    """A wrong step in the relation search's chain is caught: the certificate
+    walks the derivative chain on operators, not through the step function."""
+    step = telescoping.derivative_sequence_step
+
+    def transposed(F, g, matrix):
+        return step(F, g, tuple(zip(*matrix)))
+
+    with mock.patch.object(telescoping, "derivative_sequence_step", transposed):
+        with pytest.raises(InconsistencyError, match="telescoper certificate failed"):
+            telescope_direct(k3.pres)
+
+
+def test_certificate_checks_every_witness(k3):
+    with mock.patch.object(DivisionCertificate, "verifies", return_value=False):
+        with pytest.raises(InconsistencyError, match="reduced-form certificate failed"):
+            telescope_direct(k3.pres)
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3])
