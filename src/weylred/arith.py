@@ -692,18 +692,29 @@ def collective_primitive(polys):
 # primes
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_JAESCHKE_BOUND = 4759123141  # least strong pseudoprime to bases 2, 7 and 61
+
+
 def is_prime(n):
-    """Miller-Rabin, deterministic for every n below 3.3e24."""
+    """Miller-Rabin, deterministic for every n below 3.3e24.
+
+    Below 4,759,123,141 the bases 2, 7 and 61 decide primality (Jaeschke,
+    Math. Comp. 1993); from there on the first twelve primes do.  A base
+    that n divides says nothing about n and is skipped.
+    """
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in (2, 7, 61) if n < _JAESCHKE_BOUND else _SMALL_PRIMES:
+        if a % n == 0:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -730,16 +741,24 @@ def random_prime_31(rng):
 
 @dataclass(frozen=True)
 class ModularImage:
-    """A value reduced mod a prime, optionally also evaluated at t = point."""
+    """A value reduced mod field.p, optionally also evaluated at t = point.
 
-    prime: int
+    The field is built by whoever draws the prime, which verifies the prime
+    once; every image at that prime shares it, so making an image checks
+    only that p is odd and below 2^31 and that the point lies in [0, p).
+    """
+
+    field: PrimeField
     point: int | None = None
 
     def __post_init__(self):
-        if self.prime % 2 != 1 or self.prime >= (1 << 31):
-            raise ValueError(f"odd prime below 2^31 required, got {self.prime}")
-        if self.point is not None and not 0 <= self.point < self.prime:
-            raise ValueError(f"point {self.point} outside [0, {self.prime})")
+        if not isinstance(self.field, PrimeField):
+            raise ValueError(f"PrimeField required, got {self.field!r}")
+        p = self.field.p
+        if p % 2 != 1 or p >= (1 << 31):
+            raise ValueError(f"odd prime below 2^31 required, got {p}")
+        if self.point is not None and not 0 <= self.point < p:
+            raise ValueError(f"point {self.point} outside [0, {p})")
 
 
 def crt_combine(residues):

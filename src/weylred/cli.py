@@ -576,8 +576,11 @@ def _read_doc(path):
 
 def _write(path, content):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc}")
     else:
         sys.stdout.write(content)
 

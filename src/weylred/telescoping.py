@@ -18,7 +18,10 @@ a reason to retry.  telescope_modular evaluates at t = a modulo word-size
 primes p, replays the eta-basis construction with a majority-elected
 tracer, interpolates g_0 and the matrix of [L(.)]_eta back into F_p(t),
 and lifts the per-prime relations to Q(t) by CRT and rational
-reconstruction, confirming with one extra prime.  Both drivers find the
+reconstruction, confirming with one extra prime.  Each prime is verified
+once, where it is drawn: telescope_modular builds its PrimeField there, and
+every vote, point image and check at that prime shares it, down to
+evaluate_and_reduce, which builds no field itself.  Both drivers find the
 relation in telescoper_from_system, which walks the derivative sequence
 through the same incremental echelon form (_RelationFinder): over Q(t) for
 the direct driver and over F_p(t) for each prime of the modular one.
@@ -364,7 +367,8 @@ def _normalize_modp_relation(Fp, polys):
 
 def telescoper_from_field_relation(F, rel):
     """Normalize a relation over Q(t) or F_p(t) into a canonical Telescoper."""
-    assert isinstance(F, RationalFunctions)
+    if not isinstance(F, RationalFunctions):
+        raise ValueError(f"relation must be over Q(t) or F_p(t), not {F!r}")
     polys = _clear_denominators(F.ring, rel)
     if isinstance(F.base, PrimeField):
         return Telescoper(_normalize_modp_relation(F.base, polys), modulus=F.base.p)
@@ -484,7 +488,7 @@ class ModularRun:
 def _evaluate_context(pres, img):
     basis_p = tuple(evaluate_and_reduce(g, img) for g in pres.ctx.basis)
     A = pres.ctx.algebra
-    ctx = ReductionContext(Algebra(A.n, A.r, PrimeField(img.prime), False),
+    ctx = ReductionContext(Algebra(A.n, A.r, img.field, False),
                            pres.ctx.order, basis_p)
     f_p = evaluate_and_reduce(pres.f, img)
     L_p = tuple(
@@ -535,10 +539,11 @@ class _SamplePool:
             i += 1
 
 
-def _evaluation_draw(pres, ref, prime, rng, cfg, log):
-    """draw() for the evaluation pool of one prime: a fresh point a and the
-    numeric (g0, matrix) there.  Repeated and unlucky points are skipped;
+def _evaluation_draw(pres, ref, Fp, rng, cfg, log):
+    """draw() for the evaluation pool of the prime of Fp: a fresh point a and
+    the numeric (g0, matrix) there.  Repeated and unlucky points are skipped;
     after _MAX_POINT_TRIES skips the prime is given up."""
+    prime = Fp.p
     used = set()
     skips = 0
 
@@ -554,7 +559,7 @@ def _evaluation_draw(pres, ref, prime, rng, cfg, log):
             if a not in used:
                 used.add(a)
                 try:
-                    return a, _point_images(pres, ref, ModularImage(prime, a))
+                    return a, _point_images(pres, ref, ModularImage(Fp, a))
                 except UnluckyEvaluationError as e:
                     if e.prime_level:
                         raise
@@ -588,13 +593,13 @@ def _interpolated_system(points, Fp, nb, cfg):
     return g0, rows
 
 
-def _prime_relation(pres, ref, prime, idx, cfg):
-    """Canonical relation modulo one prime, with its local transcript."""
+def _prime_relation(pres, ref, Fp, idx, cfg):
+    """Canonical relation modulo the prime of Fp, with its local transcript."""
+    prime = Fp.p
     log = [f"prime[{idx}] {prime}"]
     rng = random.Random(f"{cfg.seed}/prime/{idx}")
-    Fp = PrimeField(prime)
     nb = len(ref[1])
-    points = _SamplePool(_evaluation_draw(pres, ref, prime, rng, cfg, log))
+    points = _SamplePool(_evaluation_draw(pres, ref, Fp, rng, cfg, log))
 
     g0_rf, mat_rf = _interpolated_system(points, Fp, nb, cfg)
     rel = telescoper_from_system(RationalFunctions(Fp), g0_rf, mat_rf).coefficients
@@ -606,18 +611,20 @@ def _prime_relation(pres, ref, prime, idx, cfg):
             "shape": (len(rel) - 1, tuple(pdeg(c) for c in rel)), "log": log}
 
 
-def _elect_reference(pres, rho, cfg, prime_iter, log, degree_ceiling):
-    """Majority vote on (eta, B, tracer, row_lms) over _TRACER_VOTES pairs."""
+def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling):
+    """Majority vote on (eta, B, tracer, row_lms) over _TRACER_VOTES pairs,
+    each at a point of the next prime field drawn from fields."""
     for round_no in range(_VOTE_ROUNDS):
         votes = []
         for v in range(_TRACER_VOTES):
             vote_rng = random.Random(f"{cfg.seed}/vote/{round_no}/{v}")
-            prime = next(prime_iter)
+            Fp = next(fields)
+            prime = Fp.p
             triple = None
             for _ in range(_MAX_POINT_TRIES):
                 a = vote_rng.randrange(1, prime)
                 try:
-                    ctx, L_p, f_p = _evaluate_context(pres, ModularImage(prime, a))
+                    ctx, L_p, f_p = _evaluate_context(pres, ModularImage(Fp, a))
                     conf = confine(ctx, rho=rho, L=L_p, f=f_p,
                                    degree_ceiling=degree_ceiling)
                 except UnluckyEvaluationError:
@@ -642,9 +649,9 @@ def _elect_reference(pres, rho, cfg, prime_iter, log, degree_ceiling):
     raise InconsistencyError("tracer votes never reached a majority")
 
 
-def _reduce_canonical_mod(coeffs, p):
-    """Q-canonical integer relation -> the per-prime canonical form mod p."""
-    Fp = PrimeField(p)
+def _reduce_canonical_mod(coeffs, Fp):
+    """Q-canonical integer relation -> the per-prime canonical form over Fp."""
+    p = Fp.p
     polys = [pnorm(Fp, tuple(c % p for c in poly)) for poly in coeffs]
     if not polys[-1]:
         return None  # p divides the leading coefficient: unlucky
@@ -665,15 +672,17 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
     prime_rng = random.Random(f"{cfg.seed}/primes")
     seen_primes = set()
 
-    def prime_stream():
+    def prime_fields():
+        """Distinct primes, each verified once into the PrimeField that all
+        of its points share."""
         while True:
             p = random_prime_31(prime_rng)
             if p not in seen_primes:
                 seen_primes.add(p)
-                yield p
+                yield PrimeField(p)
 
-    primes = prime_stream()
-    ref = _elect_reference(pres, rho, cfg, primes, log, degree_ceiling)
+    fields = prime_fields()
+    ref = _elect_reference(pres, rho, cfg, fields, log, degree_ceiling)
     if len(ref[1]) == 0:
         log.append("empty confinement: unit telescoper")
         return ModularRun(Telescoper(((1,),)), tuple(log), (), ())
@@ -686,20 +695,20 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         nonlocal next_idx
         wave = []
         for _ in range(count):
-            wave.append((next_idx, next(primes)))
+            wave.append((next_idx, next(fields)))
             next_idx += 1
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             futs = {
-                i: pool.submit(_prime_relation, pres, ref, p, i, cfg)
-                for i, p in wave
+                i: pool.submit(_prime_relation, pres, ref, Fp, i, cfg)
+                for i, Fp in wave
             }
-        for i, p in wave:
+        for i, Fp in wave:
             try:
                 results[i] = futs[i].result()
             except (UnluckyEvaluationError, BudgetExhaustedError) as e:
-                discarded.append(p)
-                results[i] = {"idx": i, "prime": p, "rel": None,
-                              "log": [f"prime[{i}] {p}", f"  discarded: {e}"]}
+                discarded.append(Fp.p)
+                results[i] = {"idx": i, "prime": Fp.p, "rel": None,
+                              "log": [f"prime[{i}] {Fp.p}", f"  discarded: {e}"]}
 
     def merged_candidate():
         good = [r for r in sorted(results.values(), key=lambda r: r["idx"])
@@ -754,16 +763,17 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
 
     # consistency prime: an independent prime must reproduce the canonical image
     while True:
-        check_idx, check_prime = next_idx, next(primes)
+        check_idx, check_field = next_idx, next(fields)
+        check_prime = check_field.p
         next_idx += 1
         if next_idx > cfg.max_primes + 4:
             raise BudgetExhaustedError("consistency check never completed")
-        expected = _reduce_canonical_mod(coeffs, check_prime)
+        expected = _reduce_canonical_mod(coeffs, check_field)
         if expected is None:
             discarded.append(check_prime)
             continue
         try:
-            got = _prime_relation(pres, ref, check_prime, check_idx, cfg)
+            got = _prime_relation(pres, ref, check_field, check_idx, cfg)
         except UnluckyEvaluationError:
             discarded.append(check_prime)
             continue

@@ -24,7 +24,7 @@ from itertools import product
 from math import comb, factorial, gcd
 from typing import NamedTuple
 
-from .arith import QQ, PrimeField, Rationals, RationalFunctions, UnluckyEvaluationError
+from .arith import QQ, Rationals, RationalFunctions, UnluckyEvaluationError
 
 
 class Monomial(NamedTuple):
@@ -462,7 +462,10 @@ def _fraction_mod(fr: Fraction, p: int):
 
 
 def evaluate_and_reduce(P: WeylOperator, img):
-    """Reduce a QQ(t)- or QQ-operator mod img.prime, evaluating at t = img.point.
+    """Reduce a QQ(t)- or QQ-operator mod img.field.p, evaluating at t = img.point.
+
+    The image lands in an algebra over img.field, the PrimeField the caller
+    built when it drew the prime; no field is built or verified here.
 
     Raises UnluckyEvaluationError when a denominator vanishes: prime-level if
     a rational coefficient's denominator is divisible by p, point-level if a
@@ -473,10 +476,9 @@ def evaluate_and_reduce(P: WeylOperator, img):
     A = P.algebra
     if A.dt:
         raise ValueError("cannot evaluate t in a t-extended algebra")
-    p, a = img.prime, img.point
-    Fp = PrimeField(p)
+    p, a = img.field.p, img.point
     F = A.field
-    target = Algebra(A.n, A.r, Fp, False)
+    target = Algebra(A.n, A.r, img.field, False)
     out = {}
     if isinstance(F, Rationals):
         for m, c in P.terms.items():

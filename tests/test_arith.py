@@ -338,10 +338,20 @@ def test_qpoly_clear_denominators():
         (2047, False), (1000003, True), ((1 << 31) - 1, True),
         (3215031751, False),  # strong pseudoprime to bases 2,3,5,7
         (1, False), (0, False),
+        (7, True), (61, True),  # primes that are also Miller-Rabin bases
+        (4759123141, False),  # 48781 * 97561, strong pseudoprime to 2, 7, 61
     ],
 )
 def test_is_prime(n, expected):
     assert is_prime(n) is expected
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**4) if is_prime(n)] == \
+        [n for n in range(10**4) if trial(n)]
 
 
 def test_random_prime_31_in_range():
@@ -356,9 +366,15 @@ def test_random_prime_31_in_range():
 
 
 def test_modular_image_validation():
-    ModularImage(1000003, 5)
-    with pytest.raises(ValueError):
-        ModularImage(4, None)
+    ModularImage(FP, 5)
+    ModularImage(FP, None)
+    for field, point in ((PrimeField(2), 1),  # even prime
+                         (PrimeField(2147483659), 5),  # prime above 2^31
+                         (FP, FP.p),  # point outside [0, p)
+                         (FP, -1),
+                         (1000003, 5)):  # a bare int is not a field
+        with pytest.raises(ValueError):
+            ModularImage(field, point)
 
 
 def test_crt_golden():

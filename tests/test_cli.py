@@ -397,9 +397,13 @@ def test_exit_code_budget_exhausted(k3_module_path):
     ["kregular", "--k", "1", "--fg", "{fg_constant}", "--series-check", "4"],
     ["kregular", "--k", "1", "--fg", "{fg_zero}", "--series-check", "4"],
     ["telescope", "{no_generators}"],
+    ["telescope", "{module}", "--mode", "modular", "--transcript", "{missing}/x"],
+    ["kregular", "--k", "2", "--metrics", "{missing}/m.json"],
+    ["telescope", "{module}", "--metrics", "{directory}"],
 ], ids=lambda argv: " ".join(a for a in argv if a != "{module}"))
 def test_exit_code_bad_run_value(airy_module_path, tmp_path, argv):
-    inputs = {"module": airy_module_path}
+    inputs = {"module": airy_module_path, "missing": tmp_path / "missing",
+              "directory": tmp_path}
     for name, text in (("fg_constant", "f 1 + p1^2/2\ng p1\n"),
                        ("fg_zero", "f 0\ng 0\n"),
                        ("no_generators", "vars t x\n---\n")):
@@ -438,7 +442,8 @@ def test_validation_survives_optimize(tmp_path):
             scalar_product_input, scalar_product_series, verify_ode_on_series)
         from weylred.reduction import ReductionContext
         from weylred.telescoping import (
-            DerivedPresentation, ModularConfig, Telescoper, apply_linear, confine)
+            DerivedPresentation, ModularConfig, Telescoper, apply_linear, confine,
+            telescoper_from_field_relation)
         from weylred.weyl import (
             Algebra, MonomialOrder, dtelim_order, evaluate_and_reduce, grevlex,
             lex_order, op_add, op_sub, weightlex_order)
@@ -458,16 +463,18 @@ def test_validation_survives_optimize(tmp_path):
             lambda: confine(pres, rho=-1),
             lambda: solve_presentation(pres, "bogus", ModularConfig()),
             lambda: PrimeField(4),
-            lambda: ModularImage(4, 9),
+            lambda: ModularImage(PrimeField(2), 1),
+            lambda: ModularImage(PrimeField(7), 9),
             lambda: Telescoper(()),
             lambda: ParametricPresentation(
                 Algebra(2, field=QQ_T), (Algebra(2, field=QQ_T).dvar(0),),
                 dtelim_order(2)),
             lambda: Algebra(2, 1, QQ_T, dt=True).monomial((1, 0), (0, 0)),
             lambda: confine(pres.ctx),
-            lambda: evaluate_and_reduce(B.one(), ModularImage(7, 2)),
+            lambda: evaluate_and_reduce(B.one(), ModularImage(PrimeField(7), 2)),
             lambda: evaluate_and_reduce(
-                Algebra(1, field=PrimeField(7)).one(), ModularImage(7, 2)),
+                Algebra(1, field=PrimeField(7)).one(),
+                ModularImage(PrimeField(7), 2)),
             lambda: flatten_operator(B.dvar(0), 0, Algebra(1, 1, QQ_T)),
             lambda: ReductionContext(Algebra(2), grevlex(3), (Algebra(2).dvar(0),)),
             lambda: apply_linear(((lam,),), Algebra(2, 2, QQ_T).one()),
@@ -493,6 +500,7 @@ def test_validation_survives_optimize(tmp_path):
             lambda: scalar_product_series({(1,): 1}, {(1, 0): 1}, 4),
             lambda: dt_degree(Algebra(2, field=QQ_T).dvar(0)),
             lambda: Algebra(2, 1, QQ_T, dt=True).xvar(0),
+            lambda: telescoper_from_field_relation(QQ, ((1,), (1,))),
         ]
         for i, check in enumerate(checks):
             try:

@@ -1,6 +1,7 @@
 """Confinement, derivative sequences, and both telescoping drivers."""
 
 import hashlib
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -313,6 +314,20 @@ def test_modular_golden_transcript(airy, k3, name):
     run = telescope_modular(pres, rho=1, config=ModularConfig(seed=seed))
     text = telescoper_document(run.telescoper) + "\n".join(run.transcript)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_modular_builds_one_field_per_prime(airy):
+    """Each drawn prime is verified once: the vote primes, the prime[i]
+    primes and the consistency prime each build one PrimeField, shared by
+    every point image of that prime."""
+    with mock.patch.object(PrimeField, "__post_init__", autospec=True,
+                           side_effect=PrimeField.__post_init__) as built:
+        run = telescope_modular(airy.pres, rho=1,
+                                config=ModularConfig(seed=7, workers=1))
+    named = {int(p) for line in run.transcript
+             for p in re.findall(r"prime(?:=|\[\d+\] | )(\d+)", line)}
+    assert set(run.primes_used) < named
+    assert 0 < built.call_count <= len(named)
 
 
 def test_fault_injected_tracer_vote_outvoted(airy):

@@ -222,9 +222,10 @@ def test_evaluate_and_reduce():
     A = Algebra(1, field=QQ_T)
     half_t = QQ_T.div(T, QQ_T.from_int(2))
     P = A.operator({A.monomial((1,), (0,)): half_t})
-    img = ModularImage(7, 3)
+    F7 = PrimeField(7)
+    img = ModularImage(F7, 3)
     got = evaluate_and_reduce(P, img)
-    assert got.algebra.field == PrimeField(7)
+    assert got.algebra.field is F7
     assert got.terms == {A.monomial((1,), (0,)): 3 * pow(2, -1, 7) % 7}
     # denominator vanishing at the point is an unlucky signal
     bad = A.scalar(QQ_T.div(QQ_T.one, QQ_T.sub(T, QQ_T.from_int(3))))
@@ -236,7 +237,7 @@ def test_evaluate_and_reduce_prime_level():
     A = Algebra(1, field=QQ)
     P = A.scalar(Fraction(1, 7))
     try:
-        evaluate_and_reduce(P, ModularImage(7, None))
+        evaluate_and_reduce(P, ModularImage(PrimeField(7), None))
         raise AssertionError("expected a prime-level unlucky signal")
     except UnluckyEvaluationError as e:
         assert e.prime_level
@@ -255,6 +256,7 @@ def test_evaluate_and_reduce_prime_level_qt(c, message, prime_level):
     """Over Q(t), p = 7 dividing a coefficient's denominator discards the
     prime whatever the point; a denominator vanishing at t = 3 only the point."""
     with pytest.raises(UnluckyEvaluationError) as e:
-        evaluate_and_reduce(Algebra(1, field=QQ_T).scalar(c), ModularImage(7, 3))
+        evaluate_and_reduce(Algebra(1, field=QQ_T).scalar(c),
+                            ModularImage(PrimeField(7), 3))
     assert e.value.prime_level is prime_level
     assert str(e.value) == message
