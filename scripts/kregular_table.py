@@ -5,7 +5,9 @@ For each k the script builds the scalar-product presentation, extracts a
 telescoper (direct elimination up to k = 5, the modular evaluation /
 interpolation pipeline from k = 6 up; see --modular-from), checks the
 resulting ODE against the exponential generating series, and prints one
-table row with timings.
+table row with timings.  A modular row is followed by a line that lists each
+prime with the number of evaluation points it used, read from the
+transcript's points= lines.
 
 Typical use:
 
@@ -14,6 +16,7 @@ Typical use:
 """
 
 import argparse
+import re
 import time
 
 from weylred.kregular import (
@@ -25,12 +28,27 @@ from weylred.kregular import (
 from weylred.telescoping import ModularConfig, telescope_direct, telescope_modular
 
 
+def points_per_prime(transcript):
+    """(prime, points) for each prime[i] of a modular transcript that got as
+    far as its points= line (the kept primes and the consistency prime)."""
+    out, prime = [], None
+    for line in transcript:
+        head = re.match(r"prime\[\d+\] (\d+)$", line)
+        if head:
+            prime = int(head.group(1))
+        points = re.match(r"\s+points=(\d+) ", line)
+        if points and prime is not None:
+            out.append((prime, int(points.group(1))))
+    return out
+
+
 def one_row(k, args):
     t0 = time.monotonic()
     _, pres = regular_presentation(k)
     t_build = time.monotonic() - t0
 
     t0 = time.monotonic()
+    points = []
     if k < args.modular_from:
         tele = telescope_direct(pres)
         mode = "direct"
@@ -40,6 +58,7 @@ def one_row(k, args):
         run = telescope_modular(pres, config=cfg)
         tele = run.telescoper
         mode = f"modular[{len(run.primes_used)}p]"
+        points = points_per_prime(run.transcript)
     t_tel = time.monotonic() - t0
 
     check = "-"
@@ -48,7 +67,7 @@ def one_row(k, args):
         series = scalar_product_series(f, g, args.series_terms)
         ok = verify_ode_on_series(tele, series, allow_partial=True)
         check = "ok" if ok else "FAIL"
-    return mode, tele.order, max(tele.degrees), t_build, t_tel, check
+    return mode, tele.order, max(tele.degrees), t_build, t_tel, check, points
 
 
 def main():
@@ -70,9 +89,12 @@ def main():
     print(f"{'k':>2}  {'mode':<12} {'order':>5} {'degree':>6} "
           f"{'build(s)':>9} {'telescope(s)':>12} {'series':>7}")
     for k in range(args.min_k, args.max_k + 1):
-        mode, order, degree, tb, tt, check = one_row(k, args)
+        mode, order, degree, tb, tt, check, points = one_row(k, args)
         print(f"{k:>2}  {mode:<12} {order:>5} {degree:>6} "
               f"{tb:>9.2f} {tt:>12.2f} {check:>7}", flush=True)
+        if points:
+            print("    points per prime: "
+                  + ", ".join(f"{p}: {n}" for p, n in points), flush=True)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ candidate survives a confirming evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 
@@ -110,14 +110,19 @@ class Rationals:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field with p elements; payloads are ints in [0, p)."""
+    """The field with p elements; payloads are ints in [0, p).
+
+    Construction tests p with is_prime unless ``verified`` says the caller
+    has just done so (random_prime_field).
+    """
 
     p: int
+    verified: InitVar[bool] = False
 
     has_t = False
 
-    def __post_init__(self):
-        if not is_prime(self.p):
+    def __post_init__(self, verified):
+        if not (verified or is_prime(self.p)):
             raise ValueError(f"not a prime: {self.p}")
 
     @property
@@ -727,12 +732,13 @@ def is_prime(n):
     return True
 
 
-def random_prime_31(rng):
-    """A uniformly sampled odd prime in [2^30, 2^31)."""
+def random_prime_field(rng):
+    """The PrimeField of a uniformly sampled odd prime in [2^30, 2^31),
+    built without testing again the prime that is_prime has just accepted."""
     while True:
         c = rng.randrange(1 << 30, 1 << 31) | 1
         if is_prime(c):
-            return c
+            return PrimeField(c, verified=True)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,32 @@ and lifts the per-prime relations to Q(t) by CRT and rational
 reconstruction, confirming with one extra prime.  Each prime is verified
 once, where it is drawn: telescope_modular builds its PrimeField there, and
 every vote, point image and check at that prime shares it, down to
-evaluate_and_reduce, which builds no field itself.  Both drivers find the
-relation in telescoper_from_system, which walks the derivative sequence
-through the same incremental echelon form (_RelationFinder): over Q(t) for
-the direct driver and over F_p(t) for each prime of the modular one.
+evaluate_and_reduce, which builds no field itself.
+
+Within a prime the point computation is recorded once and replayed.  At
+the first usable point the eta-basis replay and the reductions of f and of
+L(m), m in B, run over a _Tape: a stand-in for the PrimeField that logs
+every operation on a point-dependent value, every is_zero outcome on one
+and every divisor, and refuses bool() and == on such values so that no
+branch goes unrecorded.  At each later point the inputs are evaluated as
+before and the tape is replayed over plain ints.  The guard rule: the
+replay is used only when every input operator has the recorded support and
+every recorded is_zero outcome comes out the same; otherwise the point goes
+through the generic _point_images, which decides whether it is lucky.
+Equal supports and outcomes make the reduction take the same path through
+the same operations, so the two paths give the same images, the same
+discarded points and the same transcript.  A tape lives in one
+_prime_relation call, so the threads of a wave share none.
+
+Both drivers find the relation in telescoper_from_system, which walks the
+derivative sequence through the same incremental echelon form
+(_RelationFinder): over Q(t) for the direct driver and over F_p(t) for each
+prime of the modular one.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,7 +69,7 @@ from .arith import (
     plcm,
     pmul,
     pnorm,
-    random_prime_31,
+    random_prime_field,
     rational_reconstruct,
 )
 from .weyl import (
@@ -271,7 +289,8 @@ class _RelationFinder:
     def push(self, vec):
         """Insert the next vector; return relation coefficients if dependent."""
         F = self.F
-        assert len(vec) == self.dim
+        if len(vec) != self.dim:
+            raise ValueError(f"vector has length {len(vec)}, expected {self.dim}")
         v = list(vec)
         comb = [F.zero] * self.count + [F.one]
         for pivot_col, row, rcomb in self.rows:
@@ -485,26 +504,38 @@ class ModularRun:
     primes_discarded: tuple
 
 
-def _evaluate_context(pres, img):
-    basis_p = tuple(evaluate_and_reduce(g, img) for g in pres.ctx.basis)
+def _inputs(pres):
+    """The operators of pres that a point evaluates: the basis, f, then L
+    row by row."""
+    return pres.ctx.basis + (pres.f,) + tuple(e for row in pres.L for e in row)
+
+
+def _context(pres, field, ops):
+    """(ctx, L, f) over field from the operators _inputs(pres) lists."""
     A = pres.ctx.algebra
-    ctx = ReductionContext(Algebra(A.n, A.r, img.field, False),
-                           pres.ctx.order, basis_p)
-    f_p = evaluate_and_reduce(pres.f, img)
-    L_p = tuple(
-        tuple(evaluate_and_reduce(e, img) for e in row) for row in pres.L
-    )
-    return ctx, L_p, f_p
+    nbasis, r = len(pres.ctx.basis), len(pres.L)
+    ctx = ReductionContext(Algebra(A.n, A.r, field, False), pres.ctx.order,
+                           ops[:nbasis])
+    L = tuple(ops[nbasis + 1 + i * r:nbasis + 1 + (i + 1) * r] for i in range(r))
+    return ctx, L, ops[nbasis]
 
 
-def _point_images(pres, ref, img):
-    """Evaluate at (p, a), replay the eta-basis, return numeric (g0, matrix).
+def _evaluate(pres, img):
+    """The operators _inputs(pres) lists, evaluated at img."""
+    return tuple(evaluate_and_reduce(op, img) for op in _inputs(pres))
+
+
+def _evaluate_context(pres, img):
+    return _context(pres, img.field, _evaluate(pres, img))
+
+
+def _reduced_images(ref, ctx, L, f):
+    """Replay the eta-basis, return (g0, matrix) over the field of ctx.
 
     Any disagreement with the reference (row lms, supports outside B) is an
     unlucky-point signal.
     """
     eta, B, tracer, row_lms = ref
-    ctx, L_p, f_p = _evaluate_context(pres, img)
     try:
         basis_e = compute_eta_basis(ctx, eta, tracer=tracer, certificate=False)
     except UnluckyTracerError as e:
@@ -513,12 +544,203 @@ def _point_images(pres, ref, img):
         raise UnluckyEvaluationError("eta-basis row lms differ from reference")
     index = {m: i for i, m in enumerate(B)}
     nb = len(B)
-    g0 = _vector_over(reduce_eta(f_p, ctx, basis_e), index, nb)
+    g0 = _vector_over(reduce_eta(f, ctx, basis_e), index, nb)
     rows = []
     for m in B:
-        img_op = reduce_eta(apply_linear(L_p, _monomial_op(ctx, m)), ctx, basis_e)
+        img_op = reduce_eta(apply_linear(L, _monomial_op(ctx, m)), ctx, basis_e)
         rows.append(_vector_over(img_op, index, nb))
     return g0, tuple(rows)
+
+
+def _point_images(pres, ref, img):
+    """Evaluate at (p, a) and reduce there: the numeric (g0, matrix).
+
+    This is the generic path.  _evaluation_draw runs the same reduction
+    once per prime over a _Tape (_record_point) and replays that tape at
+    the prime's later points; a point whose input supports or guard
+    outcomes differ from the recording comes here instead, and this code
+    decides whether it is lucky.
+    """
+    return _reduced_images(ref, *_evaluate_context(pres, img))
+
+
+# The operations of a tape entry.
+_ADD, _SUB, _MUL, _DIV = range(4)
+
+
+class _Recorded:
+    """A point-dependent value of a _Tape: its slot and its residue at the
+    recording point.  A branch on it would go unrecorded, so bool() and ==
+    raise; the reduction code tests values only through is_zero."""
+
+    __slots__ = ("slot", "value")
+
+    def __init__(self, slot, value):
+        self.slot = slot
+        self.value = value
+
+    def __bool__(self):
+        raise TypeError("a recorded value is tested only through is_zero")
+
+    def __eq__(self, other):
+        raise TypeError("a recorded value is compared only through is_zero")
+
+
+class _Tape:
+    """The PrimeField of one prime, recording the point computation run over it.
+
+    A value that depends on the point t = a is a _Recorded; a value that
+    does not (a constant of the inputs, or a result of constants alone) is
+    a plain residue.  Each operation on a _Recorded appends one entry
+    (op, slot, a, b) over the slots of the operands, and each _Recorded
+    that is_zero tests (divisors included) becomes a guard: its slot must
+    come out nonzero, or zero, as it did at the recording point.  With
+    equal input supports and equal guard outcomes the reduction code takes
+    the same path through the same operations, so replay() recomputes it
+    over plain ints and returns None when either differs.
+    """
+
+    has_t = False
+    zero = 0
+    one = 1
+
+    def __init__(self, Fp):
+        self.p = Fp.p
+        self.values = []  # residue per slot at the recording point
+        self.code = []
+        self.inputs = []  # (monomials, slots) per input operator
+        self.outputs = ()
+        self.guard_nonzero = []  # slots whose is_zero was False at recording
+        self.guard_zero = []  # slots whose is_zero was True
+        self._consts = {}
+        self._guarded = set()
+
+    def _new(self, value):
+        x = _Recorded(len(self.values), value)
+        self.values.append(value)
+        return x
+
+    def _slot(self, x):
+        if isinstance(x, _Recorded):
+            return x.slot
+        slot = self._consts.get(x)
+        if slot is None:
+            slot = self._consts[x] = len(self.values)
+            self.values.append(x)
+        return slot
+
+    def _apply(self, op, fn, x, y):
+        rx, ry = isinstance(x, _Recorded), isinstance(y, _Recorded)
+        value = fn(x.value if rx else x, y.value if ry else y) % self.p
+        if not (rx or ry):
+            return value
+        z = self._new(value)
+        self.code.append((op, z.slot, self._slot(x), self._slot(y)))
+        return z
+
+    def from_int(self, n):
+        return n % self.p
+
+    def add(self, x, y):
+        return self._apply(_ADD, operator.add, x, y)
+
+    def sub(self, x, y):
+        return self._apply(_SUB, operator.sub, x, y)
+
+    def mul(self, x, y):
+        return self._apply(_MUL, operator.mul, x, y)
+
+    def neg(self, x):
+        return self.sub(0, x)
+
+    def inv(self, x):
+        return self.div(1, x)
+
+    def div(self, x, y):
+        if self.is_zero(y):
+            raise ZeroDivisionError("division by zero")
+        if not isinstance(y, _Recorded):
+            return self.mul(x, pow(y, -1, self.p))
+        return self._apply(_DIV, lambda u, v: u * pow(v, -1, self.p), x, y)
+
+    def is_zero(self, x):
+        if not isinstance(x, _Recorded):
+            return not x
+        zero = not x.value
+        if x.slot not in self._guarded:
+            self._guarded.add(x.slot)
+            (self.guard_zero if zero else self.guard_nonzero).append(x.slot)
+        return zero
+
+    def eq(self, x, y):
+        raise TypeError("a recorded value is compared only through is_zero")
+
+    def derivative(self, x):
+        raise ValueError(f"field GF({self.p}) carries no parameter t")
+
+    def lift(self, source, image):
+        """image, the evaluation of source at the recording point, as an
+        operator over the tape: its t-dependent coefficients become inputs."""
+        A, F = image.algebra, source.algebra.field
+        terms, slots = {}, []
+        for m, c in image.terms.items():
+            num, den = source.terms[m] if F.has_t else ((), ())
+            if len(num) > 1 or len(den) > 1:
+                c = self._new(c)
+                slots.append(c.slot)
+            else:
+                slots.append(None)
+            terms[m] = c
+        self.inputs.append((tuple(image.terms), tuple(slots)))
+        return WeylOperator(Algebra(A.n, A.r, self, False), terms)
+
+    def finish(self, outputs):
+        """Fix the outputs; return their values at the recording point."""
+        self.outputs = tuple(self._slot(x) for x in outputs)
+        return [self.values[s] for s in self.outputs]
+
+    def replay(self, images):
+        """The outputs at another point from the inputs evaluated there, or
+        None when an input support or a guard differs from the recording."""
+        v = list(self.values)
+        for image, (monomials, slots) in zip(images, self.inputs):
+            if tuple(image.terms) != monomials:
+                return None
+            for slot, c in zip(slots, image.terms.values()):
+                if slot is not None:
+                    v[slot] = c
+        p = self.p
+        # straight-line code: the guards can wait until the end, except
+        # that a divisor must not vanish
+        for op, d, a, b in self.code:
+            if op == _MUL:
+                v[d] = v[a] * v[b] % p
+            elif op == _SUB:
+                v[d] = (v[a] - v[b]) % p
+            elif op == _ADD:
+                v[d] = (v[a] + v[b]) % p
+            else:
+                if not v[b]:
+                    return None
+                v[d] = v[a] * pow(v[b], -1, p) % p
+        get = v.__getitem__
+        if 0 in map(get, self.guard_nonzero) or any(map(get, self.guard_zero)):
+            return None
+        return [v[s] for s in self.outputs]
+
+
+def _unflatten(values, nb):
+    """The flat outputs of a tape as (g0, matrix)."""
+    return tuple(values[:nb]), tuple(
+        tuple(values[nb * (i + 1):nb * (i + 2)]) for i in range(nb))
+
+
+def _record_point(pres, ref, img):
+    """_point_images at img, computed over a _Tape: (tape, (g0, matrix))."""
+    tape = _Tape(img.field)
+    ops = tuple(map(tape.lift, _inputs(pres), _evaluate(pres, img)))
+    g0, rows = _reduced_images(ref, *_context(pres, tape, ops))
+    return tape, _unflatten(tape.finish(g0 + sum(rows, ())), len(g0))
 
 
 class _SamplePool:
@@ -546,6 +768,17 @@ def _evaluation_draw(pres, ref, Fp, rng, cfg, log):
     prime = Fp.p
     used = set()
     skips = 0
+    tape = None
+
+    def images(img):
+        nonlocal tape
+        if tape is None:
+            tape, sample = _record_point(pres, ref, img)
+            return sample
+        values = tape.replay(_evaluate(pres, img))
+        if values is None:
+            return _point_images(pres, ref, img)
+        return _unflatten(values, len(ref[1]))
 
     def draw():
         nonlocal skips
@@ -559,7 +792,7 @@ def _evaluation_draw(pres, ref, Fp, rng, cfg, log):
             if a not in used:
                 used.add(a)
                 try:
-                    return a, _point_images(pres, ref, ModularImage(Fp, a))
+                    return a, images(ModularImage(Fp, a))
                 except UnluckyEvaluationError as e:
                     if e.prime_level:
                         raise
@@ -676,10 +909,10 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         """Distinct primes, each verified once into the PrimeField that all
         of its points share."""
         while True:
-            p = random_prime_31(prime_rng)
-            if p not in seen_primes:
-                seen_primes.add(p)
-                yield PrimeField(p)
+            Fp = random_prime_field(prime_rng)
+            if Fp.p not in seen_primes:
+                seen_primes.add(Fp.p)
+                yield Fp
 
     fields = prime_fields()
     ref = _elect_reference(pres, rho, cfg, fields, log, degree_ceiling)

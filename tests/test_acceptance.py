@@ -24,7 +24,7 @@ from weylred.arith import (
     cauchy_interpolate,
     crt_combine,
     peval,
-    random_prime_31,
+    random_prime_field,
     rational_reconstruct,
 )
 from weylred.cli import telescoper_document
@@ -431,7 +431,7 @@ def test_criterion_09_property_sweeps(airy, k2):
         target = Fraction(p_num, q_den)
         primes = set()
         while len(primes) < 3:
-            primes.add(random_prime_31(rng))
+            primes.add(random_prime_field(rng).p)
         residues = [
             ((target.numerator * pow(target.denominator, -1, p)) % p, p)
             for p in sorted(primes)

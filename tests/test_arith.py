@@ -38,7 +38,7 @@ from weylred.arith import (
     pmul,
     pnorm,
     psub,
-    random_prime_31,
+    random_prime_field,
     rational_reconstruct,
 )
 
@@ -357,7 +357,7 @@ def test_is_prime_matches_trial_division():
 def test_random_prime_31_in_range():
     rng = random.Random(11)
     for _ in range(20):
-        p = random_prime_31(rng)
+        p = random_prime_field(rng).p
         assert (1 << 30) <= p < (1 << 31) and is_prime(p)
 
 
@@ -393,7 +393,7 @@ def test_crt_rational_reconstruction_round_trip(p, q, seed):
     frac = Fraction(p, q)
     primes = []
     while len(primes) < 3:
-        c = random_prime_31(rng)
+        c = random_prime_field(rng).p
         if c not in primes and frac.denominator % c:
             primes.append(c)
     residues = [(frac.numerator * pow(frac.denominator, -1, pj) % pj, pj)

@@ -443,7 +443,7 @@ def test_validation_survives_optimize(tmp_path):
         from weylred.reduction import ReductionContext
         from weylred.telescoping import (
             DerivedPresentation, ModularConfig, Telescoper, apply_linear, confine,
-            telescoper_from_field_relation)
+            relation_search, telescoper_from_field_relation)
         from weylred.weyl import (
             Algebra, MonomialOrder, dtelim_order, evaluate_and_reduce, grevlex,
             lex_order, op_add, op_sub, weightlex_order)
@@ -501,6 +501,7 @@ def test_validation_survives_optimize(tmp_path):
             lambda: dt_degree(Algebra(2, field=QQ_T).dvar(0)),
             lambda: Algebra(2, 1, QQ_T, dt=True).xvar(0),
             lambda: telescoper_from_field_relation(QQ, ((1,), (1,))),
+            lambda: relation_search(PrimeField(7), [(1, 0), (2, 0, 5), (0, 1, 3)]),
         ]
         for i, check in enumerate(checks):
             try:

@@ -1,6 +1,7 @@
 """Confinement, derivative sequences, and both telescoping drivers."""
 
 import hashlib
+import random
 import re
 from fractions import Fraction
 from unittest import mock
@@ -11,7 +12,10 @@ from hypothesis import strategies as st
 
 from _helpers import T, operators, qqt_elements
 from weylred import telescoping
-from weylred.arith import QQ, QQ_T, InconsistencyError, PrimeField, RationalFunctions
+from weylred import arith
+from weylred.arith import (
+    QQ, QQ_T, InconsistencyError, ModularImage, PrimeField, RationalFunctions,
+    UnluckyEvaluationError)
 from weylred.cli import _module_presentation, parse_document, telescoper_document
 from weylred.groebner import DivisionCertificate
 from weylred.reduction import compute_eta_basis, reduce_eta
@@ -28,7 +32,7 @@ from weylred.telescoping import (
     telescope_modular,
     telescoper_from_field_relation,
 )
-from weylred.weyl import Algebra, Monomial, WeylOperator
+from weylred.weyl import Algebra, Monomial, WeylOperator, evaluate_and_reduce
 
 HALF = QQ_T.div(QQ_T.one, QQ_T.from_int(2))
 
@@ -123,6 +127,13 @@ def test_relation_search_dependent_pair():
 def test_relation_search_independent():
     assert relation_search(QQ, [(QQ.one, QQ.zero), (QQ.zero, QQ.one)]) is None
     assert relation_search(QQ, []) is None
+
+
+def test_relation_search_rejects_ragged_vectors():
+    # without the length check the ragged middle vector gives the false
+    # relation (5, 1) mod 7
+    with pytest.raises(ValueError):
+        relation_search(PrimeField(7), [(1, 0), (2, 0, 5), (0, 1, 3)])
 
 
 def test_relation_search_rational_functions():
@@ -316,6 +327,11 @@ def test_modular_golden_transcript(airy, k3, name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _named_primes(transcript):
+    return {int(p) for line in transcript
+            for p in re.findall(r"prime(?:=|\[\d+\] | )(\d+)", line)}
+
+
 def test_modular_builds_one_field_per_prime(airy):
     """Each drawn prime is verified once: the vote primes, the prime[i]
     primes and the consistency prime each build one PrimeField, shared by
@@ -324,10 +340,147 @@ def test_modular_builds_one_field_per_prime(airy):
                            side_effect=PrimeField.__post_init__) as built:
         run = telescope_modular(airy.pres, rho=1,
                                 config=ModularConfig(seed=7, workers=1))
-    named = {int(p) for line in run.transcript
-             for p in re.findall(r"prime(?:=|\[\d+\] | )(\d+)", line)}
+    named = _named_primes(run.transcript)
     assert set(run.primes_used) < named
     assert 0 < built.call_count <= len(named)
+
+
+def test_modular_verifies_each_drawn_prime_once(airy):
+    """Each prime the transcript names went through is_prime exactly once."""
+    with mock.patch.object(arith, "is_prime", side_effect=arith.is_prime) as tested:
+        run = telescope_modular(airy.pres, rho=1,
+                                config=ModularConfig(seed=7, workers=1))
+    calls = [c.args[0] for c in tested.call_args_list]
+    named = _named_primes(run.transcript)
+    assert named and all(calls.count(p) == 1 for p in named)
+
+
+def _replay_points(transcript):
+    """Points of each prime[i] after its first, the tape's replay points."""
+    return sum(int(n) - 1 for line in transcript
+               for n in re.findall(r"^  points=(\d+) ", line))
+
+
+@pytest.mark.parametrize("name", ["airy", "k3"])
+def test_generic_eta_basis_runs_once_per_prime(airy, k3, name):
+    """The generic eta-basis replay runs once per prime, at the recording
+    point; every later point of the prime replays the tape."""
+    pres = {"airy": airy.pres, "k3": k3.pres}[name]
+    seed = {"airy": 7, "k3": 0}[name]
+    replay = telescoping._Tape.replay
+    replayed = []
+
+    def counted_replay(tape, images):
+        replayed.append(replay(tape, images))
+        return replayed[-1]
+
+    with mock.patch.object(telescoping, "compute_eta_basis",
+                           side_effect=compute_eta_basis) as eta, \
+            mock.patch.object(telescoping._Tape, "replay", counted_replay):
+        run = telescope_modular(pres, rho=1,
+                                config=ModularConfig(seed=seed, workers=1))
+    traced = [c for c in eta.call_args_list if c.kwargs.get("tracer") is not None]
+    assert not any("discard point" in line for line in run.transcript)
+    assert 0 < len(traced) <= len(_named_primes(run.transcript))
+    assert len(replayed) == _replay_points(run.transcript) > 0
+    assert None not in replayed
+
+
+def test_replay_equals_generic_path(airy):
+    ref = telescoping._elect_reference(
+        airy.pres, 1, ModularConfig(seed=7), iter([PrimeField(1000003)] * 3),
+        [], 40)
+    Fp = PrimeField(1000003)
+    tape, first = telescoping._record_point(airy.pres, ref, ModularImage(Fp, 5))
+    assert first == telescoping._point_images(airy.pres, ref, ModularImage(Fp, 5))
+    for a in (6, 77, 123456):
+        img = ModularImage(Fp, a)
+        values = tape.replay(telescoping._evaluate(airy.pres, img))
+        assert telescoping._unflatten(values, len(ref[1])) == \
+            telescoping._point_images(airy.pres, ref, img)
+
+
+def _flip_first_guard(tape):
+    tape.guard_zero.append(tape.guard_nonzero.pop(0))
+
+
+def _perturb_first_input(tape):
+    monomials, slots = tape.inputs[0]
+    tape.inputs[0] = (monomials[1:], slots[1:])
+
+
+@pytest.mark.parametrize("tamper", [_flip_first_guard, _perturb_first_input],
+                         ids=["guard", "input"])
+def test_tampered_tape_falls_back_to_generic_path(airy, tamper):
+    cfg = ModularConfig(seed=7, workers=1)
+    good = telescope_modular(airy.pres, rho=1, config=cfg)
+    record = telescoping._record_point
+
+    def tampered(pres, ref, img):
+        tape, sample = record(pres, ref, img)
+        tamper(tape)
+        return tape, sample
+
+    with mock.patch.object(telescoping, "_record_point", tampered), \
+            mock.patch.object(telescoping, "_point_images",
+                              side_effect=telescoping._point_images) as generic:
+        run = telescope_modular(airy.pres, rho=1, config=cfg)
+    assert generic.call_count == _replay_points(run.transcript) > 0
+    assert run.telescoper == good.telescoper
+    assert run.transcript == good.transcript
+
+
+class _NoTape:
+    """A tape that replays nothing, so every point takes the generic path."""
+
+    def replay(self, images):
+        return None
+
+
+def test_unlucky_points_match_generic_path(airy):
+    """A point-level failure at the would-be recording point and at a
+    replay point discards both, exactly as the generic path does."""
+    cfg = ModularConfig(seed=7, workers=1)
+    good = telescope_modular(airy.pres, rho=1, config=cfg)
+    p0 = next(int(line.split()[1]) for line in good.transcript
+              if line.startswith("prime[0] "))
+    rng = random.Random(f"{cfg.seed}/prime/0")  # the draws of prime[0]
+    points = [rng.randrange(1, p0) for _ in range(3)]
+    unlucky = {points[0], points[2]}
+
+    def evaluate(P, img):
+        if img.field.p == p0 and img.point in unlucky:
+            raise UnluckyEvaluationError("forced")
+        return evaluate_and_reduce(P, img)
+
+    def generic_record(pres, ref, img):
+        return _NoTape(), telescoping._point_images(pres, ref, img)
+
+    with mock.patch.object(telescoping, "evaluate_and_reduce", evaluate):
+        forced = telescope_modular(airy.pres, rho=1, config=cfg)
+        with mock.patch.object(telescoping, "_record_point", generic_record):
+            generic = telescope_modular(airy.pres, rho=1, config=cfg)
+    for a in unlucky:
+        assert f"  discard point {a}" in forced.transcript
+    assert forced.transcript == generic.transcript
+    assert forced.telescoper == generic.telescoper == good.telescoper
+
+
+def test_recorded_values_refuse_branching():
+    tape = telescoping._Tape(PrimeField(7))
+    A = Algebra(1, field=QQ_T)
+    source = A.scalar(T)
+    op = tape.lift(source, evaluate_and_reduce(source, ModularImage(PrimeField(7), 3)))
+    (x,) = op.terms.values()
+    y = tape.mul(x, x)
+    assert not tape.is_zero(y) and tape.is_zero(tape.sub(y, y))
+    for value in (x, y):
+        with pytest.raises(TypeError):
+            bool(value)
+        with pytest.raises(TypeError):
+            value == value
+        with pytest.raises(TypeError):
+            tape.eq(value, value)
 
 
 def test_fault_injected_tracer_vote_outvoted(airy):
