@@ -345,14 +345,6 @@ class RationalFunctions:
         num = psub(F, pmul(F, pderiv(F, n), d), pmul(F, n, pderiv(F, d)))
         return self.normalize(num, pmul(F, d, d))
 
-    def evaluate(self, a, x):
-        """Evaluate at t = x into the base field; unlucky if the denominator vanishes."""
-        F = self.base
-        dv = peval(F, a[1], x)
-        if F.is_zero(dv):
-            raise UnluckyEvaluationError(f"denominator vanishes at t = {x}")
-        return F.div(peval(F, a[0], x), dv)
-
     def __repr__(self):
         return f"{self.base!r}(t)"
 

@@ -15,14 +15,15 @@ Header keys: ``vars`` (space/comma separated; a first variable named ``t``
 makes the document parametric, enabling ``dt`` and routing telescoping
 through the finite-reduction layer), ``rank`` (default 1), ``order``
 (grevlex | block | lex | lex:s1,s2,.. | dtelim | weightlex:w1,w2,..),
-``field`` (QQ(t), the only supported value).  The order line is read by
-``weyl.order_from_spec`` and written back as ``MonomialOrder.spec``.  A lex
-order compares the 2n exponents in the order of its slot codes: 0..n-1 name
-x_1..x_n and n..2n-1 name d_1..d_n, counting a leading ``t`` as variable 1;
-plain ``lex`` is x_1..x_n, d_1..d_n.  weightlex takes 2n non-negative
-weights.  grevlex, block and dtelim take no arguments.  Body lines
-are ideal generators; module-style documents may also carry
-``L <entry> | <entry> | ..`` matrix rows and an ``f <expr>`` integrand line.
+``field`` (QQ(t) or QQ; either way the coefficients lie in QQ(t)).  The
+order line is read by ``weyl.order_from_spec`` and written back as
+``MonomialOrder.spec``.  A lex order compares the 2n exponents in the
+order of its slot codes: 0..n-1 name x_1..x_n and n..2n-1 name d_1..d_n,
+counting a leading ``t`` as variable 1; plain ``lex`` is x_1..x_n,
+d_1..d_n.  weightlex takes 2n non-negative weights.  grevlex, block and
+dtelim take no arguments.  Body lines are ideal generators; module-style
+documents may also carry ``L <entry> | <entry> | ..`` matrix rows and an
+``f <expr>`` integrand line.
 
 Expression grammar (products expand left-to-right, non-commutatively):
 
@@ -35,7 +36,9 @@ rank-r document every additive term needs an ``e<k>`` component factor.
 
 Exit codes: 0 success, 1 failed check, 2 parse/usage error, 3 budget
 exhausted, 4 inconsistent result (a witness, certificate or cross-prime
-check failed).  ``WEYLRED_SEED`` overrides the default seed.
+check failed).  ``WEYLRED_SEED`` sets the seed of ``telescope`` and
+``kregular`` when ``--seed`` is not given; a value that is not an
+integer exits 2, and the other subcommands ignore it.
 """
 
 import argparse
@@ -609,7 +612,7 @@ def _cmd_reduce(args):
         raise InconsistencyError("reduced-form certificate failed")
     lines = [f"reduced: {print_operator(red, doc)}"]
     if args.eta:
-        eb = compute_eta_basis(ctx, _eta_monomial(args.eta, doc))
+        eb = compute_eta_basis(ctx, _eta_monomial(args.eta, doc), certificate=False)
         out = reduce_eta(red, ctx, eb)
         lines.append(f"reduced_eta: {print_operator(out, doc)}")
     _write(args.out, "\n".join(lines) + "\n")
@@ -619,7 +622,7 @@ def _cmd_reduce(args):
 def _cmd_eta_basis(args):
     doc = _read_doc(args.file)
     ctx = _reduction_context(doc)
-    eb = compute_eta_basis(ctx, _eta_monomial(args.eta, doc))
+    eb = compute_eta_basis(ctx, _eta_monomial(args.eta, doc), certificate=False)
     lines = [f"rows: {len(eb.rows)}"]
     lines += [f"row: {print_operator(r.op, doc)}" for r in eb.rows]
     lines += [f"tracer: {len(eb.tracer)} skipped"]
@@ -630,7 +633,7 @@ def _cmd_eta_basis(args):
 def _cmd_confine(args):
     doc = _read_doc(args.file)
     pres = _module_presentation(doc)
-    conf = confine(pres, rho=args.rho)
+    conf = confine(pres.ctx, pres.L, pres.f, rho=args.rho)
     # flattened slots keep the source variable names (t is dropped)
     out_doc = OperatorDocument(pres.ctx.algebra, pres.ctx.order, doc.variables)
 
@@ -644,8 +647,17 @@ def _cmd_confine(args):
 
 
 def _modular_config(args):
-    """A run subcommand's ModularConfig, built (and so checked) in either mode."""
-    return ModularConfig(seed=args.seed, workers=args.workers,
+    """A run subcommand's ModularConfig, built (and so checked) in either mode.
+
+    Without --seed the seed is WEYLRED_SEED, or 0 when that is unset."""
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("WEYLRED_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"WEYLRED_SEED must be an integer, got {text!r}") from None
+    return ModularConfig(seed=seed, workers=args.workers,
                          max_points=args.point_budget)
 
 
@@ -694,8 +706,6 @@ def _parse_fg_document(path, k):
 
 
 def _cmd_kregular(args):
-    if args.model != "ll,se":
-        raise ParseError("built-in model is 'll,se'; supply --fg for other variants")
     config = _modular_config(args)
     t0 = time.time()
     if args.fg:
@@ -769,7 +779,6 @@ def main(argv=None):
         prog="weylred",
         description="reduction-based creative telescoping for operator algebras",
     )
-    default_seed = int(os.environ.get("WEYLRED_SEED", "0"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -803,7 +812,7 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("--mode", choices=("direct", "modular"), default="direct")
     p.add_argument("--rho", type=int, default=1)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=ModularConfig.workers)
     p.add_argument("--point-budget", type=int, default=ModularConfig.max_points)
     p.add_argument("--degree-ceiling", type=int, default=40)
@@ -814,11 +823,10 @@ def main(argv=None):
 
     p = sub.add_parser("kregular", help="ODE for the k-regular graph generating function")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--model", default="ll,se")
     p.add_argument("--fg", default=None)
     p.add_argument("--modular", action="store_true")
     p.add_argument("--rho", type=int, default=1)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=ModularConfig.workers)
     p.add_argument("--point-budget", type=int, default=ModularConfig.max_points)
     p.add_argument("--series-check", type=int, default=None)

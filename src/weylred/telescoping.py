@@ -38,10 +38,16 @@ the same operations, so the two paths give the same images, the same
 discarded points and the same transcript.  A tape lives in one
 _prime_relation call, so the threads of a wave share none.
 
-Both drivers find the relation in telescoper_from_system, which walks the
-derivative sequence through the same incremental echelon form
+Both drivers confine with confine(ctx, L, f): the direct one on the
+presentation's triple over Q(t), the modular vote on that triple evaluated
+at a point.  Both find the relation in telescoper_from_system, which walks
+the derivative sequence through the same incremental echelon form
 (_RelationFinder): over Q(t) for the direct driver and over F_p(t) for each
 prime of the modular one.
+
+ModularConfig holds only what a caller sets: the seed, the threads per
+wave and the point budget.  The prime budget, the vote sizes and the point
+skips allowed are the constants _MIN_PRIMES .. _MAX_PRIMES below.
 """
 
 from __future__ import annotations
@@ -133,15 +139,18 @@ def apply_linear(L, a: WeylOperator):
 class DerivedPresentation:
     """A module W_x(t)^r/S with the derivation a -> da/dt + a.Lambda and an f.
 
-    L is an r x r matrix of scalar operators.  On construction the stored
-    Groebner basis is checked for stability under the derivation
-    (lrem(dg/dt + L(g), G) = 0 for every basis element g), which is what
-    makes the derivation well defined on the quotient.
+    L is an r x r matrix of scalar operators, and the coefficient field
+    carries t.  On construction the stored Groebner basis is checked for
+    stability under the derivation (lrem(dg/dt + L(g), G) = 0 for every
+    basis element g), which is what makes the derivation well defined on
+    the quotient.
     """
 
     __slots__ = ("ctx", "L", "f")
 
     def __init__(self, ctx: ReductionContext, L, f: WeylOperator):
+        if not ctx.algebra.field.has_t:
+            raise ValueError(f"coefficient field {ctx.algebra.field!r} carries no t")
         r = ctx.algebra.r
         L = tuple(tuple(row) for row in L)
         if len(L) != r or any(len(row) != r for row in L):
@@ -196,24 +205,17 @@ def _monomial_op(ctx, m):
     return WeylOperator(ctx.algebra, {m: ctx.algebra.field.one})
 
 
-def confine(pres_or_ctx, rho=1, L=None, f=None, degree_ceiling=40):
-    """Search for an effective confinement (eta, B) for f and L.
+def confine(ctx, L, f, rho=1, degree_ceiling=40):
+    """Search for an effective confinement (eta, B) for f and L over ctx.
 
-    Callable either with a DerivedPresentation or with an explicit
-    (ctx, L, f) triple; the latter form serves the modular driver, which
-    works over evaluated coefficient fields.  The threshold degree starts at
-    rho and may not pass degree_ceiling.
+    The direct driver passes a DerivedPresentation's (ctx, L, f); the
+    modular vote passes the same triple evaluated at a point, over F_p.
+    The threshold degree starts at rho and may not pass degree_ceiling.
     """
     if rho < 0:
         raise ValueError(f"rho must be non-negative, got {rho}")
     if degree_ceiling < 1:
         raise ValueError(f"degree ceiling must be positive, got {degree_ceiling}")
-    if isinstance(pres_or_ctx, DerivedPresentation):
-        ctx, L, f = pres_or_ctx.ctx, pres_or_ctx.L, pres_or_ctx.f
-    else:
-        ctx = pres_or_ctx
-        if L is None or f is None:
-            raise ValueError("confine needs L and f with a reduction context")
     order = ctx.order
     A = ctx.algebra
     F = A.field
@@ -419,7 +421,7 @@ def telescope_direct(pres: DerivedPresentation, rho=1, degree_ceiling=40):
     That check does not depend on rho, so a failed certificate raises
     InconsistencyError instead of retrying with a larger margin.
     """
-    conf = confine(pres, rho=rho, degree_ceiling=degree_ceiling)
+    conf = confine(pres.ctx, pres.L, pres.f, rho=rho, degree_ceiling=degree_ceiling)
     tel = telescoper_from_system(conf.field, conf.f_vector, conf.matrix)
     _certify_telescoper(pres, conf.eta, tel)
     return tel
@@ -466,6 +468,7 @@ _MIN_PRIMES = 2  # primes in the first wave; CRT needs two of one shape
 _TRACER_VOTES = 3  # (prime, point) pairs that vote on the reference
 _VOTE_ROUNDS = 3  # vote rounds before the election is given up
 _MAX_POINT_TRIES = 64  # skipped points before a prime or a vote is given up
+_MAX_PRIMES = 16  # primes tried before giving up; the consistency check may add four
 
 
 @dataclass
@@ -474,26 +477,18 @@ class ModularConfig:
 
     seed: seeds every random choice, so it fixes the transcript.
     workers: threads per wave of primes; the transcript does not depend on it.
-    max_primes: primes tried before giving up; the consistency check may add four.
     max_points: points one reconstructed entry may use per prime.
-    fault_vote, fault_prime: test hooks, (vote_idx, triple) -> triple and
-      (prime_idx, coeffs) -> coeffs, that replace a tracer vote or a
-      per-prime relation.
     """
 
     seed: int = 0
     workers: int = 4
-    max_primes: int = 16
     max_points: int = 2048
-    fault_vote: object = None
-    fault_prime: object = None
 
     def __post_init__(self):
-        for name, low in (("workers", 1), ("max_points", 1),
-                          ("max_primes", _MIN_PRIMES)):
+        for name in ("workers", "max_points"):
             value = getattr(self, name)
-            if value < low:
-                raise ValueError(f"{name} must be at least {low}, got {value}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -600,7 +595,6 @@ class _Tape:
     over plain ints and returns None when either differs.
     """
 
-    has_t = False
     zero = 0
     one = 1
 
@@ -681,10 +675,10 @@ class _Tape:
     def lift(self, source, image):
         """image, the evaluation of source at the recording point, as an
         operator over the tape: its t-dependent coefficients become inputs."""
-        A, F = image.algebra, source.algebra.field
+        A = image.algebra
         terms, slots = {}, []
         for m, c in image.terms.items():
-            num, den = source.terms[m] if F.has_t else ((), ())
+            num, den = source.terms[m]
             if len(num) > 1 or len(den) > 1:
                 c = self._new(c)
                 slots.append(c.slot)
@@ -761,7 +755,7 @@ class _SamplePool:
             i += 1
 
 
-def _evaluation_draw(pres, ref, Fp, rng, cfg, log):
+def _evaluation_draw(pres, ref, Fp, rng, log):
     """draw() for the evaluation pool of the prime of Fp: a fresh point a and
     the numeric (g0, matrix) there.  Repeated and unlucky points are skipped;
     after _MAX_POINT_TRIES skips the prime is given up."""
@@ -832,12 +826,10 @@ def _prime_relation(pres, ref, Fp, idx, cfg):
     log = [f"prime[{idx}] {prime}"]
     rng = random.Random(f"{cfg.seed}/prime/{idx}")
     nb = len(ref[1])
-    points = _SamplePool(_evaluation_draw(pres, ref, Fp, rng, cfg, log))
+    points = _SamplePool(_evaluation_draw(pres, ref, Fp, rng, log))
 
     g0_rf, mat_rf = _interpolated_system(points, Fp, nb, cfg)
     rel = telescoper_from_system(RationalFunctions(Fp), g0_rf, mat_rf).coefficients
-    if cfg.fault_prime is not None:
-        rel = cfg.fault_prime(idx, rel)
     log.append(f"  points={len(points.samples)} N={len(rel) - 1} "
                f"degs={tuple(pdeg(c) for c in rel)}")
     return {"idx": idx, "prime": prime, "rel": rel,
@@ -858,7 +850,7 @@ def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling):
                 a = vote_rng.randrange(1, prime)
                 try:
                     ctx, L_p, f_p = _evaluate_context(pres, ModularImage(Fp, a))
-                    conf = confine(ctx, rho=rho, L=L_p, f=f_p,
+                    conf = confine(ctx, L_p, f_p, rho=rho,
                                    degree_ceiling=degree_ceiling)
                 except UnluckyEvaluationError:
                     continue
@@ -870,8 +862,6 @@ def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling):
                 break
             if triple is None:
                 raise BudgetExhaustedError(f"no usable vote points mod {prime}")
-            if cfg.fault_vote is not None:
-                triple = cfg.fault_vote(v, triple)
             votes.append(triple)
         for t in votes:
             if sum(1 for u in votes if u == t) * 2 > len(votes):
@@ -979,11 +969,11 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         candidate = merged_candidate()
         if candidate is not None:
             break
-        if next_idx >= cfg.max_primes:
+        if next_idx >= _MAX_PRIMES:
             for r in sorted(results.values(), key=lambda r: r["idx"]):
                 log.extend(r["log"])
             raise BudgetExhaustedError(f"no reconstruction after {next_idx} primes")
-        run_wave(min(2, cfg.max_primes - next_idx))
+        run_wave(min(2, _MAX_PRIMES - next_idx))
 
     coeffs, kept_primes, shape_rejects = candidate
     for r in sorted(results.values(), key=lambda r: r["idx"]):
@@ -999,7 +989,7 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         check_idx, check_field = next_idx, next(fields)
         check_prime = check_field.p
         next_idx += 1
-        if next_idx > cfg.max_primes + 4:
+        if next_idx > _MAX_PRIMES + 4:
             raise BudgetExhaustedError("consistency check never completed")
         expected = _reduce_canonical_mod(coeffs, check_field)
         if expected is None:

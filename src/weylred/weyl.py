@@ -19,12 +19,11 @@ Two regimes share this representation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd
 from typing import NamedTuple
 
-from .arith import QQ, Rationals, RationalFunctions, UnluckyEvaluationError
+from .arith import QQ, QQ_T, UnluckyEvaluationError
 
 
 class Monomial(NamedTuple):
@@ -452,17 +451,8 @@ def coefficientwise_dt(P: WeylOperator):
     )
 
 
-def _fraction_mod(fr: Fraction, p: int):
-    den = fr.denominator % p
-    if den == 0:
-        raise UnluckyEvaluationError(
-            f"denominator {fr.denominator} divisible by {p}", prime_level=True
-        )
-    return fr.numerator % p * pow(den, -1, p) % p
-
-
 def evaluate_and_reduce(P: WeylOperator, img):
-    """Reduce a QQ(t)- or QQ-operator mod img.field.p, evaluating at t = img.point.
+    """Reduce a Q(t)-operator mod img.field.p, evaluating at t = img.point.
 
     The image lands in an algebra over img.field, the PrimeField the caller
     built when it drew the prime; no field is built or verified here.
@@ -477,30 +467,25 @@ def evaluate_and_reduce(P: WeylOperator, img):
     if A.dt:
         raise ValueError("cannot evaluate t in a t-extended algebra")
     p, a = img.field.p, img.point
-    F = A.field
+    if A.field != QQ_T or a is None:
+        raise ValueError("expected Q(t) coefficients and a point for t")
     target = Algebra(A.n, A.r, img.field, False)
     out = {}
-    if isinstance(F, Rationals):
-        for m, c in P.terms.items():
-            out[m] = _fraction_mod(c, p)
-    else:
-        if not isinstance(F, RationalFunctions) or a is None:
-            raise ValueError("expected Q or Q(t) coefficients and a point for t")
-        for m, (num, den) in P.terms.items():
-            lc = den[-1]
-            if lc % p == 0:
-                # name the first such denominator, from the top of num down
-                dens = (lc // gcd(c, lc) for c in num[::-1] + den[::-1])
-                raise UnluckyEvaluationError(
-                    f"denominator {next(d for d in dens if d % p == 0)} divisible by {p}",
-                    prime_level=True,
-                )
-            dv = _poly_mod_eval(den, p, a)
-            if dv == 0:
-                raise UnluckyEvaluationError(
-                    f"coefficient denominator vanishes at t={a} (mod {p})"
-                )
-            out[m] = _poly_mod_eval(num, p, a) * pow(dv, -1, p) % p
+    for m, (num, den) in P.terms.items():
+        lc = den[-1]
+        if lc % p == 0:
+            # name the first such denominator, from the top of num down
+            dens = (lc // gcd(c, lc) for c in num[::-1] + den[::-1])
+            raise UnluckyEvaluationError(
+                f"denominator {next(d for d in dens if d % p == 0)} divisible by {p}",
+                prime_level=True,
+            )
+        dv = _poly_mod_eval(den, p, a)
+        if dv == 0:
+            raise UnluckyEvaluationError(
+                f"coefficient denominator vanishes at t={a} (mod {p})"
+            )
+        out[m] = _poly_mod_eval(num, p, a) * pow(dv, -1, p) % p
     return WeylOperator(target, out)
 
 

@@ -1,10 +1,15 @@
-"""Hypothesis strategy builders for monomials and operators."""
+"""Hypothesis strategy builders for monomials and operators, and the
+faults the modular-driver tests inject."""
 
+import dataclasses
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import strategies as st
 
-from weylred.arith import QQ_T
+from weylred import telescoping
+from weylred.arith import QQ_T, pdeg
 from weylred.weyl import Monomial
 
 T = QQ_T.from_poly((Fraction(0), Fraction(1)))
@@ -48,3 +53,42 @@ def operators(algebra, coeffs=None, max_terms=4, max_exp=3, min_terms=0):
         min_size=min_terms,
         max_size=max_terms,
     ).map(algebra.operator)
+
+
+@contextmanager
+def outvoted_tracer_vote():
+    """Within the block, the second confine call (the second tracer vote of
+    telescope_modular) returns a tracer with one bogus skipped monomial, so
+    the other two votes outvote it."""
+    real = telescoping.confine
+    calls = 0
+    bogus = Monomial((9, 9, 9), (0, 0, 0), 1)
+
+    def confine(*args, **kwargs):
+        nonlocal calls
+        conf = real(*args, **kwargs)
+        calls += 1
+        if calls == 2:
+            return dataclasses.replace(conf, tracer=conf.tracer | {bogus})
+        return conf
+
+    with mock.patch.object(telescoping, "confine", confine):
+        yield
+
+
+@contextmanager
+def discarded_prime():
+    """Within the block, prime[0] of telescope_modular reports a corrupted
+    order-2 relation, whose shape no other prime shares."""
+    real = telescoping._prime_relation
+
+    def prime_relation(pres, ref, Fp, idx, cfg):
+        out = real(pres, ref, Fp, idx, cfg)
+        rel = out["rel"]
+        if idx == 0 and len(rel) == 3:
+            rel = (rel[0], (1, 1), rel[-1])
+            out = dict(out, rel=rel, shape=(len(rel) - 1, tuple(pdeg(c) for c in rel)))
+        return out
+
+    with mock.patch.object(telescoping, "_prime_relation", prime_relation):
+        yield

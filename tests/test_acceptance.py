@@ -14,6 +14,7 @@ from math import factorial
 
 import pytest
 
+from _helpers import discarded_prime, outvoted_tracer_vote
 from _oracles import apply_to_polynomial, gd_irreducibility_oracle
 from weylred.arith import (
     QQ,
@@ -148,7 +149,7 @@ def test_criterion_02_reduction_goldens(airy):
 def test_criterion_03_confinement_golden(airy):
     """confine(rho=1) lands on (x^2, {1, y}) after one threshold escalation."""
     t0 = time.monotonic()
-    conf = confine(airy.pres, rho=1)
+    conf = confine(airy.ctx, airy.pres.L, airy.pres.f, rho=1)
     assert conf.eta == Monomial((2, 0, 0), (0, 0, 0), 1)
     assert conf.B == (
         Monomial((0, 0, 0), (0, 0, 0), 1),
@@ -339,7 +340,7 @@ def test_criterion_09_property_sweeps(airy, k2):
             {small[rng.randrange(len(small))]: QQ_T.from_int(rng.randint(-4, 4) or 1)
              for _ in range(rng.randint(1, 2))}
         )
-        conf = confine(airy.ctx, rho=1, L=airy.pres.L, f=f)
+        conf = confine(airy.ctx, airy.pres.L, f, rho=1)
         basis_e = compute_eta_basis(airy.ctx, conf.eta, certificate=False)
         index = {m: k for k, m in enumerate(conf.B)}
         for m in conf.B:
@@ -484,30 +485,14 @@ def test_criterion_10_fault_injection(airy):
     clean = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
 
     # corrupted tracer vote: outvoted two-to-one, result unchanged
-    bogus = Monomial((9, 9, 9), (0, 0, 0), 1)
-
-    def corrupt_vote(idx, triple):
-        if idx == 1:
-            eta, B, tracer, row_lms = triple
-            return (eta, B, tracer | {bogus}, row_lms)
-        return triple
-
-    voted = telescope_modular(
-        airy.pres, rho=1,
-        config=ModularConfig(seed=7, workers=2, fault_vote=corrupt_vote),
-    )
+    with outvoted_tracer_vote():
+        voted = telescope_modular(
+            airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
     assert voted.telescoper == clean.telescoper
     assert any("majority kept" in line for line in voted.transcript)
 
     # corrupted per-prime relation: that prime is discarded, result unchanged
-    def corrupt_prime(idx, rel):
-        if idx == 0:
-            return (rel[0], (1, 1), rel[-1]) if len(rel) == 3 else rel
-        return rel
-
-    pruned = telescope_modular(
-        airy.pres, rho=1,
-        config=ModularConfig(seed=7, workers=2, max_primes=20,
-                             fault_prime=corrupt_prime),
-    )
+    with discarded_prime():
+        pruned = telescope_modular(
+            airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
     assert pruned.telescoper == clean.telescoper

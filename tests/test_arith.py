@@ -16,7 +16,6 @@ from weylred.arith import (
     QQ_T,
     ZZ,
     BudgetExhaustedError,
-    UnluckyEvaluationError,
     ModularImage,
     PrimeField,
     RationalFunctions,
@@ -225,13 +224,6 @@ def test_rational_function_ops_match_schoolbook(F, data):
     for op, (got, want) in expected.items():
         assert got == want, op
         assert_canonical(F, got)
-
-
-def test_evaluate():
-    a = qq_t((1, 1), (0, 1))  # (1 + t) / t
-    assert QQ_T.evaluate(a, Fraction(2)) == Fraction(3, 2)
-    with pytest.raises(UnluckyEvaluationError):
-        QQ_T.evaluate(a, Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,24 @@ def test_seed_env_override(workdir, airy_module_path, monkeypatch):
     assert results[2][0].splitlines()[-1] == "7*dt^2 - t"
 
 
+def test_seed_env_not_an_integer(workdir, airy_path, airy_module_path, monkeypatch,
+                                 capsys):
+    """A bad WEYLRED_SEED is a usage error for the subcommands with --seed,
+    unless --seed is given, and the others ignore it."""
+    monkeypatch.setenv("WEYLRED_SEED", "abc")
+    for argv in (["telescope", str(airy_module_path), "--mode", "modular"],
+                 ["kregular", "--k", "2"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: WEYLRED_SEED must be an integer, got 'abc'\n")
+    assert main(["telescope", str(airy_module_path), "--mode", "modular",
+                 "--seed", "5", "-o", str(workdir / "seeded.tele")]) == 0
+    assert main(["gb", str(airy_path), "-o", str(workdir / "env.gb")]) == 0
+    monkeypatch.delenv("WEYLRED_SEED")
+    assert main(["gb", str(airy_path), "-o", str(workdir / "plain.gb")]) == 0
+    assert (workdir / "env.gb").read_text() == (workdir / "plain.gb").read_text()
+
+
 # ---------------------------------------------------------------------------
 # kregular subcommand
 
@@ -313,10 +331,6 @@ def test_kregular_user_fg(workdir):
     out = workdir / "k2fg.out"
     assert main(["kregular", "--k", "2", "--fg", str(fg), "-o", str(out)]) == 0
     assert "(2*t - 2)*dt + t^2" in out.read_text()
-
-
-def test_kregular_bad_model():
-    assert main(["kregular", "--k", "3", "--model", "la,me"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +408,7 @@ def test_exit_code_budget_exhausted(k3_module_path):
     ["kregular", "--k", "2", "--rho", "-1"],
     ["confine", "{module}", "--rho", "-1"],
     ["kregular", "--k", "2", "--direct"],
+    ["kregular", "--k", "3", "--model", "la,me"],
     ["kregular", "--k", "1", "--fg", "{fg_constant}", "--series-check", "4"],
     ["kregular", "--k", "1", "--fg", "{fg_zero}", "--series-check", "4"],
     ["telescope", "{no_generators}"],
@@ -431,7 +446,7 @@ def test_validation_survives_optimize(tmp_path):
         from weylred import extension
         from weylred.arith import (
             QQ, QQ_T, T_GEN, InconsistencyError, ModularImage, PrimeField,
-            interpolate, rational_reconstruct)
+            RationalFunctions, interpolate, rational_reconstruct)
         from weylred.cli import main, solve_presentation
         from weylred.extension import (
             ParametricPresentation, build_extension, compute_ell, dt_degree,
@@ -460,7 +475,7 @@ def test_validation_survives_optimize(tmp_path):
             lambda: ModularConfig(workers=0),
             lambda: ModularConfig(max_points=0),
             lambda: DerivedPresentation(pres.ctx, ((lam, lam),), pres.f),
-            lambda: confine(pres, rho=-1),
+            lambda: confine(pres.ctx, pres.L, pres.f, rho=-1),
             lambda: solve_presentation(pres, "bogus", ModularConfig()),
             lambda: PrimeField(4),
             lambda: ModularImage(PrimeField(2), 1),
@@ -470,10 +485,15 @@ def test_validation_survives_optimize(tmp_path):
                 Algebra(2, field=QQ_T), (Algebra(2, field=QQ_T).dvar(0),),
                 dtelim_order(2)),
             lambda: Algebra(2, 1, QQ_T, dt=True).monomial((1, 0), (0, 0)),
-            lambda: confine(pres.ctx),
+            lambda: DerivedPresentation(
+                ReductionContext(Algebra(1), grevlex(1), ()),
+                ((Algebra(1).one(),),), Algebra(1).one()),
             lambda: evaluate_and_reduce(B.one(), ModularImage(PrimeField(7), 2)),
             lambda: evaluate_and_reduce(
                 Algebra(1, field=PrimeField(7)).one(),
+                ModularImage(PrimeField(7), 2)),
+            lambda: evaluate_and_reduce(
+                Algebra(1, field=RationalFunctions(PrimeField(7))).one(),
                 ModularImage(PrimeField(7), 2)),
             lambda: flatten_operator(B.dvar(0), 0, Algebra(1, 1, QQ_T)),
             lambda: ReductionContext(Algebra(2), grevlex(3), (Algebra(2).dvar(0),)),

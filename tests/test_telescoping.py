@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import T, operators, qqt_elements
+from _helpers import (
+    T, discarded_prime, operators, outvoted_tracer_vote, qqt_elements)
 from weylred import telescoping
 from weylred import arith
 from weylred.arith import (
@@ -42,7 +43,7 @@ HALF = QQ_T.div(QQ_T.one, QQ_T.from_int(2))
 
 
 def test_confine_golden(airy):
-    conf = confine(airy.pres, rho=1)
+    conf = confine(airy.ctx, airy.pres.L, airy.pres.f, rho=1)
     assert conf.eta == Monomial((2, 0, 0), (0, 0, 0), 1)
     assert conf.B == (
         Monomial((0, 0, 0), (0, 0, 0), 1),
@@ -53,7 +54,7 @@ def test_confine_golden(airy):
 
 
 def test_derivative_sequence_golden(airy):
-    conf = confine(airy.pres, rho=1)
+    conf = confine(airy.ctx, airy.pres.L, airy.pres.f, rho=1)
     g1 = derivative_sequence_step(conf.field, conf.f_vector, conf.matrix)
     g2 = derivative_sequence_step(conf.field, g1, conf.matrix)
     assert g1 == (QQ_T.zero, QQ_T.neg(HALF))
@@ -87,7 +88,7 @@ def assert_effective(conf, ctx, L, f):
 
 def test_confinement_effective_on_presentations(airy, k2, k3):
     for pres in (airy.pres, k2.pres, k3.pres):
-        conf = confine(pres, rho=1)
+        conf = confine(pres.ctx, pres.L, pres.f, rho=1)
         assert_effective(conf, pres.ctx, pres.L, pres.f)
 
 
@@ -95,12 +96,12 @@ def test_confinement_effective_on_presentations(airy, k2, k3):
                  max_terms=2, max_exp=2))
 @settings(max_examples=25)
 def test_confinement_effective_random_f(airy, f):
-    conf = confine(airy.ctx, rho=1, L=airy.pres.L, f=f)
+    conf = confine(airy.ctx, airy.pres.L, f, rho=1)
     assert_effective(conf, airy.ctx, airy.pres.L, f)
 
 
 def test_matrix_rows_align_with_B(airy):
-    conf = confine(airy.pres, rho=1)
+    conf = confine(airy.ctx, airy.pres.L, airy.pres.f, rho=1)
     assert conf.matrix == tuple(conf.reduced_L_images[m] for m in conf.B)
 
 
@@ -205,7 +206,7 @@ def test_telescope_direct_golden(airy):
 def test_trivial_integrands(airy):
     A = airy.algebra
     pres0 = DerivedPresentation(airy.ctx, airy.pres.L, A.zero())
-    assert confine(pres0, rho=1).B == ()
+    assert confine(pres0.ctx, pres0.L, pres0.f, rho=1).B == ()
     assert telescope_direct(pres0, rho=1).coefficients == ((1,),)
     presS = DerivedPresentation(airy.ctx, airy.pres.L, airy.gb[0])
     assert telescope_direct(presS, rho=1).coefficients == ((1,),)
@@ -221,7 +222,7 @@ def test_certificate_rejects_perturbed_telescoper(k3):
     tel = telescope_direct(k3.pres)
     c0 = tel.coefficients[0]
     bad = Telescoper(((c0[0] + 1,) + c0[1:],) + tel.coefficients[1:])
-    eta = confine(k3.pres).eta
+    eta = confine(k3.pres.ctx, k3.pres.L, k3.pres.f).eta
     _certify_telescoper(k3.pres, eta, tel)
     with pytest.raises(InconsistencyError, match="telescoper certificate failed"):
         _certify_telescoper(k3.pres, eta, bad)
@@ -484,33 +485,16 @@ def test_recorded_values_refuse_branching():
 
 
 def test_fault_injected_tracer_vote_outvoted(airy):
-    bogus = Monomial((9, 9, 9), (0, 0, 0), 1)
-
-    def corrupt_vote(idx, triple):
-        if idx == 1:
-            eta, B, tracer, row_lms = triple
-            return (eta, B, tracer | {bogus}, row_lms)
-        return triple
-
     good = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
-    run = telescope_modular(
-        airy.pres, rho=1,
-        config=ModularConfig(seed=7, workers=2, fault_vote=corrupt_vote),
-    )
+    with outvoted_tracer_vote():
+        run = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
     assert run.telescoper == good.telescoper
     assert any("majority kept" in line for line in run.transcript)
 
 
 def test_fault_injected_prime_discarded(airy):
-    def corrupt_prime(idx, rel):
-        if idx == 0:
-            return (rel[0], (1, 1), rel[-1]) if len(rel) == 3 else rel
-        return rel
-
     good = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
-    run = telescope_modular(
-        airy.pres, rho=1,
-        config=ModularConfig(seed=7, workers=2, max_primes=20,
-                             fault_prime=corrupt_prime),
-    )
+    with discarded_prime():
+        run = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
     assert run.telescoper == good.telescoper
+    assert f"shape reject prime {run.primes_discarded[0]}" in run.transcript

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from _helpers import T, monomials, nonzero_fractions, operators
 from _oracles import apply_to_polynomial, compare, shadow_product
-from weylred.arith import QQ, QQ_T, ModularImage, PrimeField, UnluckyEvaluationError
+from weylred.arith import QQ_T, ModularImage, PrimeField, UnluckyEvaluationError
 from weylred.weyl import (
     Algebra,
     Monomial,
@@ -234,10 +234,10 @@ def test_evaluate_and_reduce():
 
 
 def test_evaluate_and_reduce_prime_level():
-    A = Algebra(1, field=QQ)
-    P = A.scalar(Fraction(1, 7))
+    A = Algebra(1, field=QQ_T)
+    P = A.scalar(QQ_T.from_poly((Fraction(1, 7),)))
     try:
-        evaluate_and_reduce(P, ModularImage(PrimeField(7), None))
+        evaluate_and_reduce(P, ModularImage(PrimeField(7), 3))
         raise AssertionError("expected a prime-level unlucky signal")
     except UnluckyEvaluationError as e:
         assert e.prime_level
