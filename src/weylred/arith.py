@@ -739,7 +739,7 @@ def random_prime_field(rng):
 
 @dataclass(frozen=True)
 class ModularImage:
-    """A value reduced mod field.p, optionally also evaluated at t = point.
+    """A value reduced mod field.p and evaluated at t = point.
 
     The field is built by whoever draws the prime, which verifies the prime
     once; every image at that prime shares it, so making an image checks
@@ -747,7 +747,7 @@ class ModularImage:
     """
 
     field: PrimeField
-    point: int | None = None
+    point: int
 
     def __post_init__(self):
         if not isinstance(self.field, PrimeField):
@@ -755,7 +755,7 @@ class ModularImage:
         p = self.field.p
         if p % 2 != 1 or p >= (1 << 31):
             raise ValueError(f"odd prime below 2^31 required, got {p}")
-        if self.point is not None and not 0 <= self.point < p:
+        if not 0 <= self.point < p:
             raise ValueError(f"point {self.point} outside [0, {p})")
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import le
 
 from .weyl import (
     Monomial,
@@ -78,24 +79,27 @@ class DivisionCertificate:
 def lrem(a, basis, order, certificate=True):
     """Left division remainder of a by a list of nonzero operators.
 
-    Repeatedly rewrites the largest monomial divisible by some leading
-    monomial (first matching generator wins).  Returns (remainder, cert),
-    where cert witnesses a - remainder = sum q_i g_i; it is None when
-    certificate=False.  When ``basis`` is a Groebner basis the remainder is
-    the canonical normal form, and the map a -> remainder is K-linear.
+    Repeatedly rewrites the largest monomial m (coefficient c) divisible by
+    some leading monomial, first matching generator g wins, by subtracting
+    (c/lc(g)) u g with u = m - lm(g).  The order is multiplicative, so that
+    product is c m plus smaller terms (Kandri-Rody and Weispfenning, JSC
+    1990): m is deleted and skipped in the product, not subtracted and
+    tested.  Returns (remainder, cert), where cert witnesses a - remainder
+    = sum q_i g_i; it is None when certificate=False.  When ``basis`` is a
+    Groebner basis the remainder is the canonical normal form, and the map
+    a -> remainder is K-linear.
     """
     A = a.algebra
     F = A.field
     lead = []
     for g in basis:
         lm, lc = leading_data(g, order)
-        lead.append((lm, lc, g))
+        lead.append((lm.comp, lm.alpha + lm.beta, lm, lc, g))
 
     cert = None
     work = dict(a.terms)
-    heap = []
-    for m in work:
-        heapq.heappush(heap, _HeapItem(order.key(m), m))
+    heap = [_HeapItem(order.key(m), m) for m in work]
+    heapq.heapify(heap)  # keys are unique per monomial: the pop order is fixed
     quotients = {} if certificate else None
 
     while heap:
@@ -103,20 +107,20 @@ def lrem(a, basis, order, certificate=True):
         c = work.get(m)
         if c is None:
             continue
-        hit = None
-        for i, (lm, lc, g) in enumerate(lead):
-            if shadow_divides(lm, m):
-                hit = (i, lm, lc, g)
+        comp, shadow = m.comp, m.alpha + m.beta
+        for i, (lcomp, lshadow, lm, lc, g) in enumerate(lead):
+            if lcomp == comp and all(map(le, lshadow, shadow)):
                 break
-        if hit is None:
+        else:
             continue
-        i, lm, lc, g = hit
         cof = shadow_quotient(m, lm)
         coeff = F.div(c, lc)
         if certificate:
             _cert_add_quotient_dict(quotients, i, cof, coeff, F)
-        delta = mul_monomial(cof, coeff, g)
-        for mm, cc in delta.terms.items():
+        del work[m]
+        for mm, cc in mul_monomial(cof, coeff, g).terms.items():
+            if mm == m:
+                continue  # its coefficient is c: cancelled by the deletion
             old = work.get(mm)
             new = F.sub(old, cc) if old is not None else F.neg(cc)
             if F.is_zero(new):

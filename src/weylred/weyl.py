@@ -14,6 +14,11 @@ Two regimes share this representation:
   vector holds the d_t exponent and multiplication twists coefficients by
   d_t c(t) = c(t) d_t + c'(t).  Slot 0 of alpha is unused there (t itself
   stays in the coefficient field).
+
+Products are built term pair by term pair.  Most pairs commute (no d_i of
+the left factor meets an x_i of the right one, and no d_t twists the
+right coefficient); their product is one monomial, the exponent sum, so
+only the other pairs go through the normal-ordering expansion.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial, gcd
+from operator import add, mul as imul, neg
 from typing import NamedTuple
 
 from .arith import QQ, QQ_T, UnluckyEvaluationError
@@ -214,20 +220,28 @@ def op_scale(P, c):
 
 
 def _term_product(F, algebra, out, cp, mp, cq, mq, comp):
-    """Accumulate (cp x^ap d^bp) * (cq x^aq d^bq) e_comp into ``out``."""
+    """Accumulate (cp x^ap d^bp) * (cq x^aq d^bq) e_comp into ``out``.
+
+    The pair commutes when no d_i of the left factor meets an x_i of the
+    right one and no d_t twists cq.  The expansion below then has one term,
+    k = 0 in every slot: cp*cq x^(ap+aq) d^(bp+bq), stored or added directly.
+    """
     n = algebra.n
     ap, bp = mp.alpha, mp.beta
     aq, bq = mq.alpha, mq.beta
+    if not (algebra.dt and bp[0]) and not any(map(imul, bp, aq)):
+        m = Monomial(tuple(map(add, ap, aq)), tuple(map(add, bp, bq)), comp)
+        c = F.mul(cp, cq)
+        old = out.get(m)
+        out[m] = c if old is None else F.add(old, c)
+        return
 
-    # coefficient twist for the d_t slot
-    pairs = [(F.mul(cp, cq), bp[0] if algebra.dt else 0, cq)]
-    if algebra.dt and bp[0]:
-        pairs = []
-        der, b0 = cq, bp[0]
-        for j in range(b0 + 1):
-            pairs.append((F.mul(cp, F.mul(F.from_int(comb(b0, j)), der)), j, None))
-            if j < b0:
-                der = F.derivative(der)
+    # coefficient twist for the d_t slot: d_t^b cq = sum_j C(b, j) cq^(j) d_t^(b-j)
+    b0 = bp[0] if algebra.dt else 0
+    pairs, der = [(F.mul(cp, cq), 0)], cq
+    for j in range(1, b0 + 1):
+        der = F.derivative(der)
+        pairs.append((F.mul(cp, F.mul(F.from_int(comb(b0, j)), der)), j))
 
     # per-slot commutation options (skip the d_t slot: no x there)
     lo = 1 if algebra.dt else 0
@@ -245,7 +259,7 @@ def _term_product(F, algebra, out, cp, mp, cq, mq, comp):
                 )
             )
 
-    for coeff0, j0, _ in pairs:
+    for coeff0, j0 in pairs:
         for choice in product(*(opts for _, opts in slots)):
             factor = 1
             for k, f in choice:
@@ -256,8 +270,7 @@ def _term_product(F, algebra, out, cp, mp, cq, mq, comp):
             for i in range(n):
                 alpha[i] += aq[i]
                 beta[i] += bq[i]
-            if algebra.dt:
-                beta[0] -= j0
+            beta[0] -= j0
             for (i, _), (k, _) in zip(slots, choice):
                 alpha[i] -= k
                 beta[i] -= k
@@ -284,9 +297,23 @@ def mul(P, Q):
 
 
 def mul_monomial(m: Monomial, c, P):
-    """(c * x^alpha d^beta) * P for a single left monomial factor."""
+    """(c * x^alpha d^beta) * P for a single left monomial factor.
+
+    When m commutes with every term of P (see ``_term_product``), the
+    product is P with every exponent shifted by m and every coefficient
+    times c.  A shift is injective, so no two terms meet and the dict is
+    built in one pass.
+    """
     A = P.algebra
     F = A.field
+    alpha, beta = m.alpha, m.beta
+    meets = any(any(map(imul, beta, mq.alpha)) for mq in P.terms)
+    if not (A.dt and beta[0] or meets):
+        return WeylOperator(A, {
+            Monomial(tuple(map(add, alpha, mq.alpha)), tuple(map(add, beta, mq.beta)),
+                     mq.comp): F.mul(c, cq)
+            for mq, cq in P.terms.items()
+        })
     out = {}
     for mq, cq in P.terms.items():
         _term_product(F, A, out, c, m, cq, mq, mq.comp)
@@ -344,21 +371,21 @@ class MonomialOrder:
     def _shadow_key(self, alpha, beta):
         vec = alpha + beta
         if self.kind == "grevlex":
-            return (sum(vec), tuple(-v for v in reversed(vec)))
+            return (sum(vec), tuple(map(neg, reversed(vec))))
         if self.kind == "lex":
             return tuple(vec[s] for s in self.sequence)
         if self.kind == "block":
             return (
                 sum(alpha),
-                tuple(-v for v in reversed(alpha)),
+                tuple(map(neg, reversed(alpha))),
                 sum(beta),
-                tuple(-v for v in reversed(beta)),
+                tuple(map(neg, reversed(beta))),
             )
         if self.kind == "weightlex":
             return (sum(wi * v for wi, v in zip(self.weights, vec)),) + vec
         # dtelim: beta[0] dominates, then graded on everything else
         rest = alpha + beta[1:]
-        return (beta[0], sum(rest), tuple(-v for v in reversed(rest)))
+        return (beta[0], sum(rest), tuple(map(neg, reversed(rest))))
 
     def key(self, m: Monomial):
         """Sort key: ascending tuple order agrees with the monomial order."""
@@ -467,8 +494,8 @@ def evaluate_and_reduce(P: WeylOperator, img):
     if A.dt:
         raise ValueError("cannot evaluate t in a t-extended algebra")
     p, a = img.field.p, img.point
-    if A.field != QQ_T or a is None:
-        raise ValueError("expected Q(t) coefficients and a point for t")
+    if A.field != QQ_T:
+        raise ValueError("expected Q(t) coefficients")
     target = Algebra(A.n, A.r, img.field, False)
     out = {}
     for m, (num, den) in P.terms.items():

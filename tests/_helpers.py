@@ -8,7 +8,7 @@ from unittest import mock
 
 from hypothesis import strategies as st
 
-from weylred import telescoping
+from weylred import reduction, telescoping
 from weylred.arith import QQ_T, pdeg
 from weylred.weyl import Monomial
 
@@ -58,18 +58,21 @@ def operators(algebra, coeffs=None, max_terms=4, max_exp=3, min_terms=0):
 @contextmanager
 def outvoted_tracer_vote():
     """Within the block, the second confine call (the second tracer vote of
-    telescope_modular) returns a tracer with one bogus skipped monomial, so
-    the other two votes outvote it."""
+    telescope_modular) returns a tracer that also skips its smallest
+    contributing candidate, so the other two votes outvote it.  The
+    eta-basis replay reaches that candidate: a reference elected with this
+    tracer loses a row at every point."""
     real = telescoping.confine
     calls = 0
-    bogus = Monomial((9, 9, 9), (0, 0, 0), 1)
 
-    def confine(*args, **kwargs):
+    def confine(ctx, *args, **kwargs):
         nonlocal calls
-        conf = real(*args, **kwargs)
+        conf = real(ctx, *args, **kwargs)
         calls += 1
         if calls == 2:
-            return dataclasses.replace(conf, tracer=conf.tracer | {bogus})
+            rows = set(reduction._enumerate_candidates(ctx, conf.eta)) - conf.tracer
+            skipped = min(rows, key=ctx.order.key)
+            return dataclasses.replace(conf, tracer=conf.tracer | {skipped})
         return conf
 
     with mock.patch.object(telescoping, "confine", confine):

@@ -75,6 +75,48 @@ def apply_to_polynomial(P: WeylOperator, poly: dict):
     return {e: c for e, c in out.items() if not F.is_zero(c)}
 
 
+def mul_by_variables(m: Monomial, c, P: WeylOperator):
+    """(c * x^alpha d^beta) * P, built one variable at a time from the right.
+
+    Test oracle for ``mul_monomial``, from three rules only: x_i shifts the
+    exponent; d_i x^a = x^a d_i + a_i x^(a - e_i); and, for the d_t slot of a
+    t-extended algebra, d_t c(t) = c(t) d_t + c'(t).  The scalar c stands
+    leftmost, so it only scales the coefficients at the end.
+    """
+    A = P.algebra
+    F = A.field
+    terms = dict(P.terms)
+
+    def add(out, mono, v):
+        out[mono] = F.add(out.get(mono, F.zero), v)
+
+    def bump(e, i, by):
+        return e[:i] + (e[i] + by,) + e[i + 1:]
+
+    def d_times(i, terms):
+        out = {}
+        for mq, cq in terms.items():
+            add(out, Monomial(mq.alpha, bump(mq.beta, i, 1), mq.comp), cq)
+            if A.dt and i == 0:
+                add(out, mq, F.derivative(cq))
+            elif mq.alpha[i]:
+                lower = Monomial(bump(mq.alpha, i, -1), mq.beta, mq.comp)
+                add(out, lower, F.mul(F.from_int(mq.alpha[i]), cq))
+        return out
+
+    def x_times(i, terms):
+        return {Monomial(bump(mq.alpha, i, 1), mq.beta, mq.comp): cq
+                for mq, cq in terms.items()}
+
+    for i in reversed(range(A.n)):
+        for _ in range(m.beta[i]):
+            terms = d_times(i, terms)
+    for i in reversed(range(A.n)):
+        for _ in range(m.alpha[i]):
+            terms = x_times(i, terms)
+    return WeylOperator(A, {mq: F.mul(c, cq) for mq, cq in terms.items()})
+
+
 # ---------------------------------------------------------------------------
 # groebner
 

@@ -220,6 +220,7 @@ def test_criterion_06_three_regular(k3):
 
 
 @pytest.mark.slow
+@pytest.mark.slow
 def test_criterion_07_four_and_five_regular():
     """k=4 gives (2, 14); k=5 gives (6, 125); both ODEs hold to t^12."""
     t0 = time.monotonic()

@@ -359,7 +359,8 @@ def test_random_prime_31_in_range():
 
 def test_modular_image_validation():
     ModularImage(FP, 5)
-    ModularImage(FP, None)
+    with pytest.raises(TypeError):
+        ModularImage(FP)  # the point is required
     for field, point in ((PrimeField(2), 1),  # even prime
                          (PrimeField(2147483659), 5),  # prime above 2^31
                          (FP, FP.p),  # point outside [0, p)

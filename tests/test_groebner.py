@@ -1,20 +1,32 @@
 """Left/right division with certificates and Buchberger completion."""
 
+import hashlib
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from _helpers import fractions, operators, qqt_elements
 from _oracles import certificate_identity_holds, ideal_membership
 from weylred.arith import QQ_T
+from weylred.cli import main, parse_document
+from weylred.extension import ParametricPresentation, build_extension
 from weylred.groebner import (
     buchberger,
     lrem,
     rrem,
 )
-from weylred.weyl import Algebra, Monomial, grevlex, leading_monomial, mul, op_scale
+from weylred.weyl import (
+    Algebra,
+    Monomial,
+    grevlex,
+    leading_monomial,
+    mul,
+    op_scale,
+    sorted_terms,
+)
 
 A1 = Algebra(1)
 X, D = A1.xvar(0), A1.dvar(0)
@@ -23,6 +35,63 @@ O1 = grevlex(1)
 
 # ---------------------------------------------------------------------------
 # goldens
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _basis_digest(basis, order):
+    """SHA-256 of every element's terms, in basis order, each sorted by order."""
+    return _sha256(repr([sorted_terms(g, order) for g in basis]))
+
+
+# `weylred gb` output of the two-generator document under every order
+GB_PRINTED = {
+    "grevlex": "868a627f17834b5e9d696a465bc8eabd5ded615b7957c99dee4fcd3d619c5574",
+    "block": "0746c2d14d4d46b1e07579e72106d75efb3b55c3d3815cfd30f17d2bd2e6e291",
+    "lex": "a6d5c3ca3dea1e8d4dcccad807f69c4b18d9bbbc721d19670f063641c0937180",
+    "lex:1,0,3,2": "f6c8b8631257922c6d98ad3300655713c7e6dce7384d64816274ca0e695632f8",
+    "dtelim": "f79bd6e988cabee03a60fa345ef329ffd2bc77a82e7ec8b856e5e832ccc0fc1a",
+    "weightlex:1,2,1,1": "9193eca84c5664411f720c237572f740834d4b2a19f1e2290440f176132eb4b8",
+}
+
+
+@pytest.mark.parametrize("order", sorted(GB_PRINTED))
+def test_printed_basis_golden(tmp_path, order):
+    src, out = tmp_path / "two.op", tmp_path / "two.gb"
+    src.write_text(f"vars x y\norder {order}\n---\ndx - x^2 + y\ndy - y^2 + x\n")
+    assert main(["gb", str(src), "-o", str(out)]) == 0
+    assert _sha256(out.read_text()) == GB_PRINTED[order]
+
+
+# reduced flat basis of exp(q), q = (x^3 + c y^3)/3 - x(t + a z) - y(t + b z),
+# after d_t is flattened away, keyed by (a, b, c)
+FLAT_BASIS = {
+    (1, 2, 3): "2b6e705bb891d06017bf83f0fcc54de6a5a2079dbce5f0a1f7a7bc9120c60dac",
+    (2, 2, 1): "911ffa74d90c745ff5083c438e70d544e46d5519a88d0057b08f5d7480559ad8",
+    (9, 4, 4): "50fdc037b348303f5815b06cf1f18922f410039c1564e3c4bc1556b67626d01f",
+}
+
+
+@pytest.mark.parametrize("abc", sorted(FLAT_BASIS))
+def test_flat_basis_golden(abc):
+    a, b, c = abc
+    doc = parse_document(
+        "vars t x y z\n---\n"
+        f"dx - x^2 + t + {a}*z\ndy - {c}*y^2 + t + {b}*z\n"
+        f"dz + {a}*x + {b}*y\ndt + x + y\n")
+    ext = build_extension(ParametricPresentation(doc.algebra, tuple(doc.generators),
+                                                 doc.order))
+    order = grevlex(ext.algebra.n)
+    assert _basis_digest(buchberger(ext.s_generators, order), order) == FLAT_BASIS[abc]
+
+
+def test_regular_basis_golden(k3):
+    ctx = k3.pres.ctx
+    assert _basis_digest(ctx.basis, ctx.order) == (
+        "36bdb46380054db47779732a0c1f9eb0f25710eee8259a6076a6fe21c689ce35")
+
 
 
 def test_lrem_golden():

@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
-from _helpers import T, monomials, nonzero_fractions, operators
-from _oracles import apply_to_polynomial, compare, shadow_product
-from weylred.arith import QQ_T, ModularImage, PrimeField, UnluckyEvaluationError
+from _helpers import T, monomials, nonzero_fractions, operators, qqt_elements
+from _oracles import apply_to_polynomial, compare, mul_by_variables, shadow_product
+from weylred.arith import QQ, QQ_T, ModularImage, PrimeField, UnluckyEvaluationError
 from weylred.weyl import (
     Algebra,
     Monomial,
@@ -84,6 +84,42 @@ def test_mul_monomial():
     g = A2.xvar(0) + A2.dvar(1)
     m = Monomial((1, 0), (0, 0), 1)
     assert mul_monomial(m, Fraction(2), g) == op_scale(mul(A2.xvar(0), g), Fraction(2))
+
+
+F101 = PrimeField(101)
+_COEFFS = {
+    "QQ": nonzero_fractions(),
+    "QQ(t)": qqt_elements(),
+    "GF(101)": st.integers(1, 100),
+}
+
+
+@pytest.mark.parametrize("shape, field", [
+    ("plain", "QQ"), ("plain", "QQ(t)"), ("plain", "GF(101)"),
+    ("rank 2", "QQ"), ("rank 2", "QQ(t)"), ("rank 2", "GF(101)"),
+    ("t-extended", "QQ(t)"),
+])
+def test_mul_monomial_matches_variable_by_variable_oracle(shape, field):
+    """mul_monomial agrees with the product built from the three Weyl rules
+    (x_i shifts, d_i x_i = x_i d_i + 1, d_t c = c d_t + c'), on pairs whose
+    terms all commute (the shift path) and on pairs with some that do not."""
+    K = {"QQ": QQ, "QQ(t)": QQ_T, "GF(101)": F101}[field]
+    A = {"plain": Algebra(2, 1, K), "rank 2": Algebra(2, 2, K),
+         "t-extended": Algebra(2, 1, K, dt=True)}[shape]
+    coeffs = _COEFFS[field]
+    seen = set()
+
+    @given(monomials(2, 1, max_exp=2, dt=A.dt), coeffs,
+           operators(A, coeffs, max_terms=4, max_exp=2, min_terms=1))
+    def check(m, c, P):
+        commuting = not (A.dt and m.beta[0]) and not any(
+            m.beta[i] and mq.alpha[i] for mq in P.terms for i in range(A.dt, A.n))
+        event("all pairs commute" if commuting else "some pair does not commute")
+        seen.add(commuting)
+        assert mul_monomial(m, c, P) == mul_by_variables(m, c, P)
+
+    check()
+    assert seen == {True, False}
 
 
 @given(operators(A2, max_terms=3, max_exp=2), operators(A2, max_terms=3, max_exp=2),
