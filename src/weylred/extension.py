@@ -38,16 +38,6 @@ def dt_degree(a):
     return max(m.beta[0] for m in a.terms)
 
 
-def dt_degree_mod(a, basis, order):
-    """d_t degree of the left normal form of `a` against `basis`.
-
-    Certificate checking is left to the caller; this is the cheap probe
-    used when hunting for the stabilization level.
-    """
-    rem, _ = lrem(a, basis, order, certificate=False)
-    return dt_degree(rem)
-
-
 @dataclass(frozen=True)
 class ParametricPresentation:
     """Generators of a left ideal in a t-extended operator algebra.
@@ -135,27 +125,7 @@ def flatten_operator(a, ell, target):
     return WeylOperator(target, terms)
 
 
-def compute_ell(gb, s, order, ceiling=20):
-    """Smallest level at which the d_t filtration stabilizes.
-
-    Tests ell = 0, 1, 2, ..: the level is accepted once for every
-    component i the normal form of ``d_t^(ell+1) e_i`` has d_t degree
-    at most ell.  A non-stabilizing (or too slowly stabilizing) input
-    trips the ceiling and raises ValueError.
-    """
-    if not gb:
-        raise ValueError("an empty basis never stabilizes")
-    algebra = gb[0].algebra
-    for ell in range(ceiling + 1):
-        if all(
-            dt_degree_mod(_dt_basis_element(algebra, ell + 1, i), gb, order) <= ell
-            for i in range(1, s + 1)
-        ):
-            return ell
-    raise ValueError(
-        f"d_t filtration did not stabilize below level {ceiling}; "
-        "the parametric system is likely not finite over W_x(t)"
-    )
+_MAX_LEVEL = 20  # levels tried before the d_t filtration is given up
 
 
 def build_extension(pres):
@@ -163,11 +133,32 @@ def build_extension(pres):
 
     Returns an :class:`ExtensionResult` whose `s_generators` generate the
     relation submodule and whose `l_matrix` gives the d_t action, both in
-    the flattened algebra of rank ``(ell+1)*s``.
+    the flattened algebra of rank ``(ell+1)*s``.  ell is the first level at
+    which every ``d_t^(ell+1) e_i`` has a normal form of d_t degree at most
+    ell; row h*s + i of `l_matrix` is the flat normal form of
+    ``d_t^(h+1) e_i``, each division certified once, on the way to ell.  A
+    filtration that has not stabilized by level _MAX_LEVEL raises
+    ValueError.
     """
     algebra, order, s = pres.algebra, pres.order, pres.s
     gb = buchberger(pres.generators, order)
-    ell = compute_ell(gb, s, order)
+    forms = []  # normal forms of d_t^(h+1) e_i: level h by level h, i fastest
+    for ell in range(_MAX_LEVEL + 1):
+        level = []
+        for i in range(1, s + 1):
+            source_elt = _dt_basis_element(algebra, ell + 1, i)
+            rem, cert = lrem(source_elt, gb, order)
+            if not cert.verifies(source_elt - rem):
+                raise InconsistencyError("division certificate failed")
+            level.append(rem)
+        forms += level
+        if all(dt_degree(rem) <= ell for rem in level):
+            break
+    else:
+        raise ValueError(
+            f"d_t filtration did not stabilize below level {_MAX_LEVEL}; "
+            "the parametric system is likely not finite over W_x(t)"
+        )
     r = (ell + 1) * s
     flat = Algebra(algebra.n - 1, r, algebra.field, dt=False)
 
@@ -181,24 +172,19 @@ def build_extension(pres):
             s_gens.append(flatten_operator(shifted, ell, flat))
 
     rows = []
-    for h in range(ell + 1):
-        for i in range(1, s + 1):
-            source_elt = _dt_basis_element(algebra, h + 1, i)
-            rem, cert = lrem(source_elt, gb, order)
-            if not cert.verifies(source_elt - rem):
-                raise InconsistencyError("division certificate failed")
-            if dt_degree(rem) > ell:
-                raise InconsistencyError("normal form escaped the level bound")
-            flat_rem = flatten_operator(rem, ell, flat)
-            row = []
-            for k in range(1, r + 1):
-                entry_terms = {
-                    Monomial(m.alpha, m.beta, 1): c
-                    for m, c in flat_rem.terms.items()
-                    if m.comp == k
-                }
-                row.append(WeylOperator(flat.with_rank(1), entry_terms))
-            rows.append(tuple(row))
+    for rem in forms:
+        if dt_degree(rem) > ell:
+            raise InconsistencyError("normal form escaped the level bound")
+        flat_rem = flatten_operator(rem, ell, flat)
+        row = []
+        for k in range(1, r + 1):
+            entry_terms = {
+                Monomial(m.alpha, m.beta, 1): c
+                for m, c in flat_rem.terms.items()
+                if m.comp == k
+            }
+            row.append(WeylOperator(flat.with_rank(1), entry_terms))
+        rows.append(tuple(row))
 
     return ExtensionResult(
         ell=ell,

@@ -50,7 +50,7 @@ class ReductionContext:
     would diverge.
     """
 
-    __slots__ = ("algebra", "order", "basis", "lead", "_eta_cache")
+    __slots__ = ("algebra", "order", "basis", "lead")
 
     def __init__(self, algebra, order, basis):
         if not order.hypothesis_finiteness:
@@ -61,7 +61,6 @@ class ReductionContext:
         self.order = order
         self.basis = tuple(basis)
         self.lead = tuple(leading_data(g, order) for g in self.basis)
-        self._eta_cache = {}
 
     def is_irreducible_monomial(self, m: Monomial):
         if any(m.beta):
@@ -199,11 +198,6 @@ def compute_eta_basis(ctx, eta, tracer=None, certificate=True):
     skipped; a skipped-but-needed or contributing-but-vanishing mismatch
     raises UnluckyTracerError.
     """
-    cache_key = (eta, tracer, certificate)
-    cached = ctx._eta_cache.get(cache_key)
-    if cached is not None:
-        return cached
-
     F = ctx.algebra.field
     minus_one = F.neg(F.one)
     order = ctx.order
@@ -241,9 +235,7 @@ def compute_eta_basis(ctx, eta, tracer=None, certificate=True):
         rows.append(new_row)
 
     rows.sort(key=lambda r: order.key(r.lm))
-    result = EtaBasis(eta, tuple(rows), frozenset(vanished))
-    ctx._eta_cache[cache_key] = result
-    return result
+    return EtaBasis(eta, tuple(rows), frozenset(vanished))
 
 
 def _eliminate(op, rows, certificate):

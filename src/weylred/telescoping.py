@@ -8,20 +8,21 @@ g_{i+1} = dg_i/dt + [L(g_i)]_eta stays inside Span_{K(t)}(B); the first
 linear relation among the g_i is a telescoper for the integral.
 
 Two drivers are provided.  telescope_direct runs the whole computation over
-Q(t) and certifies its answer exactly: it walks the reduced chain a second
-time on operators, with every reduction witnessed by a checked division
-certificate, and requires the telescoper's combination of it to vanish.
-Because the derivation maps S into S and dW^r into dW^r, the witnessed
-chain is congruent to the iterated derivatives D^i f, so the check proves
-sum c_i D^i f in S + dW^r for any starting rho; a failure is an error, not
-a reason to retry.  telescope_modular evaluates at t = a modulo word-size
-primes p, replays the eta-basis construction with a majority-elected
-tracer, interpolates g_0 and the matrix of [L(.)]_eta back into F_p(t),
-and lifts the per-prime relations to Q(t) by CRT and rational
-reconstruction, confirming with one extra prime.  Each prime is verified
-once, where it is drawn: telescope_modular builds its PrimeField there, and
-every vote, point image and check at that prime shares it, down to
-evaluate_and_reduce, which builds no field itself.
+Q(t) and certifies its answer exactly: it walks the reduced chain once, on
+operators, with every reduction witnessed by a checked division
+certificate, finds the relation among the g_i, and requires the
+telescoper's combination of them to vanish.  Because the derivation maps S
+into S and dW^r into dW^r, the witnessed chain is congruent to the
+iterated derivatives D^i f, so the check proves sum c_i D^i f in S + dW^r
+for any starting rho; a failure is an error, not a reason to retry.
+telescope_modular evaluates at t = a modulo word-size primes p, replays the
+eta-basis construction with a majority-elected tracer, interpolates g_0
+and the matrix of [L(.)]_eta back into F_p(t), and lifts the per-prime
+relations to Q(t) by CRT and rational reconstruction, confirming with one
+extra prime.  Each prime is verified once, where it is drawn:
+telescope_modular builds its PrimeField there, and every vote, point image
+and check at that prime shares it, down to evaluate_and_reduce, which
+builds no field itself.
 
 Within a prime the point computation is recorded once and replayed.  At
 the first usable point the eta-basis replay and the reductions of f and of
@@ -40,10 +41,9 @@ _prime_relation call, so the threads of a wave share none.
 
 Both drivers confine with confine(ctx, L, f): the direct one on the
 presentation's triple over Q(t), the modular vote on that triple evaluated
-at a point.  Both find the relation in telescoper_from_system, which walks
-the derivative sequence through the same incremental echelon form
-(_RelationFinder): over Q(t) for the direct driver and over F_p(t) for each
-prime of the modular one.
+at a point, electing the reference Confinement.  Both find the relation
+with relation_search (_RelationFinder): over Q(t) on the witnessed chain,
+and over F_p(t) per prime on the interpolated g_0 and [L(.)]_eta matrix.
 
 ModularConfig holds only what a caller sets: the seed, the threads per
 wave and the point budget.  The prime budget, the vote sizes and the point
@@ -170,33 +170,29 @@ class DerivedPresentation:
 
 
 # ---------------------------------------------------------------------------
-# confinement (the eta/B search) and the memoized derivative step
+# confinement (the eta/B search) and the derivative step over a field
 
 
 @dataclass(frozen=True)
 class Confinement:
+    """(eta, B), and the shape of the eta-basis at eta that modular points
+    replay; the modular vote elects one by equality of all four fields."""
+
     eta: Monomial
     B: tuple  # monomials, ascending under the ambient order
-    reduced_L_images: dict  # m in B -> coefficient tuple over B
-    rho: int
-    f_vector: tuple  # [f]_eta over B
-    field: object
     row_lms: tuple  # lms of the eta-basis rows (replay reference)
     tracer: frozenset
 
-    @property
-    def matrix(self):
-        """Rows aligned with B: matrix[i] = [L(B[i])]_eta as a vector over B."""
-        return tuple(self.reduced_L_images[m] for m in self.B)
 
-
-def _vector_over(op: WeylOperator, index, nb):
+def _vector_over(op: WeylOperator, index, nb, error=UnluckyEvaluationError):
+    """The coordinates of op over B (index: m -> position); a support outside
+    B raises error: an unlucky point in modular mode, a fault in direct mode."""
     F = op.algebra.field
     vec = [F.zero] * nb
     for m, c in op.terms.items():
         pos = index.get(m)
         if pos is None:
-            raise UnluckyEvaluationError(f"support escapes the confinement at {m}")
+            raise error(f"support escapes the confinement at {m}")
         vec[pos] = c
     return tuple(vec)
 
@@ -217,49 +213,31 @@ def confine(ctx, L, f, rho=1, degree_ceiling=40):
     if degree_ceiling < 1:
         raise ValueError(f"degree ceiling must be positive, got {degree_ceiling}")
     order = ctx.order
-    A = ctx.algebra
-    F = A.field
-
     s = rho
     while True:
         if s > degree_ceiling:
             raise BudgetExhaustedError(
                 f"confinement degree ceiling {degree_ceiling} exceeded"
             )
-        eta = largest_monomial_of_degree(A, order, s)
+        eta = largest_monomial_of_degree(ctx.algebra, order, s)
         basis_e = compute_eta_basis(ctx, eta, certificate=False)
-        g0 = reduce_eta(f, ctx, basis_e)
-        Q = set(g0.support())
-        B = []
-        Bset = set()
-        images = {}
-        restart = False
-        while Q - Bset:
-            m = min(Q - Bset, key=order.key)
+        Q = set(reduce_eta(f, ctx, basis_e).support())
+        B = set()
+        while Q - B:
+            m = min(Q - B, key=order.key)
             if m.degree() > s - rho:
-                s += 1
-                restart = True
-                break
+                break  # no margin left below eta: raise the threshold
             img = reduce_eta(apply_linear(L, _monomial_op(ctx, m)), ctx, basis_e)
-            images[m] = img
             Q |= set(img.support())
-            B.append(m)
-            Bset.add(m)
-        if restart:
-            continue
-        B = tuple(sorted(Bset, key=order.key))
-        index = {m: i for i, m in enumerate(B)}
-        nb = len(B)
-        return Confinement(
-            eta=eta,
-            B=B,
-            reduced_L_images={m: _vector_over(images[m], index, nb) for m in B},
-            rho=rho,
-            f_vector=_vector_over(g0, index, nb),
-            field=F,
-            row_lms=tuple(r.lm for r in basis_e.rows),
-            tracer=basis_e.tracer,
-        )
+            B.add(m)
+        else:
+            return Confinement(
+                eta=eta,
+                B=tuple(sorted(B, key=order.key)),
+                row_lms=tuple(r.lm for r in basis_e.rows),
+                tracer=basis_e.tracer,
+            )
+        s += 1
 
 
 def derivative_sequence_step(F, g, matrix):
@@ -416,32 +394,23 @@ def telescoper_from_system(F, g0, matrix):
 def telescope_direct(pres: DerivedPresentation, rho=1, degree_ceiling=40):
     """Telescoper over Q(t), computed without modular arithmetic.
 
-    Confinement and the relation search run once; the relation is then
-    certified exactly on the reduced derivative chain (_certify_telescoper).
-    That check does not depend on rho, so a failed certificate raises
-    InconsistencyError instead of retrying with a larger margin.
-    """
-    conf = confine(pres.ctx, pres.L, pres.f, rho=rho, degree_ceiling=degree_ceiling)
-    tel = telescoper_from_system(conf.field, conf.f_vector, conf.matrix)
-    _certify_telescoper(pres, conf.eta, tel)
-    return tel
-
-
-def _certify_telescoper(pres, eta, tel):
-    """Prove sum c_i D^i f in S + dW^r, where D(a) = da/dt + a.Lambda.
-
-    Walks g_0 = [f]_eta, g_{i+1} = dg_i/dt + [L(g_i)]_eta, where every
-    reduction comes with a division certificate that is checked, and
-    requires sum c_i g_i to be the zero operator.  D maps S into S
-    (D(q g) = q'g + q D(g), and DerivedPresentation checks D(g) in S for
-    each basis element g) and dW^r into dW^r (D(d_j w) = d_j D(w)), so
-    a = b mod S + dW^r implies D(a) = D(b) and, by induction,
-    g_i = D^i f mod S + dW^r.  Raises InconsistencyError on a failed
-    witness or a nonzero sum.
+    After confine, walks g_0 = [f]_eta, g_{i+1} = dg_i/dt + [L(g_i)]_eta
+    once, on operators, checking the division certificate of every
+    reduction; their coordinates over B feed relation_search, which stops
+    at the first dependent g_N, and sum c_i g_i must be the zero operator.
+    D(a) = da/dt + a.Lambda maps S into S (D(q g) = q'g + q D(g), and
+    DerivedPresentation checks D(g) in S for each basis element g) and dW^r
+    into dW^r (D(d_j w) = d_j D(w)), so g_i = D^i f mod S + dW^r by
+    induction and the check proves sum c_i D^i f in S + dW^r for any rho.
+    A failed witness, a support outside B or a nonzero sum raises
+    InconsistencyError; nothing is retried.
     """
     ctx = pres.ctx
     F = ctx.algebra.field
-    basis_e = compute_eta_basis(ctx, eta, certificate=True)
+    conf = confine(ctx, pres.L, pres.f, rho=rho, degree_ceiling=degree_ceiling)
+    basis_e = compute_eta_basis(ctx, conf.eta, certificate=True)
+    index = {m: i for i, m in enumerate(conf.B)}
+    nb = len(conf.B)
 
     def witnessed(a):
         red, cert = reduce_eta(a, ctx, basis_e, certificate=True)
@@ -449,15 +418,23 @@ def _certify_telescoper(pres, eta, tel):
             raise InconsistencyError("reduced-form certificate failed")
         return red
 
-    g = witnessed(pres.f)
-    total = ctx.algebra.zero()
-    for i, c in enumerate(tel.coefficients):
-        if i > 0:
+    chain = []
+
+    def vectors():
+        g = witnessed(pres.f)
+        for _ in range(nb + 1):  # g_0..g_nb are always dependent
+            chain.append(g)
+            yield _vector_over(g, index, nb, InconsistencyError)
             g = coefficientwise_dt(g) + witnessed(apply_linear(pres.L, g))
+
+    tel = telescoper_from_field_relation(F, relation_search(F, vectors()))
+    total = ctx.algebra.zero()
+    for c, g in zip(tel.coefficients, chain, strict=True):
         if c:
             total = total + op_scale(g, F.from_poly(c))
     if not total.is_zero():
         raise InconsistencyError("telescoper certificate failed")
+    return tel
 
 
 # ---------------------------------------------------------------------------
@@ -525,23 +502,24 @@ def _evaluate_context(pres, img):
 
 
 def _reduced_images(ref, ctx, L, f):
-    """Replay the eta-basis, return (g0, matrix) over the field of ctx.
+    """Replay the eta-basis of the Confinement ref, return (g0, matrix) over
+    the field of ctx: [f]_eta and the [L(B[i])]_eta as vectors over B.
 
     Any disagreement with the reference (row lms, supports outside B) is an
     unlucky-point signal.
     """
-    eta, B, tracer, row_lms = ref
     try:
-        basis_e = compute_eta_basis(ctx, eta, tracer=tracer, certificate=False)
+        basis_e = compute_eta_basis(ctx, ref.eta, tracer=ref.tracer,
+                                    certificate=False)
     except UnluckyTracerError as e:
         raise UnluckyEvaluationError(str(e))
-    if tuple(r.lm for r in basis_e.rows) != row_lms:
+    if tuple(r.lm for r in basis_e.rows) != ref.row_lms:
         raise UnluckyEvaluationError("eta-basis row lms differ from reference")
-    index = {m: i for i, m in enumerate(B)}
-    nb = len(B)
+    index = {m: i for i, m in enumerate(ref.B)}
+    nb = len(ref.B)
     g0 = _vector_over(reduce_eta(f, ctx, basis_e), index, nb)
     rows = []
-    for m in B:
+    for m in ref.B:
         img_op = reduce_eta(apply_linear(L, _monomial_op(ctx, m)), ctx, basis_e)
         rows.append(_vector_over(img_op, index, nb))
     return g0, tuple(rows)
@@ -772,7 +750,7 @@ def _evaluation_draw(pres, ref, Fp, rng, log):
         values = tape.replay(_evaluate(pres, img))
         if values is None:
             return _point_images(pres, ref, img)
-        return _unflatten(values, len(ref[1]))
+        return _unflatten(values, len(ref.B))
 
     def draw():
         nonlocal skips
@@ -825,7 +803,7 @@ def _prime_relation(pres, ref, Fp, idx, cfg):
     prime = Fp.p
     log = [f"prime[{idx}] {prime}"]
     rng = random.Random(f"{cfg.seed}/prime/{idx}")
-    nb = len(ref[1])
+    nb = len(ref.B)
     points = _SamplePool(_evaluation_draw(pres, ref, Fp, rng, log))
 
     g0_rf, mat_rf = _interpolated_system(points, Fp, nb, cfg)
@@ -837,15 +815,14 @@ def _prime_relation(pres, ref, Fp, idx, cfg):
 
 
 def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling):
-    """Majority vote on (eta, B, tracer, row_lms) over _TRACER_VOTES pairs,
-    each at a point of the next prime field drawn from fields."""
+    """The Confinement that a majority of _TRACER_VOTES votes returns, each
+    vote confining at a point of the next prime field drawn from fields."""
     for round_no in range(_VOTE_ROUNDS):
         votes = []
         for v in range(_TRACER_VOTES):
             vote_rng = random.Random(f"{cfg.seed}/vote/{round_no}/{v}")
             Fp = next(fields)
             prime = Fp.p
-            triple = None
             for _ in range(_MAX_POINT_TRIES):
                 a = vote_rng.randrange(1, prime)
                 try:
@@ -854,20 +831,19 @@ def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling):
                                    degree_ceiling=degree_ceiling)
                 except UnluckyEvaluationError:
                     continue
-                triple = (conf.eta, conf.B, conf.tracer, conf.row_lms)
-                log.append(
-                    f"vote prime={prime} point={a} eta={_mono_str(conf.eta)} "
-                    f"|B|={len(conf.B)} |tracer|={len(conf.tracer)}"
-                )
                 break
-            if triple is None:
+            else:
                 raise BudgetExhaustedError(f"no usable vote points mod {prime}")
-            votes.append(triple)
-        for t in votes:
-            if sum(1 for u in votes if u == t) * 2 > len(votes):
-                log.append("votes agree" if votes.count(t) == len(votes)
+            log.append(
+                f"vote prime={prime} point={a} eta={_mono_str(conf.eta)} "
+                f"|B|={len(conf.B)} |tracer|={len(conf.tracer)}"
+            )
+            votes.append(conf)
+        for conf in votes:
+            if votes.count(conf) * 2 > len(votes):
+                log.append("votes agree" if votes.count(conf) == len(votes)
                            else "votes split, majority kept")
-                return t
+                return conf
         log.append("votes inconclusive, new round")
     raise InconsistencyError("tracer votes never reached a majority")
 
@@ -906,7 +882,7 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
 
     fields = prime_fields()
     ref = _elect_reference(pres, rho, cfg, fields, log, degree_ceiling)
-    if len(ref[1]) == 0:
+    if not ref.B:
         log.append("empty confinement: unit telescoper")
         return ModularRun(Telescoper(((1,),)), tuple(log), (), ())
 

@@ -449,9 +449,9 @@ def test_validation_survives_optimize(tmp_path):
             RationalFunctions, interpolate, rational_reconstruct)
         from weylred.cli import main, solve_presentation
         from weylred.extension import (
-            ParametricPresentation, build_extension, compute_ell, dt_degree,
-            embedded_unit, flatten_operator)
-        from weylred.groebner import DivisionCertificate, rrem
+            ParametricPresentation, build_extension, dt_degree, embedded_unit,
+            flatten_operator)
+        from weylred.groebner import DivisionCertificate, lrem, rrem
         from weylred.kregular import (
             count_regular_graphs, model_polynomials, regular_presentation,
             scalar_product_input, scalar_product_series, verify_ode_on_series)
@@ -514,7 +514,8 @@ def test_validation_survives_optimize(tmp_path):
             lambda: count_regular_graphs(2, -1),
             lambda: scalar_product_input(f2, g2, 0),
             lambda: ParametricPresentation(B, (), dtelim_order(2)),
-            lambda: compute_ell((), 1, dtelim_order(2)),
+            lambda: build_extension(  # no d_t relation: never stabilizes
+                ParametricPresentation(B, (B.dvar(1),), dtelim_order(2))),
             lambda: scalar_product_series({(0,): 1, (2,): 1}, {(1,): 1}, 4),
             lambda: scalar_product_series({}, {}, 4),
             lambda: scalar_product_series({(1,): 1}, {(1, 0): 1}, 4),
@@ -532,18 +533,29 @@ def test_validation_survives_optimize(tmp_path):
 
         failed_witness = mock.patch.object(
             DivisionCertificate, "verifies", return_value=False)
+
+        def raised_first_form(a, G, order):
+            # d_t e_1 "reduces" to d_t^3 e_1 under a witness that passes, so
+            # the level-0 form outgrows the level found (1)
+            if a == B.dvar(0):
+                return a * a * a, mock.Mock(verifies=lambda _: True)
+            return lrem(a, G, order)
+
         forced = [
-            failed_witness,
-            mock.patch.object(extension, "compute_ell", return_value=0),
-            mock.patch.object(extension, "mul", lambda a, b: b),
+            (failed_witness, "division certificate failed"),
+            (mock.patch.object(extension, "lrem", raised_first_form),
+             "normal form escaped the level bound"),
+            (mock.patch.object(extension, "mul", lambda a, b: b),
+             "d_t shift changed the d_t degree"),
         ]
-        for i, patch in enumerate(forced):
+        for i, (patch, message) in enumerate(forced):
             with patch:
                 try:
                     build_extension(param)
-                except InconsistencyError:
-                    continue
-            raise SystemExit(f"forced failure {i} raised no InconsistencyError")
+                except InconsistencyError as e:
+                    if str(e) == message:
+                        continue
+            raise SystemExit(f"forced failure {i} did not raise {message!r}")
         with failed_witness, contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(["reduce", sys.argv[1], "--target", "y^2"])
         if code != 4 or "modular" in err.getvalue():

@@ -10,9 +10,7 @@ from weylred.arith import QQ_T
 from weylred.extension import (
     ParametricPresentation,
     build_extension,
-    compute_ell,
     dt_degree,
-    dt_degree_mod,
     embedded_unit,
 )
 from weylred.groebner import buchberger, lrem
@@ -56,24 +54,24 @@ def test_dt_degree(quad):
     assert dt_degree(mul(dt, dt) - A.scalar(T)) == 2
     assert dt_degree(A.dvar(1)) == 0
     assert dt_degree(A.zero()) == 0
-    assert dt_degree_mod(mul(dt, dt), gb, pres.order) == 0  # rewrites to t
-    assert dt_degree_mod(dt, gb, pres.order) == 1  # irreducible
-    assert compute_ell(gb, 1, pres.order) == 1
+    assert lrem(mul(dt, dt), gb, pres.order)[0] == A.scalar(T)  # d_t degree 0
+    assert lrem(dt, gb, pres.order)[0] == dt  # irreducible: d_t degree 1
+    # so level 0 fails (d_t e_1 has degree 1) and level 1 holds
+    assert build_extension(pres).ell == 1
 
 
-def test_compute_ell_ceiling():
+def test_build_extension_level_ceiling():
     A = Algebra(2, 1, QQ_T, dt=True)
-    order = dtelim_order(2)
-    gb = buchberger((A.dvar(1),), order)  # says nothing about d_t
-    with pytest.raises(ValueError):
-        compute_ell(gb, 1, order, ceiling=5)
+    pres = ParametricPresentation(A, (A.dvar(1),), dtelim_order(2))  # no d_t relation
+    with pytest.raises(ValueError, match="did not stabilize below level 20"):
+        build_extension(pres)
 
 
 @given(operators(Algebra(2, 1, QQ_T, dt=True), coeffs=qqt_elements(max_deg=1),
                  min_terms=1, max_terms=3, max_exp=3))
 def test_normal_form_never_raises_dt_degree(quad, a):
     pres, gb = quad
-    assert dt_degree_mod(a, gb, pres.order) <= dt_degree(a)
+    assert dt_degree(lrem(a, gb, pres.order, certificate=False)[0]) <= dt_degree(a)
     assert division_respects_dt_degree(a, gb, pres.order)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import T
@@ -23,10 +23,12 @@ from weylred.kregular import (
     mp_scale,
     mp_weight,
     scalar_product_input,
+    scalar_product_presentation,
     scalar_product_series,
     verify_ode_on_series,
 )
-from weylred.telescoping import Telescoper, telescope_direct, telescope_modular
+from weylred.telescoping import (
+    ModularConfig, Telescoper, telescope_direct, telescope_modular)
 from weylred.weyl import grevlex, mul
 
 K3_TELESCOPER = tuple(
@@ -237,6 +239,26 @@ def test_telescoper_k3(k3):
     tel = telescope_direct(k3.pres)
     assert tel.coefficients == K3_TELESCOPER
     assert (tel.order, tel.degrees) == (2, (11, 10, 7))
+
+
+_SMALL_COEFFS = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                          st.integers(1, 3))
+
+
+@given(st.dictionaries(st.sampled_from([(1, 0), (2, 0), (0, 1), (0, 2)]),
+                       _SMALL_COEFFS),
+       st.dictionaries(st.sampled_from([(1, 0), (2, 0), (0, 1), (1, 1)]),
+                       _SMALL_COEFFS, min_size=1))
+@settings(max_examples=24)
+def test_modular_equals_direct_on_random_presentations(f, g):
+    """Random small k = 2 pairs (f, g), not only the graph model: both
+    drivers give one telescoper, and it annihilates the pairing's series."""
+    pres = scalar_product_presentation(scalar_product_input(f, g, 2))
+    tel = telescope_direct(pres)
+    run = telescope_modular(pres, config=ModularConfig(seed=0, workers=1))
+    assert run.telescoper == tel
+    series = scalar_product_series(f, g, tel.order + max(tel.degrees) + 2)
+    assert verify_ode_on_series(tel, series)
 
 
 def test_modular_k3_agrees(k3):

@@ -71,9 +71,14 @@ def test_reduce_eta_golden(airy):
     assert cert.verifies(mul(y, y) - red)
 
 
-def test_eta_basis_cached(airy):
+def test_eta_basis_recomputes_identically(airy):
+    """Each call builds the basis afresh; two calls give the same rows."""
     eta = largest_monomial_of_degree(airy.algebra, airy.order, 2)
-    assert compute_eta_basis(airy.ctx, eta) is compute_eta_basis(airy.ctx, eta)
+    first, again = compute_eta_basis(airy.ctx, eta), compute_eta_basis(airy.ctx, eta)
+    assert first is not again
+    assert [(r.candidate, r.lm, r.op) for r in first.rows] == \
+        [(r.candidate, r.lm, r.op) for r in again.rows]
+    assert first.tracer == again.tracer
 
 
 def test_eta_rows_stay_below_threshold(airy):

@@ -1,5 +1,6 @@
 """Confinement, derivative sequences, and both telescoping drivers."""
 
+import dataclasses
 import hashlib
 import random
 import re
@@ -24,7 +25,7 @@ from weylred.telescoping import (
     DerivedPresentation,
     ModularConfig,
     Telescoper,
-    _certify_telescoper,
+    _reduced_images,
     apply_linear,
     confine,
     derivative_sequence_step,
@@ -49,47 +50,51 @@ def test_confine_golden(airy):
         Monomial((0, 0, 0), (0, 0, 0), 1),
         Monomial((0, 1, 0), (0, 0, 0), 1),
     )
-    assert conf.f_vector == (QQ_T.one, QQ_T.zero)
-    assert conf.rho == 1 and conf.tracer == frozenset()
+    assert conf.tracer == frozenset()
+    g0, _ = _reduced_images(conf, airy.ctx, airy.pres.L, airy.pres.f)
+    assert g0 == (QQ_T.one, QQ_T.zero)
 
 
 def test_derivative_sequence_golden(airy):
     conf = confine(airy.ctx, airy.pres.L, airy.pres.f, rho=1)
-    g1 = derivative_sequence_step(conf.field, conf.f_vector, conf.matrix)
-    g2 = derivative_sequence_step(conf.field, g1, conf.matrix)
+    g0, matrix = _reduced_images(conf, airy.ctx, airy.pres.L, airy.pres.f)
+    g1 = derivative_sequence_step(QQ_T, g0, matrix)
+    g2 = derivative_sequence_step(QQ_T, g1, matrix)
     assert g1 == (QQ_T.zero, QQ_T.neg(HALF))
     assert g2 == (QQ_T.div(T, QQ_T.from_int(7)), QQ_T.zero)
     with pytest.raises(ValueError):
-        derivative_sequence_step(conf.field, (QQ_T.one,), conf.matrix)  # wrong length
+        derivative_sequence_step(QQ_T, (QQ_T.one,), matrix)  # wrong length
 
 
-def assert_effective(conf, ctx, L, f):
-    """Independent recomputation: the reduced derivative map really lands in B."""
+def assert_effective(conf, ctx, L, f, rho):
+    """Independent recomputation: the reduced derivative map really lands in
+    B, and the (g0, matrix) that modular points replay agree with it."""
     A = ctx.algebra
     basis_e = compute_eta_basis(ctx, conf.eta, certificate=False)
+    g0_vec, matrix = _reduced_images(conf, ctx, L, f)
     Bset = set(conf.B)
     index = {m: i for i, m in enumerate(conf.B)}
-    margin = conf.eta.degree() - conf.rho
-    for m in conf.B:
+    margin = conf.eta.degree() - rho
+    for i, m in enumerate(conf.B):
         assert m.degree() <= margin
         img = reduce_eta(apply_linear(L, WeylOperator(A, {m: A.field.one})), ctx, basis_e)
         assert set(img.support()) <= Bset
         vec = [A.field.zero] * len(conf.B)
         for mm, c in img.terms.items():
             vec[index[mm]] = c
-        assert tuple(vec) == conf.reduced_L_images[m]
+        assert tuple(vec) == matrix[i]
     g0 = reduce_eta(f, ctx, basis_e)
     assert set(g0.support()) <= Bset
     vec = [A.field.zero] * len(conf.B)
     for mm, c in g0.terms.items():
         vec[index[mm]] = c
-    assert tuple(vec) == conf.f_vector
+    assert tuple(vec) == g0_vec
 
 
 def test_confinement_effective_on_presentations(airy, k2, k3):
     for pres in (airy.pres, k2.pres, k3.pres):
         conf = confine(pres.ctx, pres.L, pres.f, rho=1)
-        assert_effective(conf, pres.ctx, pres.L, pres.f)
+        assert_effective(conf, pres.ctx, pres.L, pres.f, rho=1)
 
 
 @given(operators(Algebra(3, field=QQ_T), coeffs=qqt_elements(max_deg=1),
@@ -97,12 +102,18 @@ def test_confinement_effective_on_presentations(airy, k2, k3):
 @settings(max_examples=25)
 def test_confinement_effective_random_f(airy, f):
     conf = confine(airy.ctx, airy.pres.L, f, rho=1)
-    assert_effective(conf, airy.ctx, airy.pres.L, f)
+    assert_effective(conf, airy.ctx, airy.pres.L, f, rho=1)
 
 
 def test_matrix_rows_align_with_B(airy):
+    """Row i of the matrix is [L(B[i])]_eta: L(1) = (d_z - y)/2 reduces to
+    -y/2 and L(y) to -2t/7."""
     conf = confine(airy.ctx, airy.pres.L, airy.pres.f, rho=1)
-    assert conf.matrix == tuple(conf.reduced_L_images[m] for m in conf.B)
+    _, matrix = _reduced_images(conf, airy.ctx, airy.pres.L, airy.pres.f)
+    assert conf.B[1] == Monomial((0, 1, 0), (0, 0, 0), 1)
+    assert matrix == ((QQ_T.zero, QQ_T.neg(HALF)),
+                      (QQ_T.div(QQ_T.mul(QQ_T.from_int(-2), T), QQ_T.from_int(7)),
+                       QQ_T.zero))
 
 
 # ---------------------------------------------------------------------------
@@ -219,25 +230,43 @@ def test_unstable_module_rejected(airy):
 
 
 def test_certificate_rejects_perturbed_telescoper(k3):
-    tel = telescope_direct(k3.pres)
-    c0 = tel.coefficients[0]
-    bad = Telescoper(((c0[0] + 1,) + c0[1:],) + tel.coefficients[1:])
-    eta = confine(k3.pres.ctx, k3.pres.L, k3.pres.f).eta
-    _certify_telescoper(k3.pres, eta, tel)
-    with pytest.raises(InconsistencyError, match="telescoper certificate failed"):
-        _certify_telescoper(k3.pres, eta, bad)
+    telescope_direct(k3.pres)  # the unperturbed relation passes
+    normalize = telescoping.telescoper_from_field_relation
 
+    def perturbed(F, rel):
+        tel = normalize(F, rel)
+        c0 = tel.coefficients[0]
+        return Telescoper(((c0[0] + 1,) + c0[1:],) + tel.coefficients[1:])
 
-def test_certificate_has_its_own_chain(k3):
-    """A wrong step in the relation search's chain is caught: the certificate
-    walks the derivative chain on operators, not through the step function."""
-    step = telescoping.derivative_sequence_step
-
-    def transposed(F, g, matrix):
-        return step(F, g, tuple(zip(*matrix)))
-
-    with mock.patch.object(telescoping, "derivative_sequence_step", transposed):
+    with mock.patch.object(telescoping, "telescoper_from_field_relation", perturbed):
         with pytest.raises(InconsistencyError, match="telescoper certificate failed"):
+            telescope_direct(k3.pres)
+
+
+def test_certificate_rejects_corrupted_relation_search(k3):
+    """A relation search that misreads the chain is caught on the operators:
+    this one drops the last coordinate of every g_i, so it stops at an
+    earlier relation that the full chain does not satisfy."""
+    search = telescoping.relation_search
+
+    def truncated(F, vectors):
+        return search(F, (vec[:-1] for vec in vectors))
+
+    with mock.patch.object(telescoping, "relation_search", truncated):
+        with pytest.raises(InconsistencyError, match="telescoper certificate failed"):
+            telescope_direct(k3.pres)
+
+
+def test_direct_support_escape_is_a_fault(k3):
+    """Over Q(t) no point is unlucky: a chain element outside B is an error."""
+    real = telescoping.confine
+
+    def short_B(*args, **kwargs):
+        conf = real(*args, **kwargs)
+        return dataclasses.replace(conf, B=conf.B[:1])
+
+    with mock.patch.object(telescoping, "confine", short_B):
+        with pytest.raises(InconsistencyError, match="support escapes the confinement"):
             telescope_direct(k3.pres)
 
 
@@ -397,7 +426,7 @@ def test_replay_equals_generic_path(airy):
     for a in (6, 77, 123456):
         img = ModularImage(Fp, a)
         values = tape.replay(telescoping._evaluate(airy.pres, img))
-        assert telescoping._unflatten(values, len(ref[1])) == \
+        assert telescoping._unflatten(values, len(ref.B)) == \
             telescoping._point_images(airy.pres, ref, img)
 
 
