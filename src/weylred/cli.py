@@ -534,15 +534,18 @@ def _metrics(tele, gb_seconds, telescope_seconds, extra=None):
 
 def solve_presentation(pres, mode, config, rho=1, degree_ceiling=40):
     """Telescope a presentation in `mode` ("direct" or "modular", the latter
-    run with `config`); returns (telescoper, transcript), where the
-    transcript is None in direct mode."""
+    run with `config`); returns (telescoper, transcript, metrics), where the
+    transcript is None in direct mode and metrics holds what the run adds
+    to --metrics: the tape counts of ModularRun.replays in modular mode."""
     if mode == "direct":
-        return telescope_direct(pres, rho=rho, degree_ceiling=degree_ceiling), None
+        tele = telescope_direct(pres, rho=rho, degree_ceiling=degree_ceiling)
+        return tele, None, {}
     if mode != "modular":
         raise ValueError(f"mode must be 'direct' or 'modular', not {mode!r}")
     run = telescope_modular(pres, rho=rho, config=config,
                             degree_ceiling=degree_ceiling)
-    return run.telescoper, "\n".join(run.transcript) + "\n"
+    return (run.telescoper, "\n".join(run.transcript) + "\n",
+            {"replays": run.replays})
 
 
 def run_telescope(doc, mode, config, rho=1, degree_ceiling=40):
@@ -550,9 +553,10 @@ def run_telescope(doc, mode, config, rho=1, degree_ceiling=40):
     t0 = time.time()
     pres = _module_presentation(doc)
     t1 = time.time()
-    tele, transcript = solve_presentation(pres, mode, config, rho, degree_ceiling)
+    tele, transcript, more = solve_presentation(pres, mode, config, rho,
+                                                degree_ceiling)
     t2 = time.time()
-    extra = {"mode": mode, "seed": config.seed}
+    extra = {"mode": mode, "seed": config.seed, **more}
     return {
         "telescoper": tele,
         "document": telescoper_document(tele),
@@ -716,11 +720,11 @@ def _cmd_kregular(args):
         inp, pres = regular_presentation(args.k)
     t1 = time.time()
     mode = "modular" if args.modular else "direct"
-    tele, _ = solve_presentation(pres, mode, config, args.rho)
+    tele, _, more = solve_presentation(pres, mode, config, args.rho)
     t2 = time.time()
     lines = [telescoper_document(tele).rstrip("\n")]
     metrics = _metrics(tele, t1 - t0, t2 - t1,
-                       {"mode": mode, "seed": config.seed, "k": args.k})
+                       {"mode": mode, "seed": config.seed, "k": args.k, **more})
     status = 0
     if args.series_check is not None:
         n_terms = max(args.series_check, metrics["order"] + metrics["degree"] + 1)

@@ -24,20 +24,29 @@ telescope_modular builds its PrimeField there, and every vote, point image
 and check at that prime shares it, down to evaluate_and_reduce, which
 builds no field itself.
 
-Within a prime the point computation is recorded once and replayed.  At
-the first usable point the eta-basis replay and the reductions of f and of
-L(m), m in B, run over a _Tape: a stand-in for the PrimeField that logs
-every operation on a point-dependent value, every is_zero outcome on one
-and every divisor, and refuses bool() and == on such values so that no
-branch goes unrecorded.  At each later point the inputs are evaluated as
-before and the tape is replayed over plain ints.  The guard rule: the
-replay is used only when every input operator has the recorded support and
-every recorded is_zero outcome comes out the same; otherwise the point goes
-through the generic _point_images, which decides whether it is lucky.
-Equal supports and outcomes make the reduction take the same path through
-the same operations, so the two paths give the same images, the same
-discarded points and the same transcript.  A tape lives in one
-_prime_relation call, so the threads of a wave share none.
+Each telescope_modular call records two computations once and replays
+them everywhere else (Traverso's trace idea, ISSAC 1988, carried to the
+numbers as in FiniteFlow).  The first usable vote runs confine over a
+_Tape, and every later vote replays that tape (_vote).  After the
+election, the eta-basis replay and the reductions of f and of L(m), m in
+B, run over a second _Tape at the point of a vote that returned the
+elected Confinement, and every point of every prime replays it.  A _Tape
+is a stand-in for the PrimeField that splits the computation into a
+constant part (the constants of the inputs, integer literals and what is
+computed from them alone) and a point part (what depends on t), logs every
+operation of each, keeps every is_zero outcome and every divisor as a
+guard, and refuses bool() and == on its values so that no branch goes
+unrecorded.  bind() runs the constant part at a new prime and checks its
+guards; replay() runs the point part over plain ints at one point of that
+prime, from the inputs evaluated as before.  The guard rule: a replay is
+used only when every input operator has the recorded support and every
+recorded is_zero outcome comes out the same; otherwise the vote runs
+confine, or the point goes through the generic _point_images, which
+decides whether it is lucky.  Equal supports and outcomes make the code
+take the same path through the same operations, so both ways give the
+same Confinements, the same images, the same discarded points and the
+same transcript.  The tapes live in one telescope_modular call; the
+threads of a wave only read the point tape.
 
 Both drivers confine with confine(ctx, L, f): the direct one on the
 presentation's triple over Q(t), the modular vote on that triple evaluated
@@ -54,6 +63,7 @@ from __future__ import annotations
 
 import operator
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -359,7 +369,8 @@ def _normalize_modp_relation(Fp, polys):
         content = pgcd(Fp, content, p)[0] if content else pnorm(Fp, p)
     if pdeg(content) > 0:
         polys = [pdivmod(Fp, p, content)[0] for p in polys]
-    assert polys[-1], "leading relation coefficient vanished"
+    if not polys[-1]:
+        raise InconsistencyError("leading relation coefficient vanished")
     inv = Fp.inv(polys[-1][-1])
     return tuple(tuple(Fp.mul(c, inv) for c in p) for p in polys)
 
@@ -468,12 +479,24 @@ class ModularConfig:
                 raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+# The tallies of ModularRun.replays.
+_REPLAY_COUNTS = ("tapes_recorded", "votes_replayed", "votes_generic",
+                  "points_replayed", "points_generic")
+
+
 @dataclass(frozen=True)
 class ModularRun:
+    """The telescoper of telescope_modular and how it was found.  replays
+    maps each name of _REPLAY_COUNTS to a count: the tapes recorded, the
+    votes after the first and the prime points that replayed a tape or
+    took the generic path.  Like the transcript it depends on the seed
+    alone, but it stays out of the transcript."""
+
     telescoper: Telescoper
     transcript: tuple
     primes_used: tuple
     primes_discarded: tuple
+    replays: dict
 
 
 def _inputs(pres):
@@ -495,10 +518,6 @@ def _context(pres, field, ops):
 def _evaluate(pres, img):
     """The operators _inputs(pres) lists, evaluated at img."""
     return tuple(evaluate_and_reduce(op, img) for op in _inputs(pres))
-
-
-def _evaluate_context(pres, img):
-    return _context(pres, img.field, _evaluate(pres, img))
 
 
 def _reduced_images(ref, ctx, L, f):
@@ -528,29 +547,55 @@ def _reduced_images(ref, ctx, L, f):
 def _point_images(pres, ref, img):
     """Evaluate at (p, a) and reduce there: the numeric (g0, matrix).
 
-    This is the generic path.  _evaluation_draw runs the same reduction
-    once per prime over a _Tape (_record_point) and replays that tape at
-    the prime's later points; a point whose input supports or guard
+    This is the generic path.  telescope_modular runs the same reduction
+    once per call over a _Tape (_record_point) and replays that tape at
+    every point of every prime; a point whose input supports or guard
     outcomes differ from the recording comes here instead, and this code
     decides whether it is lucky.
     """
-    return _reduced_images(ref, *_evaluate_context(pres, img))
+    return _reduced_images(ref, *_context(pres, img.field, _evaluate(pres, img)))
 
 
-# The operations of a tape entry.
+# The operations of a tape entry (op, slot, a, b) on the slots a and b.
 _ADD, _SUB, _MUL, _DIV = range(4)
+_EXACT = (operator.add, operator.sub, operator.mul, operator.floordiv)
+
+
+def _run(code, v, p):
+    """Run straight-line code over the residues v mod p in place; False
+    when a divisor vanishes.  The other guards can wait until the end."""
+    for op, d, a, b in code:
+        if op == _MUL:
+            v[d] = v[a] * v[b] % p
+        elif op == _SUB:
+            v[d] = (v[a] - v[b]) % p
+        elif op == _ADD:
+            v[d] = (v[a] + v[b]) % p
+        else:
+            if not v[b]:
+                return False
+            v[d] = v[a] * pow(v[b], -1, p) % p
+    return True
+
+
+def _guards_hold(v, nonzero, zero):
+    get = v.__getitem__
+    return 0 not in map(get, nonzero) and not any(map(get, zero))
 
 
 class _Recorded:
-    """A point-dependent value of a _Tape: its slot and its residue at the
-    recording point.  A branch on it would go unrecorded, so bool() and ==
-    raise; the reduction code tests values only through is_zero."""
+    """A value of a _Tape: its slot in the point part (point=True) or in the
+    constant part, and its residue where it was recorded.  A branch on it
+    would go unrecorded, so bool() and == raise; the reduction code tests
+    values only through is_zero."""
 
-    __slots__ = ("slot", "value")
+    __slots__ = ("slot", "value", "point", "guarded")
 
-    def __init__(self, slot, value):
+    def __init__(self, slot, value, point):
         self.slot = slot
         self.value = value
+        self.point = point
+        self.guarded = False
 
     def __bool__(self):
         raise TypeError("a recorded value is tested only through is_zero")
@@ -560,17 +605,22 @@ class _Recorded:
 
 
 class _Tape:
-    """The PrimeField of one prime, recording the point computation run over it.
+    """A stand-in for the PrimeField of one (p, a) that records the
+    computation run over it as two straight-line programs, for any prime.
 
-    A value that depends on the point t = a is a _Recorded; a value that
-    does not (a constant of the inputs, or a result of constants alone) is
-    a plain residue.  Each operation on a _Recorded appends one entry
-    (op, slot, a, b) over the slots of the operands, and each _Recorded
-    that is_zero tests (divisors included) becomes a guard: its slot must
-    come out nonzero, or zero, as it did at the recording point.  With
-    equal input supports and equal guard outcomes the reduction code takes
-    the same path through the same operations, so replay() recomputes it
-    over plain ints and returns None when either differs.
+    Every value but the literals 0 and 1 is a _Recorded.  The constant part
+    computes what depends only on the constants of the inputs and on
+    integer literals (from_int); the point part computes what depends on
+    t.  Each operation appends one entry (op, slot, a, b) to the part of
+    its result, and each value that is_zero tests (divisors included)
+    becomes a guard of its part: it must come out nonzero, or zero, as it
+    did when recorded.  With equal input supports and equal guard outcomes
+    the reduction code takes the same path through the same operations at
+    any (p, a).  bind(Fp) runs the constant part at the prime of Fp and
+    checks its guards; replay() runs the point part at one point of that
+    prime and checks the rest.  Either returns None when something
+    differs, and the caller then takes the generic path.  Once recorded, a
+    tape is only read, so threads may share it.
     """
 
     zero = 0
@@ -578,49 +628,104 @@ class _Tape:
 
     def __init__(self, Fp):
         self.p = Fp.p
-        self.values = []  # residue per slot at the recording point
+        self.const_code = []
+        self.const_slots = 0
+        self.const_inputs = []  # (slot, num, den) per input constant num/den
+        self.literals = {}  # integer -> its constant
+        self.const_nonzero = []  # constant guards: slots that were nonzero
+        self.const_zero = []  # ... and slots that were zero
         self.code = []
-        self.inputs = []  # (monomials, slots) per input operator
-        self.outputs = ()
-        self.guard_nonzero = []  # slots whose is_zero was False at recording
-        self.guard_zero = []  # slots whose is_zero was True
-        self._consts = {}
-        self._guarded = set()
+        self.slots = 0  # of the point part
+        self.imports = []  # (point slot, constant slot) the point part reads
+        self.inputs = []  # (monomials, point slots or None) per input operator
+        self.outputs = ()  # point slots
+        self.guard_nonzero = []
+        self.guard_zero = []
+        self._imported = {}  # constant slot -> point slot
+        self._inverses = {}  # constant slot -> its inverse, a constant
 
-    def _new(self, value):
-        x = _Recorded(len(self.values), value)
-        self.values.append(value)
+    def _value(self, value, point):
+        if point:
+            self.slots += 1
+            return _Recorded(self.slots - 1, value, True)
+        self.const_slots += 1
+        return _Recorded(self.const_slots - 1, value, False)
+
+    def _constant(self, op, a, b, value):
+        x = self._value(value, False)
+        self.const_code.append((op, x.slot, a, b))
         return x
 
-    def _slot(self, x):
-        if isinstance(x, _Recorded):
+    def _literal(self, n):
+        x = self.literals.get(n)
+        if x is None:
+            x = self.literals[n] = self._value(n % self.p, False)
+        return x
+
+    def _const_slot(self, x):
+        return (x if isinstance(x, _Recorded) else self._literal(x)).slot
+
+    def _point_slot(self, x):
+        """The slot of x in the point part; a constant is imported once."""
+        if not isinstance(x, _Recorded):
+            x = self._literal(x)
+        if x.point:
             return x.slot
-        slot = self._consts.get(x)
+        slot = self._imported.get(x.slot)
         if slot is None:
-            slot = self._consts[x] = len(self.values)
-            self.values.append(x)
+            slot = self._imported[x.slot] = self.slots
+            self.slots += 1
+            self.imports.append((slot, x.slot))
         return slot
 
-    def _apply(self, op, fn, x, y):
+    def _inverse(self, y):
+        x = self._inverses.get(y.slot)
+        if x is None:
+            x = self._inverses[y.slot] = self._constant(
+                _DIV, self._literal(1).slot, y.slot, pow(y.value, -1, self.p))
+        return x
+
+    def _apply(self, op, x, y):
         rx, ry = isinstance(x, _Recorded), isinstance(y, _Recorded)
-        value = fn(x.value if rx else x, y.value if ry else y) % self.p
-        if not (rx or ry):
-            return value
-        z = self._new(value)
-        self.code.append((op, z.slot, self._slot(x), self._slot(y)))
-        return z
+        if not (rx or ry):  # literals stay exact integers
+            n = _EXACT[op](x, y)
+            return n if n in (0, 1) else self._literal(n)
+        # a literal operand is 0 or 1, and div() never passes y = 0
+        if not ry:
+            if y == 0:
+                return 0 if op == _MUL else x
+            if op in (_MUL, _DIV):
+                return x
+        elif not rx:
+            if x == 0 and op != _SUB:
+                return y if op == _ADD else 0
+            if x == 1 and op == _MUL:
+                return y
+        if op == _DIV and rx and x.point and not y.point:
+            op, y = _MUL, self._inverse(y)
+        p = self.p
+        u, v = x.value if rx else x, y.value if ry else y
+        if op == _DIV:
+            value = u * pow(v, -1, p) % p
+        else:
+            value = _EXACT[op](u, v) % p
+        if rx and x.point or ry and y.point:
+            z = self._value(value, True)
+            self.code.append((op, z.slot, self._point_slot(x), self._point_slot(y)))
+            return z
+        return self._constant(op, self._const_slot(x), self._const_slot(y), value)
 
     def from_int(self, n):
-        return n % self.p
+        return n if n in (0, 1) else self._literal(n)
 
     def add(self, x, y):
-        return self._apply(_ADD, operator.add, x, y)
+        return self._apply(_ADD, x, y)
 
     def sub(self, x, y):
-        return self._apply(_SUB, operator.sub, x, y)
+        return self._apply(_SUB, x, y)
 
     def mul(self, x, y):
-        return self._apply(_MUL, operator.mul, x, y)
+        return self._apply(_MUL, x, y)
 
     def neg(self, x):
         return self.sub(0, x)
@@ -631,17 +736,18 @@ class _Tape:
     def div(self, x, y):
         if self.is_zero(y):
             raise ZeroDivisionError("division by zero")
-        if not isinstance(y, _Recorded):
-            return self.mul(x, pow(y, -1, self.p))
-        return self._apply(_DIV, lambda u, v: u * pow(v, -1, self.p), x, y)
+        return self._apply(_DIV, x, y)
 
     def is_zero(self, x):
         if not isinstance(x, _Recorded):
             return not x
         zero = not x.value
-        if x.slot not in self._guarded:
-            self._guarded.add(x.slot)
-            (self.guard_zero if zero else self.guard_nonzero).append(x.slot)
+        if not x.guarded:
+            x.guarded = True
+            if x.point:
+                (self.guard_zero if zero else self.guard_nonzero).append(x.slot)
+            else:
+                (self.const_zero if zero else self.const_nonzero).append(x.slot)
         return zero
 
     def eq(self, x, y):
@@ -652,51 +758,61 @@ class _Tape:
 
     def lift(self, source, image):
         """image, the evaluation of source at the recording point, as an
-        operator over the tape: its t-dependent coefficients become inputs."""
+        operator over the tape: its t-dependent coefficients become point
+        inputs, and its constant ones the constants num/den of source."""
         A = image.algebra
         terms, slots = {}, []
         for m, c in image.terms.items():
             num, den = source.terms[m]
             if len(num) > 1 or len(den) > 1:
-                c = self._new(c)
+                c = self._value(c, True)
                 slots.append(c.slot)
             else:
+                c = self._value(c, False)
+                self.const_inputs.append((c.slot, num[0], den[0]))
                 slots.append(None)
             terms[m] = c
         self.inputs.append((tuple(image.terms), tuple(slots)))
         return WeylOperator(Algebra(A.n, A.r, self, False), terms)
 
     def finish(self, outputs):
-        """Fix the outputs; return their values at the recording point."""
-        self.outputs = tuple(self._slot(x) for x in outputs)
-        return [self.values[s] for s in self.outputs]
+        """Fix the outputs of the point part."""
+        self.outputs = tuple(map(self._point_slot, outputs))
 
-    def replay(self, images):
-        """The outputs at another point from the inputs evaluated there, or
-        None when an input support or a guard differs from the recording."""
-        v = list(self.values)
+    def bind(self, Fp):
+        """The constant part run at the prime of Fp, as the start of
+        replay() there, or None when a constant divisor or guard differs
+        from the recording."""
+        p = Fp.p
+        c = [0] * self.const_slots
+        for n, x in self.literals.items():
+            c[x.slot] = n % p
+        for slot, num, den in self.const_inputs:
+            if not den % p:
+                return None
+            c[slot] = num * pow(den, -1, p) % p
+        if not (_run(self.const_code, c, p)
+                and _guards_hold(c, self.const_nonzero, self.const_zero)):
+            return None
+        start = [0] * self.slots
+        for slot, const in self.imports:
+            start[slot] = c[const]
+        return p, start
+
+    def replay(self, bound, images):
+        """The outputs at the point of images, the inputs evaluated there,
+        from bind()'s start at its prime; None when an input support or a
+        guard differs from the recording."""
+        p, start = bound
+        v = list(start)
         for image, (monomials, slots) in zip(images, self.inputs):
             if tuple(image.terms) != monomials:
                 return None
             for slot, c in zip(slots, image.terms.values()):
                 if slot is not None:
                     v[slot] = c
-        p = self.p
-        # straight-line code: the guards can wait until the end, except
-        # that a divisor must not vanish
-        for op, d, a, b in self.code:
-            if op == _MUL:
-                v[d] = v[a] * v[b] % p
-            elif op == _SUB:
-                v[d] = (v[a] - v[b]) % p
-            elif op == _ADD:
-                v[d] = (v[a] + v[b]) % p
-            else:
-                if not v[b]:
-                    return None
-                v[d] = v[a] * pow(v[b], -1, p) % p
-        get = v.__getitem__
-        if 0 in map(get, self.guard_nonzero) or any(map(get, self.guard_zero)):
+        if not (_run(self.code, v, p)
+                and _guards_hold(v, self.guard_nonzero, self.guard_zero)):
             return None
         return [v[s] for s in self.outputs]
 
@@ -707,12 +823,18 @@ def _unflatten(values, nb):
         tuple(values[nb * (i + 1):nb * (i + 2)]) for i in range(nb))
 
 
+def _lifted_context(tape, pres, img):
+    """(ctx, L, f) over tape, lifted from the inputs evaluated at img."""
+    return _context(pres, tape, tuple(map(tape.lift, _inputs(pres),
+                                          _evaluate(pres, img))))
+
+
 def _record_point(pres, ref, img):
-    """_point_images at img, computed over a _Tape: (tape, (g0, matrix))."""
+    """The tape of _point_images at img."""
     tape = _Tape(img.field)
-    ops = tuple(map(tape.lift, _inputs(pres), _evaluate(pres, img)))
-    g0, rows = _reduced_images(ref, *_context(pres, tape, ops))
-    return tape, _unflatten(tape.finish(g0 + sum(rows, ())), len(g0))
+    g0, rows = _reduced_images(ref, *_lifted_context(tape, pres, img))
+    tape.finish(g0 + sum(rows, ()))
+    return tape
 
 
 class _SamplePool:
@@ -733,24 +855,25 @@ class _SamplePool:
             i += 1
 
 
-def _evaluation_draw(pres, ref, Fp, rng, log):
+def _evaluation_draw(pres, ref, tape, Fp, rng, log, counts):
     """draw() for the evaluation pool of the prime of Fp: a fresh point a and
-    the numeric (g0, matrix) there.  Repeated and unlucky points are skipped;
-    after _MAX_POINT_TRIES skips the prime is given up."""
+    the numeric (g0, matrix) there, replayed from tape (None: no tape) where
+    it binds and replays, from _point_images elsewhere; counts tallies the
+    two.  Repeated and unlucky points are skipped; after _MAX_POINT_TRIES
+    skips the prime is given up."""
     prime = Fp.p
     used = set()
     skips = 0
-    tape = None
+    bound = None if tape is None else tape.bind(Fp)
 
     def images(img):
-        nonlocal tape
-        if tape is None:
-            tape, sample = _record_point(pres, ref, img)
-            return sample
-        values = tape.replay(_evaluate(pres, img))
-        if values is None:
-            return _point_images(pres, ref, img)
-        return _unflatten(values, len(ref.B))
+        if bound is not None:
+            values = tape.replay(bound, _evaluate(pres, img))
+            if values is not None:
+                counts["points_replayed"] += 1
+                return _unflatten(values, len(ref.B))
+        counts["points_generic"] += 1
+        return _point_images(pres, ref, img)
 
     def draw():
         nonlocal skips
@@ -798,13 +921,14 @@ def _interpolated_system(points, Fp, nb, cfg):
     return g0, rows
 
 
-def _prime_relation(pres, ref, Fp, idx, cfg):
-    """Canonical relation modulo the prime of Fp, with its local transcript."""
+def _prime_relation(pres, ref, tape, Fp, idx, cfg, counts):
+    """Canonical relation modulo the prime of Fp, with its local transcript;
+    tape and counts as in _evaluation_draw."""
     prime = Fp.p
     log = [f"prime[{idx}] {prime}"]
     rng = random.Random(f"{cfg.seed}/prime/{idx}")
     nb = len(ref.B)
-    points = _SamplePool(_evaluation_draw(pres, ref, Fp, rng, log))
+    points = _SamplePool(_evaluation_draw(pres, ref, tape, Fp, rng, log, counts))
 
     g0_rf, mat_rf = _interpolated_system(points, Fp, nb, cfg)
     rel = telescoper_from_system(RationalFunctions(Fp), g0_rf, mat_rf).coefficients
@@ -814,9 +938,41 @@ def _prime_relation(pres, ref, Fp, idx, cfg):
             "shape": (len(rel) - 1, tuple(pdeg(c) for c in rel)), "log": log}
 
 
-def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling):
+def _vote(pres, img, rho, degree_ceiling, recorded, counts):
+    """The Confinement of one vote of _elect_reference, at img.
+
+    Every vote goes through here.  recorded is empty until the first usable
+    vote, which runs confine over a _Tape and appends (tape, Confinement).
+    Every later vote replays that tape at img, and returns the recorded
+    Confinement when every input support and guard matches: it holds only
+    monomials, so the same branch path gives the same Confinement.
+    Otherwise the vote runs confine at img.
+    """
+    if not recorded:
+        tape = _Tape(img.field)
+        conf = confine(*_lifted_context(tape, pres, img), rho=rho,
+                       degree_ceiling=degree_ceiling)
+        tape.finish(())
+        recorded.append((tape, conf))
+        counts["tapes_recorded"] += 1
+        return conf
+    tape, conf = recorded[0]
+    images = _evaluate(pres, img)
+    bound = tape.bind(img.field)
+    if bound is not None and tape.replay(bound, images) is not None:
+        counts["votes_replayed"] += 1
+        return conf
+    counts["votes_generic"] += 1
+    return confine(*_context(pres, img.field, images), rho=rho,
+                   degree_ceiling=degree_ceiling)
+
+
+def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts):
     """The Confinement that a majority of _TRACER_VOTES votes returns, each
-    vote confining at a point of the next prime field drawn from fields."""
+    vote confining at a point of the next prime field drawn from fields,
+    and the ModularImage of the first vote that returned it.  The votes
+    share one recorded confine (_vote); counts tallies them."""
+    recorded = []
     for round_no in range(_VOTE_ROUNDS):
         votes = []
         for v in range(_TRACER_VOTES):
@@ -824,26 +980,25 @@ def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling):
             Fp = next(fields)
             prime = Fp.p
             for _ in range(_MAX_POINT_TRIES):
-                a = vote_rng.randrange(1, prime)
+                img = ModularImage(Fp, vote_rng.randrange(1, prime))
                 try:
-                    ctx, L_p, f_p = _evaluate_context(pres, ModularImage(Fp, a))
-                    conf = confine(ctx, L_p, f_p, rho=rho,
-                                   degree_ceiling=degree_ceiling)
+                    conf = _vote(pres, img, rho, degree_ceiling, recorded, counts)
                 except UnluckyEvaluationError:
                     continue
                 break
             else:
                 raise BudgetExhaustedError(f"no usable vote points mod {prime}")
             log.append(
-                f"vote prime={prime} point={a} eta={_mono_str(conf.eta)} "
+                f"vote prime={prime} point={img.point} eta={_mono_str(conf.eta)} "
                 f"|B|={len(conf.B)} |tracer|={len(conf.tracer)}"
             )
-            votes.append(conf)
-        for conf in votes:
-            if votes.count(conf) * 2 > len(votes):
-                log.append("votes agree" if votes.count(conf) == len(votes)
+            votes.append((conf, img))
+        confs = [conf for conf, _ in votes]
+        for conf, img in votes:
+            if confs.count(conf) * 2 > len(confs):
+                log.append("votes agree" if confs.count(conf) == len(confs)
                            else "votes split, majority kept")
-                return conf
+                return conf, img
         log.append("votes inconclusive, new round")
     raise InconsistencyError("tracer votes never reached a majority")
 
@@ -881,10 +1036,23 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
                 yield Fp
 
     fields = prime_fields()
-    ref = _elect_reference(pres, rho, cfg, fields, log, degree_ceiling)
+    counts = Counter()
+
+    def replays():
+        return {name: counts[name] for name in _REPLAY_COUNTS}
+
+    ref, vote_img = _elect_reference(pres, rho, cfg, fields, log, degree_ceiling,
+                                     counts)
     if not ref.B:
         log.append("empty confinement: unit telescoper")
-        return ModularRun(Telescoper(((1,),)), tuple(log), (), ())
+        return ModularRun(Telescoper(((1,),)), tuple(log), (), (), replays())
+    # the vote point is lucky for ref: confine's own eta-basis there has
+    # the rows that ref's tracer replays, and B is closed there
+    try:
+        tape = _record_point(pres, ref, vote_img)
+        counts["tapes_recorded"] += 1
+    except UnluckyEvaluationError:  # that vote's Confinement was not confine's
+        tape = None
 
     results = {}
     discarded = []
@@ -896,12 +1064,15 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         for _ in range(count):
             wave.append((next_idx, next(fields)))
             next_idx += 1
+        tallies = {i: Counter() for i, _ in wave}  # one per thread
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             futs = {
-                i: pool.submit(_prime_relation, pres, ref, Fp, i, cfg)
+                i: pool.submit(_prime_relation, pres, ref, tape, Fp, i, cfg,
+                               tallies[i])
                 for i, Fp in wave
             }
         for i, Fp in wave:
+            counts.update(tallies[i])
             try:
                 results[i] = futs[i].result()
             except (UnluckyEvaluationError, BudgetExhaustedError) as e:
@@ -972,7 +1143,8 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
             discarded.append(check_prime)
             continue
         try:
-            got = _prime_relation(pres, ref, check_field, check_idx, cfg)
+            got = _prime_relation(pres, ref, tape, check_field, check_idx, cfg,
+                                  counts)
         except UnluckyEvaluationError:
             discarded.append(check_prime)
             continue
@@ -989,4 +1161,5 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         tuple(log),
         tuple(kept_primes),
         tuple(discarded),
+        replays(),
     )

@@ -57,25 +57,26 @@ def operators(algebra, coeffs=None, max_terms=4, max_exp=3, min_terms=0):
 
 @contextmanager
 def outvoted_tracer_vote():
-    """Within the block, the second confine call (the second tracer vote of
-    telescope_modular) returns a tracer that also skips its smallest
+    """Within the block, the second tracer vote of telescope_modular (the
+    second call to _vote that returns, whether it replayed the recorded
+    confine or ran its own) returns a tracer that also skips its smallest
     contributing candidate, so the other two votes outvote it.  The
     eta-basis replay reaches that candidate: a reference elected with this
     tracer loses a row at every point."""
-    real = telescoping.confine
+    real = telescoping._vote
     calls = 0
 
-    def confine(ctx, *args, **kwargs):
+    def vote(pres, *args):
         nonlocal calls
-        conf = real(ctx, *args, **kwargs)
+        conf = real(pres, *args)
         calls += 1
         if calls == 2:
-            rows = set(reduction._enumerate_candidates(ctx, conf.eta)) - conf.tracer
-            skipped = min(rows, key=ctx.order.key)
+            candidates = reduction._enumerate_candidates(pres.ctx, conf.eta)
+            skipped = min(set(candidates) - conf.tracer, key=pres.ctx.order.key)
             return dataclasses.replace(conf, tracer=conf.tracer | {skipped})
         return conf
 
-    with mock.patch.object(telescoping, "confine", confine):
+    with mock.patch.object(telescoping, "_vote", vote):
         yield
 
 
@@ -85,8 +86,8 @@ def discarded_prime():
     order-2 relation, whose shape no other prime shares."""
     real = telescoping._prime_relation
 
-    def prime_relation(pres, ref, Fp, idx, cfg):
-        out = real(pres, ref, Fp, idx, cfg)
+    def prime_relation(pres, ref, tape, Fp, idx, cfg, counts):
+        out = real(pres, ref, tape, Fp, idx, cfg, counts)
         rel = out["rel"]
         if idx == 0 and len(rel) == 3:
             rel = (rel[0], (1, 1), rel[-1])

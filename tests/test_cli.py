@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -268,6 +269,35 @@ def test_modular_worker_independence(workdir, airy_module_path):
     assert outs[0][0].splitlines()[-1] == "7*dt^2 - t"
 
 
+def test_modular_metrics_count_replays(workdir, airy_module_path):
+    """Modular --metrics carries the tape counts of ModularRun.replays: the
+    same for any worker count, and never in the transcript."""
+    runs = []
+    for workers in (1, 2):
+        metrics = workdir / f"replays{workers}.json"
+        transcript = workdir / f"replays{workers}.transcript"
+        rc = main(["telescope", str(airy_module_path), "--mode", "modular",
+                   "--seed", "5", "--workers", str(workers), "-o",
+                   str(workdir / f"replays{workers}.tele"), "--metrics", str(metrics),
+                   "--transcript", str(transcript)])
+        assert rc == 0
+        runs.append((json.loads(metrics.read_text())["replays"], transcript.read_text()))
+    (replays, transcript), other = runs
+    assert other == runs[0]
+    points = sum(int(n) for n in re.findall(r"^  points=(\d+) ", transcript, re.M))
+    assert replays == {"tapes_recorded": 2, "votes_replayed": 2, "votes_generic": 0,
+                       "points_replayed": points, "points_generic": 0}
+    assert "replay" not in transcript
+    direct = workdir / "replays-direct.json"
+    assert main(["telescope", str(airy_module_path), "-o",
+                 str(workdir / "replays-direct.tele"), "--metrics", str(direct)]) == 0
+    assert "replays" not in json.loads(direct.read_text())
+    kreg = workdir / "replays-k2.json"
+    assert main(["kregular", "--k", "2", "--modular", "-o",
+                 str(workdir / "replays-k2.tele"), "--metrics", str(kreg)]) == 0
+    assert json.loads(kreg.read_text())["replays"]["tapes_recorded"] == 2
+
+
 def test_seed_env_override(workdir, airy_module_path, monkeypatch):
     results = []
     for env_seed in ("11", "11", "12"):
@@ -457,8 +487,8 @@ def test_validation_survives_optimize(tmp_path):
             scalar_product_input, scalar_product_series, verify_ode_on_series)
         from weylred.reduction import ReductionContext
         from weylred.telescoping import (
-            DerivedPresentation, ModularConfig, Telescoper, apply_linear, confine,
-            relation_search, telescoper_from_field_relation)
+            DerivedPresentation, ModularConfig, Telescoper, _normalize_modp_relation,
+            apply_linear, confine, relation_search, telescoper_from_field_relation)
         from weylred.weyl import (
             Algebra, MonomialOrder, dtelim_order, evaluate_and_reduce, grevlex,
             lex_order, op_add, op_sub, weightlex_order)
@@ -556,6 +586,12 @@ def test_validation_survives_optimize(tmp_path):
                     if str(e) == message:
                         continue
             raise SystemExit(f"forced failure {i} did not raise {message!r}")
+        try:
+            _normalize_modp_relation(PrimeField(7), [(1,), ()])
+        except InconsistencyError:
+            pass
+        else:
+            raise SystemExit("a vanished leading relation coefficient passed")
         with failed_witness, contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(["reduce", sys.argv[1], "--target", "y^2"])
         if code != 4 or "modular" in err.getvalue():

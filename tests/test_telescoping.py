@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -385,49 +386,125 @@ def test_modular_verifies_each_drawn_prime_once(airy):
     assert named and all(calls.count(p) == 1 for p in named)
 
 
-def _replay_points(transcript):
-    """Points of each prime[i] after its first, the tape's replay points."""
-    return sum(int(n) - 1 for line in transcript
+def _prime_points(transcript):
+    """Points of every prime[i] and of the consistency prime."""
+    return sum(int(n) for line in transcript
                for n in re.findall(r"^  points=(\d+) ", line))
 
 
 @pytest.mark.parametrize("name", ["airy", "k3"])
-def test_generic_eta_basis_runs_once_per_prime(airy, k3, name):
-    """The generic eta-basis replay runs once per prime, at the recording
-    point; every later point of the prime replays the tape."""
+def test_generic_eta_basis_runs_once_per_solve(airy, k3, name):
+    """The vote runs confine once, over the vote tape, and the traced
+    eta-basis replay runs once, where the point tape is recorded; the other
+    votes replay the vote tape and every point of every prime replays the
+    point tape."""
     pres = {"airy": airy.pres, "k3": k3.pres}[name]
     seed = {"airy": 7, "k3": 0}[name]
     replay = telescoping._Tape.replay
     replayed = []
 
-    def counted_replay(tape, images):
-        replayed.append(replay(tape, images))
+    def counted_replay(tape, bound, images):
+        replayed.append(replay(tape, bound, images))
         return replayed[-1]
 
     with mock.patch.object(telescoping, "compute_eta_basis",
                            side_effect=compute_eta_basis) as eta, \
+            mock.patch.object(telescoping, "confine", side_effect=confine) as confined, \
             mock.patch.object(telescoping._Tape, "replay", counted_replay):
         run = telescope_modular(pres, rho=1,
                                 config=ModularConfig(seed=seed, workers=1))
     traced = [c for c in eta.call_args_list if c.kwargs.get("tracer") is not None]
+    votes = sum(line.startswith("vote ") for line in run.transcript)
+    points = _prime_points(run.transcript)
     assert not any("discard point" in line for line in run.transcript)
-    assert 0 < len(traced) <= len(_named_primes(run.transcript))
-    assert len(replayed) == _replay_points(run.transcript) > 0
+    assert len(traced) == 1
+    assert confined.call_count == 1
     assert None not in replayed
+    assert replayed.count([]) == votes - 1  # a vote tape has no outputs
+    assert len(replayed) - replayed.count([]) == points > 0
+    assert run.replays == {"tapes_recorded": 2, "votes_replayed": votes - 1,
+                           "votes_generic": 0, "points_replayed": points,
+                           "points_generic": 0}
+
+
+def _elected(pres, Fp):
+    """The reference three votes at Fp elect, and the point of the first."""
+    return telescoping._elect_reference(
+        pres, 1, ModularConfig(seed=7), iter([Fp] * 3), [], 40, Counter())
 
 
 def test_replay_equals_generic_path(airy):
-    ref = telescoping._elect_reference(
-        airy.pres, 1, ModularConfig(seed=7), iter([PrimeField(1000003)] * 3),
-        [], 40)
     Fp = PrimeField(1000003)
-    tape, first = telescoping._record_point(airy.pres, ref, ModularImage(Fp, 5))
-    assert first == telescoping._point_images(airy.pres, ref, ModularImage(Fp, 5))
-    for a in (6, 77, 123456):
+    ref, img = _elected(airy.pres, Fp)
+    tape = telescoping._record_point(airy.pres, ref, img)
+    bound = tape.bind(Fp)
+    for a in (img.point, 6, 77, 123456):
         img = ModularImage(Fp, a)
-        values = tape.replay(telescoping._evaluate(airy.pres, img))
+        values = tape.replay(bound, telescoping._evaluate(airy.pres, img))
         assert telescoping._unflatten(values, len(ref.B)) == \
             telescoping._point_images(airy.pres, ref, img)
+
+
+@pytest.mark.parametrize("name", ["airy", "k3"])
+def test_tapes_replay_at_other_primes(airy, k3, name):
+    """Tapes recorded at (p1, a) replay at the points of three other primes:
+    the point tape to _point_images there, the vote tape to the
+    Confinement that confine returns there."""
+    pres = {"airy": airy.pres, "k3": k3.pres}[name]
+    ref, img = _elected(pres, PrimeField(1000003))
+    point_tape = telescoping._record_point(pres, ref, img)
+    recorded, counts = [], Counter()
+    assert telescoping._vote(pres, img, 1, 40, recorded, counts) == ref
+    ((vote_tape, _),) = recorded
+    for p in (1000033, 999983, 2147483647):
+        Fp = PrimeField(p)
+        point_bound, vote_bound = point_tape.bind(Fp), vote_tape.bind(Fp)
+        for a in (6, 77, 123456):
+            at = ModularImage(Fp, a)
+            images = telescoping._evaluate(pres, at)
+            values = point_tape.replay(point_bound, images)
+            assert telescoping._unflatten(values, len(ref.B)) == \
+                telescoping._point_images(pres, ref, at)
+            assert vote_tape.replay(vote_bound, images) == []
+            assert telescoping._vote(pres, at, 1, 40, recorded, counts) == \
+                confine(*telescoping._context(pres, Fp, images), rho=1) == ref
+    assert counts == {"tapes_recorded": 1, "votes_replayed": 9}
+
+
+def test_bind_refuses_failed_constant_guard():
+    """bind refuses a prime where a constant divisor or a constant that
+    is_zero tested comes out zero: on the airy-family problem with a = 7,
+    p = 7 divides the input denominator 7 (the generic path discards that
+    prime) and p = 5 zeroes the input constant -5/7.  On a hand-made tape
+    the same holds for derived constants: a divisor 25 and a 7 tested
+    nonzero."""
+    pres = _module_presentation(parse_document(airy_family_document(7, 2, 3)))
+    Fp = PrimeField(1000003)
+    ref, img = _elected(pres, Fp)
+    tape = telescoping._record_point(pres, ref, img)
+    assert tape.bind(Fp) is not None and tape.bind(PrimeField(11)) is not None
+    assert tape.bind(PrimeField(7)) is None
+    assert tape.bind(PrimeField(5)) is None
+    with pytest.raises(UnluckyEvaluationError) as err:
+        telescoping._point_images(pres, ref, ModularImage(PrimeField(7), 3))
+    assert err.value.prime_level
+
+    tape = telescoping._Tape(Fp)
+    A = Algebra(1, field=QQ_T)
+    source = A.scalar(T)
+    (x,) = tape.lift(source, evaluate_and_reduce(source, ModularImage(Fp, 3))) \
+        .terms.values()
+    five = tape.add(tape.from_int(2), tape.from_int(3))
+    assert not tape.is_zero(tape.sub(five, tape.from_int(-2)))  # 7
+    tape.finish([tape.div(x, tape.mul(five, five))])
+    assert tape.bind(PrimeField(5)) is None  # divisor 25
+    assert tape.bind(PrimeField(7)) is None  # tested nonzero
+    bound = tape.bind(PrimeField(11))
+    at = ModularImage(PrimeField(11), 3)
+    moved = evaluate_and_reduce(A.xvar(0) * source, at)
+    assert tape.replay(bound, [moved]) is None  # another support
+    assert tape.replay(bound, [evaluate_and_reduce(source, at)]) == \
+        [3 * pow(25, -1, 11) % 11]
 
 
 def _flip_first_guard(tape):
@@ -447,29 +524,31 @@ def test_tampered_tape_falls_back_to_generic_path(airy, tamper):
     record = telescoping._record_point
 
     def tampered(pres, ref, img):
-        tape, sample = record(pres, ref, img)
+        tape = record(pres, ref, img)
         tamper(tape)
-        return tape, sample
+        return tape
 
     with mock.patch.object(telescoping, "_record_point", tampered), \
             mock.patch.object(telescoping, "_point_images",
                               side_effect=telescoping._point_images) as generic:
         run = telescope_modular(airy.pres, rho=1, config=cfg)
-    assert generic.call_count == _replay_points(run.transcript) > 0
+    assert generic.call_count == _prime_points(run.transcript) > 0
+    assert run.replays["points_generic"] == generic.call_count
+    assert run.replays["points_replayed"] == 0
     assert run.telescoper == good.telescoper
     assert run.transcript == good.transcript
 
 
 class _NoTape:
-    """A tape that replays nothing, so every point takes the generic path."""
+    """A tape that binds at no prime, so every point takes the generic path."""
 
-    def replay(self, images):
+    def bind(self, Fp):
         return None
 
 
 def test_unlucky_points_match_generic_path(airy):
-    """A point-level failure at the would-be recording point and at a
-    replay point discards both, exactly as the generic path does."""
+    """A point-level failure at the first point of a prime and at a later
+    one discards both, exactly as the generic path does."""
     cfg = ModularConfig(seed=7, workers=1)
     good = telescope_modular(airy.pres, rho=1, config=cfg)
     p0 = next(int(line.split()[1]) for line in good.transcript
@@ -483,12 +562,10 @@ def test_unlucky_points_match_generic_path(airy):
             raise UnluckyEvaluationError("forced")
         return evaluate_and_reduce(P, img)
 
-    def generic_record(pres, ref, img):
-        return _NoTape(), telescoping._point_images(pres, ref, img)
-
     with mock.patch.object(telescoping, "evaluate_and_reduce", evaluate):
         forced = telescope_modular(airy.pres, rho=1, config=cfg)
-        with mock.patch.object(telescoping, "_record_point", generic_record):
+        with mock.patch.object(telescoping, "_record_point",
+                               lambda pres, ref, img: _NoTape()):
             generic = telescope_modular(airy.pres, rho=1, config=cfg)
     for a in unlucky:
         assert f"  discard point {a}" in forced.transcript
@@ -504,7 +581,7 @@ def test_recorded_values_refuse_branching():
     (x,) = op.terms.values()
     y = tape.mul(x, x)
     assert not tape.is_zero(y) and tape.is_zero(tape.sub(y, y))
-    for value in (x, y):
+    for value in (x, y, tape.from_int(3)):
         with pytest.raises(TypeError):
             bool(value)
         with pytest.raises(TypeError):
