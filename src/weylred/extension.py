@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .arith import InconsistencyError
 from .groebner import buchberger, lrem
-from .weyl import Algebra, Monomial, WeylOperator, dtelim_order, mul
+from .weyl import Algebra, Monomial, WeylOperator, components, dtelim_order, mul
 
 
 def dt_degree(a):
@@ -89,16 +89,8 @@ class ExtensionResult:
     source: ParametricPresentation
 
 
-def _dt_power(algebra, k):
-    scalar = algebra.with_rank(1)
-    beta = [0] * algebra.n
-    beta[0] = k
-    return WeylOperator(
-        scalar, {Monomial((0,) * algebra.n, tuple(beta), 1): algebra.field.one}
-    )
-
-
 def _dt_basis_element(algebra, h, comp):
+    """d_t^h e_comp in algebra."""
     beta = [0] * algebra.n
     beta[0] = h
     return WeylOperator(
@@ -166,25 +158,18 @@ def build_extension(pres):
     for g in gb:
         dg = dt_degree(g)
         for k in range(ell - dg + 1):
-            shifted = mul(_dt_power(algebra, k), g) if k else g
+            shifted = mul(_dt_basis_element(algebra.with_rank(1), k, 1), g) if k else g
             if dt_degree(shifted) != dg + k:
                 raise InconsistencyError("d_t shift changed the d_t degree")
             s_gens.append(flatten_operator(shifted, ell, flat))
 
+    zero_entry = flat.with_rank(1).zero()
     rows = []
     for rem in forms:
         if dt_degree(rem) > ell:
             raise InconsistencyError("normal form escaped the level bound")
-        flat_rem = flatten_operator(rem, ell, flat)
-        row = []
-        for k in range(1, r + 1):
-            entry_terms = {
-                Monomial(m.alpha, m.beta, 1): c
-                for m, c in flat_rem.terms.items()
-                if m.comp == k
-            }
-            row.append(WeylOperator(flat.with_rank(1), entry_terms))
-        rows.append(tuple(row))
+        entries = components(flatten_operator(rem, ell, flat))
+        rows.append(tuple(entries.get(k, zero_entry) for k in range(1, r + 1)))
 
     return ExtensionResult(
         ell=ell,

@@ -7,13 +7,15 @@ that the reduced derivative sequence g_0 = [f]_eta,
 g_{i+1} = dg_i/dt + [L(g_i)]_eta stays inside Span_{K(t)}(B); the first
 linear relation among the g_i is a telescoper for the integral.
 
-Two drivers are provided.  telescope_direct runs the whole computation over
-Q(t) and certifies its answer exactly: it walks the reduced chain once, on
-operators, with every reduction witnessed by a checked division
-certificate, finds the relation among the g_i, and requires the
-telescoper's combination of them to vanish.  Because the derivation maps S
-into S and dW^r into dW^r, the witnessed chain is congruent to the
-iterated derivatives D^i f, so the check proves sum c_i D^i f in S + dW^r
+Both drivers reduce f and L(m), m in B, at eta, take their coordinates
+over B as g_0 and the matrix M of [L(.)]_eta (_reduced_system), and find
+the first relation on the one vector chain g_{i+1} = dg_i/dt + g_i . M
+(derivative_sequence).  telescope_direct does this over Q(t) and
+certifies its answer exactly: each of the 1 + |B| reductions is witnessed
+by a checked division certificate, and the telescoper's combination of the
+chain vectors must vanish.  The derivation maps S into S and dW^r into
+dW^r, and S + dW^r is a K(t)-space, so the chain is congruent to the
+iterated derivatives D^i f and the check proves sum c_i D^i f in S + dW^r
 for any starting rho; a failure is an error, not a reason to retry.
 telescope_modular evaluates at t = a modulo word-size primes p, replays the
 eta-basis construction with a majority-elected tracer, interpolates g_0
@@ -51,8 +53,9 @@ threads of a wave only read the point tape.
 Both drivers confine with confine(ctx, L, f): the direct one on the
 presentation's triple over Q(t), the modular vote on that triple evaluated
 at a point, electing the reference Confinement.  Both find the relation
-with relation_search (_RelationFinder): over Q(t) on the witnessed chain,
-and over F_p(t) per prime on the interpolated g_0 and [L(.)]_eta matrix.
+with relation_search (_RelationFinder) on derivative_sequence: over Q(t)
+on the witnessed (g_0, M), and over F_p(t) per prime on the interpolated
+one.
 
 ModularConfig holds only what a caller sets: the seed, the threads per
 wave and the point budget.  The prime budget, the vote sizes and the point
@@ -94,10 +97,10 @@ from .weyl import (
     WeylOperator,
     _mono_str,
     coefficientwise_dt,
+    components,
     evaluate_and_reduce,
     leading_monomial,
     mul,
-    op_scale,
 )
 from .groebner import lrem
 from .reduction import (
@@ -111,16 +114,6 @@ from .reduction import (
 
 # ---------------------------------------------------------------------------
 # presentation of the integration problem
-
-
-def _components(a: WeylOperator):
-    """Split a rank-r operator into {comp: scalar operator}."""
-    A = a.algebra
-    scalar = A.with_rank(1)
-    out = {}
-    for m, c in a.terms.items():
-        out.setdefault(m.comp, {})[Monomial(m.alpha, m.beta, 1)] = c
-    return {j: WeylOperator(scalar, d) for j, d in out.items()}
 
 
 def _embed(a: WeylOperator, comp, rank):
@@ -137,7 +130,7 @@ def apply_linear(L, a: WeylOperator):
     if len(L) != r or any(len(row) != r for row in L):
         raise ValueError(f"L must be a {r}x{r} matrix")
     out = A.zero()
-    for j, aj in _components(a).items():
+    for j, aj in components(a).items():
         for k in range(r):
             entry = L[j - 1][k]
             if entry.is_zero():
@@ -194,19 +187,6 @@ class Confinement:
     tracer: frozenset
 
 
-def _vector_over(op: WeylOperator, index, nb, error=UnluckyEvaluationError):
-    """The coordinates of op over B (index: m -> position); a support outside
-    B raises error: an unlucky point in modular mode, a fault in direct mode."""
-    F = op.algebra.field
-    vec = [F.zero] * nb
-    for m, c in op.terms.items():
-        pos = index.get(m)
-        if pos is None:
-            raise error(f"support escapes the confinement at {m}")
-        vec[pos] = c
-    return tuple(vec)
-
-
 def _monomial_op(ctx, m):
     return WeylOperator(ctx.algebra, {m: ctx.algebra.field.one})
 
@@ -250,6 +230,27 @@ def confine(ctx, L, f, rho=1, degree_ceiling=40):
         s += 1
 
 
+def _reduced_system(ctx, L, f, B, reduce, error):
+    """(g0, matrix) over the field of ctx: the coordinates over B of
+    reduce(f), then of reduce(L(m)) for each m in B in order, the system
+    both drivers build.  A support outside B raises error: an unlucky point
+    in modular mode, a fault in direct mode."""
+    index = {m: i for i, m in enumerate(B)}
+    zero = ctx.algebra.field.zero
+
+    def coordinates(a):
+        vec = [zero] * len(B)
+        for m, c in reduce(a).terms.items():
+            pos = index.get(m)
+            if pos is None:
+                raise error(f"support escapes the confinement at {m}")
+            vec[pos] = c
+        return tuple(vec)
+
+    g0 = coordinates(f)
+    return g0, tuple(coordinates(apply_linear(L, _monomial_op(ctx, m))) for m in B)
+
+
 def derivative_sequence_step(F, g, matrix):
     """One step g -> dg/dt + g . M over F, where M = [L(B_i)]_eta row by row."""
     if len(g) != len(matrix):
@@ -261,6 +262,15 @@ def derivative_sequence_step(F, g, matrix):
         for j, rc in enumerate(row):
             out[j] = F.add(out[j], F.mul(c, rc))
     return tuple(out)
+
+
+def derivative_sequence(F, g0, matrix):
+    """g_0 and g_{i+1} = dg_i/dt + g_i . matrix, lazily, up to g_nb: with
+    nb = len(g0), g_0..g_nb are always dependent."""
+    g = g0
+    for _ in range(len(g0) + 1):
+        yield g
+        g = derivative_sequence_step(F, g, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +396,10 @@ def telescoper_from_field_relation(F, rel):
 
 
 def telescoper_from_system(F, g0, matrix):
-    """Canonical telescoper from the first F-linear relation among g_0 and
-    g_{i+1} = dg_i/dt + g_i . matrix; g_0..g_nb are always dependent."""
-
-    def sequence():
-        g = g0
-        for _ in range(len(g0) + 1):
-            yield g
-            g = derivative_sequence_step(F, g, matrix)
-
-    return telescoper_from_field_relation(F, relation_search(F, sequence()))
+    """Canonical telescoper from the first F-linear relation on the
+    derivative_sequence of (g0, matrix)."""
+    return telescoper_from_field_relation(
+        F, relation_search(F, derivative_sequence(F, g0, matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,23 +409,30 @@ def telescoper_from_system(F, g0, matrix):
 def telescope_direct(pres: DerivedPresentation, rho=1, degree_ceiling=40):
     """Telescoper over Q(t), computed without modular arithmetic.
 
-    After confine, walks g_0 = [f]_eta, g_{i+1} = dg_i/dt + [L(g_i)]_eta
-    once, on operators, checking the division certificate of every
-    reduction; their coordinates over B feed relation_search, which stops
-    at the first dependent g_N, and sum c_i g_i must be the zero operator.
-    D(a) = da/dt + a.Lambda maps S into S (D(q g) = q'g + q D(g), and
-    DerivedPresentation checks D(g) in S for each basis element g) and dW^r
-    into dW^r (D(d_j w) = d_j D(w)), so g_i = D^i f mod S + dW^r by
-    induction and the check proves sum c_i D^i f in S + dW^r for any rho.
-    A failed witness, a support outside B or a nonzero sum raises
-    InconsistencyError; nothing is retried.
+    After confine, builds the (g0, matrix) that each prime of
+    telescope_modular builds, from the certified eta-basis at eta: g0 holds
+    the coordinates over B of [f]_eta and row i of matrix those of
+    [L(B[i])]_eta.  The division certificate of each of these 1 + |B|
+    reductions is checked.  relation_search runs on the derivative_sequence
+    g_{i+1} = dg_i/dt + g_i . matrix and stops at the first dependent g_N;
+    sum c_i g_i must vanish on the vectors it consumed.
+
+    Why the check is a proof: read a vector g as the operator
+    G = sum_m g[m] m, and write L(a) = a.Lambda.  D(a) = da/dt + L(a) maps S
+    into S (D(q g) = q'g + q D(g), and DerivedPresentation checks D(g) in S
+    for each basis element g) and dW^r into dW^r (D(d_j w) = d_j D(w)).
+    S + dW^r is closed under left multiplication by K(t), so
+    L(G) - sum_m G[m] [L(m)]_eta = sum_m G[m] (L(m) - [L(m)]_eta) lies in
+    S + dW^r by the witnesses, and G_{i+1} = dG_i/dt + sum_m G_i[m] [L(m)]_eta
+    is congruent to D(G_i).  As G_0 = [f]_eta is congruent to f, G_i = D^i f
+    mod S + dW^r by induction, and the check proves sum c_i D^i f in
+    S + dW^r for any rho.  A failed witness, a support outside B or a
+    nonzero sum raises InconsistencyError; nothing is retried.
     """
     ctx = pres.ctx
     F = ctx.algebra.field
     conf = confine(ctx, pres.L, pres.f, rho=rho, degree_ceiling=degree_ceiling)
     basis_e = compute_eta_basis(ctx, conf.eta, certificate=True)
-    index = {m: i for i, m in enumerate(conf.B)}
-    nb = len(conf.B)
 
     def witnessed(a):
         red, cert = reduce_eta(a, ctx, basis_e, certificate=True)
@@ -429,21 +440,20 @@ def telescope_direct(pres: DerivedPresentation, rho=1, degree_ceiling=40):
             raise InconsistencyError("reduced-form certificate failed")
         return red
 
+    g0, matrix = _reduced_system(ctx, pres.L, pres.f, conf.B, witnessed,
+                                 InconsistencyError)
     chain = []
 
-    def vectors():
-        g = witnessed(pres.f)
-        for _ in range(nb + 1):  # g_0..g_nb are always dependent
+    def recorded():
+        for g in derivative_sequence(F, g0, matrix):
             chain.append(g)
-            yield _vector_over(g, index, nb, InconsistencyError)
-            g = coefficientwise_dt(g) + witnessed(apply_linear(pres.L, g))
+            yield g
 
-    tel = telescoper_from_field_relation(F, relation_search(F, vectors()))
-    total = ctx.algebra.zero()
-    for c, g in zip(tel.coefficients, chain, strict=True):
-        if c:
-            total = total + op_scale(g, F.from_poly(c))
-    if not total.is_zero():
+    tel = telescoper_from_field_relation(F, relation_search(F, recorded()))
+    total = [F.zero] * len(g0)
+    for c, g in zip(map(F.from_poly, tel.coefficients), chain, strict=True):
+        total = [F.add(s, F.mul(c, x)) for s, x in zip(total, g)]
+    if not all(map(F.is_zero, total)):
         raise InconsistencyError("telescoper certificate failed")
     return tel
 
@@ -521,12 +531,9 @@ def _evaluate(pres, img):
 
 
 def _reduced_images(ref, ctx, L, f):
-    """Replay the eta-basis of the Confinement ref, return (g0, matrix) over
-    the field of ctx: [f]_eta and the [L(B[i])]_eta as vectors over B.
-
-    Any disagreement with the reference (row lms, supports outside B) is an
-    unlucky-point signal.
-    """
+    """Replay the eta-basis of the Confinement ref and return the
+    _reduced_system over the field of ctx; any disagreement with the
+    reference (row lms, supports outside B) is an unlucky-point signal."""
     try:
         basis_e = compute_eta_basis(ctx, ref.eta, tracer=ref.tracer,
                                     certificate=False)
@@ -534,14 +541,9 @@ def _reduced_images(ref, ctx, L, f):
         raise UnluckyEvaluationError(str(e))
     if tuple(r.lm for r in basis_e.rows) != ref.row_lms:
         raise UnluckyEvaluationError("eta-basis row lms differ from reference")
-    index = {m: i for i, m in enumerate(ref.B)}
-    nb = len(ref.B)
-    g0 = _vector_over(reduce_eta(f, ctx, basis_e), index, nb)
-    rows = []
-    for m in ref.B:
-        img_op = reduce_eta(apply_linear(L, _monomial_op(ctx, m)), ctx, basis_e)
-        rows.append(_vector_over(img_op, index, nb))
-    return g0, tuple(rows)
+    return _reduced_system(ctx, L, f, ref.B,
+                           lambda a: reduce_eta(a, ctx, basis_e),
+                           UnluckyEvaluationError)
 
 
 def _point_images(pres, ref, img):

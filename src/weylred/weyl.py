@@ -215,6 +215,15 @@ def op_scale(P, c):
     return WeylOperator(P.algebra, {m: F.mul(c, v) for m, v in P.terms.items()})
 
 
+def components(a: WeylOperator):
+    """Split a rank-r operator into {comp: scalar operator}, nonzero ones only."""
+    scalar = a.algebra.with_rank(1)
+    out = {}
+    for m, c in a.terms.items():
+        out.setdefault(m.comp, {})[Monomial(m.alpha, m.beta, 1)] = c
+    return {j: WeylOperator(scalar, d) for j, d in out.items()}
+
+
 # ---------------------------------------------------------------------------
 # multiplication
 

@@ -245,9 +245,10 @@ def test_certificate_rejects_perturbed_telescoper(k3):
 
 
 def test_certificate_rejects_corrupted_relation_search(k3):
-    """A relation search that misreads the chain is caught on the operators:
-    this one drops the last coordinate of every g_i, so it stops at an
-    earlier relation that the full chain does not satisfy."""
+    """A relation search that misreads the chain is caught on the chain
+    vectors that it consumed, as recorded: this one drops the last
+    coordinate of every g_i, so it stops at an earlier relation that the
+    full vectors do not satisfy."""
     search = telescoping.relation_search
 
     def truncated(F, vectors):
@@ -275,6 +276,27 @@ def test_certificate_checks_every_witness(k3):
     with mock.patch.object(DivisionCertificate, "verifies", return_value=False):
         with pytest.raises(InconsistencyError, match="reduced-form certificate failed"):
             telescope_direct(k3.pres)
+
+
+@pytest.mark.parametrize("name", ["airy", "k3"])
+def test_direct_witnesses_f_then_each_image_of_B(airy, k3, name):
+    """Direct mode witnesses the reductions that build (g0, matrix), no
+    more: [f]_eta, then [L(m)]_eta for each m in B, in the order of B."""
+    pres = {"airy": airy, "k3": k3}[name].pres
+    A = pres.ctx.algebra
+    conf = confine(pres.ctx, pres.L, pres.f)
+    real = telescoping.reduce_eta
+    witnessed = []
+
+    def spy(a, *args, **kwargs):
+        if kwargs.get("certificate"):
+            witnessed.append(a)
+        return real(a, *args, **kwargs)
+
+    with mock.patch.object(telescoping, "reduce_eta", spy):
+        telescope_direct(pres)
+    assert witnessed == [pres.f] + [
+        apply_linear(pres.L, WeylOperator(A, {m: A.field.one})) for m in conf.B]
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3])
