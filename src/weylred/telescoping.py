@@ -7,21 +7,27 @@ that the reduced derivative sequence g_0 = [f]_eta,
 g_{i+1} = dg_i/dt + [L(g_i)]_eta stays inside Span_{K(t)}(B); the first
 linear relation among the g_i is a telescoper for the integral.
 
-Both drivers reduce f and L(m), m in B, at eta, take their coordinates
-over B as g_0 and the matrix M of [L(.)]_eta (_reduced_system), and find
-the first relation on the one vector chain g_{i+1} = dg_i/dt + g_i . M
-(derivative_sequence).  telescope_direct does this over Q(t) and
-certifies its answer exactly: each of the 1 + |B| reductions is witnessed
-by a checked division certificate, and the telescoper's combination of the
-chain vectors must vanish.  The derivation maps S into S and dW^r into
-dW^r, and S + dW^r is a K(t)-space, so the chain is congruent to the
-iterated derivatives D^i f and the check proves sum c_i D^i f in S + dW^r
-for any starting rho; a failure is an error, not a reason to retry.
+Both drivers reduce f and L(m), m in B, at eta, take their coordinates over
+B as g_0 and the matrix M of [L(.)]_eta (_reduced_system), and find the
+first relation on the one vector chain g_{i+1} = dg_i/dt + g_i . M
+(derivative_sequence).  The reduced form [a] does not depend on eta, so one
+_ReducedForms table per solve computes [f] and each [L(m)] once, and every
+confine round and then _reduced_system eliminate the stored forms against
+their eta-basis.  telescope_direct does this over Q(t) on a certified table
+and certifies its answer exactly: each of the 1 + |B| reductions is
+witnessed by a checked division certificate, and the telescoper's
+combination of the chain vectors must vanish.  The derivation maps S into S
+and dW^r into dW^r, and S + dW^r is a K(t)-space, so the chain is congruent
+to the iterated derivatives D^i f and the check proves
+sum c_i D^i f in S + dW^r for any starting rho; a failure is an error, not
+a reason to retry.
 telescope_modular evaluates at t = a modulo word-size primes p, replays the
 eta-basis construction with a majority-elected tracer, interpolates g_0
 and the matrix of [L(.)]_eta back into F_p(t), and lifts the per-prime
-relations to Q(t) by CRT and rational reconstruction, confirming with one
-extra prime.  Each prime is verified once, where it is drawn:
+relations to Q(t) by CRT and rational reconstruction, confirming with an
+extra prime.  Rational reconstruction can succeed spuriously on too few
+primes, so a confirming prime that disagrees joins the others and more
+primes follow.  Each prime is verified once, where it is drawn:
 telescope_modular builds its PrimeField there, and every vote, point image
 and check at that prime shares it, down to evaluate_and_reduce, which
 builds no field itself.
@@ -32,23 +38,24 @@ numbers as in FiniteFlow).  The first usable vote runs confine over a
 _Tape, and every later vote replays that tape (_vote).  After the
 election, the eta-basis replay and the reductions of f and of L(m), m in
 B, run over a second _Tape at the point of a vote that returned the
-elected Confinement, and every point of every prime replays it.  A _Tape
-is a stand-in for the PrimeField that splits the computation into a
-constant part (the constants of the inputs, integer literals and what is
-computed from them alone) and a point part (what depends on t), logs every
-operation of each, keeps every is_zero outcome and every divisor as a
-guard, and refuses bool() and == on its values so that no branch goes
-unrecorded.  bind() runs the constant part at a new prime and checks its
-guards; replay() runs the point part over plain ints at one point of that
-prime, from the inputs evaluated as before.  The guard rule: a replay is
-used only when every input operator has the recorded support and every
-recorded is_zero outcome comes out the same; otherwise the vote runs
-confine, or the point goes through the generic _point_images, which
-decides whether it is lucky.  Equal supports and outcomes make the code
-take the same path through the same operations, so both ways give the
-same Confinements, the same images, the same discarded points and the
-same transcript.  The tapes live in one telescope_modular call; the
-threads of a wave only read the point tape.
+elected Confinement, from the inputs that vote evaluated, and every point
+of every prime replays it.  A _Tape is a stand-in for the PrimeField
+that splits the computation into a constant part (the constants of the
+inputs, integer literals and what is computed from them alone) and a
+point part (what depends on t), logs every operation of each, keeps every
+is_zero outcome and every divisor as a guard, and refuses bool() and ==
+on its values so that no branch goes unrecorded.  bind() runs the
+constant part at a new prime and checks its guards; replay() runs the
+point part over plain ints at one point of that prime, from the inputs
+evaluated as before.  The guard rule: a replay is used only when every
+input operator has the recorded support and every recorded is_zero
+outcome comes out the same; otherwise the vote runs confine, or the point
+goes through the generic _point_images, which decides whether it is
+lucky.  Equal supports and outcomes make the code take the same path
+through the same operations, so both ways give the same Confinements, the
+same images, the same discarded points and the same transcript.  The
+tapes live in one telescope_modular call; the threads of a wave only read
+the point tape.
 
 Both drivers confine with confine(ctx, L, f): the direct one on the
 presentation's triple over Q(t), the modular vote on that triple evaluated
@@ -108,6 +115,7 @@ from .reduction import (
     compute_eta_basis,
     largest_monomial_of_degree,
     reduce_eta,
+    reduced_form,
     UnluckyTracerError,
 )
 
@@ -191,17 +199,67 @@ def _monomial_op(ctx, m):
     return WeylOperator(ctx.algebra, {m: ctx.algebra.field.one})
 
 
-def confine(ctx, L, f, rho=1, degree_ceiling=40):
+class _ReducedForms:
+    """The reduced forms of one solve: [f] and [L(m)] for each monomial m
+    met, each computed on first use and kept until the solve ends.
+
+    The reduced form [a] does not depend on eta; [a]_eta is [a] eliminated
+    against the rows of an eta-basis, which is what reduce_eta does on an
+    irreducible input.  So every confine round, and then the (g0, matrix)
+    of _reduced_system, eliminate the same stored [a] instead of reducing a
+    again.  A certified table also keeps the witness of a - [a].  Keys are
+    None for f and m for L(m).
+    """
+
+    __slots__ = ("ctx", "L", "f", "certificate", "_forms")
+
+    def __init__(self, ctx, L, f, certificate=False):
+        self.ctx = ctx
+        self.L = L
+        self.f = f
+        self.certificate = certificate
+        self._forms = {}  # key -> (a, [a], witness of a - [a] or None)
+
+    def _form(self, m):
+        form = self._forms.get(m)
+        if form is None:
+            a = self.f if m is None else apply_linear(self.L, _monomial_op(self.ctx, m))
+            red, cert = reduced_form(a, self.ctx, certificate=self.certificate)
+            form = self._forms[m] = (a, red, cert)
+        return form
+
+    def at(self, m, basis_e):
+        """[a]_eta against basis_e, for a = f (m None) or a = L(m)."""
+        return reduce_eta(self._form(m)[1], self.ctx, basis_e)
+
+    def witnessed(self, m, basis_e):
+        """at(m, basis_e) for a certified table and eta-basis, once the
+        witness of a - [a] plus that of the elimination verifies
+        a - [a]_eta."""
+        a, red, cert = self._form(m)
+        red_eta, sub = reduce_eta(red, self.ctx, basis_e, certificate=True)
+        if not (cert + sub).verifies(a - red_eta):
+            raise InconsistencyError("reduced-form certificate failed")
+        return red_eta
+
+
+def confine(ctx, L, f, rho=1, degree_ceiling=40, forms=None):
     """Search for an effective confinement (eta, B) for f and L over ctx.
 
     The direct driver passes a DerivedPresentation's (ctx, L, f); the
     modular vote passes the same triple evaluated at a point, over F_p.
     The threshold degree starts at rho and may not pass degree_ceiling.
+    Each round builds the eta-basis at its threshold and eliminates the
+    reduced forms of f and of L(m), m met, against it; forms is the
+    _ReducedForms table of (ctx, L, f) that keeps those forms across the
+    rounds (an uncertified one when None).
     """
     if rho < 0:
         raise ValueError(f"rho must be non-negative, got {rho}")
     if degree_ceiling < 1:
         raise ValueError(f"degree ceiling must be positive, got {degree_ceiling}")
+    if forms is None:
+        forms = _ReducedForms(ctx, L, f)
     order = ctx.order
     s = rho
     while True:
@@ -211,14 +269,13 @@ def confine(ctx, L, f, rho=1, degree_ceiling=40):
             )
         eta = largest_monomial_of_degree(ctx.algebra, order, s)
         basis_e = compute_eta_basis(ctx, eta, certificate=False)
-        Q = set(reduce_eta(f, ctx, basis_e).support())
+        Q = set(forms.at(None, basis_e).support())
         B = set()
         while Q - B:
             m = min(Q - B, key=order.key)
             if m.degree() > s - rho:
                 break  # no margin left below eta: raise the threshold
-            img = reduce_eta(apply_linear(L, _monomial_op(ctx, m)), ctx, basis_e)
-            Q |= set(img.support())
+            Q |= set(forms.at(m, basis_e).support())
             B.add(m)
         else:
             return Confinement(
@@ -230,25 +287,26 @@ def confine(ctx, L, f, rho=1, degree_ceiling=40):
         s += 1
 
 
-def _reduced_system(ctx, L, f, B, reduce, error):
-    """(g0, matrix) over the field of ctx: the coordinates over B of
-    reduce(f), then of reduce(L(m)) for each m in B in order, the system
-    both drivers build.  A support outside B raises error: an unlucky point
-    in modular mode, a fault in direct mode."""
+def _reduced_system(forms, basis_e, B, error):
+    """(g0, matrix) over the field of the _ReducedForms table forms: the
+    coordinates over B of [f]_eta, then of [L(m)]_eta for each m in B in
+    order, against basis_e; the system both drivers build.  A certified
+    table witnesses each of these reductions.  A support outside B raises
+    error: an unlucky point in modular mode, a fault in direct mode."""
+    reduce = forms.witnessed if forms.certificate else forms.at
     index = {m: i for i, m in enumerate(B)}
-    zero = ctx.algebra.field.zero
+    zero = forms.ctx.algebra.field.zero
 
-    def coordinates(a):
+    def coordinates(key):
         vec = [zero] * len(B)
-        for m, c in reduce(a).terms.items():
+        for m, c in reduce(key, basis_e).terms.items():
             pos = index.get(m)
             if pos is None:
                 raise error(f"support escapes the confinement at {m}")
             vec[pos] = c
         return tuple(vec)
 
-    g0 = coordinates(f)
-    return g0, tuple(coordinates(apply_linear(L, _monomial_op(ctx, m))) for m in B)
+    return coordinates(None), tuple(map(coordinates, B))
 
 
 def derivative_sequence_step(F, g, matrix):
@@ -409,13 +467,17 @@ def telescoper_from_system(F, g0, matrix):
 def telescope_direct(pres: DerivedPresentation, rho=1, degree_ceiling=40):
     """Telescoper over Q(t), computed without modular arithmetic.
 
+    confine runs on a certified _ReducedForms table, which keeps each
+    reduced form [f] and [L(m)] it computes with the witness of a - [a].
     After confine, builds the (g0, matrix) that each prime of
-    telescope_modular builds, from the certified eta-basis at eta: g0 holds
-    the coordinates over B of [f]_eta and row i of matrix those of
-    [L(B[i])]_eta.  The division certificate of each of these 1 + |B|
-    reductions is checked.  relation_search runs on the derivative_sequence
-    g_{i+1} = dg_i/dt + g_i . matrix and stops at the first dependent g_N;
-    sum c_i g_i must vanish on the vectors it consumed.
+    telescope_modular builds, from that table and the certified eta-basis
+    at eta: g0 holds the coordinates over B of [f]_eta and row i of matrix
+    those of [L(B[i])]_eta, each the stored [a] eliminated against the
+    rows.  The witness of a - [a]_eta (the stored one plus that of the
+    elimination) of each of these 1 + |B| reductions is checked; no
+    operator is reduced twice.  relation_search runs on the
+    derivative_sequence g_{i+1} = dg_i/dt + g_i . matrix and stops at the
+    first dependent g_N; sum c_i g_i must vanish on the vectors it consumed.
 
     Why the check is a proof: read a vector g as the operator
     G = sum_m g[m] m, and write L(a) = a.Lambda.  D(a) = da/dt + L(a) maps S
@@ -431,17 +493,11 @@ def telescope_direct(pres: DerivedPresentation, rho=1, degree_ceiling=40):
     """
     ctx = pres.ctx
     F = ctx.algebra.field
-    conf = confine(ctx, pres.L, pres.f, rho=rho, degree_ceiling=degree_ceiling)
+    forms = _ReducedForms(ctx, pres.L, pres.f, certificate=True)
+    conf = confine(ctx, pres.L, pres.f, rho=rho, degree_ceiling=degree_ceiling,
+                   forms=forms)
     basis_e = compute_eta_basis(ctx, conf.eta, certificate=True)
-
-    def witnessed(a):
-        red, cert = reduce_eta(a, ctx, basis_e, certificate=True)
-        if not cert.verifies(a - red):
-            raise InconsistencyError("reduced-form certificate failed")
-        return red
-
-    g0, matrix = _reduced_system(ctx, pres.L, pres.f, conf.B, witnessed,
-                                 InconsistencyError)
+    g0, matrix = _reduced_system(forms, basis_e, conf.B, InconsistencyError)
     chain = []
 
     def recorded():
@@ -541,8 +597,7 @@ def _reduced_images(ref, ctx, L, f):
         raise UnluckyEvaluationError(str(e))
     if tuple(r.lm for r in basis_e.rows) != ref.row_lms:
         raise UnluckyEvaluationError("eta-basis row lms differ from reference")
-    return _reduced_system(ctx, L, f, ref.B,
-                           lambda a: reduce_eta(a, ctx, basis_e),
+    return _reduced_system(_ReducedForms(ctx, L, f), basis_e, ref.B,
                            UnluckyEvaluationError)
 
 
@@ -825,16 +880,17 @@ def _unflatten(values, nb):
         tuple(values[nb * (i + 1):nb * (i + 2)]) for i in range(nb))
 
 
-def _lifted_context(tape, pres, img):
-    """(ctx, L, f) over tape, lifted from the inputs evaluated at img."""
-    return _context(pres, tape, tuple(map(tape.lift, _inputs(pres),
-                                          _evaluate(pres, img))))
+def _lifted_context(tape, pres, images):
+    """(ctx, L, f) over tape, lifted from images, the inputs evaluated at
+    the recording point."""
+    return _context(pres, tape, tuple(map(tape.lift, _inputs(pres), images)))
 
 
-def _record_point(pres, ref, img):
-    """The tape of _point_images at img."""
-    tape = _Tape(img.field)
-    g0, rows = _reduced_images(ref, *_lifted_context(tape, pres, img))
+def _record_point(pres, ref, Fp, images):
+    """The tape of _point_images at the point of Fp where the inputs
+    evaluate to images."""
+    tape = _Tape(Fp)
+    g0, rows = _reduced_images(ref, *_lifted_context(tape, pres, images))
     tape.finish(g0 + sum(rows, ()))
     return tape
 
@@ -940,40 +996,41 @@ def _prime_relation(pres, ref, tape, Fp, idx, cfg, counts):
             "shape": (len(rel) - 1, tuple(pdeg(c) for c in rel)), "log": log}
 
 
-def _vote(pres, img, rho, degree_ceiling, recorded, counts):
-    """The Confinement of one vote of _elect_reference, at img.
+def _vote(pres, Fp, images, rho, degree_ceiling, recorded, counts):
+    """The Confinement of one vote of _elect_reference, at the point of Fp
+    where the inputs evaluate to images.
 
     Every vote goes through here.  recorded is empty until the first usable
     vote, which runs confine over a _Tape and appends (tape, Confinement).
-    Every later vote replays that tape at img, and returns the recorded
-    Confinement when every input support and guard matches: it holds only
-    monomials, so the same branch path gives the same Confinement.
-    Otherwise the vote runs confine at img.
+    Every later vote replays that tape at its point, and returns the
+    recorded Confinement when every input support and guard matches: it
+    holds only monomials, so the same branch path gives the same
+    Confinement.  Otherwise the vote runs confine at its point.
     """
     if not recorded:
-        tape = _Tape(img.field)
-        conf = confine(*_lifted_context(tape, pres, img), rho=rho,
+        tape = _Tape(Fp)
+        conf = confine(*_lifted_context(tape, pres, images), rho=rho,
                        degree_ceiling=degree_ceiling)
         tape.finish(())
         recorded.append((tape, conf))
         counts["tapes_recorded"] += 1
         return conf
     tape, conf = recorded[0]
-    images = _evaluate(pres, img)
-    bound = tape.bind(img.field)
+    bound = tape.bind(Fp)
     if bound is not None and tape.replay(bound, images) is not None:
         counts["votes_replayed"] += 1
         return conf
     counts["votes_generic"] += 1
-    return confine(*_context(pres, img.field, images), rho=rho,
+    return confine(*_context(pres, Fp, images), rho=rho,
                    degree_ceiling=degree_ceiling)
 
 
 def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts):
     """The Confinement that a majority of _TRACER_VOTES votes returns, each
     vote confining at a point of the next prime field drawn from fields,
-    and the ModularImage of the first vote that returned it.  The votes
-    share one recorded confine (_vote); counts tallies them."""
+    with the ModularImage of the first vote that returned it and the inputs
+    evaluated there, which _record_point lifts.  The votes share one
+    recorded confine (_vote); counts tallies them."""
     recorded = []
     for round_no in range(_VOTE_ROUNDS):
         votes = []
@@ -984,7 +1041,9 @@ def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts):
             for _ in range(_MAX_POINT_TRIES):
                 img = ModularImage(Fp, vote_rng.randrange(1, prime))
                 try:
-                    conf = _vote(pres, img, rho, degree_ceiling, recorded, counts)
+                    images = _evaluate(pres, img)
+                    conf = _vote(pres, Fp, images, rho, degree_ceiling, recorded,
+                                 counts)
                 except UnluckyEvaluationError:
                     continue
                 break
@@ -994,13 +1053,13 @@ def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts):
                 f"vote prime={prime} point={img.point} eta={_mono_str(conf.eta)} "
                 f"|B|={len(conf.B)} |tracer|={len(conf.tracer)}"
             )
-            votes.append((conf, img))
-        confs = [conf for conf, _ in votes]
-        for conf, img in votes:
-            if confs.count(conf) * 2 > len(confs):
-                log.append("votes agree" if confs.count(conf) == len(confs)
+            votes.append((conf, img, images))
+        confs = [vote[0] for vote in votes]
+        for vote in votes:
+            if confs.count(vote[0]) * 2 > len(confs):
+                log.append("votes agree" if confs.count(vote[0]) == len(confs)
                            else "votes split, majority kept")
-                return conf, img
+                return vote
         log.append("votes inconclusive, new round")
     raise InconsistencyError("tracer votes never reached a majority")
 
@@ -1020,7 +1079,8 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
 
     Returns a ModularRun carrying the telescoper, a deterministic transcript
     (a fixed seed yields byte-identical transcripts regardless of worker
-    count), and the primes kept/discarded.
+    count), and the primes kept/discarded.  The telescoper is returned only
+    once an independent prime reproduces its canonical image.
     """
     cfg = config or ModularConfig()
     log = [f"seed {cfg.seed} rho {rho}"]
@@ -1043,15 +1103,15 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
     def replays():
         return {name: counts[name] for name in _REPLAY_COUNTS}
 
-    ref, vote_img = _elect_reference(pres, rho, cfg, fields, log, degree_ceiling,
-                                     counts)
+    ref, vote_img, vote_images = _elect_reference(pres, rho, cfg, fields, log,
+                                                  degree_ceiling, counts)
     if not ref.B:
         log.append("empty confinement: unit telescoper")
         return ModularRun(Telescoper(((1,),)), tuple(log), (), (), replays())
     # the vote point is lucky for ref: confine's own eta-basis there has
     # the rows that ref's tracer replays, and B is closed there
     try:
-        tape = _record_point(pres, ref, vote_img)
+        tape = _record_point(pres, ref, vote_img.field, vote_images)
         counts["tapes_recorded"] += 1
     except UnluckyEvaluationError:  # that vote's Confinement was not confine's
         tape = None
@@ -1112,17 +1172,49 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         return _primitive_positive(coeffs), [r["prime"] for r in kept], \
             [r for r in good if r["shape"] != best_shape]
 
+    check_discards = []  # consistency primes that could not check a candidate
+
+    def consistency_relation(coeffs):
+        """The relation at the next prime that can check coeffs, and whether
+        it is the canonical image of coeffs there."""
+        nonlocal next_idx
+        while True:
+            check_idx, check_field = next_idx, next(fields)
+            next_idx += 1
+            if next_idx > _MAX_PRIMES + 4:
+                raise BudgetExhaustedError("consistency check never completed")
+            expected = _reduce_canonical_mod(coeffs, check_field)
+            if expected is None:
+                check_discards.append(check_field.p)
+                continue
+            try:
+                got = _prime_relation(pres, ref, tape, check_field, check_idx, cfg,
+                                      counts)
+            except UnluckyEvaluationError:
+                check_discards.append(check_field.p)
+                continue
+            return got, got["rel"] == expected
+
+    # reconstruct, then confirm at an independent prime; a prime that
+    # disagrees shows the reconstruction was premature (rational
+    # reconstruction can succeed spuriously on too few primes), so its
+    # relation joins the others and more primes follow
     run_wave(_MIN_PRIMES)
-    candidate = None
     while True:
         candidate = merged_candidate()
-        if candidate is not None:
+        if candidate is None:
+            if next_idx >= _MAX_PRIMES:
+                for r in sorted(results.values(), key=lambda r: r["idx"]):
+                    log.extend(r["log"])
+                raise BudgetExhaustedError(f"no reconstruction after {next_idx} primes")
+            run_wave(min(2, _MAX_PRIMES - next_idx))
+            continue
+        got, agrees = consistency_relation(candidate[0])
+        if agrees:
             break
-        if next_idx >= _MAX_PRIMES:
-            for r in sorted(results.values(), key=lambda r: r["idx"]):
-                log.extend(r["log"])
-            raise BudgetExhaustedError(f"no reconstruction after {next_idx} primes")
-        run_wave(min(2, _MAX_PRIMES - next_idx))
+        got["log"].append(f"  disagrees with the reconstruction from "
+                          f"{len(candidate[1])} primes: kept")
+        results[got["idx"]] = got
 
     coeffs, kept_primes, shape_rejects = candidate
     for r in sorted(results.values(), key=lambda r: r["idx"]):
@@ -1132,31 +1224,9 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
     for r in shape_rejects:
         discarded.append(r["prime"])
         log.append(f"shape reject prime {r['prime']}")
-
-    # consistency prime: an independent prime must reproduce the canonical image
-    while True:
-        check_idx, check_field = next_idx, next(fields)
-        check_prime = check_field.p
-        next_idx += 1
-        if next_idx > _MAX_PRIMES + 4:
-            raise BudgetExhaustedError("consistency check never completed")
-        expected = _reduce_canonical_mod(coeffs, check_field)
-        if expected is None:
-            discarded.append(check_prime)
-            continue
-        try:
-            got = _prime_relation(pres, ref, tape, check_field, check_idx, cfg,
-                                  counts)
-        except UnluckyEvaluationError:
-            discarded.append(check_prime)
-            continue
-        log.extend(got["log"])
-        if got["rel"] != expected:
-            raise InconsistencyError(
-                f"consistency prime {check_prime} disagrees with reconstruction"
-            )
-        log.append(f"consistency prime {check_prime} ok")
-        break
+    discarded.extend(check_discards)
+    log.extend(got["log"])
+    log.append(f"consistency prime {got['prime']} ok")
 
     return ModularRun(
         Telescoper(coeffs),

@@ -245,20 +245,53 @@ _SMALL_COEFFS = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]),
                           st.integers(1, 3))
 
 
-@given(st.dictionaries(st.sampled_from([(1, 0), (2, 0), (0, 1), (0, 2)]),
-                       _SMALL_COEFFS),
-       st.dictionaries(st.sampled_from([(1, 0), (2, 0), (0, 1), (1, 1)]),
-                       _SMALL_COEFFS, min_size=1))
-@settings(max_examples=24)
-def test_modular_equals_direct_on_random_presentations(f, g):
-    """Random small k = 2 pairs (f, g), not only the graph model: both
-    drivers give one telescoper, and it annihilates the pairing's series."""
+def _assert_drivers_agree(f, g):
+    """Both drivers give one telescoper for the pairing of f and g, and it
+    annihilates the pairing's series."""
     pres = scalar_product_presentation(scalar_product_input(f, g, 2))
     tel = telescope_direct(pres)
     run = telescope_modular(pres, config=ModularConfig(seed=0, workers=1))
     assert run.telescoper == tel
     series = scalar_product_series(f, g, tel.order + max(tel.degrees) + 2)
     assert verify_ode_on_series(tel, series)
+
+
+@given(st.dictionaries(st.sampled_from([(1, 0), (2, 0), (0, 1), (0, 2)]),
+                       _SMALL_COEFFS),
+       st.dictionaries(st.sampled_from([(1, 0), (2, 0), (0, 1), (1, 1)]),
+                       _SMALL_COEFFS, min_size=1))
+@settings(max_examples=24)
+def test_modular_equals_direct_on_random_presentations(f, g):
+    """Random small k = 2 pairs (f, g), not only the graph model."""
+    _assert_drivers_agree(f, g)
+
+
+@pytest.mark.slow
+@given(st.dictionaries(st.sampled_from([(1, 0), (2, 0), (3, 0), (0, 1), (0, 2)]),
+                       _SMALL_COEFFS),
+       st.dictionaries(st.sampled_from([(1, 0), (2, 0), (3, 0), (0, 1), (1, 1)]),
+                       _SMALL_COEFFS, min_size=1))
+@settings(max_examples=6, deadline=None)
+def test_modular_equals_direct_at_higher_orders(f, g):
+    """As above with p1^3 in both monomial sets: higher orders and degrees,
+    confine over several rounds, and coefficients that can need more than
+    two primes."""
+    _assert_drivers_agree(f, g)
+
+
+def test_premature_reconstruction_takes_more_primes():
+    """At seed 0, two primes reconstruct a wrong candidate for the pairing of
+    f = 2 p1^3 - 3 p1^2 + p2^2 and g = 3 p1 p2, whose telescoper has
+    coefficients near 2^35; the consistency prime disagrees, joins the
+    others, and three primes give the telescoper of direct mode."""
+    f = {(3, 0): Fraction(2), (2, 0): Fraction(-3), (0, 2): Fraction(1)}
+    g = {(1, 1): Fraction(3)}
+    pres = scalar_product_presentation(scalar_product_input(f, g, 2))
+    run = telescope_modular(pres, config=ModularConfig(seed=0, workers=1))
+    assert run.telescoper == telescope_direct(pres)
+    assert "  disagrees with the reconstruction from 2 primes: kept" in run.transcript
+    assert len(run.primes_used) == 3
+    assert run.transcript[-1].startswith("consistency prime ")
 
 
 def test_modular_k3_agrees(k3):

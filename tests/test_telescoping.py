@@ -281,22 +281,60 @@ def test_certificate_checks_every_witness(k3):
 @pytest.mark.parametrize("name", ["airy", "k3"])
 def test_direct_witnesses_f_then_each_image_of_B(airy, k3, name):
     """Direct mode witnesses the reductions that build (g0, matrix), no
-    more: [f]_eta, then [L(m)]_eta for each m in B, in the order of B."""
+    more: [f]_eta, then [L(m)]_eta for each m in B, in the order of B.  Each
+    certified reduce_eta eliminates a stored reduced form [a], and the
+    witness checked after it is that of a - [a]_eta, so the witnessed a is
+    the checked difference plus the eliminated form."""
     pres = {"airy": airy, "k3": k3}[name].pres
     A = pres.ctx.algebra
     conf = confine(pres.ctx, pres.L, pres.f)
-    real = telescoping.reduce_eta
-    witnessed = []
+    reduce, verifies = telescoping.reduce_eta, DivisionCertificate.verifies
+    eliminated, checked = [], []
 
-    def spy(a, *args, **kwargs):
+    def reduce_spy(a, *args, **kwargs):
+        out = reduce(a, *args, **kwargs)
         if kwargs.get("certificate"):
-            witnessed.append(a)
-        return real(a, *args, **kwargs)
+            eliminated.append(out[0])
+        return out
 
-    with mock.patch.object(telescoping, "reduce_eta", spy):
+    def verifies_spy(cert, x):
+        checked.append(x)
+        return verifies(cert, x)
+
+    with mock.patch.object(telescoping, "reduce_eta", reduce_spy), \
+            mock.patch.object(DivisionCertificate, "verifies", verifies_spy):
         telescope_direct(pres)
+    witnessed = [x + red for x, red in zip(checked, eliminated, strict=True)]
     assert witnessed == [pres.f] + [
         apply_linear(pres.L, WeylOperator(A, {m: A.field.one})) for m in conf.B]
+
+
+@pytest.mark.parametrize("name", ["airy", "k3"])
+def test_each_operator_reduced_once_per_solve(airy, k3, name):
+    """One telescope_direct computes the reduced form of f and of each L(m)
+    that confine meets exactly once, over all of confine's rounds and the
+    witnessed system after them; B is among the operators met."""
+    pres = {"airy": airy, "k3": k3}[name].pres
+    A = pres.ctx.algebra
+    form, image = telescoping.reduced_form, telescoping.apply_linear
+    reduced, images = [], []
+
+    def form_spy(a, *args, **kwargs):
+        reduced.append(a)
+        return form(a, *args, **kwargs)
+
+    def image_spy(L, a):
+        images.append(image(L, a))
+        return images[-1]
+
+    with mock.patch.object(telescoping, "reduced_form", form_spy), \
+            mock.patch.object(telescoping, "apply_linear", image_spy):
+        telescope_direct(pres)
+    assert reduced == [pres.f] + images
+    assert len(set(reduced)) == len(reduced)
+    conf = confine(pres.ctx, pres.L, pres.f)
+    assert {image(pres.L, WeylOperator(A, {m: A.field.one})) for m in conf.B} \
+        <= set(images)
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3])
@@ -449,16 +487,36 @@ def test_generic_eta_basis_runs_once_per_solve(airy, k3, name):
                            "points_generic": 0}
 
 
+@pytest.mark.parametrize("name", ["airy", "k3"])
+def test_each_point_evaluated_once(airy, k3, name):
+    """Every vote point and prime point evaluates the inputs once: the
+    point tape is recorded from the inputs the elected vote evaluated."""
+    pres = {"airy": airy.pres, "k3": k3.pres}[name]
+    evaluated = Counter()
+
+    def evaluate(op, img):
+        evaluated[img.field.p, img.point] += 1
+        return evaluate_and_reduce(op, img)
+
+    with mock.patch.object(telescoping, "evaluate_and_reduce", evaluate):
+        run = telescope_modular(pres, rho=1, config=ModularConfig(seed=0, workers=1))
+    votes = sum(line.startswith("vote ") for line in run.transcript)
+    assert len(evaluated) == votes + _prime_points(run.transcript)
+    assert set(evaluated.values()) == {len(telescoping._inputs(pres))}
+
+
 def _elected(pres, Fp):
-    """The reference three votes at Fp elect, and the point of the first."""
+    """The reference three votes at Fp elect, the point of the first and
+    the inputs evaluated there."""
     return telescoping._elect_reference(
         pres, 1, ModularConfig(seed=7), iter([Fp] * 3), [], 40, Counter())
 
 
 def test_replay_equals_generic_path(airy):
     Fp = PrimeField(1000003)
-    ref, img = _elected(airy.pres, Fp)
-    tape = telescoping._record_point(airy.pres, ref, img)
+    ref, img, images = _elected(airy.pres, Fp)
+    assert images == telescoping._evaluate(airy.pres, img)
+    tape = telescoping._record_point(airy.pres, ref, Fp, images)
     bound = tape.bind(Fp)
     for a in (img.point, 6, 77, 123456):
         img = ModularImage(Fp, a)
@@ -473,10 +531,10 @@ def test_tapes_replay_at_other_primes(airy, k3, name):
     the point tape to _point_images there, the vote tape to the
     Confinement that confine returns there."""
     pres = {"airy": airy.pres, "k3": k3.pres}[name]
-    ref, img = _elected(pres, PrimeField(1000003))
-    point_tape = telescoping._record_point(pres, ref, img)
+    ref, img, images = _elected(pres, PrimeField(1000003))
+    point_tape = telescoping._record_point(pres, ref, img.field, images)
     recorded, counts = [], Counter()
-    assert telescoping._vote(pres, img, 1, 40, recorded, counts) == ref
+    assert telescoping._vote(pres, img.field, images, 1, 40, recorded, counts) == ref
     ((vote_tape, _),) = recorded
     for p in (1000033, 999983, 2147483647):
         Fp = PrimeField(p)
@@ -488,7 +546,7 @@ def test_tapes_replay_at_other_primes(airy, k3, name):
             assert telescoping._unflatten(values, len(ref.B)) == \
                 telescoping._point_images(pres, ref, at)
             assert vote_tape.replay(vote_bound, images) == []
-            assert telescoping._vote(pres, at, 1, 40, recorded, counts) == \
+            assert telescoping._vote(pres, Fp, images, 1, 40, recorded, counts) == \
                 confine(*telescoping._context(pres, Fp, images), rho=1) == ref
     assert counts == {"tapes_recorded": 1, "votes_replayed": 9}
 
@@ -502,8 +560,8 @@ def test_bind_refuses_failed_constant_guard():
     nonzero."""
     pres = _module_presentation(parse_document(airy_family_document(7, 2, 3)))
     Fp = PrimeField(1000003)
-    ref, img = _elected(pres, Fp)
-    tape = telescoping._record_point(pres, ref, img)
+    ref, _, images = _elected(pres, Fp)
+    tape = telescoping._record_point(pres, ref, Fp, images)
     assert tape.bind(Fp) is not None and tape.bind(PrimeField(11)) is not None
     assert tape.bind(PrimeField(7)) is None
     assert tape.bind(PrimeField(5)) is None
@@ -545,8 +603,8 @@ def test_tampered_tape_falls_back_to_generic_path(airy, tamper):
     good = telescope_modular(airy.pres, rho=1, config=cfg)
     record = telescoping._record_point
 
-    def tampered(pres, ref, img):
-        tape = record(pres, ref, img)
+    def tampered(pres, ref, Fp, images):
+        tape = record(pres, ref, Fp, images)
         tamper(tape)
         return tape
 
@@ -587,7 +645,7 @@ def test_unlucky_points_match_generic_path(airy):
     with mock.patch.object(telescoping, "evaluate_and_reduce", evaluate):
         forced = telescope_modular(airy.pres, rho=1, config=cfg)
         with mock.patch.object(telescoping, "_record_point",
-                               lambda pres, ref, img: _NoTape()):
+                               lambda pres, ref, Fp, images: _NoTape()):
             generic = telescope_modular(airy.pres, rho=1, config=cfg)
     for a in unlucky:
         assert f"  discard point {a}" in forced.transcript
