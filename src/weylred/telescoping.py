@@ -104,6 +104,7 @@ from .weyl import (
     WeylOperator,
     _mono_str,
     coefficientwise_dt,
+    commutator,
     components,
     evaluate_and_reduce,
     leading_monomial,
@@ -151,10 +152,18 @@ class DerivedPresentation:
     """A module W_x(t)^r/S with the derivation a -> da/dt + a.Lambda and an f.
 
     L is an r x r matrix of scalar operators, and the coefficient field
-    carries t.  On construction the stored Groebner basis is checked for
-    stability under the derivation (lrem(dg/dt + L(g), G) = 0 for every
-    basis element g), which is what makes the derivation well defined on
-    the quotient.
+    carries t.  On construction the stored Groebner basis G is checked for
+    stability under the derivation, D(g) = dg/dt + L(g) in S for every
+    basis element g, which is what makes the derivation well defined on
+    the quotient.  When r = 1, L(g) = g.Lambda and S is a left ideal, so
+    Lambda.g lies in S and D(g) lies in S exactly when
+    D(g) - Lambda.g = dg/dt + [g, Lambda] does.  That operator is the one
+    reduced: the commutator skips the term pairs of g and Lambda that
+    commute, whose products cancel, so it is shorter than D(g) and cheaper
+    to build.  G is a Groebner basis, so lrem(a, G) = 0 exactly when a lies
+    in S: each g gets the same yes or no, and the same first failing
+    element is named.  For r > 1, g.Lambda is no left multiple of g and
+    lrem(dg/dt + L(g), G) = 0 is checked as it stands.
     """
 
     __slots__ = ("ctx", "L", "f")
@@ -170,7 +179,10 @@ class DerivedPresentation:
         self.L = L
         self.f = f
         for g in ctx.basis:
-            img = coefficientwise_dt(g) + apply_linear(L, g)
+            if r == 1:
+                img = coefficientwise_dt(g) + commutator(g, L[0][0])
+            else:
+                img = coefficientwise_dt(g) + apply_linear(L, g)
             rem, _ = lrem(img, ctx.basis, ctx.order, certificate=False)
             if not rem.is_zero():
                 raise ValueError(
@@ -482,7 +494,8 @@ def telescope_direct(pres: DerivedPresentation, rho=1, degree_ceiling=40):
     Why the check is a proof: read a vector g as the operator
     G = sum_m g[m] m, and write L(a) = a.Lambda.  D(a) = da/dt + L(a) maps S
     into S (D(q g) = q'g + q D(g), and DerivedPresentation checks D(g) in S
-    for each basis element g) and dW^r into dW^r (D(d_j w) = d_j D(w)).
+    for each basis element g, checked as g' + [g, Lambda] when r = 1) and
+    dW^r into dW^r (D(d_j w) = d_j D(w)).
     S + dW^r is closed under left multiplication by K(t), so
     L(G) - sum_m G[m] [L(m)]_eta = sum_m G[m] (L(m) - [L(m)]_eta) lies in
     S + dW^r by the witnesses, and G_{i+1} = dG_i/dt + sum_m G_i[m] [L(m)]_eta

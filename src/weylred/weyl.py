@@ -18,7 +18,9 @@ Two regimes share this representation:
 Products are built term pair by term pair.  Most pairs commute (no d_i of
 the left factor meets an x_i of the right one, and no d_t twists the
 right coefficient); their product is one monomial, the exponent sum, so
-only the other pairs go through the normal-ordering expansion.
+only the other pairs go through the normal-ordering expansion.  In a
+commutator PQ - QP the two products of a commuting pair cancel, so
+``commutator`` multiplies only the pairs that do not commute.
 """
 
 from __future__ import annotations
@@ -303,6 +305,32 @@ def mul(P, Q):
             comp = mq.comp if A.r == 1 else mp.comp
             _term_product(F, algebra, out, cp, mp, cq, mq, comp)
     return WeylOperator(algebra, out)
+
+
+def commutator(P, Q):
+    """[P, Q] = PQ - QP for two scalar (rank 1) operators.
+
+    A term pair commutes when neither side's d_i meets an x_i of the other
+    and neither carries d_t (which would twist the other's coefficient); its
+    two products are then the same monomial with the same coefficient, and
+    cancel.  Only the other pairs are multiplied, in both orders.
+    """
+    A = P.algebra
+    if A is not Q.algebra and A != Q.algebra:
+        raise ValueError("operator shapes are incompatible")
+    if A.r > 1:
+        raise ValueError("commutator of scalar operators only")
+    F = A.field
+    dt = A.dt
+    out = {}
+    for mp, cp in P.terms.items():
+        ap, bp = mp.alpha, mp.beta
+        for mq, cq in Q.terms.items():
+            if (dt and (bp[0] or mq.beta[0]) or any(map(imul, bp, mq.alpha))
+                    or any(map(imul, mq.beta, ap))):
+                _term_product(F, A, out, cp, mp, cq, mq, 1)
+                _term_product(F, A, out, F.neg(cq), mq, cp, mp, 1)
+    return WeylOperator(A, out)
 
 
 def mul_monomial(m: Monomial, c, P):

@@ -12,7 +12,9 @@ from math import factorial
 from weylred.arith import T_GEN
 from weylred.extension import dt_degree, flatten_operator
 from weylred.groebner import lrem
-from weylred.weyl import Monomial, MonomialOrder, WeylOperator, mul, op_sub
+from weylred.telescoping import apply_linear
+from weylred.weyl import (
+    Monomial, MonomialOrder, WeylOperator, coefficientwise_dt, mul, op_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +169,20 @@ def flatten_member(ext, a):
     assert cert.verifies(a - rem)
     assert dt_degree(rem) <= ext.ell
     return flatten_operator(rem, ext.ell, ext.algebra)
+
+
+# ---------------------------------------------------------------------------
+# telescoping
+
+
+def first_unstable_element(ctx, L):
+    """The first Groebner basis element g with D(g) = dg/dt + L(g) outside
+    S, reducing D(g) itself for every rank, or None when S is stable."""
+    for g in ctx.basis:
+        img = coefficientwise_dt(g) + apply_linear(L, g)
+        if not lrem(img, ctx.basis, ctx.order, certificate=False)[0].is_zero():
+            return g
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _helpers import T, operators, qqt_elements
-from _oracles import division_respects_dt_degree, flatten_member
+from _oracles import division_respects_dt_degree, first_unstable_element, flatten_member
 from weylred.arith import QQ_T
 from weylred.extension import (
     ParametricPresentation,
@@ -135,6 +135,21 @@ def test_quadratic_round_trip(quad):
     dp = DerivedPresentation(ctx, ext.l_matrix, embedded_unit(ext))
     tel = telescope_direct(dp)
     assert tel.coefficients == ((0, -1), (), (1,))  # d_t^2 - t
+
+
+def test_unstable_rank_two_module_rejected(quad):
+    """r > 1 keeps the check on D(g) itself: with L[0][0] = x_1,
+    D(d_1 e_1) = (x_1 d_1 + 1) e_1 leaves S = <d_1 e_1, d_1 e_2>."""
+    pres, _ = quad
+    ext = build_extension(pres)
+    order = grevlex(1)
+    ctx = ReductionContext(ext.algebra, order, buchberger(ext.s_generators, order))
+    (_, l01), l1 = ext.l_matrix
+    bad_L = ((ext.algebra.with_rank(1).xvar(0), l01), l1)
+    assert first_unstable_element(ctx, ext.l_matrix) is None
+    assert first_unstable_element(ctx, bad_L) is not None
+    with pytest.raises(ValueError, match="module is not stable under the derivation"):
+        DerivedPresentation(ctx, bad_L, embedded_unit(ext))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from _helpers import (
     T, discarded_prime, operators, outvoted_tracer_vote, qqt_elements)
+from _oracles import first_unstable_element
 from weylred import telescoping
 from weylred import arith
 from weylred.arith import (
@@ -35,7 +36,8 @@ from weylred.telescoping import (
     telescope_modular,
     telescoper_from_field_relation,
 )
-from weylred.weyl import Algebra, Monomial, WeylOperator, evaluate_and_reduce
+from weylred.weyl import (
+    Algebra, Monomial, WeylOperator, _mono_str, evaluate_and_reduce, leading_monomial)
 
 HALF = QQ_T.div(QQ_T.one, QQ_T.from_int(2))
 
@@ -228,6 +230,32 @@ def test_unstable_module_rejected(airy):
     bad_L = ((airy.algebra.with_rank(1).xvar(0),),)
     with pytest.raises(ValueError, match=r"basis element with lead x2\^1\*d3\^1 fails"):
         DerivedPresentation(airy.ctx, bad_L, airy.pres.f)
+
+
+@pytest.mark.parametrize("problem", ["airy", "k2", "k3", "a3b1c2"])
+def test_stability_check_matches_unreduced_derivation(problem, request):
+    """The r = 1 check reduces g' + [g, Lambda] instead of D(g); it rejects
+    exactly when some D(g) lies outside S, naming the same element, for
+    Lambda, Lambda + t (still stable) and Lambda plus each variable."""
+    if problem == "a3b1c2":
+        pres = _module_presentation(parse_document(airy_family_document(3, 1, 2)))
+    else:
+        pres = request.getfixturevalue(problem).pres
+    ctx, lam = pres.ctx, pres.L[0][0]
+    A = lam.algebra
+    shifts = [A.scalar(T)] + [v(i) for i in range(A.n) for v in (A.xvar, A.dvar)]
+    verdicts = []
+    for new in [lam] + [lam + s for s in shifts]:
+        bad = first_unstable_element(ctx, ((new,),))
+        verdicts.append(bad is None)
+        if bad is None:
+            DerivedPresentation(ctx, ((new,),), pres.f)
+            continue
+        lead = _mono_str(leading_monomial(bad, ctx.order))
+        with pytest.raises(ValueError, match="module is not stable under the "
+                           rf"derivation: basis element with lead {re.escape(lead)} fails$"):
+            DerivedPresentation(ctx, ((new,),), pres.f)
+    assert verdicts[:2] == [True, True] and not all(verdicts)
 
 
 def test_certificate_rejects_perturbed_telescoper(k3):

@@ -14,6 +14,7 @@ from weylred.weyl import (
     Monomial,
     block_order,
     coefficientwise_dt,
+    commutator,
     dtelim_order,
     evaluate_and_reduce,
     grevlex,
@@ -24,6 +25,7 @@ from weylred.weyl import (
     mul_monomial,
     op_add,
     op_scale,
+    op_sub,
     shadow_divides,
     shadow_quotient,
     sorted_terms,
@@ -120,6 +122,39 @@ def test_mul_monomial_matches_variable_by_variable_oracle(shape, field):
 
     check()
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("shape, field", [
+    ("plain", "QQ"), ("plain", "QQ(t)"), ("plain", "GF(101)"),
+    ("t-extended", "QQ(t)"),
+])
+def test_commutator_matches_products(shape, field):
+    """commutator(P, Q) is PQ - QP, on pairs of operators whose term pairs
+    all commute (nothing is multiplied) and on pairs with some that do not
+    (a d_i of either side meets an x_i of the other, or a d_t twists)."""
+    K = {"QQ": QQ, "QQ(t)": QQ_T, "GF(101)": F101}[field]
+    A = Algebra(2, 1, K, dt=shape == "t-extended")
+    ops = operators(A, _COEFFS[field], max_terms=3, max_exp=2, min_terms=1)
+    seen = set()
+
+    def meets(mp, mq):
+        return (A.dt and (mp.beta[0] or mq.beta[0])) or any(
+            mp.beta[i] and mq.alpha[i] or mq.beta[i] and mp.alpha[i]
+            for i in range(A.dt, A.n))
+
+    @given(ops, ops)
+    def check(P, Q):
+        commuting = not any(meets(mp, mq) for mp in P.terms for mq in Q.terms)
+        event("all pairs commute" if commuting else "some pair does not commute")
+        seen.add(commuting)
+        assert commutator(P, Q) == op_sub(mul(P, Q), mul(Q, P))
+
+    check()
+    assert seen == {True, False}
+    with pytest.raises(ValueError):
+        commutator(A.with_rank(2).one(), A.with_rank(2).one())
+    with pytest.raises(ValueError):
+        commutator(A.one(), Algebra(3, 1, K, A.dt).one())
 
 
 @given(operators(A2, max_terms=3, max_exp=2), operators(A2, max_terms=3, max_exp=2),
