@@ -15,9 +15,10 @@ certificate witnessing that the row itself lies in S + dW^r, so the witness
 of a - [a]_eta is the witness of a - [a] plus the same multiples of the row
 witnesses.
 
-A tracer remembers which candidate monomials contributed nothing so that
-modular replays of the same computation can skip them; replays verify the
-surviving rows and raise UnluckyTracerError on any mismatch.
+Each eta-basis also keeps its tracer, the set of candidate monomials whose
+row vanished.  It is part of the shape that modular votes compare
+(telescoping.Confinement) and that the transcript and `weylred eta-basis`
+report.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ from .weyl import (
     shadow_divides,
 )
 from .groebner import DivisionCertificate, lrem, rrem
-
-
-class UnluckyTracerError(Exception):
-    """A replayed eta-basis disagrees with its reference tracer."""
 
 
 class ReductionContext:
@@ -191,13 +188,9 @@ def _defect_element(ctx, m, gi, gamma, certificate):
     return raw, cert
 
 
-def compute_eta_basis(ctx, eta, tracer=None, certificate=True):
-    """Echelonized basis of the irreducible elements of S + dW^r below eta.
-
-    With ``tracer`` given, candidates recorded as non-contributing are
-    skipped; a skipped-but-needed or contributing-but-vanishing mismatch
-    raises UnluckyTracerError.
-    """
+def compute_eta_basis(ctx, eta, certificate=True):
+    """Echelonized basis of the irreducible elements of S + dW^r below eta;
+    its tracer holds the candidates whose row vanished."""
     F = ctx.algebra.field
     minus_one = F.neg(F.one)
     order = ctx.order
@@ -206,17 +199,11 @@ def compute_eta_basis(ctx, eta, tracer=None, certificate=True):
     vanished = set()
 
     for m in sorted(candidates, key=order.key):
-        if tracer is not None and m in tracer:
-            continue
         gi, gamma = candidates[m]
         raw, cert = _defect_element(ctx, m, gi, gamma, certificate)
         red, red_cert = reduced_form(raw, ctx, certificate=certificate)
         red, sub = _eliminate(red, rows, certificate)
         if red.is_zero():
-            if tracer is not None:
-                raise UnluckyTracerError(
-                    f"candidate {m} contributed nothing on replay"
-                )
             vanished.add(m)
             continue
         lm, lc = leading_data(red, order)

@@ -7,62 +7,53 @@ that the reduced derivative sequence g_0 = [f]_eta,
 g_{i+1} = dg_i/dt + [L(g_i)]_eta stays inside Span_{K(t)}(B); the first
 linear relation among the g_i is a telescoper for the integral.
 
-Both drivers reduce f and L(m), m in B, at eta, take their coordinates over
-B as g_0 and the matrix M of [L(.)]_eta (_reduced_system), and find the
-first relation on the one vector chain g_{i+1} = dg_i/dt + g_i . M
-(derivative_sequence).  The reduced form [a] does not depend on eta, so one
-_ReducedForms table per solve computes [f] and each [L(m)] once, and every
-confine round and then _reduced_system eliminate the stored forms against
-their eta-basis.  telescope_direct does this over Q(t) on a certified table
-and certifies its answer exactly: each of the 1 + |B| reductions is
-witnessed by a checked division certificate, and the telescoper's
-combination of the chain vectors must vanish.  The derivation maps S into S
-and dW^r into dW^r, and S + dW^r is a K(t)-space, so the chain is congruent
-to the iterated derivatives D^i f and the check proves
-sum c_i D^i f in S + dW^r for any starting rho; a failure is an error, not
-a reason to retry.
-telescope_modular evaluates at t = a modulo word-size primes p, replays the
-eta-basis construction with a majority-elected tracer, interpolates g_0
-and the matrix of [L(.)]_eta back into F_p(t), and lifts the per-prime
-relations to Q(t) by CRT and rational reconstruction, confirming with an
-extra prime.  Rational reconstruction can succeed spuriously on too few
-primes, so a confirming prime that disagrees joins the others and more
-primes follow.  Each prime is verified once, where it is drawn:
-telescope_modular builds its PrimeField there, and every vote, point image
-and check at that prime shares it, down to evaluate_and_reduce, which
-builds no field itself.
+Both drivers confine with confine(ctx, L, f) on a _ReducedForms table,
+which keeps the reduced forms [f] and [L(m)] (they do not depend on eta),
+each eta-basis and each [a]_eta of one solve, so nothing is reduced or
+built twice.  confine's final round at eta leaves [f]_eta and each
+[L(m)]_eta, m in B, inside Span(B); _reduced_system reads their
+coordinates over B off the table as g_0 and the matrix M, and
+relation_search (_RelationFinder) finds the first relation on the chain
+g_{i+1} = dg_i/dt + g_i . M (derivative_sequence).
+telescope_direct does this over Q(t) on a certified table and certifies
+its answer exactly: each of the 1 + |B| reductions is witnessed by a
+checked division certificate, and the telescoper's combination of the
+chain vectors must vanish.  The derivation maps S into S and dW^r into
+dW^r, and S + dW^r is a K(t)-space, so the chain is congruent to the
+iterated derivatives D^i f and the check proves sum c_i D^i f in
+S + dW^r for any starting rho; a failure is an error, not a reason to
+retry.
+telescope_modular runs the same computation (_solve_at: confine, then
+_reduced_system) at points t = a modulo word-size primes p.  Votes elect
+the reference Confinement; a point is usable only when it confines to
+it, and the (g_0, M) of the usable points are interpolated into F_p(t).
+The per-prime relations lift to Q(t) by CRT and rational
+reconstruction, confirmed with an extra prime; as reconstruction can
+succeed spuriously on too few primes, a confirming prime that disagrees
+joins the others and more primes follow.  Each prime is verified once,
+where it is drawn, into the PrimeField that every vote, point and check
+at that prime shares, down to evaluate_and_reduce.
 
-Each telescope_modular call records two computations once and replays
-them everywhere else (Traverso's trace idea, ISSAC 1988, carried to the
-numbers as in FiniteFlow).  The first usable vote runs confine over a
-_Tape, and every later vote replays that tape (_vote).  After the
-election, the eta-basis replay and the reductions of f and of L(m), m in
-B, run over a second _Tape at the point of a vote that returned the
-elected Confinement, from the inputs that vote evaluated, and every point
-of every prime replays it.  A _Tape is a stand-in for the PrimeField
-that splits the computation into a constant part (the constants of the
-inputs, integer literals and what is computed from them alone) and a
-point part (what depends on t), logs every operation of each, keeps every
-is_zero outcome and every divisor as a guard, and refuses bool() and ==
-on its values so that no branch goes unrecorded.  bind() runs the
-constant part at a new prime and checks its guards; replay() runs the
-point part over plain ints at one point of that prime, from the inputs
-evaluated as before.  The guard rule: a replay is used only when every
-input operator has the recorded support and every recorded is_zero
-outcome comes out the same; otherwise the vote runs confine, or the point
-goes through the generic _point_images, which decides whether it is
-lucky.  Equal supports and outcomes make the code take the same path
-through the same operations, so both ways give the same Confinements, the
-same images, the same discarded points and the same transcript.  The
-tapes live in one telescope_modular call; the threads of a wave only read
-the point tape.
-
-Both drivers confine with confine(ctx, L, f): the direct one on the
-presentation's triple over Q(t), the modular vote on that triple evaluated
-at a point, electing the reference Confinement.  Both find the relation
-with relation_search (_RelationFinder) on derivative_sequence: over Q(t)
-on the witnessed (g_0, M), and over F_p(t) per prime on the interpolated
-one.
+Each telescope_modular call records _solve_at once and replays it
+everywhere else (Traverso's trace idea, ISSAC 1988, carried to the
+numbers as in FiniteFlow).  The first usable vote runs it over a _Tape
+(_record), whose outputs are g_0 and the rows of M; every later vote and
+every point of every prime replays that tape, and only when the first
+vote loses the election is a second one recorded, at the elected vote's
+point.  A _Tape is a stand-in for the PrimeField that splits the
+computation into a constant part (the constants of the inputs, integer
+literals and what is computed from them alone) and a point part (what
+depends on t), logs every operation of each, keeps every is_zero outcome
+and every divisor as a guard, and refuses bool() and == on its values so
+that no branch goes unrecorded.  bind() runs the constant part at a new
+prime and checks its guards; replay() runs the point part over plain
+ints at one point of that prime.  A replay is used only when every input
+operator has the recorded support and every recorded is_zero outcome
+comes out the same, so that the code would take the same path through
+the same operations; otherwise the vote or point runs _solve_at itself
+(_replayed).  Either way gives the same Confinement and (g_0, M).  The
+tapes live in one telescope_modular call; the threads of a wave only
+read them.
 
 ModularConfig holds only what a caller sets: the seed, the threads per
 wave and the point budget.  The prime budget, the vote sizes and the point
@@ -117,7 +108,6 @@ from .reduction import (
     largest_monomial_of_degree,
     reduce_eta,
     reduced_form,
-    UnluckyTracerError,
 )
 
 
@@ -198,13 +188,14 @@ class DerivedPresentation:
 
 @dataclass(frozen=True)
 class Confinement:
-    """(eta, B), and the shape of the eta-basis at eta that modular points
-    replay; the modular vote elects one by equality of all four fields."""
+    """(eta, B), and the shape of the eta-basis at eta; the modular vote
+    elects one by equality of all four fields, and a point is usable only
+    when it confines to the elected one."""
 
     eta: Monomial
     B: tuple  # monomials, ascending under the ambient order
-    row_lms: tuple  # lms of the eta-basis rows (replay reference)
-    tracer: frozenset
+    row_lms: tuple  # lms of the eta-basis rows
+    tracer: frozenset  # candidates whose row vanished
 
 
 def _monomial_op(ctx, m):
@@ -212,18 +203,20 @@ def _monomial_op(ctx, m):
 
 
 class _ReducedForms:
-    """The reduced forms of one solve: [f] and [L(m)] for each monomial m
-    met, each computed on first use and kept until the solve ends.
+    """The reductions of one solve, each computed on first use and kept
+    until the solve ends: the reduced forms [f] and [L(m)] for each
+    monomial m met, the eta-basis at each threshold eta, and each [a]_eta.
 
     The reduced form [a] does not depend on eta; [a]_eta is [a] eliminated
-    against the rows of an eta-basis, which is what reduce_eta does on an
-    irreducible input.  So every confine round, and then the (g0, matrix)
-    of _reduced_system, eliminate the same stored [a] instead of reducing a
-    again.  A certified table also keeps the witness of a - [a].  Keys are
-    None for f and m for L(m).
+    against the rows of the eta-basis at eta, which is what reduce_eta does
+    on an irreducible input.  So every confine round eliminates the stored
+    [a] instead of reducing a again, and _reduced_system reads the final
+    round's [a]_eta instead of building its eta-basis again.  A certified
+    table builds certified eta-bases and keeps the witnesses of a - [a] and
+    of each elimination.  Keys are None for f and m for L(m).
     """
 
-    __slots__ = ("ctx", "L", "f", "certificate", "_forms")
+    __slots__ = ("ctx", "L", "f", "certificate", "_forms", "_bases", "_at")
 
     def __init__(self, ctx, L, f, certificate=False):
         self.ctx = ctx
@@ -231,6 +224,8 @@ class _ReducedForms:
         self.f = f
         self.certificate = certificate
         self._forms = {}  # key -> (a, [a], witness of a - [a] or None)
+        self._bases = {}  # eta -> the eta-basis at eta
+        self._at = {}  # (eta, key) -> ([a]_eta, witness of [a] - [a]_eta or None)
 
     def _form(self, m):
         form = self._forms.get(m)
@@ -240,17 +235,28 @@ class _ReducedForms:
             form = self._forms[m] = (a, red, cert)
         return form
 
-    def at(self, m, basis_e):
-        """[a]_eta against basis_e, for a = f (m None) or a = L(m)."""
-        return reduce_eta(self._form(m)[1], self.ctx, basis_e)
+    def basis(self, eta):
+        basis_e = self._bases.get(eta)
+        if basis_e is None:
+            basis_e = self._bases[eta] = compute_eta_basis(
+                self.ctx, eta, certificate=self.certificate)
+        return basis_e
 
-    def witnessed(self, m, basis_e):
-        """at(m, basis_e) for a certified table and eta-basis, once the
-        witness of a - [a] plus that of the elimination verifies
-        a - [a]_eta."""
-        a, red, cert = self._form(m)
-        red_eta, sub = reduce_eta(red, self.ctx, basis_e, certificate=True)
-        if not (cert + sub).verifies(a - red_eta):
+    def at(self, eta, m):
+        """[a]_eta, for a = f (m None) or a = L(m)."""
+        got = self._at.get((eta, m))
+        if got is None:
+            got = reduce_eta(self._form(m)[1], self.ctx, self.basis(eta),
+                             self.certificate)
+            got = self._at[eta, m] = got if self.certificate else (got, None)
+        return got[0]
+
+    def witnessed(self, eta, m):
+        """at(eta, m) for a certified table, once the witness of a - [a]
+        plus that of the elimination verifies a - [a]_eta."""
+        red_eta = self.at(eta, m)
+        a, _, cert = self._form(m)
+        if not (cert + self._at[eta, m][1]).verifies(a - red_eta):
             raise InconsistencyError("reduced-form certificate failed")
         return red_eta
 
@@ -258,13 +264,12 @@ class _ReducedForms:
 def confine(ctx, L, f, rho=1, degree_ceiling=40, forms=None):
     """Search for an effective confinement (eta, B) for f and L over ctx.
 
-    The direct driver passes a DerivedPresentation's (ctx, L, f); the
-    modular vote passes the same triple evaluated at a point, over F_p.
+    The direct driver passes a DerivedPresentation's (ctx, L, f); modular
+    votes and points pass the same triple evaluated at a point, over F_p.
     The threshold degree starts at rho and may not pass degree_ceiling.
-    Each round builds the eta-basis at its threshold and eliminates the
-    reduced forms of f and of L(m), m met, against it; forms is the
-    _ReducedForms table of (ctx, L, f) that keeps those forms across the
-    rounds (an uncertified one when None).
+    Each round takes the eta-basis at its threshold and the [a]_eta of f
+    and of L(m), m met, from forms, the _ReducedForms table of (ctx, L, f)
+    (an uncertified one when None), which keeps them for _reduced_system.
     """
     if rho < 0:
         raise ValueError(f"rho must be non-negative, got {rho}")
@@ -280,16 +285,16 @@ def confine(ctx, L, f, rho=1, degree_ceiling=40, forms=None):
                 f"confinement degree ceiling {degree_ceiling} exceeded"
             )
         eta = largest_monomial_of_degree(ctx.algebra, order, s)
-        basis_e = compute_eta_basis(ctx, eta, certificate=False)
-        Q = set(forms.at(None, basis_e).support())
+        Q = set(forms.at(eta, None).support())
         B = set()
         while Q - B:
             m = min(Q - B, key=order.key)
             if m.degree() > s - rho:
                 break  # no margin left below eta: raise the threshold
-            Q |= set(forms.at(m, basis_e).support())
+            Q |= set(forms.at(eta, m).support())
             B.add(m)
         else:
+            basis_e = forms.basis(eta)
             return Confinement(
                 eta=eta,
                 B=tuple(sorted(B, key=order.key)),
@@ -299,26 +304,27 @@ def confine(ctx, L, f, rho=1, degree_ceiling=40, forms=None):
         s += 1
 
 
-def _reduced_system(forms, basis_e, B, error):
+def _reduced_system(forms, conf):
     """(g0, matrix) over the field of the _ReducedForms table forms: the
-    coordinates over B of [f]_eta, then of [L(m)]_eta for each m in B in
-    order, against basis_e; the system both drivers build.  A certified
-    table witnesses each of these reductions.  A support outside B raises
-    error: an unlucky point in modular mode, a fault in direct mode."""
+    coordinates over conf.B of [f]_eta, then of [L(m)]_eta for each m in B
+    in order, as confine's final round left them in forms; the system both
+    drivers build.  That round closed B, so a support outside B means conf
+    is not what confine returned, a fault.  A certified table witnesses
+    each of these reductions."""
     reduce = forms.witnessed if forms.certificate else forms.at
-    index = {m: i for i, m in enumerate(B)}
+    index = {m: i for i, m in enumerate(conf.B)}
     zero = forms.ctx.algebra.field.zero
 
     def coordinates(key):
-        vec = [zero] * len(B)
-        for m, c in reduce(key, basis_e).terms.items():
+        vec = [zero] * len(index)
+        for m, c in reduce(conf.eta, key).terms.items():
             pos = index.get(m)
             if pos is None:
-                raise error(f"support escapes the confinement at {m}")
+                raise InconsistencyError(f"support escapes the confinement at {m}")
             vec[pos] = c
         return tuple(vec)
 
-    return coordinates(None), tuple(map(coordinates, B))
+    return coordinates(None), tuple(map(coordinates, conf.B))
 
 
 def derivative_sequence_step(F, g, matrix):
@@ -480,14 +486,14 @@ def telescope_direct(pres: DerivedPresentation, rho=1, degree_ceiling=40):
     """Telescoper over Q(t), computed without modular arithmetic.
 
     confine runs on a certified _ReducedForms table, which keeps each
-    reduced form [f] and [L(m)] it computes with the witness of a - [a].
-    After confine, builds the (g0, matrix) that each prime of
-    telescope_modular builds, from that table and the certified eta-basis
-    at eta: g0 holds the coordinates over B of [f]_eta and row i of matrix
-    those of [L(B[i])]_eta, each the stored [a] eliminated against the
-    rows.  The witness of a - [a]_eta (the stored one plus that of the
-    elimination) of each of these 1 + |B| reductions is checked; no
-    operator is reduced twice.  relation_search runs on the
+    reduced form [f] and [L(m)], each eta-basis and each [a]_eta it
+    computes, with their witnesses.  _reduced_system then reads off the
+    table the (g0, matrix) that each prime of telescope_modular builds:
+    g0 holds the coordinates over B of [f]_eta and row i of matrix those
+    of [L(B[i])]_eta, as confine's final round computed them.  The witness
+    of a - [a]_eta (that of a - [a] plus that of the elimination) of each
+    of these 1 + |B| reductions is checked; no operator is reduced twice
+    and no eta-basis is built twice.  relation_search runs on the
     derivative_sequence g_{i+1} = dg_i/dt + g_i . matrix and stops at the
     first dependent g_N; sum c_i g_i must vanish on the vectors it consumed.
 
@@ -509,8 +515,7 @@ def telescope_direct(pres: DerivedPresentation, rho=1, degree_ceiling=40):
     forms = _ReducedForms(ctx, pres.L, pres.f, certificate=True)
     conf = confine(ctx, pres.L, pres.f, rho=rho, degree_ceiling=degree_ceiling,
                    forms=forms)
-    basis_e = compute_eta_basis(ctx, conf.eta, certificate=True)
-    g0, matrix = _reduced_system(forms, basis_e, conf.B, InconsistencyError)
+    g0, matrix = _reduced_system(forms, conf)
     chain = []
 
     def recorded():
@@ -566,10 +571,11 @@ _REPLAY_COUNTS = ("tapes_recorded", "votes_replayed", "votes_generic",
 @dataclass(frozen=True)
 class ModularRun:
     """The telescoper of telescope_modular and how it was found.  replays
-    maps each name of _REPLAY_COUNTS to a count: the tapes recorded, the
-    votes after the first and the prime points that replayed a tape or
-    took the generic path.  Like the transcript it depends on the seed
-    alone, but it stays out of the transcript."""
+    maps each name of _REPLAY_COUNTS to a count: the tapes recorded (1, or
+    2 when the first vote lost the election), and the votes after the
+    first and the prime points that replayed the tape or ran _solve_at
+    directly.  Like the transcript it depends on the seed alone, but it
+    stays out of the transcript."""
 
     telescoper: Telescoper
     transcript: tuple
@@ -599,31 +605,12 @@ def _evaluate(pres, img):
     return tuple(evaluate_and_reduce(op, img) for op in _inputs(pres))
 
 
-def _reduced_images(ref, ctx, L, f):
-    """Replay the eta-basis of the Confinement ref and return the
-    _reduced_system over the field of ctx; any disagreement with the
-    reference (row lms, supports outside B) is an unlucky-point signal."""
-    try:
-        basis_e = compute_eta_basis(ctx, ref.eta, tracer=ref.tracer,
-                                    certificate=False)
-    except UnluckyTracerError as e:
-        raise UnluckyEvaluationError(str(e))
-    if tuple(r.lm for r in basis_e.rows) != ref.row_lms:
-        raise UnluckyEvaluationError("eta-basis row lms differ from reference")
-    return _reduced_system(_ReducedForms(ctx, L, f), basis_e, ref.B,
-                           UnluckyEvaluationError)
-
-
-def _point_images(pres, ref, img):
-    """Evaluate at (p, a) and reduce there: the numeric (g0, matrix).
-
-    This is the generic path.  telescope_modular runs the same reduction
-    once per call over a _Tape (_record_point) and replays that tape at
-    every point of every prime; a point whose input supports or guard
-    outcomes differ from the recording comes here instead, and this code
-    decides whether it is lucky.
-    """
-    return _reduced_images(ref, *_context(pres, img.field, _evaluate(pres, img)))
+def _solve_at(ctx, L, f, rho, degree_ceiling):
+    """confine on (ctx, L, f), then the (g0, matrix) of its final round:
+    what each modular vote and point computes, over F_p or over a _Tape."""
+    forms = _ReducedForms(ctx, L, f)
+    conf = confine(ctx, L, f, rho=rho, degree_ceiling=degree_ceiling, forms=forms)
+    return conf, _reduced_system(forms, conf)
 
 
 # The operations of a tape entry (op, slot, a, b) on the slots a and b.
@@ -893,19 +880,28 @@ def _unflatten(values, nb):
         tuple(values[nb * (i + 1):nb * (i + 2)]) for i in range(nb))
 
 
-def _lifted_context(tape, pres, images):
-    """(ctx, L, f) over tape, lifted from images, the inputs evaluated at
-    the recording point."""
-    return _context(pres, tape, tuple(map(tape.lift, _inputs(pres), images)))
-
-
-def _record_point(pres, ref, Fp, images):
-    """The tape of _point_images at the point of Fp where the inputs
-    evaluate to images."""
+def _record(pres, Fp, images, rho, degree_ceiling, counts):
+    """(tape, Confinement): _solve_at recorded over a _Tape at the point of
+    Fp where the inputs evaluate to images, the tape's outputs g0 and then
+    the matrix row by row; counts tallies the tape."""
     tape = _Tape(Fp)
-    g0, rows = _reduced_images(ref, *_lifted_context(tape, pres, images))
+    lifted = _context(pres, tape, tuple(map(tape.lift, _inputs(pres), images)))
+    conf, (g0, rows) = _solve_at(*lifted, rho, degree_ceiling)
     tape.finish(g0 + sum(rows, ()))
-    return tape
+    counts["tapes_recorded"] += 1
+    return tape, conf
+
+
+def _replayed(recording, bound, images, counts, kind):
+    """(Confinement, (g0, matrix)) of _solve_at at the point where the
+    inputs evaluate to images, replayed from recording = (tape, Confinement)
+    and bound = tape.bind(Fp); None when bind or replay refused, and the
+    caller then runs _solve_at there.  counts tallies kind + "_replayed" or
+    kind + "_generic"."""
+    tape, conf = recording
+    values = None if bound is None else tape.replay(bound, images)
+    counts[kind + ("_generic" if values is None else "_replayed")] += 1
+    return None if values is None else (conf, _unflatten(values, len(conf.B)))
 
 
 class _SamplePool:
@@ -926,25 +922,29 @@ class _SamplePool:
             i += 1
 
 
-def _evaluation_draw(pres, ref, tape, Fp, rng, log, counts):
+def _evaluation_draw(pres, rho, ref, recording, Fp, rng, log, counts):
     """draw() for the evaluation pool of the prime of Fp: a fresh point a and
-    the numeric (g0, matrix) there, replayed from tape (None: no tape) where
-    it binds and replays, from _point_images elsewhere; counts tallies the
-    two.  Repeated and unlucky points are skipped; after _MAX_POINT_TRIES
-    skips the prime is given up."""
+    the numeric (g0, matrix) there, replayed from recording where it binds
+    and replays (_replayed), from _solve_at elsewhere.  A point is usable
+    only when it confines to the elected Confinement ref, which its
+    threshold may not pass.  Repeated and unlucky points are skipped; after
+    _MAX_POINT_TRIES skips the prime is given up."""
     prime = Fp.p
     used = set()
     skips = 0
-    bound = None if tape is None else tape.bind(Fp)
+    bound = recording[0].bind(Fp)
 
     def images(img):
-        if bound is not None:
-            values = tape.replay(bound, _evaluate(pres, img))
-            if values is not None:
-                counts["points_replayed"] += 1
-                return _unflatten(values, len(ref.B))
-        counts["points_generic"] += 1
-        return _point_images(pres, ref, img)
+        at = _evaluate(pres, img)
+        got = _replayed(recording, bound, at, counts, "points")
+        if got is None:
+            try:
+                got = _solve_at(*_context(pres, Fp, at), rho, max(1, ref.eta.degree()))
+            except BudgetExhaustedError:  # no confinement up to ref's eta
+                got = None, None
+        if got[0] != ref:
+            raise UnluckyEvaluationError("the point confines elsewhere")
+        return got[1]
 
     def draw():
         nonlocal skips
@@ -992,14 +992,15 @@ def _interpolated_system(points, Fp, nb, cfg):
     return g0, rows
 
 
-def _prime_relation(pres, ref, tape, Fp, idx, cfg, counts):
+def _prime_relation(pres, rho, ref, recording, Fp, idx, cfg, counts):
     """Canonical relation modulo the prime of Fp, with its local transcript;
-    tape and counts as in _evaluation_draw."""
+    rho, ref, recording and counts as in _evaluation_draw."""
     prime = Fp.p
     log = [f"prime[{idx}] {prime}"]
     rng = random.Random(f"{cfg.seed}/prime/{idx}")
     nb = len(ref.B)
-    points = _SamplePool(_evaluation_draw(pres, ref, tape, Fp, rng, log, counts))
+    points = _SamplePool(_evaluation_draw(pres, rho, ref, recording, Fp, rng, log,
+                                          counts))
 
     g0_rf, mat_rf = _interpolated_system(points, Fp, nb, cfg)
     rel = telescoper_from_system(RationalFunctions(Fp), g0_rf, mat_rf).coefficients
@@ -1014,36 +1015,26 @@ def _vote(pres, Fp, images, rho, degree_ceiling, recorded, counts):
     where the inputs evaluate to images.
 
     Every vote goes through here.  recorded is empty until the first usable
-    vote, which runs confine over a _Tape and appends (tape, Confinement).
-    Every later vote replays that tape at its point, and returns the
-    recorded Confinement when every input support and guard matches: it
-    holds only monomials, so the same branch path gives the same
-    Confinement.  Otherwise the vote runs confine at its point.
+    vote, which records _solve_at there (_record) and appends its
+    (tape, Confinement).  Every later vote replays that tape at its point,
+    and returns the recorded Confinement when every input support and guard
+    matches: it holds only monomials, so the same branch path gives the
+    same Confinement.  Otherwise the vote runs _solve_at at its point.
     """
     if not recorded:
-        tape = _Tape(Fp)
-        conf = confine(*_lifted_context(tape, pres, images), rho=rho,
-                       degree_ceiling=degree_ceiling)
-        tape.finish(())
-        recorded.append((tape, conf))
-        counts["tapes_recorded"] += 1
-        return conf
-    tape, conf = recorded[0]
-    bound = tape.bind(Fp)
-    if bound is not None and tape.replay(bound, images) is not None:
-        counts["votes_replayed"] += 1
-        return conf
-    counts["votes_generic"] += 1
-    return confine(*_context(pres, Fp, images), rho=rho,
-                   degree_ceiling=degree_ceiling)
+        recorded.append(_record(pres, Fp, images, rho, degree_ceiling, counts))
+        return recorded[0][1]
+    got = _replayed(recorded[0], recorded[0][0].bind(Fp), images, counts, "votes")
+    return (got or _solve_at(*_context(pres, Fp, images), rho, degree_ceiling))[0]
 
 
 def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts):
     """The Confinement that a majority of _TRACER_VOTES votes returns, each
-    vote confining at a point of the next prime field drawn from fields,
-    with the ModularImage of the first vote that returned it and the inputs
-    evaluated there, which _record_point lifts.  The votes share one
-    recorded confine (_vote); counts tallies them."""
+    vote at a point of the next prime field drawn from fields, and the
+    (tape, Confinement) that every prime point replays: the recording of
+    the first vote (_vote), or, when that vote lost the election, one
+    recorded at the point of the first vote that returned the elected
+    Confinement.  counts tallies the votes and the tapes."""
     recorded = []
     for round_no in range(_VOTE_ROUNDS):
         votes = []
@@ -1066,13 +1057,16 @@ def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts):
                 f"vote prime={prime} point={img.point} eta={_mono_str(conf.eta)} "
                 f"|B|={len(conf.B)} |tracer|={len(conf.tracer)}"
             )
-            votes.append((conf, img, images))
+            votes.append((conf, Fp, images))
         confs = [vote[0] for vote in votes]
-        for vote in votes:
-            if confs.count(vote[0]) * 2 > len(confs):
-                log.append("votes agree" if confs.count(vote[0]) == len(confs)
+        for conf, Fp, images in votes:
+            if confs.count(conf) * 2 > len(confs):
+                log.append("votes agree" if confs.count(conf) == len(confs)
                            else "votes split, majority kept")
-                return vote
+                if recorded[0][1] != conf:  # the first vote lost
+                    recorded[0] = _record(pres, Fp, images, rho, degree_ceiling,
+                                          counts)
+                return conf, recorded[0]
         log.append("votes inconclusive, new round")
     raise InconsistencyError("tracer votes never reached a majority")
 
@@ -1116,18 +1110,11 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
     def replays():
         return {name: counts[name] for name in _REPLAY_COUNTS}
 
-    ref, vote_img, vote_images = _elect_reference(pres, rho, cfg, fields, log,
-                                                  degree_ceiling, counts)
+    ref, recording = _elect_reference(pres, rho, cfg, fields, log, degree_ceiling,
+                                      counts)
     if not ref.B:
         log.append("empty confinement: unit telescoper")
         return ModularRun(Telescoper(((1,),)), tuple(log), (), (), replays())
-    # the vote point is lucky for ref: confine's own eta-basis there has
-    # the rows that ref's tracer replays, and B is closed there
-    try:
-        tape = _record_point(pres, ref, vote_img.field, vote_images)
-        counts["tapes_recorded"] += 1
-    except UnluckyEvaluationError:  # that vote's Confinement was not confine's
-        tape = None
 
     results = {}
     discarded = []
@@ -1142,8 +1129,8 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         tallies = {i: Counter() for i, _ in wave}  # one per thread
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             futs = {
-                i: pool.submit(_prime_relation, pres, ref, tape, Fp, i, cfg,
-                               tallies[i])
+                i: pool.submit(_prime_relation, pres, rho, ref, recording, Fp, i,
+                               cfg, tallies[i])
                 for i, Fp in wave
             }
         for i, Fp in wave:
@@ -1201,8 +1188,8 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
                 check_discards.append(check_field.p)
                 continue
             try:
-                got = _prime_relation(pres, ref, tape, check_field, check_idx, cfg,
-                                      counts)
+                got = _prime_relation(pres, rho, ref, recording, check_field,
+                                      check_idx, cfg, counts)
             except UnluckyEvaluationError:
                 check_discards.append(check_field.p)
                 continue

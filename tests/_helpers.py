@@ -55,14 +55,29 @@ def operators(algebra, coeffs=None, max_terms=4, max_exp=3, min_terms=0):
     ).map(algebra.operator)
 
 
+def _skip_smallest_candidate(pres, conf):
+    """conf with a tracer that also skips its smallest contributing
+    candidate: a Confinement that no point confines to."""
+    candidates = reduction._enumerate_candidates(pres.ctx, conf.eta)
+    skipped = min(set(candidates) - conf.tracer, key=pres.ctx.order.key)
+    return dataclasses.replace(conf, tracer=conf.tracer | {skipped})
+
+
+class NoTape:
+    """A tape that binds at no prime, so every replay of it refuses."""
+
+    def bind(self, Fp):
+        return None
+
+
 @contextmanager
 def outvoted_tracer_vote():
     """Within the block, the second tracer vote of telescope_modular (the
     second call to _vote that returns, whether it replayed the recorded
-    confine or ran its own) returns a tracer that also skips its smallest
-    contributing candidate, so the other two votes outvote it.  The
-    eta-basis replay reaches that candidate: a reference elected with this
-    tracer loses a row at every point."""
+    computation or ran its own) returns a tracer that also skips its
+    smallest contributing candidate, so the other two votes outvote it.
+    No point confines to that Confinement: a reference elected with it
+    would discard every point."""
     real = telescoping._vote
     calls = 0
 
@@ -70,13 +85,29 @@ def outvoted_tracer_vote():
         nonlocal calls
         conf = real(pres, *args)
         calls += 1
-        if calls == 2:
-            candidates = reduction._enumerate_candidates(pres.ctx, conf.eta)
-            skipped = min(set(candidates) - conf.tracer, key=pres.ctx.order.key)
-            return dataclasses.replace(conf, tracer=conf.tracer | {skipped})
-        return conf
+        return _skip_smallest_candidate(pres, conf) if calls == 2 else conf
 
     with mock.patch.object(telescoping, "_vote", vote):
+        yield
+
+
+@contextmanager
+def outvoted_first_vote():
+    """Within the block, the first vote of telescope_modular records the
+    Confinement of outvoted_tracer_vote on a tape that binds at no prime:
+    the other two votes run their own computation and outvote it, so the
+    point of the elected vote records a second tape."""
+    real = telescoping._record
+    calls = 0
+
+    def record(pres, *args):
+        nonlocal calls
+        tape, conf = real(pres, *args)
+        calls += 1
+        return (NoTape(), _skip_smallest_candidate(pres, conf)) if calls == 1 \
+            else (tape, conf)
+
+    with mock.patch.object(telescoping, "_record", record):
         yield
 
 
@@ -86,8 +117,8 @@ def discarded_prime():
     order-2 relation, whose shape no other prime shares."""
     real = telescoping._prime_relation
 
-    def prime_relation(pres, ref, tape, Fp, idx, cfg, counts):
-        out = real(pres, ref, tape, Fp, idx, cfg, counts)
+    def prime_relation(pres, rho, ref, recording, Fp, idx, cfg, counts):
+        out = real(pres, rho, ref, recording, Fp, idx, cfg, counts)
         rel = out["rel"]
         if idx == 0 and len(rel) == 3:
             rel = (rel[0], (1, 1), rel[-1])

@@ -48,7 +48,7 @@ from weylred.reduction import (
 )
 from weylred.telescoping import (
     ModularConfig,
-    _reduced_images,
+    _solve_at,
     apply_linear,
     confine,
     telescope_direct,
@@ -341,9 +341,9 @@ def test_criterion_09_property_sweeps(airy, k2):
             {small[rng.randrange(len(small))]: QQ_T.from_int(rng.randint(-4, 4) or 1)
              for _ in range(rng.randint(1, 2))}
         )
-        conf = confine(airy.ctx, airy.pres.L, f, rho=1)
+        conf, (_, matrix) = _solve_at(airy.ctx, airy.pres.L, f, 1, 40)
+        assert conf == confine(airy.ctx, airy.pres.L, f, rho=1)
         basis_e = compute_eta_basis(airy.ctx, conf.eta, certificate=False)
-        _, matrix = _reduced_images(conf, airy.ctx, airy.pres.L, f)
         index = {m: k for k, m in enumerate(conf.B)}
         for m in conf.B:
             img = reduce_eta(

@@ -1,4 +1,4 @@
-"""Reduced forms, eta-bases, tracer replay, and the irreducibility oracle."""
+"""Reduced forms, eta-bases, their tracers, and the irreducibility oracle."""
 
 import warnings
 from fractions import Fraction
@@ -14,7 +14,7 @@ from weylred.arith import QQ, QQ_T
 from weylred.groebner import DivisionCertificate, buchberger, lrem
 from weylred.reduction import (
     ReductionContext,
-    UnluckyTracerError,
+    _enumerate_candidates,
     compute_eta_basis,
     largest_monomial_of_degree,
     reduce_eta,
@@ -116,14 +116,18 @@ def test_polynomial_eta_rows(poly_ctx):
     assert reduce_eta(mul(x, x), poly_ctx, B).is_zero()
 
 
-def test_tracer_replay(poly_ctx):
+def test_tracer_is_vanished_set(poly_ctx, airy):
+    """The tracer holds exactly the candidates that gave no row: d1's
+    reduces to zero here, while every airy candidate below x^2 contributes."""
     eta = largest_monomial_of_degree(poly_ctx.algebra, poly_ctx.order, 4)
     B = compute_eta_basis(poly_ctx, eta)
-    replay = compute_eta_basis(poly_ctx, eta, tracer=B.tracer)
-    assert [r.lm for r in replay.rows] == [r.lm for r in B.rows]
-    # an empty tracer promises every candidate contributes; d1's does not
-    with pytest.raises(UnluckyTracerError):
-        compute_eta_basis(poly_ctx, eta, tracer=frozenset())
+    candidates = set(_enumerate_candidates(poly_ctx, eta))
+    assert B.tracer == candidates - {r.candidate for r in B.rows}
+    assert B.tracer == frozenset({Monomial((0,), (1,), 1)})
+    eta = largest_monomial_of_degree(airy.algebra, airy.order, 2)
+    B = compute_eta_basis(airy.ctx, eta)
+    assert B.tracer == frozenset()
+    assert {r.candidate for r in B.rows} == set(_enumerate_candidates(airy.ctx, eta))
 
 
 def test_empty_eta_basis_when_no_lm_has_derivatives():

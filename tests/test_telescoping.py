@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
-    T, discarded_prime, operators, outvoted_tracer_vote, qqt_elements)
+    NoTape, T, discarded_prime, operators, outvoted_first_vote, outvoted_tracer_vote,
+    qqt_elements)
 from _oracles import first_unstable_element
 from weylred import telescoping
 from weylred import arith
 from weylred.arith import (
-    QQ, QQ_T, InconsistencyError, ModularImage, PrimeField, RationalFunctions,
-    UnluckyEvaluationError)
+    QQ, QQ_T, BudgetExhaustedError, InconsistencyError, ModularImage, PrimeField,
+    RationalFunctions, UnluckyEvaluationError)
 from weylred.cli import _module_presentation, parse_document, telescoper_document
 from weylred.groebner import DivisionCertificate
 from weylred.reduction import compute_eta_basis, reduce_eta
@@ -27,7 +28,7 @@ from weylred.telescoping import (
     DerivedPresentation,
     ModularConfig,
     Telescoper,
-    _reduced_images,
+    _solve_at,
     apply_linear,
     confine,
     derivative_sequence_step,
@@ -40,6 +41,8 @@ from weylred.weyl import (
     Algebra, Monomial, WeylOperator, _mono_str, evaluate_and_reduce, leading_monomial)
 
 HALF = QQ_T.div(QQ_T.one, QQ_T.from_int(2))
+_AIRY_MATRIX = ((QQ_T.zero, QQ_T.neg(HALF)),
+                (QQ_T.div(QQ_T.mul(QQ_T.from_int(-2), T), QQ_T.from_int(7)), QQ_T.zero))
 
 
 # ---------------------------------------------------------------------------
@@ -54,13 +57,12 @@ def test_confine_golden(airy):
         Monomial((0, 1, 0), (0, 0, 0), 1),
     )
     assert conf.tracer == frozenset()
-    g0, _ = _reduced_images(conf, airy.ctx, airy.pres.L, airy.pres.f)
-    assert g0 == (QQ_T.one, QQ_T.zero)
+    assert _solve_at(airy.ctx, airy.pres.L, airy.pres.f, 1, 40) == \
+        (conf, ((QQ_T.one, QQ_T.zero), _AIRY_MATRIX))
 
 
 def test_derivative_sequence_golden(airy):
-    conf = confine(airy.ctx, airy.pres.L, airy.pres.f, rho=1)
-    g0, matrix = _reduced_images(conf, airy.ctx, airy.pres.L, airy.pres.f)
+    _, (g0, matrix) = _solve_at(airy.ctx, airy.pres.L, airy.pres.f, 1, 40)
     g1 = derivative_sequence_step(QQ_T, g0, matrix)
     g2 = derivative_sequence_step(QQ_T, g1, matrix)
     assert g1 == (QQ_T.zero, QQ_T.neg(HALF))
@@ -71,10 +73,13 @@ def test_derivative_sequence_golden(airy):
 
 def assert_effective(conf, ctx, L, f, rho):
     """Independent recomputation: the reduced derivative map really lands in
-    B, and the (g0, matrix) that modular points replay agree with it."""
+    B, and the (g0, matrix) that modular points read off confine's final
+    round agree with it."""
     A = ctx.algebra
     basis_e = compute_eta_basis(ctx, conf.eta, certificate=False)
-    g0_vec, matrix = _reduced_images(conf, ctx, L, f)
+    assert [r.lm for r in basis_e.rows] == list(conf.row_lms)
+    again, (g0_vec, matrix) = _solve_at(ctx, L, f, rho, 40)
+    assert again == conf
     Bset = set(conf.B)
     index = {m: i for i, m in enumerate(conf.B)}
     margin = conf.eta.degree() - rho
@@ -111,12 +116,9 @@ def test_confinement_effective_random_f(airy, f):
 def test_matrix_rows_align_with_B(airy):
     """Row i of the matrix is [L(B[i])]_eta: L(1) = (d_z - y)/2 reduces to
     -y/2 and L(y) to -2t/7."""
-    conf = confine(airy.ctx, airy.pres.L, airy.pres.f, rho=1)
-    _, matrix = _reduced_images(conf, airy.ctx, airy.pres.L, airy.pres.f)
+    conf, (_, matrix) = _solve_at(airy.ctx, airy.pres.L, airy.pres.f, 1, 40)
     assert conf.B[1] == Monomial((0, 1, 0), (0, 0, 0), 1)
-    assert matrix == ((QQ_T.zero, QQ_T.neg(HALF)),
-                      (QQ_T.div(QQ_T.mul(QQ_T.from_int(-2), T), QQ_T.from_int(7)),
-                       QQ_T.zero))
+    assert matrix == _AIRY_MATRIX
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +312,19 @@ def test_certificate_checks_every_witness(k3):
 def test_direct_witnesses_f_then_each_image_of_B(airy, k3, name):
     """Direct mode witnesses the reductions that build (g0, matrix), no
     more: [f]_eta, then [L(m)]_eta for each m in B, in the order of B.  Each
-    certified reduce_eta eliminates a stored reduced form [a], and the
-    witness checked after it is that of a - [a]_eta, so the witnessed a is
-    the checked difference plus the eliminated form."""
+    certified reduce_eta eliminates a stored reduced form [a], confine's
+    final round at eta once for f and for each m in B, and the witness
+    checked after it is that of a - [a]_eta, so the witnessed a is the
+    checked difference plus one of the eliminated forms at eta."""
     pres = {"airy": airy, "k3": k3}[name].pres
     A = pres.ctx.algebra
     conf = confine(pres.ctx, pres.L, pres.f)
     reduce, verifies = telescoping.reduce_eta, DivisionCertificate.verifies
     eliminated, checked = [], []
 
-    def reduce_spy(a, *args, **kwargs):
-        out = reduce(a, *args, **kwargs)
-        if kwargs.get("certificate"):
+    def reduce_spy(a, ctx, basis_e, certificate=False):
+        out = reduce(a, ctx, basis_e, certificate)
+        if certificate and basis_e.eta == conf.eta:
             eliminated.append(out[0])
         return out
 
@@ -332,9 +335,11 @@ def test_direct_witnesses_f_then_each_image_of_B(airy, k3, name):
     with mock.patch.object(telescoping, "reduce_eta", reduce_spy), \
             mock.patch.object(DivisionCertificate, "verifies", verifies_spy):
         telescope_direct(pres)
-    witnessed = [x + red for x, red in zip(checked, eliminated, strict=True)]
-    assert witnessed == [pres.f] + [
+    expected = [pres.f] + [
         apply_linear(pres.L, WeylOperator(A, {m: A.field.one})) for m in conf.B]
+    assert len(eliminated) == len(expected)
+    for x, a in zip(checked, expected, strict=True):
+        assert any(x + red == a for red in eliminated)
 
 
 @pytest.mark.parametrize("name", ["airy", "k3"])
@@ -482,10 +487,10 @@ def _prime_points(transcript):
 
 @pytest.mark.parametrize("name", ["airy", "k3"])
 def test_generic_eta_basis_runs_once_per_solve(airy, k3, name):
-    """The vote runs confine once, over the vote tape, and the traced
-    eta-basis replay runs once, where the point tape is recorded; the other
-    votes replay the vote tape and every point of every prime replays the
-    point tape."""
+    """confine runs once per solve, where the first vote records the tape,
+    and builds each eta-basis once there; the other votes and every point
+    of every prime replay that tape, whose outputs are g0 and the rows of
+    the matrix."""
     pres = {"airy": airy.pres, "k3": k3.pres}[name]
     seed = {"airy": 7, "k3": 0}[name]
     replay = telescoping._Tape.replay
@@ -501,16 +506,18 @@ def test_generic_eta_basis_runs_once_per_solve(airy, k3, name):
             mock.patch.object(telescoping._Tape, "replay", counted_replay):
         run = telescope_modular(pres, rho=1,
                                 config=ModularConfig(seed=seed, workers=1))
-    traced = [c for c in eta.call_args_list if c.kwargs.get("tracer") is not None]
-    votes = sum(line.startswith("vote ") for line in run.transcript)
+    etas = [c.args[1] for c in eta.call_args_list]
+    votes = [line for line in run.transcript if line.startswith("vote ")]
+    nb = int(re.search(r"\|B\|=(\d+)", votes[0]).group(1))
     points = _prime_points(run.transcript)
     assert not any("discard point" in line for line in run.transcript)
-    assert len(traced) == 1
     assert confined.call_count == 1
+    assert len(etas) == len(set(etas)) > 0
+    assert f"eta={_mono_str(etas[-1])} " in votes[0]
     assert None not in replayed
-    assert replayed.count([]) == votes - 1  # a vote tape has no outputs
-    assert len(replayed) - replayed.count([]) == points > 0
-    assert run.replays == {"tapes_recorded": 2, "votes_replayed": votes - 1,
+    assert {len(values) for values in replayed} == {nb * (nb + 1)}
+    assert len(replayed) == len(votes) - 1 + points
+    assert run.replays == {"tapes_recorded": 1, "votes_replayed": len(votes) - 1,
                            "votes_generic": 0, "points_replayed": points,
                            "points_generic": 0}
 
@@ -518,7 +525,7 @@ def test_generic_eta_basis_runs_once_per_solve(airy, k3, name):
 @pytest.mark.parametrize("name", ["airy", "k3"])
 def test_each_point_evaluated_once(airy, k3, name):
     """Every vote point and prime point evaluates the inputs once: the
-    point tape is recorded from the inputs the elected vote evaluated."""
+    tape is recorded from the inputs the first vote evaluated."""
     pres = {"airy": airy.pres, "k3": k3.pres}[name]
     evaluated = Counter()
 
@@ -534,67 +541,66 @@ def test_each_point_evaluated_once(airy, k3, name):
 
 
 def _elected(pres, Fp):
-    """The reference three votes at Fp elect, the point of the first and
-    the inputs evaluated there."""
+    """The reference three votes at Fp elect, and the (tape, Confinement)
+    the first of them recorded."""
     return telescoping._elect_reference(
         pres, 1, ModularConfig(seed=7), iter([Fp] * 3), [], 40, Counter())
 
 
+def _direct(pres, Fp, images):
+    """_solve_at run at the point where the inputs evaluate to images."""
+    return _solve_at(*telescoping._context(pres, Fp, images), 1, 40)
+
+
 def test_replay_equals_generic_path(airy):
     Fp = PrimeField(1000003)
-    ref, img, images = _elected(airy.pres, Fp)
-    assert images == telescoping._evaluate(airy.pres, img)
-    tape = telescoping._record_point(airy.pres, ref, Fp, images)
+    ref, (tape, conf) = _elected(airy.pres, Fp)
+    assert conf == ref
     bound = tape.bind(Fp)
-    for a in (img.point, 6, 77, 123456):
-        img = ModularImage(Fp, a)
-        values = tape.replay(bound, telescoping._evaluate(airy.pres, img))
-        assert telescoping._unflatten(values, len(ref.B)) == \
-            telescoping._point_images(airy.pres, ref, img)
+    for a in (6, 77, 123456):
+        images = telescoping._evaluate(airy.pres, ModularImage(Fp, a))
+        values = tape.replay(bound, images)
+        assert (ref, telescoping._unflatten(values, len(ref.B))) == \
+            _direct(airy.pres, Fp, images)
 
 
 @pytest.mark.parametrize("name", ["airy", "k3"])
 def test_tapes_replay_at_other_primes(airy, k3, name):
-    """Tapes recorded at (p1, a) replay at the points of three other primes:
-    the point tape to _point_images there, the vote tape to the
-    Confinement that confine returns there."""
+    """The tape recorded at (p1, a) replays at the points of three other
+    primes, for a point and for a vote alike, to what _solve_at returns
+    there: the elected Confinement and its (g0, matrix)."""
     pres = {"airy": airy.pres, "k3": k3.pres}[name]
-    ref, img, images = _elected(pres, PrimeField(1000003))
-    point_tape = telescoping._record_point(pres, ref, img.field, images)
-    recorded, counts = [], Counter()
-    assert telescoping._vote(pres, img.field, images, 1, 40, recorded, counts) == ref
-    ((vote_tape, _),) = recorded
+    ref, recording = _elected(pres, PrimeField(1000003))
+    counts = Counter()
     for p in (1000033, 999983, 2147483647):
         Fp = PrimeField(p)
-        point_bound, vote_bound = point_tape.bind(Fp), vote_tape.bind(Fp)
+        bound = recording[0].bind(Fp)
         for a in (6, 77, 123456):
-            at = ModularImage(Fp, a)
-            images = telescoping._evaluate(pres, at)
-            values = point_tape.replay(point_bound, images)
-            assert telescoping._unflatten(values, len(ref.B)) == \
-                telescoping._point_images(pres, ref, at)
-            assert vote_tape.replay(vote_bound, images) == []
-            assert telescoping._vote(pres, Fp, images, 1, 40, recorded, counts) == \
-                confine(*telescoping._context(pres, Fp, images), rho=1) == ref
-    assert counts == {"tapes_recorded": 1, "votes_replayed": 9}
+            images = telescoping._evaluate(pres, ModularImage(Fp, a))
+            direct = _direct(pres, Fp, images)
+            assert direct[0] == ref
+            assert telescoping._replayed(recording, bound, images, counts,
+                                         "points") == direct
+            assert telescoping._vote(pres, Fp, images, 1, 40, [recording],
+                                     counts) == ref
+    assert counts == {"points_replayed": 9, "votes_replayed": 9}
 
 
 def test_bind_refuses_failed_constant_guard():
     """bind refuses a prime where a constant divisor or a constant that
     is_zero tested comes out zero: on the airy-family problem with a = 7,
-    p = 7 divides the input denominator 7 (the generic path discards that
+    p = 7 divides the input denominator 7 (evaluation there discards that
     prime) and p = 5 zeroes the input constant -5/7.  On a hand-made tape
     the same holds for derived constants: a divisor 25 and a 7 tested
     nonzero."""
     pres = _module_presentation(parse_document(airy_family_document(7, 2, 3)))
     Fp = PrimeField(1000003)
-    ref, _, images = _elected(pres, Fp)
-    tape = telescoping._record_point(pres, ref, Fp, images)
+    _, (tape, _) = _elected(pres, Fp)
     assert tape.bind(Fp) is not None and tape.bind(PrimeField(11)) is not None
     assert tape.bind(PrimeField(7)) is None
     assert tape.bind(PrimeField(5)) is None
     with pytest.raises(UnluckyEvaluationError) as err:
-        telescoping._point_images(pres, ref, ModularImage(PrimeField(7), 3))
+        telescoping._evaluate(pres, ModularImage(PrimeField(7), 3))
     assert err.value.prime_level
 
     tape = telescoping._Tape(Fp)
@@ -627,31 +633,28 @@ def _perturb_first_input(tape):
 @pytest.mark.parametrize("tamper", [_flip_first_guard, _perturb_first_input],
                          ids=["guard", "input"])
 def test_tampered_tape_falls_back_to_generic_path(airy, tamper):
+    """A tape that refuses every replay sends the two later votes and every
+    point to _solve_at, with the same transcript and telescoper."""
     cfg = ModularConfig(seed=7, workers=1)
     good = telescope_modular(airy.pres, rho=1, config=cfg)
-    record = telescoping._record_point
+    record = telescoping._record
 
-    def tampered(pres, ref, Fp, images):
-        tape = record(pres, ref, Fp, images)
+    def tampered(*args):
+        tape, conf = record(*args)
         tamper(tape)
-        return tape
+        return tape, conf
 
-    with mock.patch.object(telescoping, "_record_point", tampered), \
-            mock.patch.object(telescoping, "_point_images",
-                              side_effect=telescoping._point_images) as generic:
+    with mock.patch.object(telescoping, "_record", tampered), \
+            mock.patch.object(telescoping, "_solve_at",
+                              side_effect=_solve_at) as generic:
         run = telescope_modular(airy.pres, rho=1, config=cfg)
-    assert generic.call_count == _prime_points(run.transcript) > 0
-    assert run.replays["points_generic"] == generic.call_count
-    assert run.replays["points_replayed"] == 0
+    points = _prime_points(run.transcript)
+    assert generic.call_count == 1 + 2 + points > 3  # recording, votes, points
+    assert run.replays == {"tapes_recorded": 1, "votes_replayed": 0,
+                           "votes_generic": 2, "points_replayed": 0,
+                           "points_generic": points}
     assert run.telescoper == good.telescoper
     assert run.transcript == good.transcript
-
-
-class _NoTape:
-    """A tape that binds at no prime, so every point takes the generic path."""
-
-    def bind(self, Fp):
-        return None
 
 
 def test_unlucky_points_match_generic_path(airy):
@@ -672,11 +675,11 @@ def test_unlucky_points_match_generic_path(airy):
 
     with mock.patch.object(telescoping, "evaluate_and_reduce", evaluate):
         forced = telescope_modular(airy.pres, rho=1, config=cfg)
-        with mock.patch.object(telescoping, "_record_point",
-                               lambda pres, ref, Fp, images: _NoTape()):
+        with mock.patch.object(telescoping._Tape, "bind", NoTape.bind):
             generic = telescope_modular(airy.pres, rho=1, config=cfg)
     for a in unlucky:
         assert f"  discard point {a}" in forced.transcript
+    assert generic.replays["points_replayed"] == 0
     assert forced.transcript == generic.transcript
     assert forced.telescoper == generic.telescoper == good.telescoper
 
@@ -704,6 +707,41 @@ def test_fault_injected_tracer_vote_outvoted(airy):
         run = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
     assert run.telescoper == good.telescoper
     assert any("majority kept" in line for line in run.transcript)
+
+
+def test_outvoted_first_vote_records_again(airy):
+    """When the first vote loses the election, the elected vote's point
+    records a second tape, and every point replays that one."""
+    cfg = ModularConfig(seed=7, workers=1)
+    good = telescope_modular(airy.pres, rho=1, config=cfg)
+    with outvoted_first_vote():
+        run = telescope_modular(airy.pres, rho=1, config=cfg)
+    points = _prime_points(run.transcript)
+    assert "votes split, majority kept" in run.transcript
+    assert run.replays == {"tapes_recorded": 2, "votes_replayed": 0,
+                           "votes_generic": 2, "points_replayed": points,
+                           "points_generic": 0}
+    assert points > 0
+    assert run.telescoper == good.telescoper
+
+
+@pytest.mark.parametrize("replays", [True, False], ids=["replayed", "generic"])
+def test_wrong_election_returns_no_telescoper(airy, replays):
+    """A reference that no point confines to (the elected Confinement
+    without its last B monomial) makes every point unusable, whether it
+    replays the tape or runs _solve_at, so no telescoper comes back."""
+    elect = telescoping._elect_reference
+
+    def wrong(*args):
+        ref, recording = elect(*args)
+        assert len(ref.B) > 1
+        return dataclasses.replace(ref, B=ref.B[:-1]), recording
+
+    with mock.patch.object(telescoping, "_elect_reference", wrong), \
+            mock.patch.object(telescoping._Tape, "bind",
+                              telescoping._Tape.bind if replays else NoTape.bind), \
+            pytest.raises(BudgetExhaustedError, match="no reconstruction"):
+        telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=1))
 
 
 def test_fault_injected_prime_discarded(airy):

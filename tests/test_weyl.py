@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 
 from _helpers import T, monomials, nonzero_fractions, operators, qqt_elements
@@ -142,7 +142,10 @@ def test_commutator_matches_products(shape, field):
             mp.beta[i] and mq.alpha[i] or mq.beta[i] and mp.alpha[i]
             for i in range(A.dt, A.n))
 
+    # one draw of each kind is pinned: a random draw may miss either kind
     @given(ops, ops)
+    @example(A.one(), A.dvar(A.dt))  # all pairs commute
+    @example(A.dvar(A.dt), A.xvar(A.dt))  # d_i meets x_i
     def check(P, Q):
         commuting = not any(meets(mp, mq) for mp in P.terms for mq in Q.terms)
         event("all pairs commute" if commuting else "some pair does not commute")

@@ -42,3 +42,23 @@ def test_tracer_splits_direct_k3(k3, monkeypatch):
     assert metrics["telescoping.B"] == 2
     assert metrics["reduction.reduce_eta_cert.calls"] > 0
     assert metrics["telescoping.order"] == 2
+
+
+def test_tracer_splits_modular_airy_family(monkeypatch):
+    """A traced airy-family modular solve reads nonzero counts for the
+    vote's confine, the eta-bases it builds and the point evaluations, so
+    moving their call sites cannot silently unbind the benchmark's
+    wrappers."""
+    monkeypatch.syspath_prepend(str(ROOT / "weylbench"))
+    import tracer
+    import worker
+
+    pres = worker.airy_presentation(worker.airy_document(*worker.airy_triples(1)[0]))
+    with tracer.Tracer() as tr:
+        run = telescoping.telescope_modular(
+            pres, config=telescoping.ModularConfig(seed=0, workers=1))
+    metrics = tracer.layer_metrics(tr.spans)
+    assert run.replays["tapes_recorded"] == 1
+    assert metrics["telescoping.confine.calls"] > 0
+    assert metrics["reduction.compute_eta_basis.calls"] > 0
+    assert metrics["weyl.evaluate_and_reduce.calls"] > 0
