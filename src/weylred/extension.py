@@ -25,8 +25,9 @@ component index ``h*s + i``.
 from dataclasses import dataclass
 
 from .arith import InconsistencyError
-from .groebner import buchberger, lrem
-from .weyl import Algebra, Monomial, WeylOperator, components, dtelim_order, mul
+from .groebner import ReducedBasis, buchberger, lrem
+from .weyl import (
+    Algebra, Monomial, WeylOperator, components, dtelim_order, grevlex, mul)
 
 
 def dt_degree(a):
@@ -75,9 +76,10 @@ class ExtensionResult:
     """Flattened presentation: rank, relation generators, d_t action.
 
     `gb` is the elimination Groebner basis in the t-extended algebra;
-    `s_generators` live in the flattened algebra of rank `r`; `l_matrix`
-    is an r x r matrix of scalar (rank 1) operators, row-vector convention:
-    d_t acts on a = (a_1, .., a_r) as da/dt + a . L.
+    `s_generators` live in the flattened algebra of rank `r`, and when ell =
+    0 they are its reduced ``grevlex`` basis, a :class:`.groebner.ReducedBasis`;
+    `l_matrix` is an r x r matrix of scalar (rank 1) operators, row-vector
+    convention: d_t acts on a = (a_1, .., a_r) as da/dt + a . L.
     """
 
     ell: int
@@ -131,6 +133,13 @@ def build_extension(pres):
     ``d_t^(h+1) e_i``, each division certified once, on the way to ell.  A
     filtration that has not stabilized by level _MAX_LEVEL raises
     ValueError.
+
+    When ell = 0 the relations are the d_t-free elements of `gb`, which by
+    the elimination theorem (Kandri-Rody and Weispfenning, JSC 1990) are
+    the reduced basis of J meet W_x(t) under the restriction of dtelim, and
+    on d_t-free monomials that is ``grevlex`` of the flat algebra: they are
+    handed over as a ReducedBasis.  For ell > 0 the flat order sorts by term
+    before position and is no restriction of dtelim, so they stay a tuple.
     """
     algebra, order, s = pres.algebra, pres.order, pres.s
     gb = buchberger(pres.generators, order)
@@ -163,6 +172,7 @@ def build_extension(pres):
                 raise InconsistencyError("d_t shift changed the d_t degree")
             s_gens.append(flatten_operator(shifted, ell, flat))
 
+    s_gens = ReducedBasis(s_gens, grevlex(flat.n)) if ell == 0 else tuple(s_gens)
     zero_entry = flat.with_rank(1).zero()
     rows = []
     for rem in forms:
@@ -175,7 +185,7 @@ def build_extension(pres):
         ell=ell,
         r=r,
         algebra=flat,
-        s_generators=tuple(s_gens),
+        s_generators=s_gens,
         l_matrix=tuple(rows),
         gb=gb,
         source=pres,

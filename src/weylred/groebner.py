@@ -13,6 +13,10 @@ leading monomial).  The classical coprimality skip is adjusted for the Weyl
 relations: a pair is skipped only when the shadows are coprime *and* the two
 leading monomials commute — coprime shadows alone are not enough, as the pair
 (x1, d1) shows: their S-pair is d1 x1 - x1 d1 = 1.
+
+A reduced basis is the fixed point of completion: ``buchberger`` returns a
+:class:`ReducedBasis`, which carries its order, and hands such a basis back
+unchanged when asked for it again under the same order.
 """
 
 from __future__ import annotations
@@ -241,13 +245,27 @@ def _shadows_coprime(m1: Monomial, m2: Monomial):
     return all(min(a, b) == 0 for a, b in zip(m1.shadow(), m2.shadow()))
 
 
+class ReducedBasis(tuple):
+    """A reduced monic left Groebner basis under ``order``, ascending by
+    leading monomial: the unique one of its submodule under that order."""
+
+    def __new__(cls, elements, order):
+        basis = super().__new__(cls, elements)
+        basis.order = order
+        return basis
+
+
 def buchberger(gens, order):
     """Reduced monic left Groebner basis of the submodule generated by gens.
 
-    Pair selection is the normal strategy (smallest total degree of the
-    shadow lcm) with FIFO tie-break.  A pair is skipped when the leading
-    shadows are coprime and the leading monomials commute.
+    Returns a :class:`ReducedBasis`; one under ``order`` already is its own
+    answer and comes back as is.  Pair selection is the normal strategy
+    (smallest total degree of the shadow lcm) with FIFO tie-break.  A pair
+    is skipped when the leading shadows are coprime and the leading
+    monomials commute.
     """
+    if isinstance(gens, ReducedBasis) and gens.order == order:
+        return gens
     F = None
     G = []
     for g in gens:
@@ -257,7 +275,7 @@ def buchberger(gens, order):
         _, lc = leading_data(g, order)
         G.append(op_scale(g, F.inv(lc)))
     if not G:
-        return ()
+        return ReducedBasis((), order)
 
     pairs = []
     seq = 0
@@ -305,8 +323,13 @@ def buchberger(gens, order):
 
 
 def _autoreduce(G, order):
-    """Minimalize then tail-reduce to the unique reduced monic basis."""
-    F = G[0].algebra.field
+    """Minimalize a monic basis, then tail-reduce each element once.
+
+    No kept leading monomial divides another, and every term that dividing
+    g by the others meets is below lm(g): the remainder keeps g's monic
+    leading term and has no term divisible by any leading monomial.  So one
+    pass gives each element its final, unique reduced form.
+    """
     by_lm = sorted(G, key=lambda g: order.key(leading_data(g, order)[0]))
     kept = []
     kept_lms = []
@@ -317,19 +340,8 @@ def _autoreduce(G, order):
         kept.append(g)
         kept_lms.append(lm)
 
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            others = kept[:idx] + kept[idx + 1 :]
-            if not others:
-                continue
-            rem, _ = lrem(kept[idx], others, order, certificate=False)
-            assert not rem.is_zero(), "minimal basis element reduced to zero"
-            lc = leading_data(rem, order)[1]
-            rem = op_scale(rem, F.inv(lc))
-            if rem != kept[idx]:
-                kept[idx] = rem
-                changed = True
-    return tuple(kept)
-
+    for idx in range(len(kept)):
+        others = kept[:idx] + kept[idx + 1 :]
+        if others:
+            kept[idx] = lrem(kept[idx], others, order, certificate=False)[0]
+    return ReducedBasis(kept, order)

@@ -149,7 +149,8 @@ class WeylOperator:
         return set(self.terms)
 
     def degree(self):
-        assert self.terms, "degree of the zero operator"
+        if not self.terms:
+            raise ValueError("degree of the zero operator")
         return max(m.degree() for m in self.terms)
 
     def coefficient(self, m):

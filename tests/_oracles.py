@@ -14,7 +14,8 @@ from weylred.extension import dt_degree, flatten_operator
 from weylred.groebner import lrem
 from weylred.telescoping import apply_linear
 from weylred.weyl import (
-    Monomial, MonomialOrder, WeylOperator, coefficientwise_dt, mul, op_sub)
+    Monomial, MonomialOrder, WeylOperator, coefficientwise_dt, leading_data, mul,
+    op_scale, op_sub, shadow_divides)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +136,32 @@ def ideal_membership(a, basis, order):
         return True
     rem, _ = lrem(a, basis, order, certificate=False)
     return rem.is_zero()
+
+
+def autoreduce_to_fixpoint(G, order):
+    """Minimalize, then tail-reduce every element against the others and
+    rescale it to be monic, pass after pass, until a pass changes nothing."""
+    F = G[0].algebra.field
+    kept, kept_lms = [], []
+    for g in sorted(G, key=lambda g: order.key(leading_data(g, order)[0])):
+        lm = leading_data(g, order)[0]
+        if not any(shadow_divides(l, lm) for l in kept_lms):
+            kept.append(g)
+            kept_lms.append(lm)
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(kept)):
+            others = kept[:idx] + kept[idx + 1 :]
+            if not others:
+                continue
+            rem, _ = lrem(kept[idx], others, order, certificate=False)
+            assert not rem.is_zero(), "minimal basis element reduced to zero"
+            rem = op_scale(rem, F.inv(leading_data(rem, order)[1]))
+            if rem != kept[idx]:
+                kept[idx] = rem
+                changed = True
+    return tuple(kept)
 
 
 # ---------------------------------------------------------------------------

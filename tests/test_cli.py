@@ -553,6 +553,7 @@ def test_validation_survives_optimize(tmp_path):
             lambda: Algebra(2, 1, QQ_T, dt=True).xvar(0),
             lambda: telescoper_from_field_relation(QQ, ((1,), (1,))),
             lambda: relation_search(PrimeField(7), [(1, 0), (2, 0, 5), (0, 1, 3)]),
+            lambda: Algebra(2).zero().degree(),
         ]
         for i, check in enumerate(checks):
             try:

@@ -1,24 +1,29 @@
 """Flattening parametric ideals into free modules with a d_t action."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from _helpers import T, operators, qqt_elements
 from _oracles import division_respects_dt_degree, first_unstable_element, flatten_member
+from test_groebner import FLAT_BASIS
 from weylred.arith import QQ_T
+from weylred.cli import parse_document
 from weylred.extension import (
     ParametricPresentation,
     build_extension,
     dt_degree,
     embedded_unit,
 )
-from weylred.groebner import buchberger, lrem
+from weylred.groebner import ReducedBasis, buchberger, lrem
 from weylred.reduction import ReductionContext
 from weylred.telescoping import DerivedPresentation, apply_linear, telescope_direct
 from weylred.weyl import Algebra, block_order, dtelim_order, grevlex, mul
 
 TWO = QQ_T.from_int(2)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +63,48 @@ def test_dt_degree(quad):
     assert lrem(dt, gb, pres.order)[0] == dt  # irreducible: d_t degree 1
     # so level 0 fails (d_t e_1 has degree 1) and level 1 holds
     assert build_extension(pres).ell == 1
+
+
+def _cubic_exponential_presentation():
+    """exp(q), q = (x^3 + y^3)/3 - x(t + 2z) - y(t + z): ell = 0, r = 1."""
+    B = Algebra(4, 1, QQ_T, dt=True)  # slots: d_t, x, y, z
+    x, y, z = B.xvar(1), B.xvar(2), B.xvar(3)
+    dt, dx, dy, dz = B.dvar(0), B.dvar(1), B.dvar(2), B.dvar(3)
+    tw = B.scalar(T)
+    two = B.scalar(TWO)
+    gens = (
+        dx - mul(x, x) + tw + mul(two, z),
+        dy - mul(y, y) + tw + z,
+        dz + mul(two, x) + y,
+        dt + x + y,
+    )
+    return ParametricPresentation(B, gens, dtelim_order(4))
+
+
+def test_ell_zero_relations_are_the_flat_reduced_basis(quad, monkeypatch):
+    """Elimination: at ell = 0 the d_t-free elements of the dtelim basis are
+    the reduced grevlex basis of the flat relations, element by element and
+    terms order included; at ell = 1 the relations stay a plain tuple."""
+    monkeypatch.syspath_prepend(str(ROOT / "weylbench"))
+    import worker
+
+    C = Algebra(1, 1, QQ_T, dt=True)  # d_t only: no relation survives
+    presentations = [_cubic_exponential_presentation(),
+                     ParametricPresentation(C, (C.dvar(0),), dtelim_order(1))]
+    for abc in sorted(FLAT_BASIS) + worker.airy_triples(1)[:40]:
+        doc = parse_document(worker.airy_document(*abc))
+        presentations.append(
+            ParametricPresentation(doc.algebra, tuple(doc.generators), doc.order))
+    for pres in presentations:
+        ext = build_extension(pres)
+        assert ext.ell == 0
+        order = grevlex(ext.algebra.n)
+        handed = ext.s_generators
+        assert isinstance(handed, ReducedBasis) and handed.order == order
+        recomputed = buchberger(tuple(handed), order)
+        assert list(handed) == list(recomputed)
+        assert [list(g.terms) for g in handed] == [list(g.terms) for g in recomputed]
+    assert type(build_extension(quad[0]).s_generators) is tuple
 
 
 def test_build_extension_level_ceiling():
@@ -157,18 +204,7 @@ def test_unstable_rank_two_module_rejected(quad):
 
 
 def test_parametric_cubic_exponential():
-    B = Algebra(4, 1, QQ_T, dt=True)  # slots: d_t, x, y, z
-    x, y, z = B.xvar(1), B.xvar(2), B.xvar(3)
-    dt, dx, dy, dz = B.dvar(0), B.dvar(1), B.dvar(2), B.dvar(3)
-    tw = B.scalar(T)
-    two = B.scalar(TWO)
-    gens = (
-        dx - mul(x, x) + tw + mul(two, z),
-        dy - mul(y, y) + tw + z,
-        dz + mul(two, x) + y,
-        dt + x + y,
-    )
-    pres = ParametricPresentation(B, gens, dtelim_order(4))
+    pres = _cubic_exponential_presentation()
     ext = build_extension(pres)
     assert ext.ell == 0 and ext.r == 1
     assert ext.algebra.n == 3 and ext.algebra.r == 1

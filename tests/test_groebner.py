@@ -9,11 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _helpers import fractions, operators, qqt_elements
-from _oracles import certificate_identity_holds, ideal_membership
+from _oracles import (
+    autoreduce_to_fixpoint, certificate_identity_holds, ideal_membership)
 from weylred.arith import QQ_T
 from weylred.cli import main, parse_document
 from weylred.extension import ParametricPresentation, build_extension
 from weylred.groebner import (
+    ReducedBasis,
+    _autoreduce,
     buchberger,
     lrem,
     rrem,
@@ -21,10 +24,13 @@ from weylred.groebner import (
 from weylred.weyl import (
     Algebra,
     Monomial,
+    block_order,
     grevlex,
+    leading_data,
     leading_monomial,
     mul,
     op_scale,
+    shadow_divides,
     sorted_terms,
 )
 
@@ -84,7 +90,9 @@ def test_flat_basis_golden(abc):
     ext = build_extension(ParametricPresentation(doc.algebra, tuple(doc.generators),
                                                  doc.order))
     order = grevlex(ext.algebra.n)
-    assert _basis_digest(buchberger(ext.s_generators, order), order) == FLAT_BASIS[abc]
+    assert _basis_digest(ext.s_generators, order) == FLAT_BASIS[abc]
+    recomputed = buchberger(tuple(ext.s_generators), order)
+    assert _basis_digest(recomputed, order) == FLAT_BASIS[abc]
 
 
 def test_regular_basis_golden(k3):
@@ -135,7 +143,54 @@ def test_module_rank_basis():
 
 
 def test_groebner_fixed_point(airy):
-    assert buchberger(airy.gb, airy.order) == airy.gb
+    """The full algorithm, run on a reduced basis, returns it."""
+    assert buchberger(tuple(airy.gb), airy.order) == airy.gb
+
+
+def test_reduced_basis_is_its_own_answer(airy):
+    """A ReducedBasis comes back as the same object under its own order; under
+    another order, or as a plain tuple, it is computed again."""
+    gb = buchberger(airy.generators, grevlex(3))
+    assert isinstance(gb, ReducedBasis) and gb.order == grevlex(3)
+    assert buchberger(gb, grevlex(3)) is gb
+    again = buchberger(tuple(gb), grevlex(3))
+    assert again is not gb and again == gb and again.order == grevlex(3)
+    in_block = buchberger(gb, block_order(3))
+    assert in_block.order == block_order(3) and in_block == airy.gb != gb
+
+
+_AUTOREDUCE_CASES = {
+    "A1": (A1, O1),
+    "A2": (Algebra(2), grevlex(2)),
+    "airy": (Algebra(3, field=QQ_T), block_order(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AUTOREDUCE_CASES))
+@given(data=st.data())
+def test_autoreduce_one_pass_is_the_fixpoint(case, data):
+    """One pass of tail reduction gives what passes to a fixed point give,
+    terms order included: a monic basis, ascending by leading monomial,
+    with no term divisible by another element's leading monomial."""
+    algebra, order = _AUTOREDUCE_CASES[case]
+    F = algebra.field
+    coeffs = qqt_elements(max_deg=1) if F is QQ_T else None
+    gens = data.draw(st.lists(
+        operators(algebra, coeffs=coeffs, max_terms=3, max_exp=2, min_terms=1),
+        min_size=1, max_size=4))
+    G = [op_scale(g, F.inv(leading_data(g, order)[1])) for g in gens]
+    got = _autoreduce(G, order)
+    want = autoreduce_to_fixpoint(G, order)
+    assert got == want
+    assert [list(g.terms) for g in got] == [list(g.terms) for g in want]
+    leads = [leading_data(g, order) for g in got]
+    assert all(lc == F.one for _, lc in leads)
+    keys = [order.key(lm) for lm, _ in leads]
+    assert keys == sorted(keys)
+    for i, g in enumerate(got):
+        for m in g.terms:
+            assert not any(shadow_divides(lm, m)
+                           for j, (lm, _) in enumerate(leads) if j != i)
 
 
 def test_random_combinations_reduce_to_zero(airy):

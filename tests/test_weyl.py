@@ -194,6 +194,11 @@ def test_degree_additivity(P, Q):
     assert mul(P, Q).degree() == P.degree() + Q.degree()
 
 
+def test_zero_operator_has_no_degree():
+    with pytest.raises(ValueError, match="degree of the zero operator"):
+        A2.zero().degree()
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from weylred import telescoping
+from weylred import groebner, telescoping
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,3 +62,34 @@ def test_tracer_splits_modular_airy_family(monkeypatch):
     assert metrics["telescoping.confine.calls"] > 0
     assert metrics["reduction.compute_eta_basis.calls"] > 0
     assert metrics["weyl.evaluate_and_reduce.calls"] > 0
+
+
+def test_airy_setup_divides_nothing_for_the_flat_basis(monkeypatch):
+    """worker.airy_presentation hands build_extension's ell = 0 basis to its
+    flat groebner.buchberger call, which makes no groebner.lrem call, and
+    the context basis is what a full recomputation gives."""
+    monkeypatch.syspath_prepend(str(ROOT / "weylbench"))
+    import worker
+
+    real_lrem, real_buchberger = groebner.lrem, groebner.buchberger
+    lrem_calls, flat_calls = [], []
+
+    def lrem(*args, **kwargs):
+        lrem_calls.append(args[0])
+        return real_lrem(*args, **kwargs)
+
+    def buchberger(gens, order):
+        before = len(lrem_calls)
+        basis = real_buchberger(gens, order)
+        flat_calls.append(len(lrem_calls) - before)
+        return basis
+
+    monkeypatch.setattr(groebner, "lrem", lrem)
+    monkeypatch.setattr(groebner, "buchberger", buchberger)
+    pres = worker.airy_presentation(worker.airy_document(*worker.airy_triples(1)[0]))
+    assert flat_calls == [0]
+    assert lrem_calls  # build_extension's own basis still runs the algorithm
+    basis = pres.ctx.basis
+    full = real_buchberger(tuple(basis), pres.ctx.order)
+    assert list(basis) == list(full)
+    assert [list(g.terms) for g in basis] == [list(g.terms) for g in full]
