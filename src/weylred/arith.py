@@ -20,13 +20,15 @@ Euclid.
 
 The module also provides the reconstruction primitives used by the modular
 telescoping pipeline: Chinese remaindering, rational reconstruction, Cauchy
-interpolation, and the adaptive wrapper that doubles degree bounds until a
-candidate survives a confirming evaluation.
+interpolation over a table of Lagrange bases that fits through the same
+abscissae share (AbscissaTable), and the adaptive wrapper that doubles
+degree bounds until a candidate survives a confirming evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
@@ -647,22 +649,70 @@ def peval(F, a, x):
     return acc
 
 
-def interpolate(F, points):
-    """Lagrange interpolation through distinct points, via Newton differences."""
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("repeated abscissae")
-    # divided differences
-    coeffs = [y for _, y in points]
-    for j in range(1, len(points)):
-        for i in range(len(points) - 1, j - 1, -1):
-            num = F.sub(coeffs[i], coeffs[i - 1])
-            coeffs[i] = F.div(num, F.sub(xs[i], xs[i - j]))
-    # expand the Newton form
-    poly = ()
-    for i in range(len(points) - 1, -1, -1):
-        poly = padd(F, pmul(F, poly, (F.neg(xs[i]), F.one)), pconst(F, coeffs[i]))
-    return poly
+class AbscissaTable:
+    """The Lagrange basis of each tuple of abscissae over F that a fit asks
+    for, built once.  For distinct x_0, ..., x_{n-1}, M = prod (t - x_i)
+    and l_i = M / ((t - x_i) M'(x_i)), so sum y_i l_i is the polynomial of
+    degree below n through the points (x_i, y_i).  The streams of one
+    sample pool fit on prefixes of the same abscissae, so one table per
+    pool serves every entry reconstructed from it.
+    """
+
+    def __init__(self, F):
+        self.F = F
+        self._bases = {}  # abscissae -> (M, columns of the basis)
+
+    def basis(self, xs):
+        """(M, columns) for the abscissae xs: M = prod (t - x_i), and
+        columns[k] the t^k coefficients of l_0, ..., l_{n-1}.  Raises
+        ValueError when an abscissa repeats."""
+        xs = tuple(xs)
+        got = self._bases.get(xs)
+        if got is None:
+            got = self._bases[xs] = self._build(xs)
+        return got
+
+    def _build(self, xs):
+        F = self.F
+        M = [F.one]
+        for x in xs:  # M <- (t - x) M
+            M.insert(0, F.zero)
+            for k in range(len(M) - 1):
+                M[k] = F.sub(M[k], F.mul(x, M[k + 1]))
+        basis = []
+        for x in xs:
+            # M / (t - x) by synthetic division, and its value w at x, the
+            # product of x - x_j over the other abscissae
+            q = [F.one]
+            for c in M[-2:0:-1]:
+                q.append(F.add(c, F.mul(q[-1], x)))
+            q.reverse()
+            w = peval(F, q, x)
+            if F.is_zero(w):
+                raise ValueError("repeated abscissae")
+            w = F.inv(w)
+            basis.append([F.mul(c, w) for c in q])
+        return tuple(M), tuple(zip(*basis))
+
+
+def interpolate(F, points, table=None):
+    """The polynomial of degree below len(points) through points with
+    distinct abscissae, as sum y_i l_i over the Lagrange basis l_i that
+    table keeps for the abscissae (a fresh AbscissaTable when None)."""
+    if table is None:
+        table = AbscissaTable(F)
+    ys = [y for _, y in points]
+    _, columns = table.basis(x for x, _ in points)
+    if isinstance(F, PrimeField):
+        p = F.p
+        return pnorm(F, [sum(map(operator.mul, ys, col)) % p for col in columns])
+    out = []
+    for col in columns:
+        acc = F.zero
+        for y, c in zip(ys, col):
+            acc = F.add(acc, F.mul(y, c))
+        out.append(acc)
+    return pnorm(F, out)
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +860,7 @@ def rational_reconstruct(u, modulus):
     return Fraction(r1, t1)
 
 
-def cauchy_interpolate(F, points, deg_bounds):
+def cauchy_interpolate(F, points, deg_bounds, table=None):
     """Fit a rational function through sample points over a field.
 
     Parameters
@@ -821,6 +871,8 @@ def cauchy_interpolate(F, points, deg_bounds):
         Samples with pairwise distinct abscissae.
     deg_bounds : (int, int)
         ``(d_num, d_den)`` bounds on numerator and denominator degree.
+    table : AbscissaTable or None
+        Keeps the Lagrange basis of the fit's abscissae; a fresh one if None.
 
     Returns
     -------
@@ -839,10 +891,10 @@ def cauchy_interpolate(F, points, deg_bounds):
         raise ValueError("repeated abscissae")
 
     fit = points[:need]
-    modpoly = (F.one,)
-    for a, _ in fit:
-        modpoly = pmul(F, modpoly, (F.neg(a), F.one))
-    lagrange = interpolate(F, fit)
+    if table is None:
+        table = AbscissaTable(F)
+    modpoly, _ = table.basis(xs[:need])
+    lagrange = interpolate(F, fit, table)
 
     r0, r1 = modpoly, lagrange
     v0, v1 = (), (F.one,)
@@ -870,7 +922,7 @@ def cauchy_interpolate(F, points, deg_bounds):
     return (num, den)
 
 
-def adaptive_reconstruct(F, stream, max_points=512):
+def adaptive_reconstruct(F, stream, max_points=512, table=None):
     """Reconstruct a rational function from a stream of (point, value) pairs.
 
     Degree bounds start at (1, 1) and double on failure.  When the next
@@ -878,7 +930,8 @@ def adaptive_reconstruct(F, stream, max_points=512):
     made at the largest bounds the budget affords before giving up.  A
     candidate is accepted only after it matches every consumed point plus
     one fresh one.  Raises BudgetExhaustedError when the stream or the
-    ``max_points`` budget runs out.
+    ``max_points`` budget runs out.  Streams over one sample pool that
+    pass one AbscissaTable build each Lagrange basis once.
     """
     it = iter(stream)
     pts = []
@@ -900,7 +953,7 @@ def adaptive_reconstruct(F, stream, max_points=512):
             d_num = d_den = max(0, (max_points - 2) // 2)
             need = d_num + d_den + 2
         take(need - len(pts))
-        cand = cauchy_interpolate(F, pts, (d_num, d_den))
+        cand = cauchy_interpolate(F, pts, (d_num, d_den), table)
         if cand is not None:
             num, den = cand
             a, v = pts[-1]

@@ -26,7 +26,8 @@ retry.
 telescope_modular runs the same computation (_solve_at: confine, then
 _reduced_system) at points t = a modulo word-size primes p.  Votes elect
 the reference Confinement; a point is usable only when it confines to
-it, and the (g_0, M) of the usable points are interpolated into F_p(t).
+it, and the (g_0, M) of the usable points are interpolated into F_p(t),
+every entry of a prime on one table of Lagrange bases (AbscissaTable).
 The per-prime relations lift to Q(t) by CRT and rational
 reconstruction, confirmed with an extra prime; as reconstruction can
 succeed spuriously on too few primes, a confirming prime that disagrees
@@ -45,15 +46,19 @@ computation into a constant part (the constants of the inputs, integer
 literals and what is computed from them alone) and a point part (what
 depends on t), logs every operation of each, keeps every is_zero outcome
 and every divisor as a guard, and refuses bool() and == on its values so
-that no branch goes unrecorded.  bind() runs the constant part at a new
-prime and checks its guards; replay() runs the point part over plain
-ints at one point of that prime.  A replay is used only when every input
-operator has the recorded support and every recorded is_zero outcome
-comes out the same, so that the code would take the same path through
-the same operations; otherwise the vote or point runs _solve_at itself
-(_replayed).  Either way gives the same Confinement and (g_0, M).  The
-tapes live in one telescope_modular call; the threads of a wave only
-read them.
+that no branch goes unrecorded.  The tape keeps every coefficient of the
+inputs.  bind() checks the constant ones at a new prime, runs the
+constant part there and checks its guards; replay() evaluates only the
+t-dependent ones at one point of that prime and runs the point part over
+plain ints.  A replay is used only when no input denominator vanishes,
+every input coefficient is zero or nonzero as it was where the tape was
+recorded, and every recorded is_zero outcome comes out the same, so that
+the code would take the same path through the same operations; otherwise
+the vote or point evaluates all the inputs and runs _solve_at itself
+(_solve_generic).  Either way gives the same Confinement and (g_0, M), and
+the inputs are evaluated in full only for a recording and where a replay
+refuses.  The tapes live in one telescope_modular call; the threads of a
+wave only read them.
 
 ModularConfig holds only what a caller sets: the seed, the threads per
 wave and the point budget.  The prime budget, the vote sizes and the point
@@ -69,6 +74,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .arith import (
+    AbscissaTable,
     BudgetExhaustedError,
     InconsistencyError,
     ModularImage,
@@ -94,6 +100,7 @@ from .weyl import (
     Monomial,
     WeylOperator,
     _mono_str,
+    _poly_mod_eval,
     coefficientwise_dt,
     commutator,
     components,
@@ -613,6 +620,15 @@ def _solve_at(ctx, L, f, rho, degree_ceiling):
     return conf, _reduced_system(forms, conf)
 
 
+def _solve_generic(pres, Fp, a, rho, degree_ceiling, counts, kind):
+    """_solve_at on the inputs evaluated at t = a over Fp, for a vote or
+    point that no tape replays; counts tallies kind + "_generic" once the
+    inputs evaluate."""
+    images = _evaluate(pres, ModularImage(Fp, a))
+    counts[kind + "_generic"] += 1
+    return _solve_at(*_context(pres, Fp, images), rho, degree_ceiling)
+
+
 # The operations of a tape entry (op, slot, a, b) on the slots a and b.
 _ADD, _SUB, _MUL, _DIV = range(4)
 _EXACT = (operator.add, operator.sub, operator.mul, operator.floordiv)
@@ -671,13 +687,17 @@ class _Tape:
     t.  Each operation appends one entry (op, slot, a, b) to the part of
     its result, and each value that is_zero tests (divisors included)
     becomes a guard of its part: it must come out nonzero, or zero, as it
-    did when recorded.  With equal input supports and equal guard outcomes
-    the reduction code takes the same path through the same operations at
-    any (p, a).  bind(Fp) runs the constant part at the prime of Fp and
-    checks its guards; replay() runs the point part at one point of that
-    prime and checks the rest.  Either returns None when something
-    differs, and the caller then takes the generic path.  Once recorded, a
-    tape is only read, so threads may share it.
+    did when recorded.  lift() keeps the payload num/den of every input
+    coefficient: a t-dependent one as a point input, a constant one as a
+    constant input, and one that vanished at the recording point as
+    absent.  When every input coefficient vanishes where it did and every
+    guard comes out the same, the reduction code takes the same path
+    through the same operations at any (p, a).  bind(Fp) checks the
+    constant inputs at the prime of Fp and runs the constant part there;
+    replay() evaluates the t-dependent inputs at one point of that prime,
+    runs the point part and checks the rest.  Either returns None when
+    something differs, and the caller then takes the generic path.  Once
+    recorded, a tape is only read, so threads may share it.
     """
 
     zero = 0
@@ -687,14 +707,15 @@ class _Tape:
         self.p = Fp.p
         self.const_code = []
         self.const_slots = 0
-        self.const_inputs = []  # (slot, num, den) per input constant num/den
+        self.const_inputs = []  # (slot or None when absent, num, den) per constant
+        self.point_inputs = []  # ... and per t-dependent input coefficient num/den
+        self.leading_dens = set()  # lc(den) of every input coefficient
         self.literals = {}  # integer -> its constant
         self.const_nonzero = []  # constant guards: slots that were nonzero
         self.const_zero = []  # ... and slots that were zero
         self.code = []
         self.slots = 0  # of the point part
         self.imports = []  # (point slot, constant slot) the point part reads
-        self.inputs = []  # (monomials, point slots or None) per input operator
         self.outputs = ()  # point slots
         self.guard_nonzero = []
         self.guard_zero = []
@@ -815,21 +836,24 @@ class _Tape:
 
     def lift(self, source, image):
         """image, the evaluation of source at the recording point, as an
-        operator over the tape: its t-dependent coefficients become point
-        inputs, and its constant ones the constants num/den of source."""
+        operator over the tape.  Every coefficient num/den of source is
+        kept: a t-dependent one as a point input, a constant one as a
+        constant input, each with the slot of its value, and one that
+        vanished at the recording point as absent (slot None)."""
         A = image.algebra
-        terms, slots = {}, []
-        for m, c in image.terms.items():
-            num, den = source.terms[m]
-            if len(num) > 1 or len(den) > 1:
-                c = self._value(c, True)
-                slots.append(c.slot)
+        terms = {}
+        for m, (num, den) in source.terms.items():
+            self.leading_dens.add(den[-1])
+            point = len(num) > 1 or len(den) > 1
+            c = image.terms.get(m)
+            slot = None
+            if c is not None:
+                terms[m] = c = self._value(c, point)
+                slot = c.slot
+            if point:
+                self.point_inputs.append((slot, num, den))
             else:
-                c = self._value(c, False)
-                self.const_inputs.append((c.slot, num[0], den[0]))
-                slots.append(None)
-            terms[m] = c
-        self.inputs.append((tuple(image.terms), tuple(slots)))
+                self.const_inputs.append((slot, num[0], den[0]))
         return WeylOperator(Algebra(A.n, A.r, self, False), terms)
 
     def finish(self, outputs):
@@ -837,37 +861,52 @@ class _Tape:
         self.outputs = tuple(map(self._point_slot, outputs))
 
     def bind(self, Fp):
-        """The constant part run at the prime of Fp, as the start of
-        replay() there, or None when a constant divisor or guard differs
-        from the recording."""
+        """The start of replay() at the prime of Fp: the constant part run
+        there, and the t-dependent inputs num/den reduced mod p.  None when
+        p divides the leading denominator of an input coefficient (its
+        evaluation fails at every point), when a constant input vanishes
+        mod p but did not at the recording or the other way round, or when
+        a constant divisor or guard differs from the recording."""
         p = Fp.p
+        if any(not d % p for d in self.leading_dens):
+            return None
+        inverse = {d: pow(d, -1, p) for d in self.leading_dens}
         c = [0] * self.const_slots
         for n, x in self.literals.items():
             c[x.slot] = n % p
         for slot, num, den in self.const_inputs:
-            if not den % p:
+            if (slot is None) != (not num % p):
                 return None
-            c[slot] = num * pow(den, -1, p) % p
+            if slot is not None:
+                c[slot] = num * inverse[den] % p
         if not (_run(self.const_code, c, p)
                 and _guards_hold(c, self.const_nonzero, self.const_zero)):
             return None
         start = [0] * self.slots
         for slot, const in self.imports:
             start[slot] = c[const]
-        return p, start
+        inputs = []
+        for slot, num, den in self.point_inputs:
+            if len(den) == 1:  # num/d as (num/d)/1, so replay inverts nothing
+                num, den = [e * inverse[den[0]] for e in num], (1,)
+            inputs.append((slot, [e % p for e in num], [e % p for e in den]))
+        return p, start, inputs
 
-    def replay(self, bound, images):
-        """The outputs at the point of images, the inputs evaluated there,
-        from bind()'s start at its prime; None when an input support or a
-        guard differs from the recording."""
-        p, start = bound
+    def replay(self, bound, a):
+        """The outputs at t = a, from bind()'s start at its prime: only the
+        t-dependent inputs are evaluated there, by Horner on residues.
+        None when the denominator of one vanishes at a, when one vanishes
+        at a but did not at the recording or the other way round, or when
+        a guard differs from the recording."""
+        p, start, inputs = bound
         v = list(start)
-        for image, (monomials, slots) in zip(images, self.inputs):
-            if tuple(image.terms) != monomials:
+        for slot, num, den in inputs:
+            d = _poly_mod_eval(den, p, a)
+            n = _poly_mod_eval(num, p, a)
+            if not d or (slot is None) != (not n):
                 return None
-            for slot, c in zip(slots, image.terms.values()):
-                if slot is not None:
-                    v[slot] = c
+            if slot is not None:
+                v[slot] = n if d == 1 else n * pow(d, -1, p) % p
         if not (_run(self.code, v, p)
                 and _guards_hold(v, self.guard_nonzero, self.guard_zero)):
             return None
@@ -880,10 +919,11 @@ def _unflatten(values, nb):
         tuple(values[nb * (i + 1):nb * (i + 2)]) for i in range(nb))
 
 
-def _record(pres, Fp, images, rho, degree_ceiling, counts):
-    """(tape, Confinement): _solve_at recorded over a _Tape at the point of
-    Fp where the inputs evaluate to images, the tape's outputs g0 and then
-    the matrix row by row; counts tallies the tape."""
+def _record(pres, Fp, a, rho, degree_ceiling, counts):
+    """(tape, Confinement): _solve_at recorded over a _Tape on the inputs
+    evaluated at t = a over Fp, the tape's outputs g0 and then the matrix
+    row by row; counts tallies the tape."""
+    images = _evaluate(pres, ModularImage(Fp, a))
     tape = _Tape(Fp)
     lifted = _context(pres, tape, tuple(map(tape.lift, _inputs(pres), images)))
     conf, (g0, rows) = _solve_at(*lifted, rho, degree_ceiling)
@@ -892,16 +932,17 @@ def _record(pres, Fp, images, rho, degree_ceiling, counts):
     return tape, conf
 
 
-def _replayed(recording, bound, images, counts, kind):
-    """(Confinement, (g0, matrix)) of _solve_at at the point where the
-    inputs evaluate to images, replayed from recording = (tape, Confinement)
-    and bound = tape.bind(Fp); None when bind or replay refused, and the
-    caller then runs _solve_at there.  counts tallies kind + "_replayed" or
-    kind + "_generic"."""
+def _replayed(recording, bound, a, counts, kind):
+    """(Confinement, (g0, matrix)) of _solve_at at t = a, replayed from
+    recording = (tape, Confinement) and bound = tape.bind(Fp); None when
+    bind or replay refused, and the caller then runs _solve_generic there.
+    counts tallies kind + "_replayed"."""
     tape, conf = recording
-    values = None if bound is None else tape.replay(bound, images)
-    counts[kind + ("_generic" if values is None else "_replayed")] += 1
-    return None if values is None else (conf, _unflatten(values, len(conf.B)))
+    values = None if bound is None else tape.replay(bound, a)
+    if values is None:
+        return None
+    counts[kind + "_replayed"] += 1
+    return conf, _unflatten(values, len(conf.B))
 
 
 class _SamplePool:
@@ -925,7 +966,7 @@ class _SamplePool:
 def _evaluation_draw(pres, rho, ref, recording, Fp, rng, log, counts):
     """draw() for the evaluation pool of the prime of Fp: a fresh point a and
     the numeric (g0, matrix) there, replayed from recording where it binds
-    and replays (_replayed), from _solve_at elsewhere.  A point is usable
+    and replays (_replayed), from _solve_generic elsewhere.  A point is usable
     only when it confines to the elected Confinement ref, which its
     threshold may not pass.  Repeated and unlucky points are skipped; after
     _MAX_POINT_TRIES skips the prime is given up."""
@@ -934,12 +975,12 @@ def _evaluation_draw(pres, rho, ref, recording, Fp, rng, log, counts):
     skips = 0
     bound = recording[0].bind(Fp)
 
-    def images(img):
-        at = _evaluate(pres, img)
-        got = _replayed(recording, bound, at, counts, "points")
+    def system(a):
+        got = _replayed(recording, bound, a, counts, "points")
         if got is None:
             try:
-                got = _solve_at(*_context(pres, Fp, at), rho, max(1, ref.eta.degree()))
+                got = _solve_generic(pres, Fp, a, rho, max(1, ref.eta.degree()),
+                                     counts, "points")
             except BudgetExhaustedError:  # no confinement up to ref's eta
                 got = None, None
         if got[0] != ref:
@@ -958,7 +999,7 @@ def _evaluation_draw(pres, rho, ref, recording, Fp, rng, log, counts):
             if a not in used:
                 used.add(a)
                 try:
-                    return a, images(ModularImage(Fp, a))
+                    return a, system(a)
                 except UnluckyEvaluationError as e:
                     if e.prime_level:
                         raise
@@ -969,26 +1010,18 @@ def _evaluation_draw(pres, rho, ref, recording, Fp, rng, log, counts):
 
 
 def _interpolated_system(points, Fp, nb, cfg):
-    """Reconstruct g0 and the [L(.)]_eta matrix as F_p(t) entries."""
-    g0 = []
-    for j in range(nb):
-        g0.append(
-            adaptive_reconstruct(
-                Fp, points.stream(lambda d, j=j: d[0][j]), max_points=cfg.max_points
-            )
-        )
-    rows = []
-    for i in range(nb):
-        row = []
-        for j in range(nb):
-            row.append(
-                adaptive_reconstruct(
-                    Fp,
-                    points.stream(lambda d, i=i, j=j: d[1][i][j]),
-                    max_points=cfg.max_points,
-                )
-            )
-        rows.append(row)
+    """Reconstruct g0 and the [L(.)]_eta matrix as F_p(t) entries.  Every
+    entry fits on prefixes of the same pool of points, so they share one
+    AbscissaTable."""
+    table = AbscissaTable(Fp)
+
+    def entry(pick):
+        return adaptive_reconstruct(Fp, points.stream(pick), max_points=cfg.max_points,
+                                    table=table)
+
+    g0 = [entry(lambda d, j=j: d[0][j]) for j in range(nb)]
+    rows = [[entry(lambda d, i=i, j=j: d[1][i][j]) for j in range(nb)]
+            for i in range(nb)]
     return g0, rows
 
 
@@ -1010,22 +1043,23 @@ def _prime_relation(pres, rho, ref, recording, Fp, idx, cfg, counts):
             "shape": (len(rel) - 1, tuple(pdeg(c) for c in rel)), "log": log}
 
 
-def _vote(pres, Fp, images, rho, degree_ceiling, recorded, counts):
-    """The Confinement of one vote of _elect_reference, at the point of Fp
-    where the inputs evaluate to images.
+def _vote(pres, Fp, a, rho, degree_ceiling, recorded, counts):
+    """The Confinement of one vote of _elect_reference, at t = a over Fp.
 
     Every vote goes through here.  recorded is empty until the first usable
     vote, which records _solve_at there (_record) and appends its
     (tape, Confinement).  Every later vote replays that tape at its point,
-    and returns the recorded Confinement when every input support and guard
-    matches: it holds only monomials, so the same branch path gives the
-    same Confinement.  Otherwise the vote runs _solve_at at its point.
+    and returns the recorded Confinement when every input coefficient and
+    guard matches: it holds only monomials, so the same branch path gives
+    the same Confinement.  Otherwise the vote runs _solve_generic at its
+    point.
     """
     if not recorded:
-        recorded.append(_record(pres, Fp, images, rho, degree_ceiling, counts))
+        recorded.append(_record(pres, Fp, a, rho, degree_ceiling, counts))
         return recorded[0][1]
-    got = _replayed(recorded[0], recorded[0][0].bind(Fp), images, counts, "votes")
-    return (got or _solve_at(*_context(pres, Fp, images), rho, degree_ceiling))[0]
+    got = _replayed(recorded[0], recorded[0][0].bind(Fp), a, counts, "votes") or \
+        _solve_generic(pres, Fp, a, rho, degree_ceiling, counts, "votes")
+    return got[0]
 
 
 def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts):
@@ -1043,29 +1077,26 @@ def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts):
             Fp = next(fields)
             prime = Fp.p
             for _ in range(_MAX_POINT_TRIES):
-                img = ModularImage(Fp, vote_rng.randrange(1, prime))
+                a = vote_rng.randrange(1, prime)
                 try:
-                    images = _evaluate(pres, img)
-                    conf = _vote(pres, Fp, images, rho, degree_ceiling, recorded,
-                                 counts)
+                    conf = _vote(pres, Fp, a, rho, degree_ceiling, recorded, counts)
                 except UnluckyEvaluationError:
                     continue
                 break
             else:
                 raise BudgetExhaustedError(f"no usable vote points mod {prime}")
             log.append(
-                f"vote prime={prime} point={img.point} eta={_mono_str(conf.eta)} "
+                f"vote prime={prime} point={a} eta={_mono_str(conf.eta)} "
                 f"|B|={len(conf.B)} |tracer|={len(conf.tracer)}"
             )
-            votes.append((conf, Fp, images))
+            votes.append((conf, Fp, a))
         confs = [vote[0] for vote in votes]
-        for conf, Fp, images in votes:
+        for conf, Fp, a in votes:
             if confs.count(conf) * 2 > len(confs):
                 log.append("votes agree" if confs.count(conf) == len(confs)
                            else "votes split, majority kept")
                 if recorded[0][1] != conf:  # the first vote lost
-                    recorded[0] = _record(pres, Fp, images, rho, degree_ceiling,
-                                          counts)
+                    recorded[0] = _record(pres, Fp, a, rho, degree_ceiling, counts)
                 return conf, recorded[0]
         log.append("votes inconclusive, new round")
     raise InconsistencyError("tracer votes never reached a majority")

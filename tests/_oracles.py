@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
-from weylred.arith import T_GEN
+from weylred.arith import T_GEN, padd, pconst, pmul
 from weylred.extension import dt_degree, flatten_operator
 from weylred.groebner import lrem
 from weylred.telescoping import apply_linear
@@ -20,6 +20,24 @@ from weylred.weyl import (
 
 # ---------------------------------------------------------------------------
 # arith
+
+
+def newton_interpolate(F, points):
+    """The polynomial of degree below len(points) through points with
+    distinct abscissae, by Newton's divided differences: a second route to
+    what arith.interpolate computes from a Lagrange basis."""
+    xs = [x for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("repeated abscissae")
+    coeffs = [y for _, y in points]
+    for j in range(1, len(points)):
+        for i in range(len(points) - 1, j - 1, -1):
+            num = F.sub(coeffs[i], coeffs[i - 1])
+            coeffs[i] = F.div(num, F.sub(xs[i], xs[i - j]))
+    poly = ()
+    for i in range(len(points) - 1, -1, -1):
+        poly = padd(F, pmul(F, poly, (F.neg(xs[i]), F.one)), pconst(F, coeffs[i]))
+    return poly
 
 
 def qpoly_clear_denominators(coeffs):

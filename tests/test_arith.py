@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import qpoly_clear_denominators, zz_heu_gcd_oracle
+from _oracles import newton_interpolate, qpoly_clear_denominators, zz_heu_gcd_oracle
 from weylred import arith
 from weylred.arith import (
     QQ,
     QQ_T,
     ZZ,
+    AbscissaTable,
     BudgetExhaustedError,
     ModularImage,
     PrimeField,
@@ -40,6 +41,7 @@ from weylred.arith import (
     random_prime_field,
     rational_reconstruct,
 )
+from weylred.telescoping import _SamplePool
 
 FP = PrimeField(1000003)
 FPT = RationalFunctions(FP)
@@ -310,6 +312,94 @@ def test_interpolate_golden():
     pts = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(3)),
            (Fraction(2), Fraction(7))]
     assert interpolate(QQ, pts) == (Fraction(1), Fraction(1), Fraction(1))
+
+
+# The fields a Lagrange table is tested over, with the map from ints into each.
+_TABLE_FIELDS = {"Fp": (FP, lambda n: n % FP.p), "QQ": (QQ, Fraction)}
+
+
+@pytest.mark.parametrize("field", sorted(_TABLE_FIELDS))
+@given(st.lists(st.lists(st.integers(-40, 40), unique=True, max_size=9),
+                min_size=1, max_size=3),
+       st.lists(st.lists(st.integers(-99, 99), min_size=9, max_size=9),
+                min_size=1, max_size=3))
+def test_interpolate_shared_table_equals_newton(field, abscissa_lists, value_lists):
+    """interpolate through every prefix of several lists of abscissae, for
+    several value lists, all on one AbscissaTable, gives the Newton form's
+    polynomial: the table keeps the basis of each tuple of abscissae apart."""
+    F, lift = _TABLE_FIELDS[field]
+    table = AbscissaTable(F)
+    for values in value_lists:
+        for xs in abscissa_lists:
+            xs = [lift(x) for x in xs]
+            for n in range(len(xs) + 1):
+                pts = list(zip(xs[:n], map(lift, values)))
+                assert interpolate(F, pts, table) == newton_interpolate(F, pts)
+
+
+@pytest.mark.parametrize("field", sorted(_TABLE_FIELDS))
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=5), st.integers(-40, 40),
+       st.integers(-9, 9))
+def test_repeated_abscissae_raise_with_a_table(field, values, x, y):
+    """An abscissa that repeats raises ValueError, whether the table is
+    shared, fresh, or already holds the basis of the distinct prefix."""
+    F, lift = _TABLE_FIELDS[field]
+    pts = [(lift(x + i), lift(v)) for i, v in enumerate(values)]
+    table = AbscissaTable(F)
+    interpolate(F, pts, table)
+    repeated = pts + [(pts[0][0], lift(y))]
+    for shared in (table, None):
+        with pytest.raises(ValueError, match="repeated abscissae"):
+            interpolate(F, repeated, shared)
+        with pytest.raises(ValueError, match="repeated abscissae"):
+            cauchy_interpolate(F, repeated, (1, 1), shared)
+
+
+@pytest.mark.parametrize("field", sorted(_TABLE_FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(-9, 9), max_size=4),
+                          st.lists(st.integers(-9, 9), min_size=1, max_size=3)),
+                min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_streams_sharing_a_table_match_own_tables(field, fractions, seed):
+    """Streams over one sample pool of several rational functions, fitted
+    with one shared AbscissaTable, give the same fits and draw the same
+    number of points as when each stream builds its own table; each fit
+    is the function sampled."""
+    F, lift = _TABLE_FIELDS[field]
+    funcs = []
+    for num, den in fractions:
+        num, den = pnorm(F, tuple(map(lift, num))), pnorm(F, tuple(map(lift, den)))
+        funcs.append((num, den or (F.one,)))
+
+    def reconstruct(shared):
+        rng = random.Random(seed)
+        used = set()
+
+        def draw():
+            while True:
+                a = lift(rng.randrange(-200, 200))
+                dens = [peval(F, den, a) for _, den in funcs]
+                if a not in used and not any(F.is_zero(d) for d in dens):
+                    used.add(a)
+                    return a, [F.div(peval(F, num, a), d)
+                               for (num, _), d in zip(funcs, dens)]
+
+        pool = _SamplePool(draw)
+        fits, drawn = [], []
+        for j in range(len(funcs)):
+            stream = pool.stream(lambda sample, j=j: sample[j])
+            taken = []
+            fits.append(adaptive_reconstruct(
+                F, (taken.append(s) or s for s in stream), max_points=32,
+                table=shared))
+            drawn.append(len(taken))
+        return fits, drawn, pool.samples
+
+    shared = reconstruct(AbscissaTable(F))
+    assert shared == reconstruct(None)
+    for (num, den), (fit_num, fit_den) in zip(funcs, shared[0]):
+        assert pmul(F, num, fit_den) == pmul(F, fit_num, den)
 
 
 def test_qpoly_clear_denominators():

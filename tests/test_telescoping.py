@@ -496,8 +496,8 @@ def test_generic_eta_basis_runs_once_per_solve(airy, k3, name):
     replay = telescoping._Tape.replay
     replayed = []
 
-    def counted_replay(tape, bound, images):
-        replayed.append(replay(tape, bound, images))
+    def counted_replay(tape, bound, a):
+        replayed.append(replay(tape, bound, a))
         return replayed[-1]
 
     with mock.patch.object(telescoping, "compute_eta_basis",
@@ -522,22 +522,69 @@ def test_generic_eta_basis_runs_once_per_solve(airy, k3, name):
                            "points_generic": 0}
 
 
+def _tampered_recording(tamper):
+    """A patch of telescoping._record that applies tamper to each tape it
+    records."""
+    record = telescoping._record
+
+    def tampered(*args):
+        tape, conf = record(*args)
+        tamper(tape)
+        return tape, conf
+
+    return mock.patch.object(telescoping, "_record", tampered)
+
+
+def _flip_first_guard(tape):
+    tape.guard_zero.append(tape.guard_nonzero.pop(0))
+
+
+def _absent_first_point_input(tape):
+    """Mark the first present t-dependent input absent, as if it had
+    vanished at the recording point."""
+    i = next(i for i, (slot, _, _) in enumerate(tape.point_inputs) if slot is not None)
+    _, num, den = tape.point_inputs[i]
+    tape.point_inputs[i] = (None, num, den)
+
+
 @pytest.mark.parametrize("name", ["airy", "k3"])
 def test_each_point_evaluated_once(airy, k3, name):
-    """Every vote point and prime point evaluates the inputs once: the
-    tape is recorded from the inputs the first vote evaluated."""
+    """A vote or point that replays the tape evaluates no input operator:
+    replay evaluates only the t-dependent coefficients.  The recording and
+    every vote or point whose replay refuses (here, all of them, on a tape
+    with a flipped guard) evaluate each input operator once."""
     pres = {"airy": airy.pres, "k3": k3.pres}[name]
-    evaluated = Counter()
+    ninputs = len(telescoping._inputs(pres))
+    cfg = ModularConfig(seed=0, workers=1)
 
-    def evaluate(op, img):
-        evaluated[img.field.p, img.point] += 1
-        return evaluate_and_reduce(op, img)
+    def run():
+        evaluated = Counter()
 
-    with mock.patch.object(telescoping, "evaluate_and_reduce", evaluate):
-        run = telescope_modular(pres, rho=1, config=ModularConfig(seed=0, workers=1))
-    votes = sum(line.startswith("vote ") for line in run.transcript)
-    assert len(evaluated) == votes + _prime_points(run.transcript)
-    assert set(evaluated.values()) == {len(telescoping._inputs(pres))}
+        def evaluate(op, img):
+            evaluated[img.field.p, img.point] += 1
+            return evaluate_and_reduce(op, img)
+
+        with mock.patch.object(telescoping, "evaluate_and_reduce", evaluate):
+            return telescope_modular(pres, rho=1, config=cfg), evaluated
+
+    replayed, evaluated = run()
+    votes = [tuple(map(int, re.search(r"prime=(\d+) point=(\d+)", line).groups()))
+             for line in replayed.transcript if line.startswith("vote ")]
+    points = _prime_points(replayed.transcript)
+    assert replayed.replays == {"tapes_recorded": 1, "votes_replayed": len(votes) - 1,
+                                "votes_generic": 0, "points_replayed": points,
+                                "points_generic": 0}
+    assert points > 0
+    assert evaluated == {votes[0]: ninputs}
+
+    with _tampered_recording(_flip_first_guard):
+        refused, evaluated = run()
+    assert refused.replays == {"tapes_recorded": 1, "votes_replayed": 0,
+                               "votes_generic": len(votes) - 1, "points_replayed": 0,
+                               "points_generic": points}
+    assert refused.transcript == replayed.transcript
+    assert len(evaluated) == len(votes) + points
+    assert set(evaluated.values()) == {ninputs}
 
 
 def _elected(pres, Fp):
@@ -559,7 +606,7 @@ def test_replay_equals_generic_path(airy):
     bound = tape.bind(Fp)
     for a in (6, 77, 123456):
         images = telescoping._evaluate(airy.pres, ModularImage(Fp, a))
-        values = tape.replay(bound, images)
+        values = tape.replay(bound, a)
         assert (ref, telescoping._unflatten(values, len(ref.B))) == \
             _direct(airy.pres, Fp, images)
 
@@ -579,10 +626,9 @@ def test_tapes_replay_at_other_primes(airy, k3, name):
             images = telescoping._evaluate(pres, ModularImage(Fp, a))
             direct = _direct(pres, Fp, images)
             assert direct[0] == ref
-            assert telescoping._replayed(recording, bound, images, counts,
+            assert telescoping._replayed(recording, bound, a, counts,
                                          "points") == direct
-            assert telescoping._vote(pres, Fp, images, 1, 40, [recording],
-                                     counts) == ref
+            assert telescoping._vote(pres, Fp, a, 1, 40, [recording], counts) == ref
     assert counts == {"points_replayed": 9, "votes_replayed": 9}
 
 
@@ -590,9 +636,12 @@ def test_bind_refuses_failed_constant_guard():
     """bind refuses a prime where a constant divisor or a constant that
     is_zero tested comes out zero: on the airy-family problem with a = 7,
     p = 7 divides the input denominator 7 (evaluation there discards that
-    prime) and p = 5 zeroes the input constant -5/7.  On a hand-made tape
-    the same holds for derived constants: a divisor 25 and a 7 tested
-    nonzero."""
+    prime) and p = 5 zeroes the input constant -5/7.  On hand-made tapes
+    the same holds for derived constants (a divisor 25 and a 7 tested
+    nonzero), for the leading denominator of a t-dependent input, and for
+    inputs that vanished at the recording point: a constant that must stay
+    zero mod p, and a t-dependent coefficient that must stay zero at the
+    point.  replay refuses a point where an input denominator vanishes."""
     pres = _module_presentation(parse_document(airy_family_document(7, 2, 3)))
     Fp = PrimeField(1000003)
     _, (tape, _) = _elected(pres, Fp)
@@ -603,48 +652,71 @@ def test_bind_refuses_failed_constant_guard():
         telescoping._evaluate(pres, ModularImage(PrimeField(7), 3))
     assert err.value.prime_level
 
-    tape = telescoping._Tape(Fp)
     A = Algebra(1, field=QQ_T)
-    source = A.scalar(T)
-    (x,) = tape.lift(source, evaluate_and_reduce(source, ModularImage(Fp, 3))) \
-        .terms.values()
+
+    def lifted(source, Fp, a):
+        tape = telescoping._Tape(Fp)
+        op = tape.lift(source, evaluate_and_reduce(source, ModularImage(Fp, a)))
+        return tape, list(op.terms.values())
+
+    # 1/(t - 5): replay refuses where its denominator vanishes, as the
+    # generic evaluation fails there
+    source = A.scalar(QQ_T.div(QQ_T.one, QQ_T.sub(T, QQ_T.from_int(5))))
+    tape, (x,) = lifted(source, Fp, 3)
+    tape.finish([x])
+    bound = tape.bind(PrimeField(11))
+    assert tape.replay(bound, 5) is None
+    with pytest.raises(UnluckyEvaluationError) as err:
+        evaluate_and_reduce(source, ModularImage(PrimeField(11), 5))
+    assert not err.value.prime_level
+    assert tape.replay(bound, 6) == [1]
+
+    tape, (x,) = lifted(A.scalar(T), Fp, 3)
     five = tape.add(tape.from_int(2), tape.from_int(3))
     assert not tape.is_zero(tape.sub(five, tape.from_int(-2)))  # 7
     tape.finish([tape.div(x, tape.mul(five, five))])
     assert tape.bind(PrimeField(5)) is None  # divisor 25
     assert tape.bind(PrimeField(7)) is None  # tested nonzero
     bound = tape.bind(PrimeField(11))
-    at = ModularImage(PrimeField(11), 3)
-    moved = evaluate_and_reduce(A.xvar(0) * source, at)
-    assert tape.replay(bound, [moved]) is None  # another support
-    assert tape.replay(bound, [evaluate_and_reduce(source, at)]) == \
-        [3 * pow(25, -1, 11) % 11]
+    assert tape.replay(bound, 0) is None  # the input t vanishes at 0
+    assert tape.replay(bound, 3) == [3 * pow(25, -1, 11) % 11]
+
+    # (a) p = 13 divides the leading denominator of t/13
+    source = A.scalar(QQ_T.div(T, QQ_T.from_int(13)))
+    tape, (x,) = lifted(source, Fp, 3)
+    tape.finish([x])
+    assert tape.bind(PrimeField(13)) is None
+    with pytest.raises(UnluckyEvaluationError) as err:
+        evaluate_and_reduce(source, ModularImage(PrimeField(13), 3))
+    assert err.value.prime_level
+    assert tape.replay(tape.bind(PrimeField(11)), 3) == [3 * pow(13, -1, 11) % 11]
+
+    # (b) x (t - 3) + 7 vanishes at t = 3 mod 7: both coefficients are absent
+    source = A.xvar(0) * A.scalar(QQ_T.sub(T, QQ_T.from_int(3))) + A.scalar(
+        QQ_T.from_int(7))
+    tape, terms = lifted(source, PrimeField(7), 3)
+    assert terms == []
+    tape.finish([])
+    assert tape.bind(PrimeField(11)) is None  # the constant 7 is not zero mod 11
+    source = A.xvar(0) * A.scalar(QQ_T.sub(T, QQ_T.from_int(3)))
+    tape, terms = lifted(source, PrimeField(7), 3)
+    tape.finish([])
+    bound = tape.bind(PrimeField(11))
+    assert tape.replay(bound, 3) == []  # t - 3 vanishes again
+    assert tape.replay(bound, 4) is None  # ... but not at 4
+    assert evaluate_and_reduce(source, ModularImage(PrimeField(11), 4)).terms
 
 
-def _flip_first_guard(tape):
-    tape.guard_zero.append(tape.guard_nonzero.pop(0))
-
-
-def _perturb_first_input(tape):
-    monomials, slots = tape.inputs[0]
-    tape.inputs[0] = (monomials[1:], slots[1:])
-
-
-@pytest.mark.parametrize("tamper", [_flip_first_guard, _perturb_first_input],
+@pytest.mark.parametrize("tamper", [_flip_first_guard, _absent_first_point_input],
                          ids=["guard", "input"])
 def test_tampered_tape_falls_back_to_generic_path(airy, tamper):
-    """A tape that refuses every replay sends the two later votes and every
-    point to _solve_at, with the same transcript and telescoper."""
+    """A tape that refuses every replay (a guard flipped, or a t-dependent
+    input marked absent, which is nonzero at every point) sends the two
+    later votes and every point to _solve_at, with the same transcript and
+    telescoper."""
     cfg = ModularConfig(seed=7, workers=1)
     good = telescope_modular(airy.pres, rho=1, config=cfg)
-    record = telescoping._record
-
-    def tampered(*args):
-        tape, conf = record(*args)
-        tamper(tape)
-        return tape, conf
-
-    with mock.patch.object(telescoping, "_record", tampered), \
+    with _tampered_recording(tamper), \
             mock.patch.object(telescoping, "_solve_at",
                               side_effect=_solve_at) as generic:
         run = telescope_modular(airy.pres, rho=1, config=cfg)
@@ -659,7 +731,10 @@ def test_tampered_tape_falls_back_to_generic_path(airy, tamper):
 
 def test_unlucky_points_match_generic_path(airy):
     """A point-level failure at the first point of a prime and at a later
-    one discards both, exactly as the generic path does."""
+    one discards both, exactly as the generic path does.  On the tape path
+    the bound inputs of that prime get a denominator that vanishes at both
+    points, so replay refuses there and the generic evaluation fails; on
+    the generic path the evaluation fails at both."""
     cfg = ModularConfig(seed=7, workers=1)
     good = telescope_modular(airy.pres, rho=1, config=cfg)
     p0 = next(int(line.split()[1]) for line in good.transcript
@@ -667,6 +742,23 @@ def test_unlucky_points_match_generic_path(airy):
     rng = random.Random(f"{cfg.seed}/prime/0")  # the draws of prime[0]
     points = [rng.randrange(1, p0) for _ in range(3)]
     unlucky = {points[0], points[2]}
+    bind = telescoping._Tape.bind
+
+    def unlucky_bind(tape, Fp):
+        """bind, with the first present t-dependent input num/den of prime[0]
+        rewritten as (num q)/(den q), q = prod (t - u) over the unlucky u."""
+        bound = bind(tape, Fp)
+        if Fp.p != p0 or bound is None:
+            return bound
+        p, start, inputs = bound
+        q = (1,)
+        for u in sorted(unlucky):
+            q = arith.pmul(Fp, q, (p - u, 1))
+        inputs = list(inputs)
+        i = next(i for i, (slot, _, _) in enumerate(inputs) if slot is not None)
+        slot, num, den = inputs[i]
+        inputs[i] = (slot, arith.pmul(Fp, tuple(num), q), arith.pmul(Fp, tuple(den), q))
+        return p, start, inputs
 
     def evaluate(P, img):
         if img.field.p == p0 and img.point in unlucky:
@@ -674,11 +766,14 @@ def test_unlucky_points_match_generic_path(airy):
         return evaluate_and_reduce(P, img)
 
     with mock.patch.object(telescoping, "evaluate_and_reduce", evaluate):
-        forced = telescope_modular(airy.pres, rho=1, config=cfg)
+        with mock.patch.object(telescoping._Tape, "bind", unlucky_bind):
+            forced = telescope_modular(airy.pres, rho=1, config=cfg)
         with mock.patch.object(telescoping._Tape, "bind", NoTape.bind):
             generic = telescope_modular(airy.pres, rho=1, config=cfg)
     for a in unlucky:
         assert f"  discard point {a}" in forced.transcript
+    assert forced.replays["points_generic"] == 0
+    assert forced.replays["points_replayed"] == _prime_points(forced.transcript)
     assert generic.replays["points_replayed"] == 0
     assert forced.transcript == generic.transcript
     assert forced.telescoper == generic.telescoper == good.telescoper

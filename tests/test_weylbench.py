@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from _helpers import NoTape
 from weylred import groebner, telescoping
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,6 +65,33 @@ def test_tracer_splits_modular_airy_family(monkeypatch):
     assert metrics["telescoping.confine.calls"] > 0
     assert metrics["reduction.compute_eta_basis.calls"] > 0
     assert metrics["weyl.evaluate_and_reduce.calls"] > 0
+
+
+@pytest.mark.parametrize("replays", [True, False], ids=["replayed", "generic"])
+def test_tracer_counts_full_evaluations_off_the_tape(monkeypatch, replays):
+    """A traced airy-family modular solve with no discarded point evaluates
+    every input operator once per recording and once per vote or point that
+    did not replay the tape, and nowhere else:
+    weyl.evaluate_and_reduce.calls = (tapes_recorded + votes_generic +
+    points_generic) x len(_inputs(pres)).  A tape that binds at no prime
+    sends every vote and point down the generic path."""
+    monkeypatch.syspath_prepend(str(ROOT / "weylbench"))
+    import tracer
+    import worker
+
+    if not replays:
+        monkeypatch.setattr(telescoping._Tape, "bind", NoTape.bind)
+    pres = worker.airy_presentation(worker.airy_document(*worker.airy_triples(1)[0]))
+    with tracer.Tracer() as tr:
+        run = telescoping.telescope_modular(
+            pres, config=telescoping.ModularConfig(seed=0, workers=1))
+    metrics = tracer.layer_metrics(tr.spans)
+    assert not any("discard" in line for line in run.transcript)
+    counts = run.replays
+    full = counts["tapes_recorded"] + counts["votes_generic"] + counts["points_generic"]
+    assert (full == 1) == replays
+    assert metrics["weyl.evaluate_and_reduce.calls"] == \
+        full * len(telescoping._inputs(pres))
 
 
 def test_airy_setup_divides_nothing_for_the_flat_basis(monkeypatch):
