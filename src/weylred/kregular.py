@@ -383,9 +383,6 @@ def verify_ode_on_series(tele, series, allow_partial=False):
     then covers the t^0..t^(M-order) coefficients of the image, which are
     fully determined by the truncation, and nothing beyond.
     """
-    if tele.modulus is not None:
-        raise ValueError("series verification runs over the rationals, "
-                         f"not mod {tele.modulus}")
     coeffs = tele.coefficients
     N = len(coeffs) - 1
     maxdeg = max((len(c) - 1 for c in coeffs if c), default=0)

@@ -44,21 +44,20 @@ vote loses the election is a second one recorded, at the elected vote's
 point.  A _Tape is a stand-in for the PrimeField that splits the
 computation into a constant part (the constants of the inputs, integer
 literals and what is computed from them alone) and a point part (what
-depends on t), logs every operation of each, keeps every is_zero outcome
-and every divisor as a guard, and refuses bool() and == on its values so
-that no branch goes unrecorded.  The tape keeps every coefficient of the
-inputs.  bind() checks the constant ones at a new prime, runs the
-constant part there and checks its guards; replay() evaluates only the
-t-dependent ones at one point of that prime and runs the point part over
-plain ints.  A replay is used only when no input denominator vanishes,
-every input coefficient is zero or nonzero as it was where the tape was
-recorded, and every recorded is_zero outcome comes out the same, so that
-the code would take the same path through the same operations; otherwise
-the vote or point evaluates all the inputs and runs _solve_at itself
-(_solve_generic).  Either way gives the same Confinement and (g_0, M), and
-the inputs are evaluated in full only for a recording and where a replay
-refuses.  The tapes live in one telescope_modular call; the threads of a
-wave only read them.
+depends on t) on one vector of slots, logs every operation of each, keeps
+every is_zero outcome and every divisor as a guard, and refuses bool()
+and == on its values so that no branch goes unrecorded.  bind() fills the
+constant slots at a new prime and checks their guards; replay() copies
+that vector, evaluates only the t-dependent input coefficients at one
+point of that prime and runs the point part over plain ints.  A replay
+is used only when no input denominator vanishes, every input coefficient
+is zero or nonzero as it was where the tape was recorded, and every
+recorded is_zero outcome comes out the same, so that the code would take
+the same path through the same operations.  Every vote and point goes
+through _solved, which replays where the tape allows it and otherwise
+evaluates all the inputs and runs _solve_at itself; either way gives the
+same Confinement and (g_0, M).  The tapes live in one telescope_modular
+call; the threads of a wave only read them.
 
 ModularConfig holds only what a caller sets: the seed, the threads per
 wave and the point budget.  The prime budget, the vote sizes and the point
@@ -78,8 +77,8 @@ from .arith import (
     BudgetExhaustedError,
     InconsistencyError,
     ModularImage,
-    PrimeField,
     QQ,
+    QQ_T,
     RationalFunctions,
     UnluckyEvaluationError,
     collective_primitive,
@@ -416,15 +415,13 @@ def relation_search(F, vectors):
 
 @dataclass(frozen=True)
 class Telescoper:
-    """P = c_0 + c_1 d_t + ... + c_N d_t^N with dense polynomial coefficients.
-
-    Over Q the coefficients are integer tuples, collectively primitive with
-    the leading coefficient of c_N positive; over F_p (modulus set) they are
-    residue tuples, content-free with c_N monic.
+    """P = c_0 + c_1 d_t + ... + c_N d_t^N over Q(t): the coefficients are
+    dense integer polynomial tuples, collectively primitive with the leading
+    coefficient of c_N positive.  A prime's relation in telescope_modular
+    stays a tuple of residue tuples (_normalize_modp_relation).
     """
 
     coefficients: tuple
-    modulus: int = None
 
     def __post_init__(self):
         if not (self.coefficients and self.coefficients[-1]):
@@ -469,20 +466,10 @@ def _normalize_modp_relation(Fp, polys):
 
 
 def telescoper_from_field_relation(F, rel):
-    """Normalize a relation over Q(t) or F_p(t) into a canonical Telescoper."""
-    if not isinstance(F, RationalFunctions):
-        raise ValueError(f"relation must be over Q(t) or F_p(t), not {F!r}")
-    polys = _clear_denominators(F.ring, rel)
-    if isinstance(F.base, PrimeField):
-        return Telescoper(_normalize_modp_relation(F.base, polys), modulus=F.base.p)
-    return Telescoper(_primitive_positive(polys))
-
-
-def telescoper_from_system(F, g0, matrix):
-    """Canonical telescoper from the first F-linear relation on the
-    derivative_sequence of (g0, matrix)."""
-    return telescoper_from_field_relation(
-        F, relation_search(F, derivative_sequence(F, g0, matrix)))
+    """Normalize a relation over Q(t) into a canonical Telescoper."""
+    if F != QQ_T:
+        raise ValueError(f"relation must be over Q(t), not {F!r}")
+    return Telescoper(_primitive_positive(_clear_denominators(F.ring, rel)))
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +564,15 @@ _REPLAY_COUNTS = ("tapes_recorded", "votes_replayed", "votes_generic",
 
 @dataclass(frozen=True)
 class ModularRun:
-    """The telescoper of telescope_modular and how it was found.  replays
-    maps each name of _REPLAY_COUNTS to a count: the tapes recorded (1, or
-    2 when the first vote lost the election), and the votes after the
-    first and the prime points that replayed the tape or ran _solve_at
-    directly.  Like the transcript it depends on the seed alone, but it
-    stays out of the transcript."""
+    """The telescoper of telescope_modular and how it was found.
+    primes_discarded lists the vote primes given up (an input denominator
+    that p divides), then the wave primes given up, the shape rejects and
+    the consistency primes that could not check.  replays maps each name
+    of _REPLAY_COUNTS to a count: the tapes recorded (1, or 2 when the
+    first vote lost the election), and the votes after the first and the
+    prime points that replayed the tape or ran _solve_at directly.  Like
+    the transcript it depends on the seed alone, but it stays out of the
+    transcript."""
 
     telescoper: Telescoper
     transcript: tuple
@@ -620,15 +610,6 @@ def _solve_at(ctx, L, f, rho, degree_ceiling):
     return conf, _reduced_system(forms, conf)
 
 
-def _solve_generic(pres, Fp, a, rho, degree_ceiling, counts, kind):
-    """_solve_at on the inputs evaluated at t = a over Fp, for a vote or
-    point that no tape replays; counts tallies kind + "_generic" once the
-    inputs evaluate."""
-    images = _evaluate(pres, ModularImage(Fp, a))
-    counts[kind + "_generic"] += 1
-    return _solve_at(*_context(pres, Fp, images), rho, degree_ceiling)
-
-
 # The operations of a tape entry (op, slot, a, b) on the slots a and b.
 _ADD, _SUB, _MUL, _DIV = range(4)
 _EXACT = (operator.add, operator.sub, operator.mul, operator.floordiv)
@@ -657,10 +638,10 @@ def _guards_hold(v, nonzero, zero):
 
 
 class _Recorded:
-    """A value of a _Tape: its slot in the point part (point=True) or in the
-    constant part, and its residue where it was recorded.  A branch on it
-    would go unrecorded, so bool() and == raise; the reduction code tests
-    values only through is_zero."""
+    """A value of a _Tape: its slot, whether the point part computes it
+    (point=True) or the constant part, and its residue where it was
+    recorded.  A branch on it would go unrecorded, so bool() and == raise;
+    the reduction code tests values only through is_zero."""
 
     __slots__ = ("slot", "value", "point", "guarded")
 
@@ -679,25 +660,28 @@ class _Recorded:
 
 class _Tape:
     """A stand-in for the PrimeField of one (p, a) that records the
-    computation run over it as two straight-line programs, for any prime.
+    computation run over it as two straight-line programs on one vector of
+    slots, for any prime.
 
-    Every value but the literals 0 and 1 is a _Recorded.  The constant part
-    computes what depends only on the constants of the inputs and on
-    integer literals (from_int); the point part computes what depends on
-    t.  Each operation appends one entry (op, slot, a, b) to the part of
-    its result, and each value that is_zero tests (divisors included)
-    becomes a guard of its part: it must come out nonzero, or zero, as it
-    did when recorded.  lift() keeps the payload num/den of every input
-    coefficient: a t-dependent one as a point input, a constant one as a
-    constant input, and one that vanished at the recording point as
-    absent.  When every input coefficient vanishes where it did and every
-    guard comes out the same, the reduction code takes the same path
-    through the same operations at any (p, a).  bind(Fp) checks the
-    constant inputs at the prime of Fp and runs the constant part there;
-    replay() evaluates the t-dependent inputs at one point of that prime,
-    runs the point part and checks the rest.  Either returns None when
-    something differs, and the caller then takes the generic path.  Once
-    recorded, a tape is only read, so threads may share it.
+    Every value but the literals 0 and 1 is a _Recorded with a slot of its
+    own.  The constant part computes what depends only on the constants of
+    the inputs and on integer literals (from_int); the point part computes
+    what depends on t, reading the constant slots it needs directly.  Each
+    operation appends one entry (op, slot, a, b) to the part of its result,
+    and each value that is_zero tests (divisors included) becomes a guard
+    of its part: it must come out nonzero, or zero, as it did when
+    recorded.  lift() keeps the payload num/den of every input coefficient:
+    a t-dependent one as a point input, a constant one as a constant input,
+    and one that vanished at the recording point as absent.  When every
+    input coefficient vanishes where it did and every guard comes out the
+    same, the reduction code takes the same path through the same
+    operations at any (p, a).  bind(Fp) returns the vector with the
+    literals, the constant inputs and the constant part filled in at the
+    prime of Fp, once its guards hold; replay() copies that vector, writes
+    the t-dependent inputs at one point of that prime, runs the point part
+    and checks the rest.  Either returns None when something differs, and
+    the caller then takes the generic path.  Once recorded, a tape is only
+    read, so threads may share it.
     """
 
     zero = 0
@@ -705,8 +689,8 @@ class _Tape:
 
     def __init__(self, Fp):
         self.p = Fp.p
+        self.slots = 0
         self.const_code = []
-        self.const_slots = 0
         self.const_inputs = []  # (slot or None when absent, num, den) per constant
         self.point_inputs = []  # ... and per t-dependent input coefficient num/den
         self.leading_dens = set()  # lc(den) of every input coefficient
@@ -714,25 +698,14 @@ class _Tape:
         self.const_nonzero = []  # constant guards: slots that were nonzero
         self.const_zero = []  # ... and slots that were zero
         self.code = []
-        self.slots = 0  # of the point part
-        self.imports = []  # (point slot, constant slot) the point part reads
-        self.outputs = ()  # point slots
+        self.outputs = ()  # slots
         self.guard_nonzero = []
         self.guard_zero = []
-        self._imported = {}  # constant slot -> point slot
         self._inverses = {}  # constant slot -> its inverse, a constant
 
     def _value(self, value, point):
-        if point:
-            self.slots += 1
-            return _Recorded(self.slots - 1, value, True)
-        self.const_slots += 1
-        return _Recorded(self.const_slots - 1, value, False)
-
-    def _constant(self, op, a, b, value):
-        x = self._value(value, False)
-        self.const_code.append((op, x.slot, a, b))
-        return x
+        self.slots += 1
+        return _Recorded(self.slots - 1, value, point)
 
     def _literal(self, n):
         x = self.literals.get(n)
@@ -740,27 +713,14 @@ class _Tape:
             x = self.literals[n] = self._value(n % self.p, False)
         return x
 
-    def _const_slot(self, x):
+    def _slot(self, x):
         return (x if isinstance(x, _Recorded) else self._literal(x)).slot
-
-    def _point_slot(self, x):
-        """The slot of x in the point part; a constant is imported once."""
-        if not isinstance(x, _Recorded):
-            x = self._literal(x)
-        if x.point:
-            return x.slot
-        slot = self._imported.get(x.slot)
-        if slot is None:
-            slot = self._imported[x.slot] = self.slots
-            self.slots += 1
-            self.imports.append((slot, x.slot))
-        return slot
 
     def _inverse(self, y):
         x = self._inverses.get(y.slot)
         if x is None:
-            x = self._inverses[y.slot] = self._constant(
-                _DIV, self._literal(1).slot, y.slot, pow(y.value, -1, self.p))
+            x = self._inverses[y.slot] = self._value(pow(y.value, -1, self.p), False)
+            self.const_code.append((_DIV, x.slot, self._literal(1).slot, y.slot))
         return x
 
     def _apply(self, op, x, y):
@@ -787,11 +747,10 @@ class _Tape:
             value = u * pow(v, -1, p) % p
         else:
             value = _EXACT[op](u, v) % p
-        if rx and x.point or ry and y.point:
-            z = self._value(value, True)
-            self.code.append((op, z.slot, self._point_slot(x), self._point_slot(y)))
-            return z
-        return self._constant(op, self._const_slot(x), self._const_slot(y), value)
+        z = self._value(value, rx and x.point or ry and y.point)
+        (self.code if z.point else self.const_code).append(
+            (op, z.slot, self._slot(x), self._slot(y)))
+        return z
 
     def from_int(self, n):
         return n if n in (0, 1) else self._literal(n)
@@ -857,13 +816,14 @@ class _Tape:
         return WeylOperator(Algebra(A.n, A.r, self, False), terms)
 
     def finish(self, outputs):
-        """Fix the outputs of the point part."""
-        self.outputs = tuple(map(self._point_slot, outputs))
+        """Fix the outputs: g0, then the matrix row by row."""
+        self.outputs = tuple(map(self._slot, outputs))
 
     def bind(self, Fp):
-        """The start of replay() at the prime of Fp: the constant part run
-        there, and the t-dependent inputs num/den reduced mod p.  None when
-        p divides the leading denominator of an input coefficient (its
+        """The start of replay() at the prime of Fp: the slot vector with
+        the literals, the constant inputs and the constant part filled in,
+        and the t-dependent inputs num/den reduced mod p.  None when p
+        divides the leading denominator of an input coefficient (its
         evaluation fails at every point), when a constant input vanishes
         mod p but did not at the recording or the other way round, or when
         a constant divisor or guard differs from the recording."""
@@ -871,20 +831,17 @@ class _Tape:
         if any(not d % p for d in self.leading_dens):
             return None
         inverse = {d: pow(d, -1, p) for d in self.leading_dens}
-        c = [0] * self.const_slots
+        start = [0] * self.slots
         for n, x in self.literals.items():
-            c[x.slot] = n % p
+            start[x.slot] = n % p
         for slot, num, den in self.const_inputs:
             if (slot is None) != (not num % p):
                 return None
             if slot is not None:
-                c[slot] = num * inverse[den] % p
-        if not (_run(self.const_code, c, p)
-                and _guards_hold(c, self.const_nonzero, self.const_zero)):
+                start[slot] = num * inverse[den] % p
+        if not (_run(self.const_code, start, p)
+                and _guards_hold(start, self.const_nonzero, self.const_zero)):
             return None
-        start = [0] * self.slots
-        for slot, const in self.imports:
-            start[slot] = c[const]
         inputs = []
         for slot, num, den in self.point_inputs:
             if len(den) == 1:  # num/d as (num/d)/1, so replay inverts nothing
@@ -893,8 +850,9 @@ class _Tape:
         return p, start, inputs
 
     def replay(self, bound, a):
-        """The outputs at t = a, from bind()'s start at its prime: only the
-        t-dependent inputs are evaluated there, by Horner on residues.
+        """The outputs at t = a, on a copy of bind()'s slot vector at its
+        prime: only the t-dependent inputs are evaluated there, by Horner on
+        residues, before the point part runs.
         None when the denominator of one vanishes at a, when one vanishes
         at a but did not at the recording or the other way round, or when
         a guard differs from the recording."""
@@ -932,17 +890,20 @@ def _record(pres, Fp, a, rho, degree_ceiling, counts):
     return tape, conf
 
 
-def _replayed(recording, bound, a, counts, kind):
-    """(Confinement, (g0, matrix)) of _solve_at at t = a, replayed from
-    recording = (tape, Confinement) and bound = tape.bind(Fp); None when
-    bind or replay refused, and the caller then runs _solve_generic there.
-    counts tallies kind + "_replayed"."""
+def _solved(pres, recording, bound, Fp, a, rho, degree_ceiling, counts, kind):
+    """(Confinement, (g0, matrix)) of _solve_at at t = a over Fp, for a vote
+    or a point: replayed from recording = (tape, Confinement) when bound =
+    tape.bind(Fp) is not None and the replay does not refuse, else
+    _solve_at run on the inputs evaluated at a.  counts tallies
+    kind + "_replayed", or kind + "_generic" once the inputs evaluate."""
     tape, conf = recording
     values = None if bound is None else tape.replay(bound, a)
-    if values is None:
-        return None
-    counts[kind + "_replayed"] += 1
-    return conf, _unflatten(values, len(conf.B))
+    if values is not None:
+        counts[kind + "_replayed"] += 1
+        return conf, _unflatten(values, len(conf.B))
+    images = _evaluate(pres, ModularImage(Fp, a))
+    counts[kind + "_generic"] += 1
+    return _solve_at(*_context(pres, Fp, images), rho, degree_ceiling)
 
 
 class _SamplePool:
@@ -963,50 +924,37 @@ class _SamplePool:
             i += 1
 
 
-def _evaluation_draw(pres, rho, ref, recording, Fp, rng, log, counts):
-    """draw() for the evaluation pool of the prime of Fp: a fresh point a and
-    the numeric (g0, matrix) there, replayed from recording where it binds
-    and replays (_replayed), from _solve_generic elsewhere.  A point is usable
-    only when it confines to the elected Confinement ref, which its
+def _usable_points(pres, rho, ref, recording, Fp, rng, log, counts):
+    """The usable points of the prime of Fp, as (a, (g0, matrix)) pairs:
+    fresh points a and the numeric system there, from _solved.  A point is
+    usable only when it confines to the elected Confinement ref, which its
     threshold may not pass.  Repeated and unlucky points are skipped; after
     _MAX_POINT_TRIES skips the prime is given up."""
     prime = Fp.p
+    bound = recording[0].bind(Fp)
     used = set()
     skips = 0
-    bound = recording[0].bind(Fp)
-
-    def system(a):
-        got = _replayed(recording, bound, a, counts, "points")
-        if got is None:
+    while True:
+        if skips >= _MAX_POINT_TRIES:
+            raise UnluckyEvaluationError(f"no usable evaluation points mod {prime}",
+                                         prime_level=True)
+        a = rng.randrange(1, prime)
+        if a not in used:
+            used.add(a)
             try:
-                got = _solve_generic(pres, Fp, a, rho, max(1, ref.eta.degree()),
-                                     counts, "points")
+                conf, system = _solved(pres, recording, bound, Fp, a, rho,
+                                       max(1, ref.eta.degree()), counts, "points")
+            except UnluckyEvaluationError as e:
+                if e.prime_level:
+                    raise
+                conf = None
             except BudgetExhaustedError:  # no confinement up to ref's eta
-                got = None, None
-        if got[0] != ref:
-            raise UnluckyEvaluationError("the point confines elsewhere")
-        return got[1]
-
-    def draw():
-        nonlocal skips
-        while True:
-            if skips >= _MAX_POINT_TRIES:
-                raise UnluckyEvaluationError(
-                    f"no usable evaluation points mod {prime}",
-                    prime_level=True,
-                )
-            a = rng.randrange(1, prime)
-            if a not in used:
-                used.add(a)
-                try:
-                    return a, system(a)
-                except UnluckyEvaluationError as e:
-                    if e.prime_level:
-                        raise
-                    log.append(f"  discard point {a}")
-            skips += 1
-
-    return draw
+                conf = None
+            if conf == ref:
+                yield a, system
+                continue
+            log.append(f"  discard point {a}")
+        skips += 1
 
 
 def _interpolated_system(points, Fp, nb, cfg):
@@ -1026,17 +974,19 @@ def _interpolated_system(points, Fp, nb, cfg):
 
 
 def _prime_relation(pres, rho, ref, recording, Fp, idx, cfg, counts):
-    """Canonical relation modulo the prime of Fp, with its local transcript;
-    rho, ref, recording and counts as in _evaluation_draw."""
+    """The relation modulo the prime of Fp, content-free with c_N monic,
+    with its local transcript: the first relation on the
+    derivative_sequence of the (g0, matrix) interpolated over F_p(t).
+    rho, ref, recording and counts as in _usable_points."""
     prime = Fp.p
     log = [f"prime[{idx}] {prime}"]
     rng = random.Random(f"{cfg.seed}/prime/{idx}")
-    nb = len(ref.B)
-    points = _SamplePool(_evaluation_draw(pres, rho, ref, recording, Fp, rng, log,
-                                          counts))
-
-    g0_rf, mat_rf = _interpolated_system(points, Fp, nb, cfg)
-    rel = telescoper_from_system(RationalFunctions(Fp), g0_rf, mat_rf).coefficients
+    points = _SamplePool(_usable_points(pres, rho, ref, recording, Fp, rng, log,
+                                        counts).__next__)
+    F = RationalFunctions(Fp)
+    g0, matrix = _interpolated_system(points, Fp, len(ref.B), cfg)
+    rel = relation_search(F, derivative_sequence(F, g0, matrix))
+    rel = _normalize_modp_relation(Fp, _clear_denominators(F.ring, rel))
     log.append(f"  points={len(points.samples)} N={len(rel) - 1} "
                f"degs={tuple(pdeg(c) for c in rel)}")
     return {"idx": idx, "prime": prime, "rel": rel,
@@ -1051,40 +1001,47 @@ def _vote(pres, Fp, a, rho, degree_ceiling, recorded, counts):
     (tape, Confinement).  Every later vote replays that tape at its point,
     and returns the recorded Confinement when every input coefficient and
     guard matches: it holds only monomials, so the same branch path gives
-    the same Confinement.  Otherwise the vote runs _solve_generic at its
-    point.
+    the same Confinement.  Otherwise the vote runs _solve_at at its point
+    (_solved).
     """
     if not recorded:
         recorded.append(_record(pres, Fp, a, rho, degree_ceiling, counts))
         return recorded[0][1]
-    got = _replayed(recorded[0], recorded[0][0].bind(Fp), a, counts, "votes") or \
-        _solve_generic(pres, Fp, a, rho, degree_ceiling, counts, "votes")
-    return got[0]
+    return _solved(pres, recorded[0], recorded[0][0].bind(Fp), Fp, a, rho,
+                   degree_ceiling, counts, "votes")[0]
 
 
-def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts):
+def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts, discarded):
     """The Confinement that a majority of _TRACER_VOTES votes returns, each
     vote at a point of the next prime field drawn from fields, and the
     (tape, Confinement) that every prime point replays: the recording of
     the first vote (_vote), or, when that vote lost the election, one
     recorded at the point of the first vote that returned the elected
-    Confinement.  counts tallies the votes and the tapes."""
+    Confinement.  A vote skips unlucky points; a prime that fails at every
+    point (an input denominator that p divides) is logged, appended to
+    discarded, and the vote draws the next prime.  counts tallies the votes
+    and the tapes."""
     recorded = []
     for round_no in range(_VOTE_ROUNDS):
         votes = []
         for v in range(_TRACER_VOTES):
             vote_rng = random.Random(f"{cfg.seed}/vote/{round_no}/{v}")
-            Fp = next(fields)
-            prime = Fp.p
-            for _ in range(_MAX_POINT_TRIES):
-                a = vote_rng.randrange(1, prime)
-                try:
-                    conf = _vote(pres, Fp, a, rho, degree_ceiling, recorded, counts)
-                except UnluckyEvaluationError:
-                    continue
-                break
-            else:
-                raise BudgetExhaustedError(f"no usable vote points mod {prime}")
+            conf = None
+            while conf is None:
+                Fp = next(fields)
+                prime = Fp.p
+                for _ in range(_MAX_POINT_TRIES):
+                    a = vote_rng.randrange(1, prime)
+                    try:
+                        conf = _vote(pres, Fp, a, rho, degree_ceiling, recorded, counts)
+                    except UnluckyEvaluationError as e:
+                        if not e.prime_level:
+                            continue
+                        log.append(f"vote prime={prime} discarded: {e}")
+                        discarded.append(prime)
+                    break
+                else:
+                    raise BudgetExhaustedError(f"no usable vote points mod {prime}")
             log.append(
                 f"vote prime={prime} point={a} eta={_mono_str(conf.eta)} "
                 f"|B|={len(conf.B)} |tracer|={len(conf.tracer)}"
@@ -1141,22 +1098,21 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
     def replays():
         return {name: counts[name] for name in _REPLAY_COUNTS}
 
+    discarded = []
     ref, recording = _elect_reference(pres, rho, cfg, fields, log, degree_ceiling,
-                                      counts)
+                                      counts, discarded)
     if not ref.B:
         log.append("empty confinement: unit telescoper")
-        return ModularRun(Telescoper(((1,),)), tuple(log), (), (), replays())
+        return ModularRun(Telescoper(((1,),)), tuple(log), (), tuple(discarded),
+                          replays())
 
-    results = {}
-    discarded = []
+    results = []  # in increasing idx
     next_idx = 0
 
     def run_wave(count):
         nonlocal next_idx
-        wave = []
-        for _ in range(count):
-            wave.append((next_idx, next(fields)))
-            next_idx += 1
+        wave = [(next_idx + i, next(fields)) for i in range(count)]
+        next_idx += count
         tallies = {i: Counter() for i, _ in wave}  # one per thread
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             futs = {
@@ -1167,15 +1123,14 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         for i, Fp in wave:
             counts.update(tallies[i])
             try:
-                results[i] = futs[i].result()
+                results.append(futs[i].result())
             except (UnluckyEvaluationError, BudgetExhaustedError) as e:
                 discarded.append(Fp.p)
-                results[i] = {"idx": i, "prime": Fp.p, "rel": None,
-                              "log": [f"prime[{i}] {Fp.p}", f"  discarded: {e}"]}
+                results.append({"idx": i, "prime": Fp.p, "rel": None,
+                                "log": [f"prime[{i}] {Fp.p}", f"  discarded: {e}"]})
 
     def merged_candidate():
-        good = [r for r in sorted(results.values(), key=lambda r: r["idx"])
-                if r["rel"] is not None]
+        good = [r for r in results if r["rel"] is not None]
         if len(good) < 2:
             return None
         shapes = {}
@@ -1235,8 +1190,6 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         candidate = merged_candidate()
         if candidate is None:
             if next_idx >= _MAX_PRIMES:
-                for r in sorted(results.values(), key=lambda r: r["idx"]):
-                    log.extend(r["log"])
                 raise BudgetExhaustedError(f"no reconstruction after {next_idx} primes")
             run_wave(min(2, _MAX_PRIMES - next_idx))
             continue
@@ -1245,10 +1198,10 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
             break
         got["log"].append(f"  disagrees with the reconstruction from "
                           f"{len(candidate[1])} primes: kept")
-        results[got["idx"]] = got
+        results.append(got)
 
     coeffs, kept_primes, shape_rejects = candidate
-    for r in sorted(results.values(), key=lambda r: r["idx"]):
+    for r in results:
         log.extend(r["log"])
     log.append(f"crt primes={len(kept_primes)} "
                f"degs={tuple(pdeg(c) for c in coeffs)}")
@@ -1259,10 +1212,5 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
     log.extend(got["log"])
     log.append(f"consistency prime {got['prime']} ok")
 
-    return ModularRun(
-        Telescoper(coeffs),
-        tuple(log),
-        tuple(kept_primes),
-        tuple(discarded),
-        replays(),
-    )
+    return ModularRun(Telescoper(coeffs), tuple(log), tuple(kept_primes),
+                      tuple(discarded), replays())

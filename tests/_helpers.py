@@ -70,6 +70,17 @@ class NoTape:
         return None
 
 
+def vote_prime_document(p):
+    """An airy-family document whose dx and dz relations carry the
+    denominator p, so every evaluation mod p fails."""
+    return ("vars t x y z\n"
+            "---\n"
+            f"dx - x^2 + t + z/{p}\n"
+            "dy - 2*y^2 + t + 3*z\n"
+            f"dz + x/{p} + 3*y\n"
+            "dt + x + y\n")
+
+
 @contextmanager
 def outvoted_tracer_vote():
     """Within the block, the second tracer vote of telescope_modular (the

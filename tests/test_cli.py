@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from _helpers import vote_prime_document
 import weylred
 from weylred.arith import QQ_T
 from weylred.cli import (
@@ -269,6 +270,20 @@ def test_modular_worker_independence(workdir, airy_module_path):
     assert outs[0][0].splitlines()[-1] == "7*dt^2 - t"
 
 
+def test_modular_discards_a_vote_prime_dividing_a_denominator(workdir):
+    """1339438039, seed 0's first prime, divides an input denominator: the
+    modular run draws another vote prime and prints the direct telescoper."""
+    src = workdir / "vote-prime.txt"
+    src.write_text(vote_prime_document(1339438039))
+    outs = []
+    for mode in ("direct", "modular"):
+        out = workdir / f"vote-prime-{mode}.tele"
+        assert main(["telescope", str(src), "--mode", mode, "--seed", "0",
+                     "-o", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+
+
 def test_modular_metrics_count_replays(workdir, airy_module_path):
     """Modular --metrics carries the tape counts of ModularRun.replays: the
     same for any worker count, and never in the transcript."""
@@ -484,7 +499,7 @@ def test_validation_survives_optimize(tmp_path):
         from weylred.groebner import DivisionCertificate, lrem, rrem
         from weylred.kregular import (
             count_regular_graphs, model_polynomials, regular_presentation,
-            scalar_product_input, scalar_product_series, verify_ode_on_series)
+            scalar_product_input, scalar_product_series)
         from weylred.reduction import ReductionContext
         from weylred.telescoping import (
             DerivedPresentation, ModularConfig, Telescoper, _normalize_modp_relation,
@@ -540,7 +555,8 @@ def test_validation_survives_optimize(tmp_path):
             lambda: rational_reconstruct(7, 7),
             lambda: embedded_unit(ext, h=ext.ell + 1),
             lambda: embedded_unit(ext, i=0),
-            lambda: verify_ode_on_series(Telescoper(((1,),), modulus=7), (1,) * 9),
+            lambda: telescoper_from_field_relation(
+                RationalFunctions(PrimeField(7)), (((1,), (1,)),)),
             lambda: count_regular_graphs(2, -1),
             lambda: scalar_product_input(f2, g2, 0),
             lambda: ParametricPresentation(B, (), dtelim_order(2)),

@@ -1,7 +1,12 @@
 """Scalar products, graph counting oracles, and the k-regular pipeline."""
 
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -339,3 +344,22 @@ def test_airy_recurrence_series():
         for m in range(10):
             a.append(a[m] / (7 * (m + 3) * (m + 2)))
         assert verify_ode_on_series(Telescoper(((0, -1), (), (7,))), tuple(a))
+
+
+def test_kregular_table_script():
+    """scripts/kregular_table.py tabulates k = 2 directly and k = 3
+    modularly, checks both against the series and lists the points that
+    each prime of the modular row used."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "kregular_table.py"), "--max-k", "3",
+         "--modular-from", "3", "--workers", "1", "--series-terms", "8"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    rows = [line.split() for line in lines if re.match(r" *\d+  ", line)]
+    assert [(row[0], row[1].split("[")[0], row[-1]) for row in rows] == [
+        ("2", "direct", "ok"), ("3", "modular", "ok")]
+    points = re.fullmatch(r" +points per prime: (.*)", lines[-1])
+    assert points and len(re.findall(r"\d+: \d+", points.group(1))) == 3

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 from _helpers import (
     NoTape, T, discarded_prime, operators, outvoted_first_vote, outvoted_tracer_vote,
-    qqt_elements)
+    qqt_elements, vote_prime_document)
 from _oracles import first_unstable_element
 from weylred import telescoping
 from weylred import arith
 from weylred.arith import (
     QQ, QQ_T, BudgetExhaustedError, InconsistencyError, ModularImage, PrimeField,
-    RationalFunctions, UnluckyEvaluationError)
+    UnluckyEvaluationError)
 from weylred.cli import _module_presentation, parse_document, telescoper_document
 from weylred.groebner import DivisionCertificate
 from weylred.reduction import compute_eta_basis, reduce_eta
@@ -28,6 +28,7 @@ from weylred.telescoping import (
     DerivedPresentation,
     ModularConfig,
     Telescoper,
+    _normalize_modp_relation,
     _solve_at,
     apply_linear,
     confine,
@@ -195,18 +196,20 @@ def test_telescoper_validation():
 def test_normalize_rational_relation():
     rel = (QQ_T.div(T, QQ_T.from_int(2)), QQ_T.from_poly((Fraction(1, 3),)))
     tel = telescoper_from_field_relation(QQ_T, rel)
-    assert tel.coefficients == ((0, 3), (2,)) and tel.modulus is None
+    assert tel.coefficients == ((0, 3), (2,))
     # sign fix: the leading coefficient of c_N ends positive
     rel2 = (T, QQ_T.from_int(-1))
     assert telescoper_from_field_relation(QQ_T, rel2).coefficients == ((0, -1), (1,))
 
 
 def test_normalize_modp_relation():
-    F7 = RationalFunctions(PrimeField(7))
-    rel = (F7.from_poly((0, 3)), F7.from_poly((5,)))
-    tel = telescoper_from_field_relation(F7, rel)
-    assert tel.modulus == 7
-    assert tel.coefficients == ((0, 2), (1,))  # scaled by 5^{-1} = 3
+    """A prime's relation stays a tuple: content-free with c_N monic."""
+    F7 = PrimeField(7)
+    rel = ((0, 3), (5,))
+    assert _normalize_modp_relation(F7, rel) == ((0, 2), (1,))  # scaled by 5^{-1} = 3
+    # the common content t + 1 goes, then c_N is made monic
+    rel = ((0, 3, 3), (2, 2))
+    assert _normalize_modp_relation(F7, rel) == ((0, 5), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +594,7 @@ def _elected(pres, Fp):
     """The reference three votes at Fp elect, and the (tape, Confinement)
     the first of them recorded."""
     return telescoping._elect_reference(
-        pres, 1, ModularConfig(seed=7), iter([Fp] * 3), [], 40, Counter())
+        pres, 1, ModularConfig(seed=7), iter([Fp] * 3), [], 40, Counter(), [])
 
 
 def _direct(pres, Fp, images):
@@ -626,8 +629,8 @@ def test_tapes_replay_at_other_primes(airy, k3, name):
             images = telescoping._evaluate(pres, ModularImage(Fp, a))
             direct = _direct(pres, Fp, images)
             assert direct[0] == ref
-            assert telescoping._replayed(recording, bound, a, counts,
-                                         "points") == direct
+            assert telescoping._solved(pres, recording, bound, Fp, a, 1, 40, counts,
+                                       "points") == direct
             assert telescoping._vote(pres, Fp, a, 1, 40, [recording], counts) == ref
     assert counts == {"points_replayed": 9, "votes_replayed": 9}
 
@@ -837,6 +840,20 @@ def test_wrong_election_returns_no_telescoper(airy, replays):
                               telescoping._Tape.bind if replays else NoTape.bind), \
             pytest.raises(BudgetExhaustedError, match="no reconstruction"):
         telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=1))
+
+
+def test_vote_prime_dividing_a_denominator_is_discarded():
+    """A vote prime that divides an input denominator fails at every point
+    (a prime-level error): the vote logs it, puts it in primes_discarded
+    and draws the next prime, and the modular telescoper is the direct
+    one.  1339438039 is the first prime that seed 0 draws."""
+    p = 1339438039
+    pres = _module_presentation(parse_document(vote_prime_document(p)))
+    run = telescope_modular(pres, rho=1, config=ModularConfig(seed=0, workers=1))
+    assert run.transcript[1].startswith(f"vote prime={p} discarded: denominator ")
+    assert run.transcript[1].endswith(f" divisible by {p}")
+    assert run.primes_discarded == (p,) and p not in run.primes_used
+    assert run.telescoper == telescope_direct(pres, rho=1)
 
 
 def test_fault_injected_prime_discarded(airy):
