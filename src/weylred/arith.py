@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 
@@ -55,13 +54,45 @@ class InconsistencyError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# value classes
+
+
+class Record:
+    """Equality, hash and repr by the attributes that ``_fields`` names.
+
+    A record equals only a record of its own class whose fields are equal,
+    hashes as the tuple of its fields and prints as ``Name(field=value,
+    ...)``, as a frozen dataclass does.  A record class whose fields may
+    change after construction sets ``__hash__ = None``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # fields
 
 
-@dataclass(frozen=True)
-class Rationals:
+class Rationals(Record):
     """The field of arbitrary-precision rationals; payloads are Fractions."""
 
+    __slots__ = ()
     has_t = False
 
     @property
@@ -110,22 +141,25 @@ class Rationals:
         return "QQ"
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Record):
     """The field with p elements; payloads are ints in [0, p).
 
     Construction tests p with is_prime unless ``verified`` says the caller
     has just done so (random_prime_field).
     """
 
-    p: int
-    verified: InitVar[bool] = False
-
+    __slots__ = ("p", "_hash")
+    _fields = ("p",)
     has_t = False
 
-    def __post_init__(self, verified):
-        if not (verified or is_prime(self.p)):
-            raise ValueError(f"not a prime: {self.p}")
+    def __init__(self, p, verified=False):
+        if not (verified or is_prime(p)):
+            raise ValueError(f"not a prime: {p}")
+        self.p = p
+        self._hash = hash((p,))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def zero(self):
@@ -175,8 +209,7 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-@dataclass(frozen=True)
-class Integers:
+class Integers(Record):
     """The ring of integers; payloads are ints.
 
     Not a field: it is the coefficient ring of the numerators and
@@ -184,6 +217,7 @@ class Integers:
     ``ZZ``, so use that one.
     """
 
+    __slots__ = ()
     zero = 0
     one = 1
 
@@ -212,8 +246,7 @@ class Integers:
 ZZ = Integers()
 
 
-@dataclass(frozen=True)
-class RationalFunctions:
+class RationalFunctions(Record):
     """Rational functions in t over Q or F_p.
 
     Payloads are ``(num, den)`` pairs of dense polynomials over ``ring``, in
@@ -232,13 +265,17 @@ class RationalFunctions:
     inverse only rescales the new denominator.
     """
 
-    base: object
-
+    __slots__ = ("base", "ring", "_hash")
+    _fields = ("base",)
     has_t = True
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "ring", ZZ if isinstance(self.base, Rationals) else self.base)
+    def __init__(self, base):
+        self.base = base
+        self.ring = ZZ if isinstance(base, Rationals) else base
+        self._hash = hash((base,))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def zero(self):
@@ -787,8 +824,7 @@ def random_prime_field(rng):
 # reconstruction primitives
 
 
-@dataclass(frozen=True)
-class ModularImage:
+class ModularImage(Record):
     """A value reduced mod field.p and evaluated at t = point.
 
     The field is built by whoever draws the prime, which verifies the prime
@@ -796,17 +832,18 @@ class ModularImage:
     only that p is odd and below 2^31 and that the point lies in [0, p).
     """
 
-    field: PrimeField
-    point: int
+    _fields = ("field", "point")
 
-    def __post_init__(self):
-        if not isinstance(self.field, PrimeField):
-            raise ValueError(f"PrimeField required, got {self.field!r}")
-        p = self.field.p
+    def __init__(self, field, point):
+        if not isinstance(field, PrimeField):
+            raise ValueError(f"PrimeField required, got {field!r}")
+        p = field.p
         if p % 2 != 1 or p >= (1 << 31):
             raise ValueError(f"odd prime below 2^31 required, got {p}")
-        if not 0 <= self.point < p:
-            raise ValueError(f"point {self.point} outside [0, {p})")
+        if not 0 <= point < p:
+            raise ValueError(f"point {point} outside [0, {p})")
+        self.field = field
+        self.point = point
 
 
 def crt_combine(residues):

@@ -41,17 +41,15 @@ check failed).  ``WEYLRED_SEED`` sets the seed of ``telescope`` and
 integer exits 2, and the other subcommands ignore it.
 """
 
-import argparse
 import json
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import factorial
 
-from .arith import QQ_T, T_GEN, BudgetExhaustedError, InconsistencyError
+from .arith import QQ_T, T_GEN, BudgetExhaustedError, InconsistencyError, Record
 from .extension import ParametricPresentation, build_extension, embedded_unit
 from .groebner import buchberger
 from .kregular import (
@@ -105,16 +103,17 @@ class ParseError(Exception):
 # documents
 
 
-@dataclass
-class OperatorDocument:
+class OperatorDocument(Record):
     """Parsed document: algebra + order + generator/matrix/integrand body."""
 
-    algebra: Algebra
-    order: object
-    variables: tuple
-    generators: list = dc_field(default_factory=list)
-    l_rows: list = dc_field(default_factory=list)
-    f: object = None
+    _fields = ("algebra", "order", "variables", "generators", "l_rows", "f")
+    __hash__ = None
+
+    def __init__(self, algebra, order, variables, generators=None, l_rows=None, f=None):
+        self.algebra, self.order, self.variables = algebra, order, variables
+        self.generators = [] if generators is None else generators
+        self.l_rows = [] if l_rows is None else l_rows
+        self.f = f
 
     @property
     def parametric(self):
@@ -779,6 +778,8 @@ def _cmd_verify_series(args):
 
 
 def main(argv=None):
+    import argparse  # here, so that importing this module does not load it
+
     parser = argparse.ArgumentParser(
         prog="weylred",
         description="reduction-based creative telescoping for operator algebras",

@@ -22,9 +22,7 @@ The flattening sends ``d_t^h e_i`` to the free-module generator with
 component index ``h*s + i``.
 """
 
-from dataclasses import dataclass
-
-from .arith import InconsistencyError
+from .arith import InconsistencyError, Record
 from .groebner import ReducedBasis, buchberger, lrem
 from .weyl import (
     Algebra, Monomial, WeylOperator, components, dtelim_order, grevlex, mul)
@@ -39,8 +37,7 @@ def dt_degree(a):
     return max(m.beta[0] for m in a.terms)
 
 
-@dataclass(frozen=True)
-class ParametricPresentation:
+class ParametricPresentation(Record):
     """Generators of a left ideal in a t-extended operator algebra.
 
     `algebra` must have ``dt=True`` and `order` must be the d_t-eliminating
@@ -48,31 +45,28 @@ class ParametricPresentation:
     free module.
     """
 
-    algebra: Algebra
-    generators: tuple
-    order: object
+    _fields = ("algebra", "generators", "order")
 
-    def __post_init__(self):
-        if not self.algebra.dt:
+    def __init__(self, algebra, generators, order):
+        if not algebra.dt:
             raise ValueError("expected an algebra with a d_t slot")
-        if self.order != dtelim_order(self.algebra.n):
-            raise ValueError(
-                f"order must eliminate d_t: use dtelim_order({self.algebra.n})")
-        if not self.generators:
+        if order != dtelim_order(algebra.n):
+            raise ValueError(f"order must eliminate d_t: use dtelim_order({algebra.n})")
+        if not generators:
             raise ValueError("a parametric presentation needs a generator")
-        for g in self.generators:
-            if g.algebra.n != self.algebra.n:
+        for g in generators:
+            if g.algebra.n != algebra.n:
                 raise ValueError("generator arity differs from the algebra's")
             if g.is_zero():
                 raise ValueError("zero generator")
+        self.algebra, self.generators, self.order = algebra, generators, order
 
     @property
     def s(self):
         return self.algebra.r
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(Record):
     """Flattened presentation: rank, relation generators, d_t action.
 
     `gb` is the elimination Groebner basis in the t-extended algebra;
@@ -82,13 +76,12 @@ class ExtensionResult:
     convention: d_t acts on a = (a_1, .., a_r) as da/dt + a . L.
     """
 
-    ell: int
-    r: int
-    algebra: Algebra
-    s_generators: tuple
-    l_matrix: tuple
-    gb: tuple
-    source: ParametricPresentation
+    _fields = ("ell", "r", "algebra", "s_generators", "l_matrix", "gb", "source")
+
+    def __init__(self, ell, r, algebra, s_generators, l_matrix, gb, source):
+        self.ell, self.r, self.algebra = ell, r, algebra
+        self.s_generators, self.l_matrix, self.gb = s_generators, l_matrix, gb
+        self.source = source
 
 
 def _dt_basis_element(algebra, h, comp):

@@ -22,9 +22,9 @@ unchanged when asked for it again under the same order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from operator import le
 
+from .arith import Record
 from .weyl import (
     Monomial,
     WeylOperator,
@@ -37,17 +37,18 @@ from .weyl import (
 )
 
 
-@dataclass
-class DivisionCertificate:
+class DivisionCertificate(Record):
     """A witness of membership in S + dW^r: the element sum q_i g_i + sum d_j w_j.
 
     ``basis`` is the tuple of generators quotients refer to (by index);
     ``dw`` has one operator (or None) per slot j, meaning sum_j d_j w_j.
     """
 
-    basis: tuple
-    quotients: dict
-    dw: tuple
+    _fields = ("basis", "quotients", "dw")
+    __hash__ = None
+
+    def __init__(self, basis, quotients, dw):
+        self.basis, self.quotients, self.dw = basis, quotients, dw
 
     def __add__(self, other):
         if self.basis and other.basis and self.basis != other.basis:

@@ -20,11 +20,10 @@ The module also carries two independent oracles used to validate the ODE:
 Polynomials in ``p_1..p_k`` are plain dicts: exponent tuple -> Fraction.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .arith import QQ_T, T_GEN
+from .arith import QQ_T, T_GEN, Record
 from .groebner import buchberger
 from .reduction import ReductionContext
 from .telescoping import DerivedPresentation
@@ -133,20 +132,18 @@ def model_polynomials(k):
 # the operator data of the scalar-product pairing
 
 
-@dataclass(frozen=True)
-class ScalarProductInput:
+class ScalarProductInput(Record):
     """Operator data distilled from a pair (f, g) of p-polynomials.
 
     `g_tilde` is g with p_i rescaled to i*X_i; `u` holds the commuting
     operators u_j = df/dp_j - d_j acting on the rank-1 module over W_p(t).
     """
 
-    k: int
-    f: dict
-    g: dict
-    g_tilde: dict
-    u: tuple
-    algebra: Algebra
+    _fields = ("k", "f", "g", "g_tilde", "u", "algebra")
+
+    def __init__(self, k, f, g, g_tilde, u, algebra):
+        self.k, self.f, self.g, self.g_tilde = k, f, g, g_tilde
+        self.u, self.algebra = u, algebra
 
 
 def _operator_from_poly(algebra, poly):

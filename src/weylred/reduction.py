@@ -24,8 +24,8 @@ report.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
+from .arith import Record
 from .weyl import (
     Monomial,
     WeylOperator,
@@ -92,19 +92,23 @@ def reduced_form(a, ctx, certificate=True):
 # eta-bases
 
 
-@dataclass(frozen=True)
-class EtaRow:
-    candidate: Monomial  # the H-monomial this row came from
-    op: WeylOperator  # irreducible, monic at lm
-    lm: Monomial
-    cert: object  # witnesses op itself in S + dW^r (None without certificates)
+class EtaRow(Record):
+    _fields = ("candidate", "op", "lm", "cert")
+
+    def __init__(self, candidate, op, lm, cert):
+        self.candidate = candidate  # the H-monomial this row came from
+        self.op = op  # irreducible, monic at lm
+        self.lm = lm
+        self.cert = cert  # witnesses op itself in S + dW^r (None without certificates)
 
 
-@dataclass(frozen=True)
-class EtaBasis:
-    eta: Monomial
-    rows: tuple
-    tracer: frozenset  # candidates whose row vanished
+class EtaBasis(Record):
+    _fields = ("eta", "rows", "tracer")
+
+    def __init__(self, eta, rows, tracer):
+        self.eta = eta
+        self.rows = rows
+        self.tracer = tracer  # candidates whose row vanished
 
 
 def _enumerate_candidates(ctx, eta):

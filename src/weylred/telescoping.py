@@ -69,8 +69,6 @@ from __future__ import annotations
 import operator
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .arith import (
     AbscissaTable,
@@ -80,6 +78,7 @@ from .arith import (
     QQ,
     QQ_T,
     RationalFunctions,
+    Record,
     UnluckyEvaluationError,
     collective_primitive,
     crt_combine,
@@ -192,16 +191,18 @@ class DerivedPresentation:
 # confinement (the eta/B search) and the derivative step over a field
 
 
-@dataclass(frozen=True)
-class Confinement:
+class Confinement(Record):
     """(eta, B), and the shape of the eta-basis at eta; the modular vote
     elects one by equality of all four fields, and a point is usable only
     when it confines to the elected one."""
 
-    eta: Monomial
-    B: tuple  # monomials, ascending under the ambient order
-    row_lms: tuple  # lms of the eta-basis rows
-    tracer: frozenset  # candidates whose row vanished
+    _fields = ("eta", "B", "row_lms", "tracer")
+
+    def __init__(self, eta, B, row_lms, tracer):
+        self.eta = eta
+        self.B = B  # monomials, ascending under the ambient order
+        self.row_lms = row_lms  # lms of the eta-basis rows
+        self.tracer = tracer  # candidates whose row vanished
 
 
 def _monomial_op(ctx, m):
@@ -413,19 +414,19 @@ def relation_search(F, vectors):
 # telescopers and canonical normalization
 
 
-@dataclass(frozen=True)
-class Telescoper:
+class Telescoper(Record):
     """P = c_0 + c_1 d_t + ... + c_N d_t^N over Q(t): the coefficients are
     dense integer polynomial tuples, collectively primitive with the leading
     coefficient of c_N positive.  A prime's relation in telescope_modular
     stays a tuple of residue tuples (_normalize_modp_relation).
     """
 
-    coefficients: tuple
+    _fields = ("coefficients",)
 
-    def __post_init__(self):
-        if not (self.coefficients and self.coefficients[-1]):
+    def __init__(self, coefficients):
+        if not (coefficients and coefficients[-1]):
             raise ValueError("c_N must be nonzero")
+        self.coefficients = coefficients
 
     @property
     def order(self):
@@ -537,8 +538,7 @@ _MAX_POINT_TRIES = 64  # skipped points before a prime or a vote is given up
 _MAX_PRIMES = 16  # primes tried before giving up; the consistency check may add four
 
 
-@dataclass
-class ModularConfig:
+class ModularConfig(Record):
     """Settings of one modular run.
 
     seed: seeds every random choice, so it fixes the transcript.
@@ -546,15 +546,17 @@ class ModularConfig:
     max_points: points one reconstructed entry may use per prime.
     """
 
-    seed: int = 0
-    workers: int = 4
-    max_points: int = 2048
+    _fields = ("seed", "workers", "max_points")
+    __hash__ = None
+    seed = 0
+    workers = 4
+    max_points = 2048
 
-    def __post_init__(self):
-        for name in ("workers", "max_points"):
-            value = getattr(self, name)
+    def __init__(self, seed=seed, workers=workers, max_points=max_points):
+        for name, value in (("workers", workers), ("max_points", max_points)):
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        self.seed, self.workers, self.max_points = seed, workers, max_points
 
 
 # The tallies of ModularRun.replays.
@@ -562,8 +564,7 @@ _REPLAY_COUNTS = ("tapes_recorded", "votes_replayed", "votes_generic",
                   "points_replayed", "points_generic")
 
 
-@dataclass(frozen=True)
-class ModularRun:
+class ModularRun(Record):
     """The telescoper of telescope_modular and how it was found.
     primes_discarded lists the vote primes given up (an input denominator
     that p divides), then the wave primes given up, the shape rejects and
@@ -574,11 +575,12 @@ class ModularRun:
     the transcript it depends on the seed alone, but it stays out of the
     transcript."""
 
-    telescoper: Telescoper
-    transcript: tuple
-    primes_used: tuple
-    primes_discarded: tuple
-    replays: dict
+    _fields = ("telescoper", "transcript", "primes_used", "primes_discarded", "replays")
+
+    def __init__(self, telescoper, transcript, primes_used, primes_discarded, replays):
+        self.telescoper, self.transcript = telescoper, transcript
+        self.primes_used, self.primes_discarded = primes_used, primes_discarded
+        self.replays = replays
 
 
 def _inputs(pres):
@@ -1114,6 +1116,8 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
         wave = [(next_idx + i, next(fields)) for i in range(count)]
         next_idx += count
         tallies = {i: Counter() for i, _ in wave}  # one per thread
+        # imported here, so that importing this module loads no thread pool
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             futs = {
                 i: pool.submit(_prime_relation, pres, rho, ref, recording, Fp, i,
@@ -1176,7 +1180,7 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
             try:
                 got = _prime_relation(pres, rho, ref, recording, check_field,
                                       check_idx, cfg, counts)
-            except UnluckyEvaluationError:
+            except (UnluckyEvaluationError, BudgetExhaustedError):
                 check_discards.append(check_field.p)
                 continue
             return got, got["rel"] == expected

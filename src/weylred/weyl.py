@@ -25,13 +25,12 @@ commutator PQ - QP the two products of a commuting pair cancel, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial, gcd
 from operator import add, mul as imul, neg
 from typing import NamedTuple
 
-from .arith import QQ, QQ_T, UnluckyEvaluationError
+from .arith import QQ, QQ_T, Record, UnluckyEvaluationError
 
 
 class Monomial(NamedTuple):
@@ -73,14 +72,18 @@ def _mono_str(m: Monomial):
     return body if m.comp == 1 else f"{body}@e{m.comp}"
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     """Shape tag for operators: arity, rank, coefficient field, t-extension."""
 
-    n: int
-    r: int = 1
-    field: object = QQ
-    dt: bool = False
+    __slots__ = ("n", "r", "field", "dt", "_hash")
+    _fields = ("n", "r", "field", "dt")
+
+    def __init__(self, n, r=1, field=QQ, dt=False):
+        self.n, self.r, self.field, self.dt = n, r, field, dt
+        self._hash = hash((n, r, field, dt))
+
+    def __hash__(self):
+        return self._hash
 
     def monomial(self, alpha, beta, comp=1):
         alpha, beta = tuple(alpha), tuple(beta)
@@ -362,8 +365,7 @@ def mul_monomial(m: Monomial, c, P):
 # monomial orders
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(Record):
     """A multiplicative well-order on monomials of W^r.
 
     kind: 'grevlex' (over all 2n exponents), 'lex' (stated variable sequence),
@@ -379,23 +381,25 @@ class MonomialOrder:
     variables is at most v^s for the largest variable v.
     """
 
-    kind: str
-    n: int
-    sequence: tuple = ()
-    weights: tuple = ()
+    __slots__ = ("kind", "n", "sequence", "weights", "_hash")
+    _fields = ("kind", "n", "sequence", "weights")
 
-    def __post_init__(self):
-        kind, n = self.kind, self.n
+    def __init__(self, kind, n, sequence=(), weights=()):
         if kind not in ("grevlex", "lex", "block", "weightlex", "dtelim"):
             raise ValueError(f"unknown order {kind!r}")
-        if self.sequence and kind != "lex" or self.weights and kind != "weightlex":
+        if sequence and kind != "lex" or weights and kind != "weightlex":
             raise ValueError(f"order {kind} takes no arguments")
-        if kind == "lex" and sorted(self.sequence) != list(range(2 * n)):
+        if kind == "lex" and sorted(sequence) != list(range(2 * n)):
             raise ValueError(f"lex needs each slot code 0..{2 * n - 1} once")
-        if kind == "weightlex" and len(self.weights) != 2 * n:
-            raise ValueError(f"weightlex needs {2 * n} weights, got {len(self.weights)}")
-        if any(w < 0 for w in self.weights):
+        if kind == "weightlex" and len(weights) != 2 * n:
+            raise ValueError(f"weightlex needs {2 * n} weights, got {len(weights)}")
+        if any(w < 0 for w in weights):
             raise ValueError("weightlex weights must be non-negative")
+        self.kind, self.n, self.sequence, self.weights = kind, n, sequence, weights
+        self._hash = hash((kind, n, sequence, weights))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def spec(self):

@@ -1,7 +1,6 @@
 """Hypothesis strategy builders for monomials and operators, and the
 faults the modular-driver tests inject."""
 
-import dataclasses
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -60,7 +59,8 @@ def _skip_smallest_candidate(pres, conf):
     candidate: a Confinement that no point confines to."""
     candidates = reduction._enumerate_candidates(pres.ctx, conf.eta)
     skipped = min(set(candidates) - conf.tracer, key=pres.ctx.order.key)
-    return dataclasses.replace(conf, tracer=conf.tracer | {skipped})
+    return telescoping.Confinement(conf.eta, conf.B, conf.row_lms,
+                                   conf.tracer | {skipped})
 
 
 class NoTape:

@@ -41,7 +41,8 @@ from weylred.arith import (
     random_prime_field,
     rational_reconstruct,
 )
-from weylred.telescoping import _SamplePool
+from weylred.telescoping import Confinement, ModularConfig, Telescoper, _SamplePool
+from weylred.weyl import Algebra, Monomial, MonomialOrder, grevlex, sorted_terms
 
 FP = PrimeField(1000003)
 FPT = RationalFunctions(FP)
@@ -564,3 +565,42 @@ def test_adaptive_reconstruct_budget():
     rng = random.Random(5)
     with pytest.raises(BudgetExhaustedError):
         adaptive_reconstruct(FP, eval_stream((1,), (1, 1), rng), max_points=2)
+
+
+# ---------------------------------------------------------------------------
+# value classes
+
+
+def test_value_classes_compare_and_hash_by_fields():
+    """Votes count Confinements, sorted_terms caches by order and a
+    ReducedBasis is kept per order: all rely on equality and hash by the
+    fields, within one class only."""
+    m = Monomial((0, 1), (1, 0), 1)
+    cases = [  # (a, an equal copy, one with another field value)
+        (Algebra(2), Algebra(2, 1, QQ, False), Algebra(2, r=2)),
+        (MonomialOrder("grevlex", 2), grevlex(2), MonomialOrder("block", 2)),
+        (PrimeField(7), PrimeField(7, verified=True), PrimeField(11)),
+        (RationalFunctions(FP), FPT, QQ_T),
+        (Confinement(m, (m,), (m,), frozenset()), Confinement(m, (m,), (m,), frozenset()),
+         Confinement(m, (), (m,), frozenset())),
+        (Telescoper(((1,),)), Telescoper(((1,),)), Telescoper(((0, 1),))),
+    ]
+    for a, b, c in cases:
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert a != c and len({a, b, c}) == 2
+    assert hash(Algebra(2)) == hash((2, 1, QQ, False))
+    assert hash(PrimeField(7)) == hash((7,))
+    assert repr(Algebra(2)) == "Algebra(n=2, r=1, field=QQ, dt=False)"
+    # no equality across classes, even where the fields agree
+    assert QQ != ZZ and PrimeField(7) != (7,) and Telescoper(((1,),)) != ((1,),)
+    P = Algebra(2).dvar(0) + Algebra(2).xvar(1)
+    assert sorted_terms(P, grevlex(2)) is sorted_terms(P, grevlex(2))
+
+
+def test_modular_config_defaults_on_the_class():
+    """The CLI and scripts read the --workers default off the class."""
+    assert (ModularConfig.seed, ModularConfig.workers, ModularConfig.max_points) \
+        == (0, 4, 2048)
+    assert ModularConfig() == ModularConfig(0, 4, 2048) != ModularConfig(seed=1)
+    with pytest.raises(TypeError):
+        hash(ModularConfig())

@@ -547,6 +547,11 @@ def test_validation_survives_optimize(tmp_path):
             lambda: op_add(Algebra(2).one(), Algebra(2, field=QQ_T).one()),
             lambda: op_sub(Algebra(2).one(), Algebra(3).one()),
             lambda: MonomialOrder("bogus", 2),
+            lambda: MonomialOrder("grevlex", 2, sequence=(0, 1, 2, 3)),
+            lambda: ModularImage(QQ, 1),
+            lambda: ParametricPresentation(
+                B, (Algebra(3, 1, QQ_T, dt=True).dvar(0),), dtelim_order(2)),
+            lambda: ParametricPresentation(B, (B.zero(),), dtelim_order(2)),
             lambda: lex_order(2, (0, 0, 1, 2)),
             lambda: weightlex_order(2, (1, 1)),
             lambda: weightlex_order(2, (-1, 1, 1, 1)),
@@ -614,12 +619,48 @@ def test_validation_survives_optimize(tmp_path):
         if code != 4 or "modular" in err.getvalue():
             raise SystemExit(f"reduce on a failed witness: {code} {err.getvalue()!r}")
     """))
-    src = Path(weylred.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-O", str(script), str(doc)], env=env,
+    proc = subprocess.run([sys.executable, "-O", str(script), str(doc)], env=_src_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _src_env():
+    """The environment of a fresh interpreter that imports this weylred."""
+    src = Path(weylred.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_import_loads_only_what_a_solve_runs():
+    """Importing the modules a solve uses loads no dataclasses, inspect,
+    thread pool or argparse; the command line and a modular run with a
+    pool load them when they need them."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from weylred import cli, extension, groebner, kregular, reduction, telescoping, weyl
+        heavy = ("dataclasses", "inspect", "concurrent.futures", "argparse")
+        loaded = [m for m in heavy if m in sys.modules]
+        if loaded:
+            raise SystemExit(f"loaded at import: {loaded}")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            try:
+                cli.main(["--help"])
+            except SystemExit as e:
+                if e.code != 0:
+                    raise SystemExit(f"--help exited {e.code}")
+        if "usage: weylred" not in out.getvalue():
+            raise SystemExit("--help printed no usage")
+        doc = cli.parse_document(sys.argv[1])
+        modular = cli.run_telescope(doc, "modular", telescoping.ModularConfig(workers=2))
+        direct = cli.run_telescope(doc, "direct", telescoping.ModularConfig())
+        if modular["telescoper"] != direct["telescoper"]:
+            raise SystemExit("the modular telescoper differs from the direct one")
+        print(sorted(m for m in heavy if m in sys.modules))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script, AIRY_PARAM_DOC], env=_src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "['argparse', 'concurrent.futures']"
 
 
 def test_degree_ceiling_two_suffices_for_k3(workdir, k3_module_path):

@@ -1,6 +1,5 @@
 """Confinement, derivative sequences, and both telescoping drivers."""
 
-import dataclasses
 import hashlib
 import random
 import re
@@ -25,6 +24,7 @@ from weylred.cli import _module_presentation, parse_document, telescoper_documen
 from weylred.groebner import DivisionCertificate
 from weylred.reduction import compute_eta_basis, reduce_eta
 from weylred.telescoping import (
+    Confinement,
     DerivedPresentation,
     ModularConfig,
     Telescoper,
@@ -298,7 +298,7 @@ def test_direct_support_escape_is_a_fault(k3):
 
     def short_B(*args, **kwargs):
         conf = real(*args, **kwargs)
-        return dataclasses.replace(conf, B=conf.B[:1])
+        return Confinement(conf.eta, conf.B[:1], conf.row_lms, conf.tracer)
 
     with mock.patch.object(telescoping, "confine", short_B):
         with pytest.raises(InconsistencyError, match="support escapes the confinement"):
@@ -463,8 +463,8 @@ def test_modular_builds_one_field_per_prime(airy):
     """Each drawn prime is verified once: the vote primes, the prime[i]
     primes and the consistency prime each build one PrimeField, shared by
     every point image of that prime."""
-    with mock.patch.object(PrimeField, "__post_init__", autospec=True,
-                           side_effect=PrimeField.__post_init__) as built:
+    with mock.patch.object(PrimeField, "__init__", autospec=True,
+                           side_effect=PrimeField.__init__) as built:
         run = telescope_modular(airy.pres, rho=1,
                                 config=ModularConfig(seed=7, workers=1))
     named = _named_primes(run.transcript)
@@ -833,7 +833,7 @@ def test_wrong_election_returns_no_telescoper(airy, replays):
     def wrong(*args):
         ref, recording = elect(*args)
         assert len(ref.B) > 1
-        return dataclasses.replace(ref, B=ref.B[:-1]), recording
+        return Confinement(ref.eta, ref.B[:-1], ref.row_lms, ref.tracer), recording
 
     with mock.patch.object(telescoping, "_elect_reference", wrong), \
             mock.patch.object(telescoping._Tape, "bind",
@@ -862,3 +862,23 @@ def test_fault_injected_prime_discarded(airy):
         run = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
     assert run.telescoper == good.telescoper
     assert f"shape reject prime {run.primes_discarded[0]}" in run.transcript
+
+
+def test_consistency_prime_out_of_points_is_discarded(airy):
+    """A consistency prime whose fits exhaust max_points goes to
+    primes_discarded, and the next prime checks the reconstruction."""
+    cfg = ModularConfig(seed=7, workers=1)
+    good = telescope_modular(airy.pres, rho=1, config=cfg)
+    check = int(re.fullmatch(r"consistency prime (\d+) ok", good.transcript[-1])[1])
+    real = telescoping._prime_relation
+
+    def prime_relation(pres, rho, ref, recording, Fp, *args):
+        if Fp.p == check:
+            raise BudgetExhaustedError(f"point budget exhausted mod {Fp.p}")
+        return real(pres, rho, ref, recording, Fp, *args)
+
+    with mock.patch.object(telescoping, "_prime_relation", prime_relation):
+        run = telescope_modular(airy.pres, rho=1, config=cfg)
+    assert run.telescoper == good.telescoper
+    assert check in run.primes_discarded and check not in run.primes_used
+    assert run.transcript[-1] != good.transcript[-1]
