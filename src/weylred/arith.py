@@ -12,11 +12,13 @@ Fields are lightweight frozen objects that operate on plain payloads:
 
 A dense polynomial is a tuple of payloads, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Containers (operators,
-matrices, telescopers) carry the field tag; individual payloads do not.
+matrices, telescopers) carry the field tag; individual payloads do not.  The
+polynomial kernels compute with the payloads themselves and reduce mod p
+once per coefficient over F_p.
 
-Q[t] gcds run over Z[t] with the heuristic gcd GCDHEU (Char, Geddes and
-Gonnet, JSC 1989), which falls back to a primitive Euclid; F_p[t] gcds run
-Euclid.
+Every gcd first splits off the power of t.  What is left of a Q[t] gcd runs
+over Z[t] with the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC 1989),
+which falls back to a primitive Euclid; F_p[t] gcds run Euclid.
 
 The module also provides the reconstruction primitives used by the modular
 telescoping pipeline: Chinese remaindering, rational reconstruction, Cauchy
@@ -94,6 +96,7 @@ class Rationals(Record):
 
     __slots__ = ()
     has_t = False
+    characteristic = 0
 
     @property
     def zero(self):
@@ -148,14 +151,14 @@ class PrimeField(Record):
     has just done so (random_prime_field).
     """
 
-    __slots__ = ("p", "_hash")
+    __slots__ = ("p", "characteristic", "_hash")
     _fields = ("p",)
     has_t = False
 
     def __init__(self, p, verified=False):
         if not (verified or is_prime(p)):
             raise ValueError(f"not a prime: {p}")
-        self.p = p
+        self.p = self.characteristic = p
         self._hash = hash((p,))
 
     def __hash__(self):
@@ -220,6 +223,7 @@ class Integers(Record):
     __slots__ = ()
     zero = 0
     one = 1
+    characteristic = 0
 
     def from_int(self, n):
         return n
@@ -314,10 +318,8 @@ class RationalFunctions(Record):
         lc = den[-1]
         if F is ZZ:
             return (num, den) if lc > 0 else (_pscale(num, -1), _pscale(den, -1))
-        if F.eq(lc, F.one):
-            return (num, den)
         inv = F.inv(lc)
-        return (tuple(F.mul(c, inv) for c in num), tuple(F.mul(c, inv) for c in den))
+        return (_pscale(num, inv, F.p), _pscale(den, inv, F.p))
 
     def add(self, a, b):
         F = self.ring
@@ -395,13 +397,15 @@ T_GEN = ((0, 1), (1,))  # t in Q(t), as QQ_T.from_poly makes it
 
 # ---------------------------------------------------------------------------
 # dense univariate polynomials (tuples, lowest degree first, no trailing zeros)
+#
+# The kernels compute with the payloads themselves (ints over Z and F_p,
+# Fractions over Q) and reduce mod p = F.characteristic once per output
+# coefficient when p is nonzero.
 
 
 def pnorm(F, coeffs):
-    c = list(coeffs)
-    while c and F.is_zero(c[-1]):
-        c.pop()
-    return tuple(c)
+    """coeffs as a polynomial over F; the zero payload of every ring is falsy."""
+    return _strip(list(coeffs))
 
 
 def pconst(F, c):
@@ -413,24 +417,27 @@ def pdeg(a):
     return len(a) - 1
 
 
+def _strip(c):
+    """The list c as a polynomial: a tuple with no trailing zeros."""
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
 def padd(F, a, b):
     if len(a) < len(b):
         a, b = b, a
-    if F is ZZ:
-        c = [x + y for x, y in zip(a, b)]
-        c += a[len(b):]
-    else:
-        c = list(a)
-        for i, x in enumerate(b):
-            c[i] = F.add(c[i], x)
-    return pnorm(F, c)
+    p = F.characteristic
+    c = [(x + y) % p for x, y in zip(a, b)] if p else [x + y for x, y in zip(a, b)]
+    c += a[len(b):]
+    return _strip(c)
 
 
 def psub(F, a, b):
-    c = list(a) + [F.zero] * (len(b) - len(a))
-    for i, x in enumerate(b):
-        c[i] = F.sub(c[i], x)
-    return pnorm(F, c)
+    c = [x - y for x, y in zip(a, b)]
+    c += a[len(b):] if len(a) > len(b) else [-y for y in b[len(a):]]
+    p = F.characteristic
+    return _strip([x % p for x in c] if p else c)
 
 
 _KRONECKER_CUTOFF = 64
@@ -439,33 +446,21 @@ _KRONECKER_CUTOFF = 64
 def pmul(F, a, b):
     if not a or not b:
         return ()
-    if F is ZZ:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return tuple(out)  # Z is a domain: lc(a) lc(b) is not zero
-    if (
-        isinstance(F, PrimeField)
-        and len(a) >= _KRONECKER_CUTOFF
-        and len(b) >= _KRONECKER_CUTOFF
-    ):
-        return _pmul_kronecker(F, a, b)
+    p = F.characteristic
+    if p and len(a) >= _KRONECKER_CUTOFF and len(b) >= _KRONECKER_CUTOFF:
+        return _pmul_kronecker(p, a, b)
     out = [F.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if F.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return pnorm(F, out)
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple([c % p for c in out] if p else out)  # a domain: lc(a) lc(b) != 0
 
 
-def _pmul_kronecker(F, a, b):
+def _pmul_kronecker(p, a, b):
     # Pack coefficients into one big integer per operand so the product is a
     # single CPython bigint multiplication; stride wide enough that packed
     # sums of cross terms never overlap.
-    p = F.p
     stride = 2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 1
     pa = 0
     for c in reversed(a):
@@ -479,41 +474,73 @@ def _pmul_kronecker(F, a, b):
     for _ in range(len(a) + len(b) - 1):
         out.append((prod & mask) % p)
         prod >>= stride
-    return pnorm(F, out)
+    return tuple(out)
 
 
 def pdivmod(F, a, b):
+    """(quotient, remainder) of a by b over a field.  Over GF(p) an entry of
+    the remainder is reduced only when it leads or is returned; the leading
+    term of b cancels exactly and is never subtracted."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return (), a
+    p = F.characteristic
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p) if p else F.inv(b[-1])
     rem = list(a)
-    blc_inv = F.inv(b[-1])
-    quo = [F.zero] * (len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1]
-        if F.is_zero(c):
-            continue
-        q = F.mul(c, blc_inv)
-        quo[k] = q
-        for i, bc in enumerate(b):
-            rem[k + i] = F.sub(rem[k + i], F.mul(q, bc))
-    return pnorm(F, quo), pnorm(F, rem)
+    quo = [F.zero] * (len(a) - db)
+    low = b[:db]
+    for k in range(len(quo) - 1, -1, -1):
+        q = rem[k + db] * inv % p if p else rem[k + db] * inv
+        if q:
+            quo[k] = q
+            for i, c in enumerate(low, k):
+                rem[i] -= q * c
+    del rem[db:]
+    return tuple(quo), _strip([c % p for c in rem] if p else rem)
 
 
 def pmonic(F, a):
     if not a:
         return a
-    inv = F.inv(a[-1])
-    return tuple(F.mul(c, inv) for c in a)
+    p = F.characteristic
+    return _pscale(a, pow(a[-1], -1, p) if p else F.inv(a[-1]), p)
+
+
+def _tval(a):
+    """The t-adic valuation of a nonzero polynomial."""
+    v = 0
+    while not a[v]:
+        v += 1
+    return v
 
 
 def pgcd(F, a, b):
     """(g, a/g, b/g) for the gcd g of a and b: monic over a field; over ZZ
-    the gcd in Z[t], content included, with lc(g) > 0 (GCDHEU, then Euclid).
-    gcd(0, 0) gives three zero polynomials."""
+    the gcd in Z[t], content included, with lc(g) > 0.  gcd(0, 0) gives
+    three zero polynomials.
+
+    The power of t splits off first: for nonzero a, b of t-adic valuations
+    v_a, v_b and v = min(v_a, v_b), gcd(a, b) = t^v gcd(a/t^v_a, b/t^v_b).
+    What is left needs no gcd algorithm when a part is constant; otherwise
+    it runs GCDHEU, then Euclid, over ZZ and Euclid over a field.
+    """
+    if not (a and b):
+        return _gcd(F, a, b)
+    va, vb = _tval(a), _tval(b)
+    v = min(va, vb)
+    g, qa, qb = _gcd(F, a[va:], b[vb:])
+    z = (F.zero,)
+    return z * v + g, z * (va - v) + qa, z * (vb - v) + qb
+
+
+def _gcd(F, a, b):
+    """pgcd without the split of the power of t."""
     if F is ZZ:
         return _zz_gcd(a, b)
+    if len(a) == 1 or len(b) == 1:  # a unit, or zero beside a unit
+        return (F.one,), a, b
     x, y = a, b
     while y:
         x, y = y, pdivmod(F, x, y)[1]
@@ -533,9 +560,11 @@ def pexquo(F, a, b):
     return pdivmod(F, a, b)[0]
 
 
-def _pscale(a, c):
-    """a times the integer c."""
-    return a if c == 1 else tuple(x * c for x in a)
+def _pscale(a, c, p=0):
+    """a times the scalar c, reduced mod p when p is nonzero."""
+    if c == 1:
+        return a
+    return tuple([x * c % p for x in a] if p else [x * c for x in a])
 
 
 def _cancel(F, num, den):
@@ -676,13 +705,20 @@ def _zz_divide(a, b):
 
 
 def pderiv(F, a):
-    return pnorm(F, tuple(F.mul(c, F.from_int(i)) for i, c in enumerate(a) if i))
+    c = [i * x for i, x in enumerate(a) if i]
+    p = F.characteristic
+    return _strip([x % p for x in c] if p else c)
 
 
 def peval(F, a, x):
+    p = F.characteristic
     acc = F.zero
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
+    if p:
+        for c in reversed(a):
+            acc = (acc * x + c) % p
+    else:
+        for c in reversed(a):
+            acc = acc * x + c
     return acc
 
 
@@ -740,16 +776,9 @@ def interpolate(F, points, table=None):
         table = AbscissaTable(F)
     ys = [y for _, y in points]
     _, columns = table.basis(x for x, _ in points)
-    if isinstance(F, PrimeField):
-        p = F.p
-        return pnorm(F, [sum(map(operator.mul, ys, col)) % p for col in columns])
-    out = []
-    for col in columns:
-        acc = F.zero
-        for y, c in zip(ys, col):
-            acc = F.add(acc, F.mul(y, c))
-        out.append(acc)
-    return pnorm(F, out)
+    p = F.characteristic
+    sums = [sum(map(operator.mul, ys, col), F.zero) for col in columns]
+    return _strip([c % p for c in sums] if p else sums)
 
 
 # ---------------------------------------------------------------------------
@@ -945,9 +974,8 @@ def cauchy_interpolate(F, points, deg_bounds, table=None):
     g = pgcd(F, num, den)[0] if num else ()
     if num and pdeg(g) > 0:
         return None
-    inv = F.inv(den[-1])
-    num = tuple(F.mul(c, inv) for c in num)
-    den = tuple(F.mul(c, inv) for c in den)
+    inv, p = F.inv(den[-1]), F.characteristic
+    num, den = _pscale(num, inv, p), _pscale(den, inv, p)
     if pdeg(num) > d_num or pdeg(den) > d_den:
         return None
     for a, v in points:

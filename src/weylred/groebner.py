@@ -12,7 +12,10 @@ because the product of two monomials always has the componentwise sum as its
 leading monomial).  The classical coprimality skip is adjusted for the Weyl
 relations: a pair is skipped only when the shadows are coprime *and* the two
 leading monomials commute — coprime shadows alone are not enough, as the pair
-(x1, d1) shows: their S-pair is d1 x1 - x1 d1 = 1.
+(x1, d1) shows: their S-pair is d1 x1 - x1 d1 = 1.  Buchberger's chain
+criterion, which holds in G-algebras such as W^r (Levandovskyy, thesis 2005),
+skips a pair whose lcm some third leading monomial divides once both of that
+element's pairs with the two are done (Gebauer and Moeller, JSC 1988).
 
 A reduced basis is the fixed point of completion: ``buchberger`` returns a
 :class:`ReducedBasis`, which carries its order, and hands such a basis back
@@ -28,8 +31,8 @@ from .arith import Record
 from .weyl import (
     Monomial,
     WeylOperator,
+    _term_product,
     leading_data,
-    mul,
     mul_monomial,
     op_scale,
     shadow_divides,
@@ -70,15 +73,28 @@ class DivisionCertificate(Record):
         )
 
     def verifies(self, x):
-        """Whether x == sum q_i g_i + sum d_j w_j exactly."""
-        total = x.algebra.zero()
-        for i, q in self.quotients.items():
-            total = total + mul(q, self.basis[i])
-        alg1 = x.algebra.with_rank(1)
-        for j, w in enumerate(self.dw):
-            if w is not None:
-                total = total + mul(alg1.dvar(j), w)
-        return total == x
+        """Whether x == sum q_i g_i + sum d_j w_j exactly.
+
+        Each product accumulates term pair by term pair into a dict, as
+        ``mul`` does inside, and is added into one running total in place;
+        the total is compared with x once.
+        """
+        A = x.algebra
+        F = A.field
+        pairs = [(q, self.basis[i]) for i, q in self.quotients.items()]
+        pairs += [(A.with_rank(1).dvar(j), w) for j, w in enumerate(self.dw)
+                  if w is not None]
+        total = {}
+        for left, right in pairs:
+            if right.algebra != A:
+                raise ValueError("operands live in different algebras")
+            product = {}
+            for ml, cl in left.terms.items():
+                for mr, cr in right.terms.items():
+                    _term_product(F, A, product, cl, ml, cr, mr, mr.comp)
+            for m, c in product.items():
+                total[m] = F.add(total[m], c) if m in total else c
+        return {m: c for m, c in total.items() if not F.is_zero(c)} == x.terms
 
 
 def lrem(a, basis, order, certificate=True):
@@ -262,7 +278,7 @@ def buchberger(gens, order):
     answer and comes back as is.  Pair selection is the normal strategy
     (smallest total degree of the shadow lcm) with FIFO tie-break.  A pair
     is skipped when the leading shadows are coprime and the leading
-    monomials commute.
+    monomials commute, or by the chain criterion.
     """
     if isinstance(gens, ReducedBasis) and gens.order == order:
         return gens
@@ -277,14 +293,16 @@ def buchberger(gens, order):
     if not G:
         return ReducedBasis((), order)
 
+    lms = [leading_data(g, order)[0] for g in G]
     pairs = []
+    pending = set()  # the pairs (i, j), i < j, still on the heap
     seq = 0
 
     def push_pairs(j):
         nonlocal seq
-        lmj = leading_data(G[j], order)[0]
+        lmj = lms[j]
         for i in range(j):
-            lmi = leading_data(G[i], order)[0]
+            lmi = lms[i]
             if lmi.comp != lmj.comp:
                 continue
             if _shadows_coprime(lmi, lmj) and _lms_commute(lmi, lmj):
@@ -293,20 +311,33 @@ def buchberger(gens, order):
                 max(a, b) for a, b in zip(lmi.shadow(), lmj.shadow())
             )
             heapq.heappush(pairs, (lcm_deg, seq, i, j))
+            pending.add((i, j))
             seq += 1
+
+    def chained(i, j, lcm):
+        """Buchberger's chain criterion: some lm(g_k) divides the lcm, and
+        neither pair of k with i or j is still pending."""
+        return any(
+            k != i and k != j and shadow_divides(lm, lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, lm in enumerate(lms)
+        )
 
     for j in range(len(G)):
         push_pairs(j)
 
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
-        lmi, lci = leading_data(G[i], order)
-        lmj, lcj = leading_data(G[j], order)
+        pending.discard((i, j))
+        lmi, lmj = lms[i], lms[j]
         lcm = Monomial(
             tuple(max(a, b) for a, b in zip(lmi.alpha, lmj.alpha)),
             tuple(max(a, b) for a, b in zip(lmi.beta, lmj.beta)),
             lmi.comp,
         )
+        if chained(i, j, lcm):
+            continue
         left = mul_monomial(shadow_quotient(lcm, lmi), F.one, G[i])
         right = mul_monomial(shadow_quotient(lcm, lmj), F.one, G[j])
         spair = left - right
@@ -315,8 +346,9 @@ def buchberger(gens, order):
         rem, _ = lrem(spair, G, order, certificate=False)
         if rem.is_zero():
             continue
-        lc = leading_data(rem, order)[1]
+        lm, lc = leading_data(rem, order)
         G.append(op_scale(rem, F.inv(lc)))
+        lms.append(lm)
         push_pairs(len(G) - 1)
 
     return _autoreduce(G, order)

@@ -40,6 +40,69 @@ def newton_interpolate(F, points):
     return poly
 
 
+def ref_padd(F, a, b):
+    """a + b, one field call per coefficient: the reference for arith's
+    dense-polynomial kernels, which run on plain ints over ZZ and F_p."""
+    c = [F.zero] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        c[i] = x
+    for i, y in enumerate(b):
+        c[i] = F.add(c[i], y)
+    return _ref_norm(F, c)
+
+
+def ref_psub(F, a, b):
+    return ref_padd(F, a, tuple(F.neg(y) for y in b))
+
+
+def ref_pmul(F, a, b):
+    out = [F.zero] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return _ref_norm(F, out)
+
+
+def ref_pdivmod(F, a, b):
+    """(quotient, remainder) of a by nonzero b over a field, by long division."""
+    rem, quo = list(a), [F.zero] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        q = F.div(rem[k + len(b) - 1], b[-1])
+        quo[k] = q
+        for i, y in enumerate(b):
+            rem[k + i] = F.sub(rem[k + i], F.mul(q, y))
+    return _ref_norm(F, quo), _ref_norm(F, rem)
+
+
+def ref_pderiv(F, a):
+    return _ref_norm(F, [F.mul(F.from_int(i), c) for i, c in enumerate(a) if i])
+
+
+def ref_peval(F, a, x):
+    acc = F.zero
+    for c in reversed(a):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def ref_pgcd(F, a, b):
+    """(g, a/g, b/g) for the monic gcd g of a and b over a field, by
+    Euclid's algorithm on ref_pdivmod; gcd(0, 0) = 0."""
+    x, y = a, b
+    while y:
+        x, y = y, ref_pdivmod(F, x, y)[1]
+    if not x:
+        return (), (), ()
+    g = tuple(F.div(c, x[-1]) for c in x)
+    return g, ref_pdivmod(F, a, g)[0], ref_pdivmod(F, b, g)[0]
+
+
+def _ref_norm(F, c):
+    while c and F.is_zero(c[-1]):
+        c.pop()
+    return tuple(c)
+
+
 def qpoly_clear_denominators(coeffs):
     """Fraction tuple -> (int tuple, common denominator)."""
     den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1

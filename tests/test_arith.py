@@ -9,7 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import newton_interpolate, qpoly_clear_denominators, zz_heu_gcd_oracle
+from _oracles import (
+    newton_interpolate,
+    qpoly_clear_denominators,
+    ref_padd,
+    ref_pderiv,
+    ref_pdivmod,
+    ref_peval,
+    ref_pgcd,
+    ref_pmul,
+    ref_psub,
+    zz_heu_gcd_oracle,
+)
 from weylred import arith
 from weylred.arith import (
     QQ,
@@ -300,6 +311,71 @@ def test_zz_gcd_matches_euclid_over_q(a, b, h):
             assert arith._zz_euclid_gcd(_primitive(x), _primitive(y)) == _primitive(g)
         with mock.patch.object(arith, "_HEU_TRIES", 0):
             assert pgcd(ZZ, x, y) == (g, cx, cy)
+
+
+def _planted(ring, coeffs, v):
+    """t^v times the polynomial of coeffs over ring (ZZ or FP)."""
+    if ring is FP:
+        coeffs = [c % FP.p for c in coeffs]
+    return pnorm(ring, (0,) * v + tuple(coeffs)) if any(coeffs) else ()
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([ZZ, FP]), st.lists(st.integers(-60, 60), max_size=4),
+       st.lists(st.integers(-60, 60), max_size=4), st.lists(st.integers(-9, 9), max_size=3),
+       st.integers(0, 4), st.integers(0, 4))
+def test_pgcd_splits_off_powers_of_t(ring, a, b, h, i, j):
+    """With t^i and t^j planted on the operands (and a common factor h on
+    some draws), the gcd and cofactors equal Euclid's over the field: over
+    GF(p) exactly, over ZZ up to the positive content gcd(cont x, cont y).
+    Constant and monomial operands, c t^m, are among the draws."""
+    x, y = _planted(ring, a, i), _planted(ring, b, j)
+    if h:
+        x, y = pmul(ring, x, _planted(ring, h, 0)), pmul(ring, y, _planted(ring, h, 0))
+    g, cx, cy = pgcd(ring, x, y)
+    if ring is FP:
+        assert (g, cx, cy) == ref_pgcd(FP, x, y)
+    else:
+        fx, fy = _fractions(x), _fractions(y)
+        assert pmonic(QQ, _fractions(g)) == ref_pgcd(QQ, fx, fy)[0]
+        if g:
+            assert g[-1] > 0 and math.gcd(*g) == math.gcd(*x, *y)
+    for p, cp in ((x, cx), (y, cy)):
+        assert ref_pmul(ring, cp, g) == p
+
+
+def _fp_poly(data, length):
+    """A polynomial over FP of exactly length coefficients, some of the low
+    ones zero."""
+    if not length:
+        return ()
+    coeffs = data.draw(st.lists(st.integers(0, FP.p - 1), min_size=length, max_size=length))
+    low = data.draw(st.integers(0, min(3, length - 1)))
+    return tuple([0] * low + coeffs[low:-1] + [coeffs[-1] or 1])
+
+
+@pytest.mark.parametrize("ring", [FP, ZZ], ids=["GF(1000003)", "ZZ"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_poly_kernels_match_field_methods(ring, data):
+    """pmul, pdivmod, padd, psub, pderiv, peval and pmonic on plain ints
+    equal the field-method loops, on both sides of the Kronecker cutoff of
+    pmul (63 and 64 coefficients)."""
+    lengths = st.sampled_from([0, 1, 2, 3, 7, 63, 64, 66])
+    a = _fp_poly(data, data.draw(lengths, label="len a"))
+    b = _fp_poly(data, data.draw(lengths, label="len b"))
+    if ring is ZZ:  # signed coefficients
+        a, b = (tuple(c - FP.p // 2 if c else 0 for c in p[:-1]) + p[-1:] for p in (a, b))
+    x = data.draw(st.integers(0, FP.p - 1), label="x")
+    assert pmul(ring, a, b) == ref_pmul(ring, a, b)
+    assert padd(ring, a, b) == ref_padd(ring, a, b)
+    assert psub(ring, a, b) == ref_psub(ring, a, b)
+    assert psub(ring, a, a) == ()
+    assert pderiv(ring, a) == ref_pderiv(ring, a)
+    assert peval(ring, a, x) == ref_peval(ring, a, x)
+    if ring is FP and b:
+        assert pdivmod(FP, a, b) == ref_pdivmod(FP, a, b)
+        assert pmonic(FP, b) == ref_pgcd(FP, b, ())[0]
 
 
 def test_pderiv_and_peval():

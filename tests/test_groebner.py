@@ -14,6 +14,8 @@ from _oracles import (
 from weylred.arith import QQ_T
 from weylred.cli import main, parse_document
 from weylred.extension import ParametricPresentation, build_extension
+from weylred.kregular import regular_presentation
+from weylred import groebner
 from weylred.groebner import (
     ReducedBasis,
     _autoreduce,
@@ -100,6 +102,40 @@ def test_regular_basis_golden(k3):
     assert _basis_digest(ctx.basis, ctx.order) == (
         "36bdb46380054db47779732a0c1f9eb0f25710eee8259a6076a6fe21c689ce35")
 
+
+
+def _flat_airy_extension():
+    doc = parse_document("vars t x y z\n---\ndx - x^2 + t + z\ndy - 3*y^2 + t + 2*z\n"
+                         "dz + x + 2*y\ndt + x + y\n")
+    return build_extension(ParametricPresentation(doc.algebra, tuple(doc.generators),
+                                                  doc.order))
+
+
+@pytest.mark.parametrize("build, reductions", [
+    (lambda: regular_presentation(4), 4),
+    (lambda: regular_presentation(5), 11),
+    (_flat_airy_extension, 3),
+], ids=["k=4", "k=5", "airy"])
+def test_chain_criterion_skips_s_pairs(build, reductions, monkeypatch):
+    """Buchberger's chain criterion skips the pair (i, j) when some lm(g_k)
+    divides their lcm and neither pair of k with i or j is pending: the
+    S-pair reductions (lrem calls before _autoreduce) go from 5 to 4 for
+    regular_presentation(4) and from 15 to 11 at k = 5, and stay at 3 for
+    an airy-family extension.  The reduced bases are the goldens'."""
+    calls, reduced = [], []
+
+    def counted_lrem(*args, **kwargs):
+        calls.append(args[0])
+        return lrem(*args, **kwargs)
+
+    def counted_autoreduce(G, order):
+        reduced.append(len(calls))
+        return _autoreduce(G, order)
+
+    monkeypatch.setattr(groebner, "lrem", counted_lrem)
+    monkeypatch.setattr(groebner, "_autoreduce", counted_autoreduce)
+    build()
+    assert reduced == [reductions]
 
 
 def test_lrem_golden():

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from _helpers import T, operators, qqt_elements
 from _oracles import compare, gd_irreducibility_oracle
+from test_extension import _cubic_exponential_presentation
 from weylred.arith import QQ, QQ_T
+from weylred.extension import build_extension
 from weylred.groebner import DivisionCertificate, buchberger, lrem
 from weylred.reduction import (
     ReductionContext,
@@ -23,6 +25,7 @@ from weylred.reduction import (
 from weylred.weyl import (
     Algebra,
     Monomial,
+    WeylOperator,
     block_order,
     dtelim_order,
     grevlex,
@@ -210,23 +213,54 @@ def test_witnesses_combine_linearly(airy, u, v, a, b, route_u, route_v):
     assert (cu.scale(a) + cv.scale(b)).verifies(combo)
 
 
-def test_witness_rejects_tampering(airy):
-    """Dropping one quotient or perturbing one dw entry breaks the witness."""
+def _assert_rejects_tampering(x, cert):
+    """cert verifies x, and no longer does once one quotient is dropped, one
+    dw entry is perturbed (or an empty one filled) or 1 is added to one
+    coefficient of x."""
+    A = x.algebra
+    F = A.field
+    assert cert.verifies(x)
+    quotients = [i for i, q in cert.quotients.items() if not q.is_zero()]
+    assert quotients
+    for i in quotients:
+        kept = {k: q for k, q in cert.quotients.items() if k != i}
+        assert not DivisionCertificate(cert.basis, kept, cert.dw).verifies(x)
+    for j, w in enumerate(cert.dw):
+        dw = list(cert.dw)
+        dw[j] = A.one() if w is None else w + A.one()
+        assert not DivisionCertificate(cert.basis, cert.quotients, tuple(dw)).verifies(x)
+    for m, c in x.terms.items():
+        bumped = dict(x.terms)
+        bumped[m] = F.add(c, F.one)
+        assert not cert.verifies(WeylOperator(A, bumped))
+
+
+def test_witness_rejects_tampering(airy, k3):
+    """The check refuses a tampered witness: of y^2 - [y^2] on Airy, of
+    x1^2 - [x1^2] at k = 3, whose coefficients have t-power denominators,
+    and of a division in the t-extended algebra of build_extension, where a
+    quotient with d_t twists the t-dependent coefficients of its element."""
     A = airy.algebra
     y2 = mul(A.xvar(1), A.xvar(1))
     red, cert = reduced_form(y2, airy.ctx)
-    assert cert.verifies(y2 - red)
-    quotients = [i for i, q in cert.quotients.items() if not q.is_zero()]
-    slots = [j for j, w in enumerate(cert.dw) if w is not None and not w.is_zero()]
-    assert quotients and slots
-    for i in quotients:
-        kept = {k: q for k, q in cert.quotients.items() if k != i}
-        assert not DivisionCertificate(cert.basis, kept, cert.dw).verifies(y2 - red)
-    for j in slots:
-        dw = list(cert.dw)
-        dw[j] = dw[j] + A.one()
-        bad = DivisionCertificate(cert.basis, cert.quotients, tuple(dw))
-        assert not bad.verifies(y2 - red)
+    assert any(w is not None and not w.is_zero() for w in cert.dw)
+    _assert_rejects_tampering(y2 - red, cert)
+
+    B = k3.pres.ctx.algebra
+    x2 = mul(B.xvar(0), B.xvar(0))
+    red, cert = reduced_form(x2, k3.pres.ctx)
+    assert any(len(c[1]) > 2 for c in red.terms.values())  # a den t^2
+    _assert_rejects_tampering(x2 - red, cert)
+
+    pres = _cubic_exponential_presentation()
+    ext = build_extension(pres)
+    C = pres.algebra
+    u = mul(C.dvar(0), mul(C.xvar(1), C.xvar(1)))  # d_t x^2
+    rem, cert = lrem(u, ext.gb, pres.order)
+    assert any(m.beta[0] and any(len(n) > 1 or len(d) > 1 for n, d in
+                                 ext.gb[i].terms.values())
+               for i, q in cert.quotients.items() for m in q.terms)
+    _assert_rejects_tampering(u - rem, cert)
 
 
 # ---------------------------------------------------------------------------
