@@ -54,8 +54,7 @@ def one_row(k, args):
         tele = telescope_direct(pres)
         mode = "direct"
     else:
-        cfg = ModularConfig(seed=args.seed, workers=args.workers,
-                            max_points=args.point_budget)
+        cfg = ModularConfig(seed=args.seed, max_points=args.point_budget)
         run = telescope_modular(pres, config=cfg)
         tele = run.telescoper
         mode = f"modular[{len(run.primes_used)}p]"
@@ -79,7 +78,6 @@ def main():
                     help="switch from the direct driver to the modular "
                          "pipeline at this k (default 7)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=ModularConfig.workers)
     ap.add_argument("--point-budget", type=int, default=ModularConfig.max_points,
                     help="evaluation points per reconstructed entry and prime")
     ap.add_argument("--series-terms", type=int, default=12,

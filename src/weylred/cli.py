@@ -616,7 +616,7 @@ def _cmd_reduce(args):
     lines = [f"reduced: {print_operator(red, doc)}"]
     if args.eta:
         eb = compute_eta_basis(ctx, _eta_monomial(args.eta, doc), certificate=False)
-        out = reduce_eta(red, ctx, eb)
+        out, _ = reduce_eta(red, ctx, eb)
         lines.append(f"reduced_eta: {print_operator(out, doc)}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0
@@ -660,8 +660,7 @@ def _modular_config(args):
             seed = int(text)
         except ValueError:
             raise ValueError(f"WEYLRED_SEED must be an integer, got {text!r}") from None
-    return ModularConfig(seed=seed, workers=args.workers,
-                         max_points=args.point_budget)
+    return ModularConfig(seed=seed, max_points=args.point_budget)
 
 
 def _cmd_telescope(args):
@@ -818,7 +817,6 @@ def main(argv=None):
     p.add_argument("--mode", choices=("direct", "modular"), default="direct")
     p.add_argument("--rho", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=ModularConfig.workers)
     p.add_argument("--point-budget", type=int, default=ModularConfig.max_points)
     p.add_argument("--degree-ceiling", type=int, default=40)
     p.add_argument("--metrics", default=None)
@@ -832,7 +830,6 @@ def main(argv=None):
     p.add_argument("--modular", action="store_true")
     p.add_argument("--rho", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=ModularConfig.workers)
     p.add_argument("--point-budget", type=int, default=ModularConfig.max_points)
     p.add_argument("--series-check", type=int, default=None)
     p.add_argument("--count-check", type=int, default=None)

@@ -250,14 +250,12 @@ def _eliminate(op, rows, certificate):
 def reduce_eta(a, ctx, basis: EtaBasis, certificate=False):
     """The strengthened reduction [a]_eta = Eliminate([a], rows of the basis).
 
-    Returns the operator, or (operator, cert) when certificate=True; cert
-    witnesses a - [a]_eta in S + dW^r.
+    Returns ([a]_eta, cert); cert witnesses a - [a]_eta in S + dW^r and is
+    None when certificate=False.
     """
     red, cert = reduced_form(a, ctx, certificate=certificate)
     red, sub = _eliminate(red, basis.rows, certificate)
-    if certificate:
-        return red, cert + sub
-    return red
+    return red, (cert + sub if certificate else None)
 
 
 # ---------------------------------------------------------------------------

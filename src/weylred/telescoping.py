@@ -57,11 +57,11 @@ the same path through the same operations.  Every vote and point goes
 through _solved, which replays where the tape allows it and otherwise
 evaluates all the inputs and runs _solve_at itself; either way gives the
 same Confinement and (g_0, M).  The tapes live in one telescope_modular
-call; the threads of a wave only read them.
+call, which solves its primes one after another on the calling thread.
 
-ModularConfig holds only what a caller sets: the seed, the threads per
-wave and the point budget.  The prime budget, the vote sizes and the point
-skips allowed are the constants _MIN_PRIMES .. _MAX_PRIMES below.
+ModularConfig holds only what a caller sets: the seed and the point
+budget.  The prime budget, the vote sizes and the point skips allowed are
+the constants _MIN_PRIMES .. _MAX_PRIMES below.
 """
 
 from __future__ import annotations
@@ -253,9 +253,8 @@ class _ReducedForms:
         """[a]_eta, for a = f (m None) or a = L(m)."""
         got = self._at.get((eta, m))
         if got is None:
-            got = reduce_eta(self._form(m)[1], self.ctx, self.basis(eta),
-                             self.certificate)
-            got = self._at[eta, m] = got if self.certificate else (got, None)
+            got = self._at[eta, m] = reduce_eta(self._form(m)[1], self.ctx,
+                                                self.basis(eta), self.certificate)
         return got[0]
 
     def witnessed(self, eta, m):
@@ -531,7 +530,7 @@ def telescope_direct(pres: DerivedPresentation, rho=1, degree_ceiling=40):
 # modular driver
 
 
-_MIN_PRIMES = 2  # primes in the first wave; CRT needs two of one shape
+_MIN_PRIMES = 2  # primes solved before the first CRT; it needs two of one shape
 _TRACER_VOTES = 3  # (prime, point) pairs that vote on the reference
 _VOTE_ROUNDS = 3  # vote rounds before the election is given up
 _MAX_POINT_TRIES = 64  # skipped points before a prime or a vote is given up
@@ -542,21 +541,19 @@ class ModularConfig(Record):
     """Settings of one modular run.
 
     seed: seeds every random choice, so it fixes the transcript.
-    workers: threads per wave of primes; the transcript does not depend on it.
     max_points: points one reconstructed entry may use per prime.
     """
 
-    _fields = ("seed", "workers", "max_points")
+    _fields = ("seed", "max_points")
     __hash__ = None
     seed = 0
-    workers = 4
     max_points = 2048
 
-    def __init__(self, seed=seed, workers=workers, max_points=max_points):
-        for name, value in (("workers", workers), ("max_points", max_points)):
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-        self.seed, self.workers, self.max_points = seed, workers, max_points
+    # workers is ignored; it is accepted only because weylbench/worker.py still passes it
+    def __init__(self, seed=seed, max_points=max_points, *, workers=None):
+        if max_points < 1:
+            raise ValueError(f"max_points must be at least 1, got {max_points}")
+        self.seed, self.max_points = seed, max_points
 
 
 # The tallies of ModularRun.replays.
@@ -683,7 +680,7 @@ class _Tape:
     the t-dependent inputs at one point of that prime, runs the point part
     and checks the rest.  Either returns None when something differs, and
     the caller then takes the generic path.  Once recorded, a tape is only
-    read, so threads may share it.
+    read.
     """
 
     zero = 0
@@ -1075,9 +1072,10 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
     """Telescoper over Q by per-prime evaluation/interpolation and CRT lifting.
 
     Returns a ModularRun carrying the telescoper, a deterministic transcript
-    (a fixed seed yields byte-identical transcripts regardless of worker
-    count), and the primes kept/discarded.  The telescoper is returned only
-    once an independent prime reproduces its canonical image.
+    (a fixed seed yields a byte-identical transcript), and the primes
+    kept/discarded.  The primes are solved one at a time, in index order,
+    on the calling thread.  The telescoper is returned only once an
+    independent prime reproduces its canonical image.
     """
     cfg = config or ModularConfig()
     log = [f"seed {cfg.seed} rho {rho}"]
@@ -1112,22 +1110,14 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
     next_idx = 0
 
     def run_wave(count):
+        """Solve the next count primes in index order, on this thread."""
         nonlocal next_idx
-        wave = [(next_idx + i, next(fields)) for i in range(count)]
-        next_idx += count
-        tallies = {i: Counter() for i, _ in wave}  # one per thread
-        # imported here, so that importing this module loads no thread pool
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futs = {
-                i: pool.submit(_prime_relation, pres, rho, ref, recording, Fp, i,
-                               cfg, tallies[i])
-                for i, Fp in wave
-            }
-        for i, Fp in wave:
-            counts.update(tallies[i])
+        for _ in range(count):
+            i, Fp = next_idx, next(fields)
+            next_idx += 1
             try:
-                results.append(futs[i].result())
+                results.append(_prime_relation(pres, rho, ref, recording, Fp, i,
+                                               cfg, counts))
             except (UnluckyEvaluationError, BudgetExhaustedError) as e:
                 discarded.append(Fp.p)
                 results.append({"idx": i, "prime": Fp.p, "rel": None,

@@ -674,9 +674,13 @@ def test_value_classes_compare_and_hash_by_fields():
 
 
 def test_modular_config_defaults_on_the_class():
-    """The CLI and scripts read the --workers default off the class."""
-    assert (ModularConfig.seed, ModularConfig.workers, ModularConfig.max_points) \
-        == (0, 4, 2048)
-    assert ModularConfig() == ModularConfig(0, 4, 2048) != ModularConfig(seed=1)
+    """The CLI and scripts read the --point-budget default off the class.  A
+    workers keyword is accepted and ignored."""
+    assert ModularConfig._fields == ("seed", "max_points")
+    assert (ModularConfig.seed, ModularConfig.max_points) == (0, 2048)
+    assert ModularConfig() == ModularConfig(0, 2048) != ModularConfig(seed=1)
+    ignored = [ModularConfig(seed=3, workers=w) for w in (0, 1, 2)]
+    assert ignored == [ModularConfig(seed=3)] * 3
+    assert repr(ignored[2]) == "ModularConfig(seed=3, max_points=2048)"
     with pytest.raises(TypeError):
         hash(ModularConfig())

@@ -255,7 +255,7 @@ def _assert_drivers_agree(f, g):
     annihilates the pairing's series."""
     pres = scalar_product_presentation(scalar_product_input(f, g, 2))
     tel = telescope_direct(pres)
-    run = telescope_modular(pres, config=ModularConfig(seed=0, workers=1))
+    run = telescope_modular(pres, config=ModularConfig(seed=0))
     assert run.telescoper == tel
     series = scalar_product_series(f, g, tel.order + max(tel.degrees) + 2)
     assert verify_ode_on_series(tel, series)
@@ -292,7 +292,7 @@ def test_premature_reconstruction_takes_more_primes():
     f = {(3, 0): Fraction(2), (2, 0): Fraction(-3), (0, 2): Fraction(1)}
     g = {(1, 1): Fraction(3)}
     pres = scalar_product_presentation(scalar_product_input(f, g, 2))
-    run = telescope_modular(pres, config=ModularConfig(seed=0, workers=1))
+    run = telescope_modular(pres, config=ModularConfig(seed=0))
     assert run.telescoper == telescope_direct(pres)
     assert "  disagrees with the reconstruction from 2 primes: kept" in run.transcript
     assert len(run.primes_used) == 3
@@ -354,7 +354,7 @@ def test_kregular_table_script():
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, str(root / "scripts" / "kregular_table.py"), "--max-k", "3",
-         "--modular-from", "3", "--workers", "1", "--series-terms", "8"],
+         "--modular-from", "3", "--series-terms", "8"],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import re
+import threading
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -86,13 +87,13 @@ def assert_effective(conf, ctx, L, f, rho):
     margin = conf.eta.degree() - rho
     for i, m in enumerate(conf.B):
         assert m.degree() <= margin
-        img = reduce_eta(apply_linear(L, WeylOperator(A, {m: A.field.one})), ctx, basis_e)
+        img, _ = reduce_eta(apply_linear(L, WeylOperator(A, {m: A.field.one})), ctx, basis_e)
         assert set(img.support()) <= Bset
         vec = [A.field.zero] * len(conf.B)
         for mm, c in img.terms.items():
             vec[index[mm]] = c
         assert tuple(vec) == matrix[i]
-    g0 = reduce_eta(f, ctx, basis_e)
+    g0, _ = reduce_eta(f, ctx, basis_e)
     assert set(g0.support()) <= Bset
     vec = [A.field.zero] * len(conf.B)
     for mm, c in g0.terms.items():
@@ -409,30 +410,46 @@ def test_modular_matches_direct(airy, problem):
     pres = airy.pres if problem == "airy" else _module_presentation(
         parse_document(airy_family_document(*problem)))
     tel = telescope_direct(pres, rho=1)
-    run = telescope_modular(pres, rho=1, config=ModularConfig(seed=7, workers=2))
+    run = telescope_modular(pres, rho=1, config=ModularConfig(seed=7))
     assert run.telescoper == tel
     assert run.primes_used and not run.primes_discarded
 
 
 def test_modular_transcript_worker_independent(airy):
-    cfg2 = ModularConfig(seed=7, workers=2)
-    cfg1 = ModularConfig(seed=7, workers=1)
-    run2 = telescope_modular(airy.pres, rho=1, config=cfg2)
-    run1 = telescope_modular(airy.pres, rho=1, config=cfg1)
+    """Two runs of one seed give the same transcript and telescoper."""
+    cfg = ModularConfig(seed=7)
+    run2 = telescope_modular(airy.pres, rho=1, config=cfg)
+    run1 = telescope_modular(airy.pres, rho=1, config=cfg)
     assert run2.transcript == run1.transcript
     assert run2.telescoper == run1.telescoper
 
 
+def test_modular_solves_every_prime_on_the_calling_thread(airy):
+    """Every wave prime and the consistency prime run _prime_relation on the
+    thread that called telescope_modular, so a profiler enabled there sees
+    every prime solve."""
+    solve, threads = telescoping._prime_relation, []
+
+    def spy(*args):
+        threads.append(threading.get_ident())
+        return solve(*args)
+
+    with mock.patch.object(telescoping, "_prime_relation", spy):
+        run = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7))
+    assert len(threads) >= 3 and set(threads) == {threading.get_ident()}
+    assert run.telescoper == telescope_direct(airy.pres, rho=1)
+
+
 def test_modular_seed_independent_result(airy):
-    a = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
-    b = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=8, workers=2))
+    a = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7))
+    b = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=8))
     assert a.telescoper == b.telescoper
     assert a.transcript != b.transcript  # different primes were drawn
 
 
 def test_modular_k3(k3):
     tel = telescope_direct(k3.pres, rho=1)
-    run = telescope_modular(k3.pres, rho=1, config=ModularConfig(seed=0, workers=2))
+    run = telescope_modular(k3.pres, rho=1, config=ModularConfig(seed=0))
     assert run.telescoper == tel
 
 
@@ -466,7 +483,7 @@ def test_modular_builds_one_field_per_prime(airy):
     with mock.patch.object(PrimeField, "__init__", autospec=True,
                            side_effect=PrimeField.__init__) as built:
         run = telescope_modular(airy.pres, rho=1,
-                                config=ModularConfig(seed=7, workers=1))
+                                config=ModularConfig(seed=7))
     named = _named_primes(run.transcript)
     assert set(run.primes_used) < named
     assert 0 < built.call_count <= len(named)
@@ -476,7 +493,7 @@ def test_modular_verifies_each_drawn_prime_once(airy):
     """Each prime the transcript names went through is_prime exactly once."""
     with mock.patch.object(arith, "is_prime", side_effect=arith.is_prime) as tested:
         run = telescope_modular(airy.pres, rho=1,
-                                config=ModularConfig(seed=7, workers=1))
+                                config=ModularConfig(seed=7))
     calls = [c.args[0] for c in tested.call_args_list]
     named = _named_primes(run.transcript)
     assert named and all(calls.count(p) == 1 for p in named)
@@ -508,7 +525,7 @@ def test_generic_eta_basis_runs_once_per_solve(airy, k3, name):
             mock.patch.object(telescoping, "confine", side_effect=confine) as confined, \
             mock.patch.object(telescoping._Tape, "replay", counted_replay):
         run = telescope_modular(pres, rho=1,
-                                config=ModularConfig(seed=seed, workers=1))
+                                config=ModularConfig(seed=seed))
     etas = [c.args[1] for c in eta.call_args_list]
     votes = [line for line in run.transcript if line.startswith("vote ")]
     nb = int(re.search(r"\|B\|=(\d+)", votes[0]).group(1))
@@ -558,7 +575,7 @@ def test_each_point_evaluated_once(airy, k3, name):
     with a flipped guard) evaluate each input operator once."""
     pres = {"airy": airy.pres, "k3": k3.pres}[name]
     ninputs = len(telescoping._inputs(pres))
-    cfg = ModularConfig(seed=0, workers=1)
+    cfg = ModularConfig(seed=0)
 
     def run():
         evaluated = Counter()
@@ -717,7 +734,7 @@ def test_tampered_tape_falls_back_to_generic_path(airy, tamper):
     input marked absent, which is nonzero at every point) sends the two
     later votes and every point to _solve_at, with the same transcript and
     telescoper."""
-    cfg = ModularConfig(seed=7, workers=1)
+    cfg = ModularConfig(seed=7)
     good = telescope_modular(airy.pres, rho=1, config=cfg)
     with _tampered_recording(tamper), \
             mock.patch.object(telescoping, "_solve_at",
@@ -738,7 +755,7 @@ def test_unlucky_points_match_generic_path(airy):
     the bound inputs of that prime get a denominator that vanishes at both
     points, so replay refuses there and the generic evaluation fails; on
     the generic path the evaluation fails at both."""
-    cfg = ModularConfig(seed=7, workers=1)
+    cfg = ModularConfig(seed=7)
     good = telescope_modular(airy.pres, rho=1, config=cfg)
     p0 = next(int(line.split()[1]) for line in good.transcript
               if line.startswith("prime[0] "))
@@ -800,9 +817,9 @@ def test_recorded_values_refuse_branching():
 
 
 def test_fault_injected_tracer_vote_outvoted(airy):
-    good = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
+    good = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7))
     with outvoted_tracer_vote():
-        run = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
+        run = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7))
     assert run.telescoper == good.telescoper
     assert any("majority kept" in line for line in run.transcript)
 
@@ -810,7 +827,7 @@ def test_fault_injected_tracer_vote_outvoted(airy):
 def test_outvoted_first_vote_records_again(airy):
     """When the first vote loses the election, the elected vote's point
     records a second tape, and every point replays that one."""
-    cfg = ModularConfig(seed=7, workers=1)
+    cfg = ModularConfig(seed=7)
     good = telescope_modular(airy.pres, rho=1, config=cfg)
     with outvoted_first_vote():
         run = telescope_modular(airy.pres, rho=1, config=cfg)
@@ -839,7 +856,7 @@ def test_wrong_election_returns_no_telescoper(airy, replays):
             mock.patch.object(telescoping._Tape, "bind",
                               telescoping._Tape.bind if replays else NoTape.bind), \
             pytest.raises(BudgetExhaustedError, match="no reconstruction"):
-        telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=1))
+        telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7))
 
 
 def test_vote_prime_dividing_a_denominator_is_discarded():
@@ -849,7 +866,7 @@ def test_vote_prime_dividing_a_denominator_is_discarded():
     one.  1339438039 is the first prime that seed 0 draws."""
     p = 1339438039
     pres = _module_presentation(parse_document(vote_prime_document(p)))
-    run = telescope_modular(pres, rho=1, config=ModularConfig(seed=0, workers=1))
+    run = telescope_modular(pres, rho=1, config=ModularConfig(seed=0))
     assert run.transcript[1].startswith(f"vote prime={p} discarded: denominator ")
     assert run.transcript[1].endswith(f" divisible by {p}")
     assert run.primes_discarded == (p,) and p not in run.primes_used
@@ -857,9 +874,9 @@ def test_vote_prime_dividing_a_denominator_is_discarded():
 
 
 def test_fault_injected_prime_discarded(airy):
-    good = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
+    good = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7))
     with discarded_prime():
-        run = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7, workers=2))
+        run = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7))
     assert run.telescoper == good.telescoper
     assert f"shape reject prime {run.primes_discarded[0]}" in run.transcript
 
@@ -867,7 +884,7 @@ def test_fault_injected_prime_discarded(airy):
 def test_consistency_prime_out_of_points_is_discarded(airy):
     """A consistency prime whose fits exhaust max_points goes to
     primes_discarded, and the next prime checks the reconstruction."""
-    cfg = ModularConfig(seed=7, workers=1)
+    cfg = ModularConfig(seed=7)
     good = telescope_modular(airy.pres, rho=1, config=cfg)
     check = int(re.fullmatch(r"consistency prime (\d+) ok", good.transcript[-1])[1])
     real = telescoping._prime_relation

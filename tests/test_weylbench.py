@@ -59,7 +59,7 @@ def test_tracer_splits_modular_airy_family(monkeypatch):
     pres = worker.airy_presentation(worker.airy_document(*worker.airy_triples(1)[0]))
     with tracer.Tracer() as tr:
         run = telescoping.telescope_modular(
-            pres, config=telescoping.ModularConfig(seed=0, workers=1))
+            pres, config=telescoping.ModularConfig(seed=0))
     metrics = tracer.layer_metrics(tr.spans)
     assert run.replays["tapes_recorded"] == 1
     assert metrics["telescoping.confine.calls"] > 0
@@ -84,7 +84,7 @@ def test_tracer_counts_full_evaluations_off_the_tape(monkeypatch, replays):
     pres = worker.airy_presentation(worker.airy_document(*worker.airy_triples(1)[0]))
     with tracer.Tracer() as tr:
         run = telescoping.telescope_modular(
-            pres, config=telescoping.ModularConfig(seed=0, workers=1))
+            pres, config=telescoping.ModularConfig(seed=0))
     metrics = tracer.layer_metrics(tr.spans)
     assert not any("discard" in line for line in run.transcript)
     counts = run.replays
