@@ -208,9 +208,6 @@ def rrem(a, certificate=True):
         c = work.pop(m, None)
         if c is None:
             continue
-        if not any(m.beta):
-            work[m] = c
-            continue
         i = next(j for j, b in enumerate(m.beta) if b)
         lower_beta = tuple(b - (1 if j == i else 0) for j, b in enumerate(m.beta))
         m1 = Monomial(m.alpha, lower_beta, m.comp)

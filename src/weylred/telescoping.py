@@ -13,7 +13,7 @@ each eta-basis and each [a]_eta of one solve, so nothing is reduced or
 built twice.  confine's final round at eta leaves [f]_eta and each
 [L(m)]_eta, m in B, inside Span(B); _reduced_system reads their
 coordinates over B off the table as g_0 and the matrix M, and
-relation_search (_RelationFinder) finds the first relation on the chain
+relation_search finds the first relation on the chain
 g_{i+1} = dg_i/dt + g_i . M (derivative_sequence).
 telescope_direct does this over Q(t) on a certified table and certifies
 its answer exactly: each of the 1 + |B| reductions is witnessed by a
@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import operator
 import random
-from collections import Counter
 
 from .arith import (
     AbscissaTable,
@@ -359,53 +358,33 @@ def derivative_sequence(F, g0, matrix):
 # linear relation search over a coefficient field
 
 
-class _RelationFinder:
-    """Incremental echelon form with transform tracking over a field F."""
-
-    def __init__(self, F, dim):
-        self.F = F
-        self.dim = dim
-        self.rows = []  # (vector list, combination list)
-        self.count = 0
-
-    def push(self, vec):
-        """Insert the next vector; return relation coefficients if dependent."""
-        F = self.F
-        if len(vec) != self.dim:
-            raise ValueError(f"vector has length {len(vec)}, expected {self.dim}")
-        v = list(vec)
-        comb = [F.zero] * self.count + [F.one]
-        for pivot_col, row, rcomb in self.rows:
-            c = v[pivot_col]
-            if not F.is_zero(c):
-                for j in range(self.dim):
-                    v[j] = F.sub(v[j], F.mul(c, row[j]))
-                for j in range(len(rcomb)):
-                    comb[j] = F.sub(comb[j], F.mul(c, rcomb[j]))
-        self.count += 1
-        pivot = next((j for j in range(self.dim) if not F.is_zero(v[j])), None)
-        if pivot is None:
-            return tuple(comb)
-        inv = F.inv(v[pivot])
-        v = [F.mul(inv, c) for c in v]
-        comb = [F.mul(inv, c) for c in comb]
-        self.rows.append((pivot, v, comb))
-        return None
-
-
 def relation_search(F, vectors):
     """First linear dependency among the prefix of the vectors, or None.
 
     Returns coefficients (c_0 .. c_N) in F with c_N = 1 for the minimal N
     such that g_0..g_N are dependent; None when all vectors are independent.
-    The vectors are consumed lazily: none after g_N is drawn.
+    The vectors are consumed lazily: none after g_N is drawn.  An
+    incremental echelon form tracks how each row combines the vectors.
     """
-    finder = None
-    for vec in vectors:
-        finder = finder or _RelationFinder(F, len(vec))
-        rel = finder.push(vec)
-        if rel is not None:
-            return rel
+    dim, rows = None, []  # rows: (pivot column, vector, combination)
+    for n, vec in enumerate(vectors):
+        dim = len(vec) if dim is None else dim
+        if len(vec) != dim:
+            raise ValueError(f"vector has length {len(vec)}, expected {dim}")
+        v = list(vec)
+        comb = [F.zero] * n + [F.one]
+        for pivot_col, row, rcomb in rows:
+            c = v[pivot_col]
+            if not F.is_zero(c):
+                for j in range(dim):
+                    v[j] = F.sub(v[j], F.mul(c, row[j]))
+                for j in range(len(rcomb)):
+                    comb[j] = F.sub(comb[j], F.mul(c, rcomb[j]))
+        pivot = next((j for j in range(dim) if not F.is_zero(v[j])), None)
+        if pivot is None:
+            return tuple(comb)
+        inv = F.inv(v[pivot])
+        rows.append((pivot, [F.mul(inv, c) for c in v], [F.mul(inv, c) for c in comb]))
     return None
 
 
@@ -972,55 +951,51 @@ def _interpolated_system(points, Fp, nb, cfg):
     return g0, rows
 
 
+def _shape(rel):
+    """The order and the coefficient degrees of a prime's relation."""
+    return len(rel) - 1, tuple(pdeg(c) for c in rel)
+
+
 def _prime_relation(pres, rho, ref, recording, Fp, idx, cfg, counts):
-    """The relation modulo the prime of Fp, content-free with c_N monic,
-    with its local transcript: the first relation on the
-    derivative_sequence of the (g0, matrix) interpolated over F_p(t).
-    rho, ref, recording and counts as in _usable_points."""
+    """(p, relation, log) at the prime p of Fp: the first relation on the
+    derivative_sequence of the (g0, matrix) interpolated over F_p(t),
+    content-free with c_N monic, and the prime's transcript.  A prime that
+    runs out of usable points or of point budget is given up: its relation
+    is None and its log gives the reason.  rho, ref, recording and counts
+    as in _usable_points."""
     prime = Fp.p
     log = [f"prime[{idx}] {prime}"]
     rng = random.Random(f"{cfg.seed}/prime/{idx}")
     points = _SamplePool(_usable_points(pres, rho, ref, recording, Fp, rng, log,
                                         counts).__next__)
+    try:
+        g0, matrix = _interpolated_system(points, Fp, len(ref.B), cfg)
+    except (UnluckyEvaluationError, BudgetExhaustedError) as e:
+        return prime, None, [log[0], f"  discarded: {e}"]
     F = RationalFunctions(Fp)
-    g0, matrix = _interpolated_system(points, Fp, len(ref.B), cfg)
     rel = relation_search(F, derivative_sequence(F, g0, matrix))
     rel = _normalize_modp_relation(Fp, _clear_denominators(F.ring, rel))
-    log.append(f"  points={len(points.samples)} N={len(rel) - 1} "
-               f"degs={tuple(pdeg(c) for c in rel)}")
-    return {"idx": idx, "prime": prime, "rel": rel,
-            "shape": (len(rel) - 1, tuple(pdeg(c) for c in rel)), "log": log}
-
-
-def _vote(pres, Fp, a, rho, degree_ceiling, recorded, counts):
-    """The Confinement of one vote of _elect_reference, at t = a over Fp.
-
-    Every vote goes through here.  recorded is empty until the first usable
-    vote, which records _solve_at there (_record) and appends its
-    (tape, Confinement).  Every later vote replays that tape at its point,
-    and returns the recorded Confinement when every input coefficient and
-    guard matches: it holds only monomials, so the same branch path gives
-    the same Confinement.  Otherwise the vote runs _solve_at at its point
-    (_solved).
-    """
-    if not recorded:
-        recorded.append(_record(pres, Fp, a, rho, degree_ceiling, counts))
-        return recorded[0][1]
-    return _solved(pres, recorded[0], recorded[0][0].bind(Fp), Fp, a, rho,
-                   degree_ceiling, counts, "votes")[0]
+    order, degs = _shape(rel)
+    log.append(f"  points={len(points.samples)} N={order} degs={degs}")
+    return prime, rel, log
 
 
 def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts, discarded):
     """The Confinement that a majority of _TRACER_VOTES votes returns, each
     vote at a point of the next prime field drawn from fields, and the
-    (tape, Confinement) that every prime point replays: the recording of
-    the first vote (_vote), or, when that vote lost the election, one
-    recorded at the point of the first vote that returned the elected
-    Confinement.  A vote skips unlucky points; a prime that fails at every
-    point (an input denominator that p divides) is logged, appended to
-    discarded, and the vote draws the next prime.  counts tallies the votes
-    and the tapes."""
-    recorded = []
+    (tape, Confinement) that every prime point replays.
+
+    The first usable vote records _solve_at at its point (_record).  Every
+    later vote replays that tape at its point (_solved) and returns the
+    recorded Confinement when every input coefficient and guard matches:
+    it holds only monomials, so the same branch path gives the same
+    Confinement.  Otherwise the vote runs _solve_at at its point.  When
+    the first vote loses the election, a second tape is recorded at the
+    point of the first vote that returned the elected Confinement.  A vote
+    skips unlucky points; a prime that fails at every point (an input
+    denominator that p divides) is logged, appended to discarded, and the
+    vote draws the next prime.  counts tallies the votes and the tapes."""
+    recording = None
     for round_no in range(_VOTE_ROUNDS):
         votes = []
         for v in range(_TRACER_VOTES):
@@ -1032,7 +1007,12 @@ def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts, discar
                 for _ in range(_MAX_POINT_TRIES):
                     a = vote_rng.randrange(1, prime)
                     try:
-                        conf = _vote(pres, Fp, a, rho, degree_ceiling, recorded, counts)
+                        if recording is None:
+                            recording = _record(pres, Fp, a, rho, degree_ceiling, counts)
+                            conf = recording[1]
+                        else:
+                            conf = _solved(pres, recording, recording[0].bind(Fp), Fp, a,
+                                           rho, degree_ceiling, counts, "votes")[0]
                     except UnluckyEvaluationError as e:
                         if not e.prime_level:
                             continue
@@ -1051,9 +1031,9 @@ def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts, discar
             if confs.count(conf) * 2 > len(confs):
                 log.append("votes agree" if confs.count(conf) == len(confs)
                            else "votes split, majority kept")
-                if recorded[0][1] != conf:  # the first vote lost
-                    recorded[0] = _record(pres, Fp, a, rho, degree_ceiling, counts)
-                return conf, recorded[0]
+                if recording[1] != conf:  # the first vote lost
+                    recording = _record(pres, Fp, a, rho, degree_ceiling, counts)
+                return conf, recording
         log.append("votes inconclusive, new round")
     raise InconsistencyError("tracer votes never reached a majority")
 
@@ -1067,6 +1047,48 @@ def _reduce_canonical_mod(coeffs, Fp):
     return _normalize_modp_relation(Fp, polys)
 
 
+def _prime_fields(rng):
+    """Distinct primes drawn from rng, each verified once into the
+    PrimeField that all of its votes, points and checks share."""
+    seen = set()
+    while True:
+        Fp = random_prime_field(rng)
+        if Fp.p not in seen:
+            seen.add(Fp.p)
+            yield Fp
+
+
+def _lift(results):
+    """(coefficients, kept primes, shape rejects) from the (p, relation or
+    None, log) triples of results: the relations of the most common
+    _shape (on a tie, the first in str order) lifted coefficient by
+    coefficient to Q by CRT and rational reconstruction and made
+    primitive, their primes, and the primes whose relation has another
+    shape, in results order.  None when fewer than two primes share that
+    shape or a coefficient does not reconstruct."""
+    shapes = {}
+    for p, rel, _ in results:
+        if rel is not None:
+            shapes.setdefault(_shape(rel), []).append((p, rel))
+    if not shapes:
+        return None
+    best = max(sorted(shapes, key=str), key=lambda s: len(shapes[s]))
+    kept = shapes[best]
+    if len(kept) < 2:
+        return None
+    coeffs = []
+    for ci, deg in enumerate(best[1]):
+        poly = []
+        for d in range(deg + 1):
+            fr = rational_reconstruct(*crt_combine([(rel[ci][d], p) for p, rel in kept]))
+            if fr is None:
+                return None
+            poly.append(fr)
+        coeffs.append(pnorm(QQ, tuple(poly)))
+    rejects = [p for p, rel, _ in results if rel is not None and _shape(rel) != best]
+    return _primitive_positive(coeffs), [p for p, _ in kept], rejects
+
+
 def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = None,
                       degree_ceiling=40):
     """Telescoper over Q by per-prime evaluation/interpolation and CRT lifting.
@@ -1074,137 +1096,62 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
     Returns a ModularRun carrying the telescoper, a deterministic transcript
     (a fixed seed yields a byte-identical transcript), and the primes
     kept/discarded.  The primes are solved one at a time, in index order,
-    on the calling thread.  The telescoper is returned only once an
-    independent prime reproduces its canonical image.
+    on the calling thread: waves of two until their relations lift (_lift),
+    then consistency primes, and the telescoper is returned only once an
+    independent prime reproduces its canonical image.  A consistency prime
+    that disagrees shows the reconstruction was premature (rational
+    reconstruction can succeed spuriously on too few primes), so its
+    relation joins the others, the lift is tried again and more waves
+    follow while it fails.
     """
     cfg = config or ModularConfig()
     log = [f"seed {cfg.seed} rho {rho}"]
-
-    prime_rng = random.Random(f"{cfg.seed}/primes")
-    seen_primes = set()
-
-    def prime_fields():
-        """Distinct primes, each verified once into the PrimeField that all
-        of its points share."""
-        while True:
-            Fp = random_prime_field(prime_rng)
-            if Fp.p not in seen_primes:
-                seen_primes.add(Fp.p)
-                yield Fp
-
-    fields = prime_fields()
-    counts = Counter()
-
-    def replays():
-        return {name: counts[name] for name in _REPLAY_COUNTS}
-
+    fields = _prime_fields(random.Random(f"{cfg.seed}/primes"))
+    counts = dict.fromkeys(_REPLAY_COUNTS, 0)
     discarded = []
     ref, recording = _elect_reference(pres, rho, cfg, fields, log, degree_ceiling,
                                       counts, discarded)
     if not ref.B:
         log.append("empty confinement: unit telescoper")
-        return ModularRun(Telescoper(((1,),)), tuple(log), (), tuple(discarded),
-                          replays())
+        return ModularRun(Telescoper(((1,),)), tuple(log), (), tuple(discarded), counts)
 
-    results = []  # in increasing idx
-    next_idx = 0
-
-    def run_wave(count):
-        """Solve the next count primes in index order, on this thread."""
-        nonlocal next_idx
-        for _ in range(count):
-            i, Fp = next_idx, next(fields)
-            next_idx += 1
-            try:
-                results.append(_prime_relation(pres, rho, ref, recording, Fp, i,
-                                               cfg, counts))
-            except (UnluckyEvaluationError, BudgetExhaustedError) as e:
-                discarded.append(Fp.p)
-                results.append({"idx": i, "prime": Fp.p, "rel": None,
-                                "log": [f"prime[{i}] {Fp.p}", f"  discarded: {e}"]})
-
-    def merged_candidate():
-        good = [r for r in results if r["rel"] is not None]
-        if len(good) < 2:
-            return None
-        shapes = {}
-        for r in good:
-            shapes.setdefault(r["shape"], []).append(r)
-        best_shape = max(sorted(shapes, key=str), key=lambda s: len(shapes[s]))
-        kept = shapes[best_shape]
-        if len(kept) < 2:
-            return None
-        n_order, degs = best_shape
-        coeffs = []
-        for ci in range(n_order + 1):
-            poly = []
-            for d in range(degs[ci] + 1):
-                residues = [(r["rel"][ci][d] if d < len(r["rel"][ci]) else 0,
-                             r["prime"]) for r in kept]
-                v, modulus = crt_combine(residues)
-                fr = rational_reconstruct(v, modulus)
-                if fr is None:
-                    return None
-                poly.append(fr)
-            coeffs.append(pnorm(QQ, tuple(poly)))
-        if not coeffs[-1]:
-            return None
-        return _primitive_positive(coeffs), [r["prime"] for r in kept], \
-            [r for r in good if r["shape"] != best_shape]
-
-    check_discards = []  # consistency primes that could not check a candidate
-
-    def consistency_relation(coeffs):
-        """The relation at the next prime that can check coeffs, and whether
-        it is the canonical image of coeffs there."""
-        nonlocal next_idx
-        while True:
-            check_idx, check_field = next_idx, next(fields)
-            next_idx += 1
-            if next_idx > _MAX_PRIMES + 4:
+    results = []  # the wave primes and the disagreeing consistency primes
+    unchecked = []  # the consistency primes that could not check the candidate
+    candidate, wave = None, _MIN_PRIMES
+    for idx, Fp in enumerate(fields):
+        if candidate is None:  # a wave prime
+            results.append(_prime_relation(pres, rho, ref, recording, Fp, idx, cfg,
+                                           counts))
+            wave -= 1
+            if wave:
+                continue
+        else:  # a consistency prime
+            if idx >= _MAX_PRIMES + 4:
                 raise BudgetExhaustedError("consistency check never completed")
-            expected = _reduce_canonical_mod(coeffs, check_field)
-            if expected is None:
-                check_discards.append(check_field.p)
+            expected = _reduce_canonical_mod(candidate[0], Fp)
+            got = None if expected is None else _prime_relation(
+                pres, rho, ref, recording, Fp, idx, cfg, counts)
+            if got is None or got[1] is None:
+                unchecked.append(Fp.p)
                 continue
-            try:
-                got = _prime_relation(pres, rho, ref, recording, check_field,
-                                      check_idx, cfg, counts)
-            except (UnluckyEvaluationError, BudgetExhaustedError):
-                check_discards.append(check_field.p)
-                continue
-            return got, got["rel"] == expected
-
-    # reconstruct, then confirm at an independent prime; a prime that
-    # disagrees shows the reconstruction was premature (rational
-    # reconstruction can succeed spuriously on too few primes), so its
-    # relation joins the others and more primes follow
-    run_wave(_MIN_PRIMES)
-    while True:
-        candidate = merged_candidate()
-        if candidate is None:
-            if next_idx >= _MAX_PRIMES:
-                raise BudgetExhaustedError(f"no reconstruction after {next_idx} primes")
-            run_wave(min(2, _MAX_PRIMES - next_idx))
-            continue
-        got, agrees = consistency_relation(candidate[0])
-        if agrees:
-            break
-        got["log"].append(f"  disagrees with the reconstruction from "
+            if got[1] == expected:
+                break
+            got[2].append(f"  disagrees with the reconstruction from "
                           f"{len(candidate[1])} primes: kept")
-        results.append(got)
+            results.append(got)
+        candidate = _lift(results)
+        if candidate is None:
+            if idx + 1 >= _MAX_PRIMES:
+                raise BudgetExhaustedError(f"no reconstruction after {idx + 1} primes")
+            wave = min(2, _MAX_PRIMES - idx - 1)
 
-    coeffs, kept_primes, shape_rejects = candidate
-    for r in results:
-        log.extend(r["log"])
-    log.append(f"crt primes={len(kept_primes)} "
-               f"degs={tuple(pdeg(c) for c in coeffs)}")
-    for r in shape_rejects:
-        discarded.append(r["prime"])
-        log.append(f"shape reject prime {r['prime']}")
-    discarded.extend(check_discards)
-    log.extend(got["log"])
-    log.append(f"consistency prime {got['prime']} ok")
-
-    return ModularRun(Telescoper(coeffs), tuple(log), tuple(kept_primes),
-                      tuple(discarded), replays())
+    coeffs, kept, rejects = candidate
+    for _, _, prime_log in results:
+        log.extend(prime_log)
+    log.append(f"crt primes={len(kept)} degs={tuple(pdeg(c) for c in coeffs)}")
+    log.extend(f"shape reject prime {p}" for p in rejects)
+    log.extend(got[2])
+    log.append(f"consistency prime {got[0]} ok")
+    discarded += [p for p, rel, _ in results if rel is None] + rejects + unchecked
+    return ModularRun(Telescoper(coeffs), tuple(log), tuple(kept), tuple(discarded),
+                      counts)

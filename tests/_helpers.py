@@ -8,7 +8,7 @@ from unittest import mock
 from hypothesis import strategies as st
 
 from weylred import reduction, telescoping
-from weylred.arith import QQ_T, pdeg
+from weylred.arith import QQ_T
 from weylred.weyl import Monomial
 
 T = QQ_T.from_poly((Fraction(0), Fraction(1)))
@@ -84,21 +84,24 @@ def vote_prime_document(p):
 @contextmanager
 def outvoted_tracer_vote():
     """Within the block, the second tracer vote of telescope_modular (the
-    second call to _vote that returns, whether it replayed the recorded
-    computation or ran its own) returns a tracer that also skips its
-    smallest contributing candidate, so the other two votes outvote it.
-    No point confines to that Confinement: a reference elected with it
-    would discard every point."""
-    real = telescoping._vote
+    first vote that goes through _solved and returns, whether it replayed
+    the recorded computation or ran its own) returns a tracer that also
+    skips its smallest contributing candidate, so the other two votes
+    outvote it.  No point confines to that Confinement: a reference
+    elected with it would discard every point."""
+    real = telescoping._solved
     calls = 0
 
-    def vote(pres, *args):
+    def solved(pres, *args):
         nonlocal calls
-        conf = real(pres, *args)
-        calls += 1
-        return _skip_smallest_candidate(pres, conf) if calls == 2 else conf
+        conf, system = real(pres, *args)
+        if args[-1] == "votes":
+            calls += 1
+            if calls == 1:
+                conf = _skip_smallest_candidate(pres, conf)
+        return conf, system
 
-    with mock.patch.object(telescoping, "_vote", vote):
+    with mock.patch.object(telescoping, "_solved", solved):
         yield
 
 
@@ -129,12 +132,10 @@ def discarded_prime():
     real = telescoping._prime_relation
 
     def prime_relation(pres, rho, ref, recording, Fp, idx, cfg, counts):
-        out = real(pres, rho, ref, recording, Fp, idx, cfg, counts)
-        rel = out["rel"]
+        p, rel, log = real(pres, rho, ref, recording, Fp, idx, cfg, counts)
         if idx == 0 and len(rel) == 3:
             rel = (rel[0], (1, 1), rel[-1])
-            out = dict(out, rel=rel, shape=(len(rel) - 1, tuple(pdeg(c) for c in rel)))
-        return out
+        return p, rel, log
 
     with mock.patch.object(telescoping, "_prime_relation", prime_relation):
         yield

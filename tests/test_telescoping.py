@@ -5,7 +5,9 @@ import random
 import re
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -471,6 +473,32 @@ def test_modular_golden_transcript(airy, k3, name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+AIRY_FAMILY_DIGESTS = {
+    "replayed": "6b92be7db40a74c4a20cc585a7e1353bb0093abd730093ff6cc59598602e12c8",
+    "generic": "b1b3dd3fe9cac29f520c0f8b9aa4ee94e6f40713b0184793a18efe13549ab74e",
+}
+
+
+@pytest.mark.parametrize("path", sorted(AIRY_FAMILY_DIGESTS))
+def test_modular_airy_family_digest(monkeypatch, path):
+    """The telescopers, transcripts, prime lists and replay counts of the
+    first 150 airy-family problems at seed 1 (weylbench/worker.py) hash to
+    one pinned SHA-256, with the tape replayed and with every replay
+    refused (a tape that binds at no prime)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "weylbench"))
+    import worker
+
+    if path == "generic":
+        monkeypatch.setattr(telescoping._Tape, "bind", NoTape.bind)
+    digest = hashlib.sha256()
+    for triple in worker.airy_triples(1)[:150]:
+        pres = worker.airy_presentation(worker.airy_document(*triple))
+        run = telescope_modular(pres, config=ModularConfig(seed=1))
+        digest.update(repr((run.telescoper.coefficients, run.transcript, run.primes_used,
+                            run.primes_discarded, sorted(run.replays.items()))).encode())
+    assert digest.hexdigest() == AIRY_FAMILY_DIGESTS[path]
+
+
 def _named_primes(transcript):
     return {int(p) for line in transcript
             for p in re.findall(r"prime(?:=|\[\d+\] | )(\d+)", line)}
@@ -648,7 +676,8 @@ def test_tapes_replay_at_other_primes(airy, k3, name):
             assert direct[0] == ref
             assert telescoping._solved(pres, recording, bound, Fp, a, 1, 40, counts,
                                        "points") == direct
-            assert telescoping._vote(pres, Fp, a, 1, 40, [recording], counts) == ref
+            assert telescoping._solved(pres, recording, bound, Fp, a, 1, 40, counts,
+                                       "votes")[0] == ref
     assert counts == {"points_replayed": 9, "votes_replayed": 9}
 
 
@@ -887,15 +916,98 @@ def test_consistency_prime_out_of_points_is_discarded(airy):
     cfg = ModularConfig(seed=7)
     good = telescope_modular(airy.pres, rho=1, config=cfg)
     check = int(re.fullmatch(r"consistency prime (\d+) ok", good.transcript[-1])[1])
-    real = telescoping._prime_relation
+    real = telescoping._interpolated_system
 
-    def prime_relation(pres, rho, ref, recording, Fp, *args):
+    def interpolated_system(points, Fp, *args):
         if Fp.p == check:
             raise BudgetExhaustedError(f"point budget exhausted mod {Fp.p}")
-        return real(pres, rho, ref, recording, Fp, *args)
+        return real(points, Fp, *args)
 
-    with mock.patch.object(telescoping, "_prime_relation", prime_relation):
+    with mock.patch.object(telescoping, "_interpolated_system", interpolated_system):
         run = telescope_modular(airy.pres, rho=1, config=cfg)
     assert run.telescoper == good.telescoper
     assert check in run.primes_discarded and check not in run.primes_used
     assert run.transcript[-1] != good.transcript[-1]
+
+
+def test_consistency_prime_dividing_the_leading_coefficient_is_discarded(airy):
+    """A consistency prime at which the reconstruction has no canonical
+    image (_reduce_canonical_mod finds c_N vanishing mod p) is not solved:
+    it goes to primes_discarded, the next prime checks, and the telescoper
+    and the primes used are unchanged."""
+    cfg = ModularConfig(seed=7)
+    good = telescope_modular(airy.pres, rho=1, config=cfg)
+    check = int(re.fullmatch(r"consistency prime (\d+) ok", good.transcript[-1])[1])
+    real = telescoping._reduce_canonical_mod
+
+    def reduce_canonical_mod(coeffs, Fp):
+        return None if Fp.p == check else real(coeffs, Fp)
+
+    with mock.patch.object(telescoping, "_reduce_canonical_mod", reduce_canonical_mod):
+        run = telescope_modular(airy.pres, rho=1, config=cfg)
+    assert run.telescoper == good.telescoper
+    assert run.primes_used == good.primes_used
+    assert run.primes_discarded == good.primes_discarded + (check,)
+    assert check not in _named_primes(run.transcript)
+    assert run.transcript[:-3] == good.transcript[:-3]
+    assert re.fullmatch(r"consistency prime (\d+) ok", run.transcript[-1])
+
+
+@pytest.mark.parametrize("name", ["gb0", "dy", "gb1+dx"])
+def test_empty_confinement_gives_the_unit_telescoper(airy, name):
+    """An integrand whose reduced form is zero (an element of S, a
+    derivative, or their sum) confines to an empty B: both drivers return
+    the unit telescoper, and the modular one solves no prime after the
+    votes."""
+    A = airy.algebra
+    f = {"gb0": airy.gb[0], "dy": A.dvar(1), "gb1+dx": airy.gb[1] + A.dvar(0)}[name]
+    pres = DerivedPresentation(airy.ctx, airy.pres.L, f)
+    assert telescope_direct(pres, rho=1).coefficients == ((1,),)
+    run = telescope_modular(pres, rho=1, config=ModularConfig(seed=7))
+    assert run.telescoper.coefficients == ((1,),)
+    assert run.transcript[-1] == "empty confinement: unit telescoper"
+    assert run.primes_used == ()
+    assert run.replays == {"tapes_recorded": 1, "votes_replayed": 2, "votes_generic": 0,
+                           "points_replayed": 0, "points_generic": 0}
+
+
+@contextmanager
+def _split_rounds(rounds):
+    """Within the block, the votes of the first rounds election rounds
+    return three distinct Confinements: the first vote of a round returns
+    its own, the second and the third each add a marker of their own to
+    the tracer, so no round before them reaches a majority."""
+    real = telescoping._solved
+    votes = 1  # the first vote records its tape and returns its own
+
+    def solved(pres, *args):
+        nonlocal votes
+        conf, system = real(pres, *args)
+        if args[-1] == "votes":
+            round_no, v = divmod(votes, telescoping._TRACER_VOTES)
+            votes += 1
+            if round_no < rounds and v:
+                conf = Confinement(conf.eta, conf.B, conf.row_lms,
+                                   conf.tracer | {("split", v)})
+        return conf, system
+
+    with mock.patch.object(telescoping, "_solved", solved):
+        yield
+
+
+def test_inconclusive_vote_round_is_repeated(airy):
+    """Three distinct Confinements in the first round leave the election
+    open: a new round elects the reference, and the telescoper is the
+    direct one."""
+    with _split_rounds(1):
+        run = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7))
+    assert "votes inconclusive, new round" in run.transcript
+    assert run.transcript.count("votes agree") == 1
+    assert run.telescoper == telescope_direct(airy.pres, rho=1)
+
+
+def test_election_without_majority_raises(airy):
+    """When every vote round is split three ways, the election fails."""
+    with _split_rounds(telescoping._VOTE_ROUNDS), pytest.raises(
+            InconsistencyError, match="never reached a majority"):
+        telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7))
