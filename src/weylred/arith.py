@@ -10,6 +10,11 @@ Fields are lightweight frozen objects that operate on plain payloads:
   Z[t] content included, and lc(den) > 0.  Either way every element has
   exactly one payload.
 
+Generic code calls only ``zero`` and ``one`` (attributes), ``from_int``,
+``add``, ``sub``, ``mul``, ``neg``, ``inv``, ``div`` and ``is_zero``, and
+compares the canonical payloads with ``==``; ``RationalFunctions`` adds
+``derivative``, ``normalize`` and ``from_poly``.  ``ZZ`` is a tag, not a field.
+
 A dense polynomial is a tuple of payloads, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Containers (operators,
 matrices, telescopers) carry the field tag; individual payloads do not.  The
@@ -97,14 +102,8 @@ class Rationals(Record):
     __slots__ = ()
     has_t = False
     characteristic = 0
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
@@ -122,23 +121,13 @@ class Rationals(Record):
         return -a
 
     def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
     def div(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero")
         return a / b
 
     def is_zero(self, a):
         return not a
-
-    def eq(self, a, b):
-        return a == b
-
-    def derivative(self, a):
-        raise ValueError("field QQ carries no parameter t")
 
     def __repr__(self):
         return "QQ"
@@ -154,6 +143,8 @@ class PrimeField(Record):
     __slots__ = ("p", "characteristic", "_hash")
     _fields = ("p",)
     has_t = False
+    zero = 0
+    one = 1
 
     def __init__(self, p, verified=False):
         if not (verified or is_prime(p)):
@@ -163,14 +154,6 @@ class PrimeField(Record):
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def from_int(self, n):
         return n % self.p
@@ -202,46 +185,19 @@ class PrimeField(Record):
     def is_zero(self, a):
         return not a
 
-    def eq(self, a, b):
-        return a == b
-
-    def derivative(self, a):
-        raise ValueError(f"field GF({self.p}) carries no parameter t")
-
     def __repr__(self):
         return f"GF({self.p})"
 
 
 class Integers(Record):
-    """The ring of integers; payloads are ints.
-
-    Not a field: it is the coefficient ring of the numerators and
-    denominators of Q(t).  The polynomial helpers recognise the instance
-    ``ZZ``, so use that one.
-    """
+    """The tag ``ZZ`` of the ring of Q(t)'s numerators and denominators:
+    not a field and without arithmetic, since the polynomial kernels
+    recognise the instance ``ZZ`` and compute on its int payloads."""
 
     __slots__ = ()
     zero = 0
     one = 1
     characteristic = 0
-
-    def from_int(self, n):
-        return n
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return not a
 
     def __repr__(self):
         return "ZZ"
@@ -272,6 +228,8 @@ class RationalFunctions(Record):
     __slots__ = ("base", "ring", "_hash")
     _fields = ("base",)
     has_t = True
+    zero = ((), (1,))
+    one = ((1,), (1,))
 
     def __init__(self, base):
         self.base = base
@@ -281,17 +239,11 @@ class RationalFunctions(Record):
     def __hash__(self):
         return self._hash
 
-    @property
-    def zero(self):
-        return ((), (self.ring.one,))
-
-    @property
-    def one(self):
-        return ((self.ring.one,), (self.ring.one,))
-
     def from_int(self, n):
-        F = self.ring
-        return (pconst(F, F.from_int(n)), (F.one,))
+        p = self.ring.characteristic
+        if p:
+            n %= p
+        return ((n,) if n else (), (1,))
 
     def from_poly(self, poly):
         """The element of a polynomial in t: over Q its coefficients may be
@@ -359,8 +311,7 @@ class RationalFunctions(Record):
         return (pmul(F, an, bn), den)
 
     def neg(self, a):
-        F = self.ring
-        return (tuple(F.neg(c) for c in a[0]), a[1])
+        return (_pscale(a[0], -1, self.ring.characteristic), a[1])
 
     def inv(self, a):
         n, d = a
@@ -373,9 +324,6 @@ class RationalFunctions(Record):
 
     def is_zero(self, a):
         return not a[0]
-
-    def eq(self, a, b):
-        return a == b
 
     def derivative(self, a):
         # (n/d)' = (n'd - nd') / d^2
@@ -406,10 +354,6 @@ T_GEN = ((0, 1), (1,))  # t in Q(t), as QQ_T.from_poly makes it
 def pnorm(F, coeffs):
     """coeffs as a polynomial over F; the zero payload of every ring is falsy."""
     return _strip(list(coeffs))
-
-
-def pconst(F, c):
-    return () if F.is_zero(c) else (c,)
 
 
 def pdeg(a):
@@ -982,7 +926,7 @@ def cauchy_interpolate(F, points, deg_bounds, table=None):
         dv = peval(F, den, a)
         if F.is_zero(dv):
             continue
-        if not F.eq(peval(F, num, a), F.mul(v, dv)):
+        if peval(F, num, a) != F.mul(v, dv):
             return None
     return (num, den)
 
@@ -1023,7 +967,7 @@ def adaptive_reconstruct(F, stream, max_points=512, table=None):
             num, den = cand
             a, v = pts[-1]
             dv = peval(F, den, a)
-            if not F.is_zero(dv) and F.eq(peval(F, num, a), F.mul(v, dv)):
+            if not F.is_zero(dv) and peval(F, num, a) == F.mul(v, dv):
                 return cand
         if final:
             raise BudgetExhaustedError(f"evaluation budget {max_points} exhausted")

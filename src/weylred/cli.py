@@ -409,12 +409,9 @@ def _coeff_str(c):
     num_terms = len([x for x in num if x])
     if len(den) == 1:
         return ns, num_terms > 1
-    ds = _poly_str(den)
-    if num_terms > 1 or not num:
+    if num_terms > 1:
         ns = f"({ns})"
-    if len([x for x in den if x]) > 1 or len(den) > 1:
-        ds = f"({ds})"
-    return f"{ns}/{ds}", False
+    return f"{ns}/({_poly_str(den)})", False
 
 
 def _mono_factors(m, doc):

@@ -639,7 +639,8 @@ class _Recorded:
 class _Tape:
     """A stand-in for the PrimeField of one (p, a) that records the
     computation run over it as two straight-line programs on one vector of
-    slots, for any prime.
+    slots, for any prime.  It implements arith's field protocol and no
+    more; a recorded value is never compared, only tested with is_zero.
 
     Every value but the literals 0 and 1 is a _Recorded with a slot of its
     own.  The constant part computes what depends only on the constants of
@@ -764,12 +765,6 @@ class _Tape:
             else:
                 (self.const_zero if zero else self.const_nonzero).append(x.slot)
         return zero
-
-    def eq(self, x, y):
-        raise TypeError("a recorded value is compared only through is_zero")
-
-    def derivative(self, x):
-        raise ValueError(f"field GF({self.p}) carries no parameter t")
 
     def lift(self, source, image):
         """image, the evaluation of source at the recording point, as an

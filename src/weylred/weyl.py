@@ -138,12 +138,10 @@ class WeylOperator:
     __slots__ = ("algebra", "terms", "_sorted")
 
     def __init__(self, algebra, terms):
-        object.__setattr__(self, "algebra", algebra)
+        self.algebra = algebra
         F = algebra.field
-        object.__setattr__(
-            self, "terms", {m: c for m, c in terms.items() if not F.is_zero(c)}
-        )
-        object.__setattr__(self, "_sorted", {})
+        self.terms = {m: c for m, c in terms.items() if not F.is_zero(c)}
+        self._sorted = {}
 
     def is_zero(self):
         return not self.terms

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
-from weylred.arith import T_GEN, padd, pconst, pmul
+from weylred.arith import T_GEN, padd, pmul
 from weylred.extension import dt_degree, flatten_operator
 from weylred.groebner import lrem
 from weylred.telescoping import apply_linear
@@ -36,7 +36,8 @@ def newton_interpolate(F, points):
             coeffs[i] = F.div(num, F.sub(xs[i], xs[i - j]))
     poly = ()
     for i in range(len(points) - 1, -1, -1):
-        poly = padd(F, pmul(F, poly, (F.neg(xs[i]), F.one)), pconst(F, coeffs[i]))
+        c = coeffs[i]
+        poly = padd(F, pmul(F, poly, (F.neg(xs[i]), F.one)), (c,) if c else ())
     return poly
 
 

@@ -459,7 +459,7 @@ def test_criterion_09_property_sweeps(airy, k2):
             assert rec is not None
             rnum, rden = rec
             a0, v0 = points[0]
-            assert Fp.eq(Fp.div(peval(Fp, rnum, a0), peval(Fp, rden, a0)), v0)
+            assert Fp.div(peval(Fp, rnum, a0), peval(Fp, rden, a0)) == v0
 
 
 def test_criterion_10_fault_injection(airy):

@@ -120,6 +120,30 @@ def test_u_operators_commute(k):
             assert mul(inp.u[i], inp.u[j]) == mul(inp.u[j], inp.u[i]), (i, j)
 
 
+@st.composite
+def _rational_f(draw):
+    """(k, f) for k in {2, 3} and f a polynomial in p1..pk with rational
+    coefficients, exponents up to 3 per variable."""
+    k = draw(st.sampled_from([2, 3]))
+    f = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * k),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+        max_size=5))
+    return k, f
+
+
+@settings(max_examples=30)
+@given(_rational_f())
+def test_u_operators_commute_for_any_f(kf):
+    """u_j = df/dp_j - d_j commute for every f, not only the model one, so
+    scalar_product_input (the --fg path) needs no check."""
+    k, f = kf
+    u = scalar_product_input(f, {(0,) * k: 1}, k).u
+    for i in range(k):
+        for j in range(i + 1, k):
+            assert mul(u[i], u[j]) == mul(u[j], u[i]), (i, j)
+
+
 # ---------------------------------------------------------------------------
 # ideal generators and the derivation
 

@@ -162,7 +162,7 @@ def test_relation_search_rational_functions():
         QQ_T, [(QQ_T.one, T), (T, QQ_T.mul(T, T)), (QQ_T.zero, QQ_T.one)]
     )
     assert rel is not None and len(rel) == 2
-    assert QQ_T.eq(rel[0], QQ_T.neg(T)) and QQ_T.eq(rel[1], QQ_T.one)
+    assert rel[0] == QQ_T.neg(T) and rel[1] == QQ_T.one
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
@@ -841,8 +841,6 @@ def test_recorded_values_refuse_branching():
             bool(value)
         with pytest.raises(TypeError):
             value == value
-        with pytest.raises(TypeError):
-            tape.eq(value, value)
 
 
 def test_fault_injected_tracer_vote_outvoted(airy):
