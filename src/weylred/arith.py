@@ -223,6 +223,13 @@ class RationalFunctions(Record):
     cross-multiplied gcd, only an integer content can cancel over a constant
     denominator, a product only cancels gcd(an, bd) and gcd(bn, ad), and an
     inverse only rescales the new denominator.
+
+    Over Q, the shapes of most operands a solve makes take closed forms that
+    return that same canonical payload.  Constants (num and den of length at
+    most 1) add, subtract, multiply, divide, invert and negate as fractions
+    of ints with one math.gcd, and differentiate to zero.  A den of c t^m
+    cancels with num by gcd(content(num), c) t^min(v(num), m) (``_cancel``).
+    Every other shape runs the Z[t] kernels.
     """
 
     __slots__ = ("base", "ring", "_hash")
@@ -256,7 +263,7 @@ class RationalFunctions(Record):
 
     def normalize(self, num, den):
         F = self.ring
-        num, den = pnorm(F, num), pnorm(F, den)
+        num, den = pnorm(num), pnorm(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
@@ -276,6 +283,9 @@ class RationalFunctions(Record):
     def add(self, a, b):
         F = self.ring
         (an, ad), (bn, bd) = a, b
+        if F is ZZ and len(an) < 2 and len(bn) < 2 and len(ad) == 1 == len(bd):
+            d, e = ad[0], bd[0]
+            return _rational((an[0] * e if an else 0) + (bn[0] * d if bn else 0), d * e)
         if ad == bd:
             num = padd(F, an, bn)
             return self.normalize(num, ad) if len(ad) > 1 else _content_free(F, num, ad)
@@ -293,6 +303,10 @@ class RationalFunctions(Record):
         return self.normalize(num, pmul(F, ad, bd))
 
     def sub(self, a, b):
+        (an, ad), (bn, bd) = a, b
+        if self.ring is ZZ and len(an) < 2 and len(bn) < 2 and len(ad) == 1 == len(bd):
+            d, e = ad[0], bd[0]
+            return _rational((an[0] * e if an else 0) - (bn[0] * d if bn else 0), d * e)
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
@@ -300,6 +314,8 @@ class RationalFunctions(Record):
         (an, ad), (bn, bd) = a, b
         if not an or not bn:
             return self.zero
+        if F is ZZ and len(an) == 1 == len(bn) and len(ad) == 1 == len(bd):
+            return _rational(an[0] * bn[0], ad[0] * bd[0])
         # an/ad and bn/bd are in lowest terms, so only an, bd and bn, ad can
         # share a factor; the quotients keep den monic, or lc(den) > 0.
         one = (F.one,)
@@ -311,15 +327,23 @@ class RationalFunctions(Record):
         return (pmul(F, an, bn), den)
 
     def neg(self, a):
-        return (_pscale(a[0], -1, self.ring.characteristic), a[1])
+        n, d = a
+        if self.ring is ZZ and len(n) < 2:
+            return ((-n[0],), d) if n else a
+        return (_pscale(n, -1, self.ring.characteristic), d)
 
     def inv(self, a):
         n, d = a
         if not n:
             raise ZeroDivisionError("inverse of zero")
+        if self.ring is ZZ and len(n) == 1 == len(d):
+            return ((d[0],), n) if n[0] > 0 else ((-d[0],), (-n[0],))
         return self._unit_den(d, n)
 
     def div(self, a, b):
+        (an, ad), (bn, bd) = a, b
+        if self.ring is ZZ and len(an) < 2 and len(bn) == 1 and len(ad) == 1 == len(bd):
+            return _rational(an[0] * bd[0] if an else 0, ad[0] * bn[0])
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a):
@@ -330,7 +354,7 @@ class RationalFunctions(Record):
         F = self.ring
         n, d = a
         if len(d) == 1:
-            return _content_free(F, pderiv(F, n), d)
+            return self.zero if len(n) < 2 else _content_free(F, pderiv(F, n), d)
         num = psub(F, pmul(F, pderiv(F, n), d), pmul(F, n, pderiv(F, d)))
         return self.normalize(num, pmul(F, d, d))
 
@@ -351,8 +375,9 @@ T_GEN = ((0, 1), (1,))  # t in Q(t), as QQ_T.from_poly makes it
 # coefficient when p is nonzero.
 
 
-def pnorm(F, coeffs):
-    """coeffs as a polynomial over F; the zero payload of every ring is falsy."""
+def pnorm(coeffs):
+    """coeffs as a polynomial, trailing zeros dropped; the zero payload of
+    every ring is falsy."""
     return _strip(list(coeffs))
 
 
@@ -512,11 +537,23 @@ def _pscale(a, c, p=0):
 
 
 def _cancel(F, num, den):
-    """num and den divided by their gcd; over a constant den that is at most
-    an integer content, and no polynomial gcd runs."""
+    """num and den divided by their gcd.  No polynomial gcd runs over a
+    constant den, where that gcd is at most an integer content, nor over ZZ
+    for a den of c t^m, where it is gcd(content(num), c) t^min(v(num), m)."""
     if len(den) == 1:
         return _content_free(F, num, den)
+    if F is ZZ and not any(den[:-1]):
+        c, m = den[-1], len(den) - 1
+        v = min(_tval(num), m)
+        g = math.gcd(*num, c)
+        return _quo_int(num[v:], g), (0,) * (m - v) + (c // g,)
     return pgcd(F, num, den)[1:]
+
+
+def _rational(n, d):
+    """The Q(t) payload of the rational constant n/d, d != 0."""
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    return ((n // g,), (d // g,)) if n else ((), (1,))
 
 
 def _content_free(F, num, den):

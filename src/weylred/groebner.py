@@ -357,7 +357,9 @@ def _autoreduce(G, order):
     No kept leading monomial divides another, and every term that dividing
     g by the others meets is below lm(g): the remainder keeps g's monic
     leading term and has no term divisible by any leading monomial.  So one
-    pass gives each element its final, unique reduced form.
+    pass gives each element its final, unique reduced form.  An element
+    none of whose terms another kept leading monomial divides is its own
+    remainder, and no division runs for it.
     """
     by_lm = sorted(G, key=lambda g: order.key(leading_data(g, order)[0]))
     kept = []
@@ -369,8 +371,8 @@ def _autoreduce(G, order):
         kept.append(g)
         kept_lms.append(lm)
 
-    for idx in range(len(kept)):
-        others = kept[:idx] + kept[idx + 1 :]
-        if others:
-            kept[idx] = lrem(kept[idx], others, order, certificate=False)[0]
+    for idx, g in enumerate(kept):
+        others = kept_lms[:idx] + kept_lms[idx + 1 :]
+        if any(shadow_divides(l, m) for m in g.terms for l in others):
+            kept[idx] = lrem(g, kept[:idx] + kept[idx + 1 :], order, certificate=False)[0]
     return ReducedBasis(kept, order)

@@ -87,6 +87,7 @@ from .arith import (
     pexquo,
     pgcd,
     plcm,
+    peval,
     pmul,
     pnorm,
     random_prime_field,
@@ -97,7 +98,6 @@ from .weyl import (
     Monomial,
     WeylOperator,
     _mono_str,
-    _poly_mod_eval,
     coefficientwise_dt,
     commutator,
     components,
@@ -435,7 +435,7 @@ def _normalize_modp_relation(Fp, polys):
     """F_p[t] tuple -> content-free with c_N monic."""
     content = ()
     for p in polys:
-        content = pgcd(Fp, content, p)[0] if content else pnorm(Fp, p)
+        content = pgcd(Fp, content, p)[0] if content else pnorm(p)
     if pdeg(content) > 0:
         polys = [pdivmod(Fp, p, content)[0] for p in polys]
     if not polys[-1]:
@@ -793,9 +793,9 @@ class _Tape:
         self.outputs = tuple(map(self._slot, outputs))
 
     def bind(self, Fp):
-        """The start of replay() at the prime of Fp: the slot vector with
-        the literals, the constant inputs and the constant part filled in,
-        and the t-dependent inputs num/den reduced mod p.  None when p
+        """The start of replay() at the prime of Fp: (Fp, the slot vector
+        with the literals, the constant inputs and the constant part filled
+        in, the t-dependent inputs num/den reduced mod p).  None when p
         divides the leading denominator of an input coefficient (its
         evaluation fails at every point), when a constant input vanishes
         mod p but did not at the recording or the other way round, or when
@@ -820,7 +820,7 @@ class _Tape:
             if len(den) == 1:  # num/d as (num/d)/1, so replay inverts nothing
                 num, den = [e * inverse[den[0]] for e in num], (1,)
             inputs.append((slot, [e % p for e in num], [e % p for e in den]))
-        return p, start, inputs
+        return Fp, start, inputs
 
     def replay(self, bound, a):
         """The outputs at t = a, on a copy of bind()'s slot vector at its
@@ -829,11 +829,12 @@ class _Tape:
         None when the denominator of one vanishes at a, when one vanishes
         at a but did not at the recording or the other way round, or when
         a guard differs from the recording."""
-        p, start, inputs = bound
+        Fp, start, inputs = bound
+        p = Fp.p
         v = list(start)
         for slot, num, den in inputs:
-            d = _poly_mod_eval(den, p, a)
-            n = _poly_mod_eval(num, p, a)
+            d = peval(Fp, den, a)
+            n = peval(Fp, num, a)
             if not d or (slot is None) != (not n):
                 return None
             if slot is not None:
@@ -1036,7 +1037,7 @@ def _elect_reference(pres, rho, cfg, fields, log, degree_ceiling, counts, discar
 def _reduce_canonical_mod(coeffs, Fp):
     """Q-canonical integer relation -> the per-prime canonical form over Fp."""
     p = Fp.p
-    polys = [pnorm(Fp, tuple(c % p for c in poly)) for poly in coeffs]
+    polys = [pnorm(tuple(c % p for c in poly)) for poly in coeffs]
     if not polys[-1]:
         return None  # p divides the leading coefficient: unlucky
     return _normalize_modp_relation(Fp, polys)
@@ -1079,7 +1080,7 @@ def _lift(results):
             if fr is None:
                 return None
             poly.append(fr)
-        coeffs.append(pnorm(QQ, tuple(poly)))
+        coeffs.append(pnorm(tuple(poly)))
     rejects = [p for p, rel, _ in results if rel is not None and _shape(rel) != best]
     return _primitive_positive(coeffs), [p for p, _ in kept], rejects
 

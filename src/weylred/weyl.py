@@ -30,7 +30,7 @@ from math import comb, factorial, gcd
 from operator import add, mul as imul, neg
 from typing import NamedTuple
 
-from .arith import QQ, QQ_T, Record, UnluckyEvaluationError
+from .arith import QQ, QQ_T, Record, UnluckyEvaluationError, peval
 
 
 class Monomial(NamedTuple):
@@ -336,23 +336,26 @@ def commutator(P, Q):
 
 
 def mul_monomial(m: Monomial, c, P):
-    """(c * x^alpha d^beta) * P for a single left monomial factor.
+    """(c * x^alpha d^beta) * P for a single left monomial factor, c nonzero.
 
     When m commutes with every term of P (see ``_term_product``), the
     product is P with every exponent shifted by m and every coefficient
     times c.  A shift is injective, so no two terms meet and the dict is
-    built in one pass.
+    built in one pass; c and every coefficient of P are nonzero, so no
+    product is tested.
     """
     A = P.algebra
     F = A.field
     alpha, beta = m.alpha, m.beta
     meets = any(any(map(imul, beta, mq.alpha)) for mq in P.terms)
     if not (A.dt and beta[0] or meets):
-        return WeylOperator(A, {
+        out = WeylOperator(A, {})
+        out.terms = {
             Monomial(tuple(map(add, alpha, mq.alpha)), tuple(map(add, beta, mq.beta)),
                      mq.comp): F.mul(c, cq)
             for mq, cq in P.terms.items()
-        })
+        }
+        return out
     out = {}
     for mq, cq in P.terms.items():
         _term_product(F, A, out, c, m, cq, mq, mq.comp)
@@ -547,17 +550,10 @@ def evaluate_and_reduce(P: WeylOperator, img):
                 f"denominator {next(d for d in dens if d % p == 0)} divisible by {p}",
                 prime_level=True,
             )
-        dv = _poly_mod_eval(den, p, a)
+        dv = peval(img.field, den, a)
         if dv == 0:
             raise UnluckyEvaluationError(
                 f"coefficient denominator vanishes at t={a} (mod {p})"
             )
-        out[m] = _poly_mod_eval(num, p, a) * pow(dv, -1, p) % p
+        out[m] = peval(img.field, num, a) * pow(dv, -1, p) % p
     return WeylOperator(target, out)
-
-
-def _poly_mod_eval(coeffs, p, a):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * a + c) % p
-    return acc

@@ -163,18 +163,21 @@ def test_derivative_product_rule(a, b):
     assert lhs == rhs
 
 
-_SHAPES = ("zero", "const", "poly", "frac", "shared_num", "shared_den")
+_SHAPES = ("zero", "const", "rational", "poly", "frac", "monomial_den", "shared_num",
+           "shared_den")
 
 
 @st.composite
 def rf_pairs(draw, F):
     """Canonical pairs (a, b) over F covering every shortcut of add and mul:
-    zero, constants, unit or constant denominators, equal denominators,
+    zero, integer and rational constants, unit or constant denominators,
+    denominators c t^m (c negative on some draws), equal denominators,
     exactly one constant denominator, and a factor h shared across the two
     operands."""
     K = F.ring
+    lift = (lambda c: c) if K is ZZ else K.from_int
     poly = st.lists(st.integers(-4, 4), max_size=3).map(
-        lambda cs: pnorm(K, tuple(c if K is ZZ else K.from_int(c) for c in cs)))
+        lambda cs: pnorm(tuple(map(lift, cs))))
     nonzero = poly.filter(bool)
     h = draw(nonzero)
 
@@ -184,6 +187,12 @@ def rf_pairs(draw, F):
             return F.zero
         if shape == "const":
             return F.from_int(draw(st.integers(-4, 4)))
+        if shape == "rational":
+            n, d = draw(st.integers(-6, 6)), draw(st.sampled_from((-4, -3, 2, 3, 6)))
+            return F.normalize((lift(n),), (lift(d),))
+        if shape == "monomial_den":
+            c = draw(st.sampled_from((-6, -1, 1, 2, 4)))
+            return F.normalize(num, (0,) * draw(st.integers(1, 3)) + (lift(c),))
         if shape == "poly":
             return F.from_poly(num)
         if shape == "shared_num":
@@ -227,36 +236,83 @@ def assert_canonical(F, x):
 @settings(max_examples=60)
 @given(data=st.data())
 def test_rational_function_ops_match_schoolbook(F, data):
-    """Every operation equals normalize() of the textbook formula; neg and
-    from_int of the per-coefficient results."""
+    """Every operation gives the canonical payload of the textbook formula
+    num/den: checked by cross-multiplying, got_num * den = num * got_den, and
+    with assert_canonical, not with normalize(), which runs the same
+    closed-form cancellations as the operations."""
     K = F.ring
+    p = K.characteristic
     a, b = data.draw(rf_pairs(F))
+    for x in (a, b):
+        assert_canonical(F, x)
     (an, ad), (bn, bd) = a, b
     n = data.draw(st.integers(-3, 3).map(FP.p.__mul__) | st.integers(-2**70, 2**70),
                   label="n")
     expected = {
-        "neg": (F.neg(a), F.normalize(psub(K, (), an), ad)),
-        "from_int": (F.from_int(n), F.from_poly((F.base.from_int(n),))),
-        "add": (F.add(a, b), F.normalize(padd(K, pmul(K, an, bd), pmul(K, bn, ad)),
-                                         pmul(K, ad, bd))),
-        "sub": (F.sub(a, b), F.normalize(psub(K, pmul(K, an, bd), pmul(K, bn, ad)),
-                                         pmul(K, ad, bd))),
-        "mul": (F.mul(a, b), F.normalize(pmul(K, an, bn), pmul(K, ad, bd))),
-        "derivative": (F.derivative(a), F.normalize(
+        "neg": (F.neg(a), (psub(K, (), an), ad)),
+        "from_int": (F.from_int(n), (pnorm((n % p if p else n,)), (K.one,))),
+        "add": (F.add(a, b), (padd(K, pmul(K, an, bd), pmul(K, bn, ad)), pmul(K, ad, bd))),
+        "sub": (F.sub(a, b), (psub(K, pmul(K, an, bd), pmul(K, bn, ad)), pmul(K, ad, bd))),
+        "mul": (F.mul(a, b), (pmul(K, an, bn), pmul(K, ad, bd))),
+        "derivative": (F.derivative(a), (
             psub(K, pmul(K, pderiv(K, an), ad), pmul(K, an, pderiv(K, ad))),
             pmul(K, ad, ad))),
     }
     if bn:
-        expected["div"] = (F.div(a, b), F.normalize(pmul(K, an, bd), pmul(K, ad, bn)))
-        expected["inv"] = (F.inv(b), F.normalize(bd, bn))
+        expected["div"] = (F.div(a, b), (pmul(K, an, bd), pmul(K, ad, bn)))
+        expected["inv"] = (F.inv(b), (bd, bn))
     else:
         with pytest.raises(ZeroDivisionError):
             F.div(a, b)
         with pytest.raises(ZeroDivisionError):
             F.inv(b)
-    for op, (got, want) in expected.items():
-        assert got == want, op
-        assert_canonical(F, got)
+    for op, ((got_num, got_den), (num, den)) in expected.items():
+        assert pmul(K, got_num, den) == pmul(K, num, got_den), op
+        assert_canonical(F, (got_num, got_den))
+
+
+_CONSTANTS = sorted({Fraction(n, d) for n in (-6, -1, 0, 1, 4, 9) for d in (1, 2, 3, -4)})
+
+
+def _payload(x):
+    """The Q(t) payload of the Fraction x."""
+    return ((x.numerator,), (x.denominator,)) if x else QQ_T.zero
+
+
+def test_constant_ops_are_fraction_ops():
+    """On constants of Q(t) every operation is the Fraction operation, and
+    none runs a polynomial gcd or product."""
+    F = QQ_T
+    with mock.patch.object(arith, "pgcd", side_effect=AssertionError("pgcd")), \
+            mock.patch.object(arith, "pmul", side_effect=AssertionError("pmul")):
+        for x in _CONSTANTS:
+            a = _payload(x)
+            assert F.neg(a) == _payload(-x)
+            assert F.derivative(a) == F.zero
+            if x:
+                assert F.inv(a) == _payload(1 / x)
+            for y in _CONSTANTS:
+                b = _payload(y)
+                assert F.add(a, b) == _payload(x + y)
+                assert F.sub(a, b) == _payload(x - y)
+                assert F.mul(a, b) == _payload(x * y)
+                if y:
+                    assert F.div(a, b) == _payload(x / y)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=5).filter(any),
+       st.integers(0, 3), st.integers(1, 4), st.integers(-12, 12).filter(bool))
+def test_monomial_denominators_cancel_in_closed_form(coeffs, v, m, c):
+    """A den c t^m cancels with num as the Z[t] gcd does, without running it:
+    normalize(num, c t^m) gives the cofactors of pgcd, with lc(den) > 0."""
+    num, den = pnorm((0,) * v + tuple(coeffs)), (0,) * m + (c,)
+    g, qn, qd = pgcd(ZZ, num, den)
+    want = (qn, qd) if qd[-1] > 0 else (psub(ZZ, (), qn), psub(ZZ, (), qd))
+    with mock.patch.object(arith, "pgcd", side_effect=AssertionError("pgcd")):
+        got = QQ_T.normalize(num, den)
+    assert got == want
+    assert_canonical(QQ_T, got)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +320,7 @@ def test_rational_function_ops_match_schoolbook(F, data):
 
 
 poly_qq = st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
-                   min_size=0, max_size=5).map(lambda cs: pnorm(QQ, tuple(cs)))
+                   min_size=0, max_size=5).map(lambda cs: pnorm(tuple(cs)))
 
 
 @given(poly_qq, poly_qq)
@@ -274,9 +330,9 @@ def test_pdivmod_round_trip(a, b):
             pdivmod(QQ, a, b)
         return
     q, r = pdivmod(QQ, a, b)
-    assert pnorm(QQ, tuple(x + y for x, y in
-                           zip(pmul(QQ, q, b) + (Fraction(0),) * 9,
-                               r + (Fraction(0),) * 9))[:9]) == a
+    assert pnorm(tuple(x + y for x, y in
+                       zip(pmul(QQ, q, b) + (Fraction(0),) * 9,
+                           r + (Fraction(0),) * 9))[:9]) == a
     assert pdeg(r) < pdeg(b) or not r
 
 
@@ -296,7 +352,7 @@ def test_pgcd_divides_both(a, b):
         assert pdeg(m) == pdeg(a) + pdeg(b) - pdeg(g)
 
 
-zpoly = st.lists(st.integers(-60, 60), max_size=6).map(lambda cs: pnorm(ZZ, tuple(cs)))
+zpoly = st.lists(st.integers(-60, 60), max_size=6).map(lambda cs: pnorm(tuple(cs)))
 
 
 def _fractions(p):
@@ -336,7 +392,7 @@ def _planted(ring, coeffs, v):
     """t^v times the polynomial of coeffs over ring (ZZ or FP)."""
     if ring is FP:
         coeffs = [c % FP.p for c in coeffs]
-    return pnorm(ring, (0,) * v + tuple(coeffs)) if any(coeffs) else ()
+    return pnorm((0,) * v + tuple(coeffs)) if any(coeffs) else ()
 
 
 @settings(max_examples=200)
@@ -467,7 +523,7 @@ def test_streams_sharing_a_table_match_own_tables(field, fractions, seed):
     F, lift = _TABLE_FIELDS[field]
     funcs = []
     for num, den in fractions:
-        num, den = pnorm(F, tuple(map(lift, num))), pnorm(F, tuple(map(lift, den)))
+        num, den = pnorm(tuple(map(lift, num))), pnorm(tuple(map(lift, den)))
         funcs.append((num, den or (F.one,)))
 
     def reconstruct(shared):
@@ -597,8 +653,8 @@ def test_rational_reconstruct_failure_is_none():
 def test_cauchy_interpolation_round_trip(num_ints, den_ints, seed):
     """Degree <= 5/5 rational functions over F_p come back from 12+ points."""
     rng = random.Random(seed)
-    num = pnorm(FP, tuple(num_ints))
-    den = pnorm(FP, tuple(den_ints))
+    num = pnorm(tuple(num_ints))
+    den = pnorm(tuple(den_ints))
     if not den:
         den = (1,)
     num, den = FPT.normalize(num, den)

@@ -138,6 +138,36 @@ def test_chain_criterion_skips_s_pairs(build, reductions, monkeypatch):
     assert reduced == [reductions]
 
 
+def test_autoreduce_skips_reduced_tails(monkeypatch):
+    """_autoreduce divides an element by the others only when another kept
+    leading monomial divides one of its terms.  On an airy-family extension
+    the tail reductions go from 5 (one per element, 4 of them finding
+    nothing) to 1, and the basis equals the fixpoint of dividing every
+    element by the others."""
+    tails, bases = [], []
+
+    def counted_autoreduce(G, order):
+        calls = []
+
+        def counted_lrem(*args, **kwargs):
+            calls.append(args[0])
+            return lrem(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "lrem", counted_lrem)
+            got = _autoreduce(G, order)
+        tails.append(len(calls))
+        bases.append((got, autoreduce_to_fixpoint(G, order)))
+        return got
+
+    monkeypatch.setattr(groebner, "_autoreduce", counted_autoreduce)
+    _flat_airy_extension()
+    assert tails == [1]
+    (got, want), = bases
+    assert len(got) == 5 and got == want
+    assert [list(g.terms) for g in got] == [list(g.terms) for g in want]
+
+
 def test_lrem_golden():
     G = buchberger((D - X,), O1)
     assert G == (X - D,)  # monic under grevlex, where x1 > d1

@@ -799,15 +799,15 @@ def test_unlucky_points_match_generic_path(airy):
         bound = bind(tape, Fp)
         if Fp.p != p0 or bound is None:
             return bound
-        p, start, inputs = bound
+        _, start, inputs = bound
         q = (1,)
         for u in sorted(unlucky):
-            q = arith.pmul(Fp, q, (p - u, 1))
+            q = arith.pmul(Fp, q, (Fp.p - u, 1))
         inputs = list(inputs)
         i = next(i for i, (slot, _, _) in enumerate(inputs) if slot is not None)
         slot, num, den = inputs[i]
         inputs[i] = (slot, arith.pmul(Fp, tuple(num), q), arith.pmul(Fp, tuple(den), q))
-        return p, start, inputs
+        return Fp, start, inputs
 
     def evaluate(P, img):
         if img.field.p == p0 and img.point in unlucky:
