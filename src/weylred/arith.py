@@ -281,33 +281,34 @@ class RationalFunctions(Record):
         return (_pscale(num, inv, F.p), _pscale(den, inv, F.p))
 
     def add(self, a, b):
+        return self._sum(a, b, padd, 1)
+
+    def sub(self, a, b):
+        return self._sum(a, b, psub, -1)
+
+    def _sum(self, a, b, combine, sign):
+        """a + b (combine = padd, sign = 1) or a - b (psub, -1)."""
         F = self.ring
         (an, ad), (bn, bd) = a, b
         if F is ZZ and len(an) < 2 and len(bn) < 2 and len(ad) == 1 == len(bd):
             d, e = ad[0], bd[0]
-            return _rational((an[0] * e if an else 0) + (bn[0] * d if bn else 0), d * e)
+            return _rational((an[0] * e if an else 0) + sign * (bn[0] * d if bn else 0),
+                             d * e)
         if ad == bd:
-            num = padd(F, an, bn)
+            num = combine(F, an, bn)
             return self.normalize(num, ad) if len(ad) > 1 else _content_free(F, num, ad)
-        # A non-constant factor of bd divides an*bd + bn*ad only if it divides
+        # A non-constant factor of bd divides an*bd +- bn*ad only if it divides
         # bn, so over a constant ad at most an integer content cancels.
         if len(ad) == 1:
             c = ad[0]
-            num = padd(F, pmul(F, an, bd), _pscale(bn, c))
+            num = combine(F, pmul(F, an, bd), _pscale(bn, c))
             return _content_free(F, num, _pscale(bd, c))
         if len(bd) == 1:
             c = bd[0]
-            num = padd(F, _pscale(an, c), pmul(F, bn, ad))
+            num = combine(F, _pscale(an, c), pmul(F, bn, ad))
             return _content_free(F, num, _pscale(ad, c))
-        num = padd(F, pmul(F, an, bd), pmul(F, bn, ad))
+        num = combine(F, pmul(F, an, bd), pmul(F, bn, ad))
         return self.normalize(num, pmul(F, ad, bd))
-
-    def sub(self, a, b):
-        (an, ad), (bn, bd) = a, b
-        if self.ring is ZZ and len(an) < 2 and len(bn) < 2 and len(ad) == 1 == len(bd):
-            d, e = ad[0], bd[0]
-            return _rational((an[0] * e if an else 0) - (bn[0] * d if bn else 0), d * e)
-        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         F = self.ring

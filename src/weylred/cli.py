@@ -72,7 +72,6 @@ from .telescoping import (
 )
 from .weyl import (
     Algebra,
-    Monomial,
     WeylOperator,
     dtelim_order,
     grevlex,
@@ -227,7 +226,7 @@ def _is_scalar_op(v):
         return True, v.algebra.field.zero
     if len(v.terms) == 1:
         (m, c), = v.terms.items()
-        if not any(m.alpha) and not any(m.beta) and m.comp == 1:
+        if m == v.algebra.unit_monomial(1):
             return True, c
     return False, None
 
@@ -415,6 +414,7 @@ def _coeff_str(c):
 
 
 def _mono_factors(m, doc):
+    m = doc.algebra.decode(m)
     names = doc.variables
     off = 1 if doc.parametric else 0
     out = []
@@ -510,7 +510,7 @@ def telescoper_document(tele):
     """The telescoper as a one-operator document in t and d_t."""
     A = _TELESCOPER_DOC.algebra
     op = WeylOperator(A, {
-        Monomial((0,), (i,), 1): QQ_T.from_poly(c) for i, c in enumerate(tele.coefficients)
+        A.monomial((0,), (i,)): QQ_T.from_poly(c) for i, c in enumerate(tele.coefficients)
     })
     return format_document(_TELESCOPER_DOC, [op])
 
@@ -638,7 +638,7 @@ def _cmd_confine(args):
     out_doc = OperatorDocument(pres.ctx.algebra, pres.ctx.order, doc.variables)
 
     def unit(m):
-        return WeylOperator(pres.ctx.algebra, {m: QQ_T.one})
+        return WeylOperator(pres.ctx.algebra, {pres.ctx.algebra.monomial(*m): QQ_T.one})
 
     lines = [f"eta: {print_operator(unit(conf.eta), out_doc)}"]
     lines += [f"basis: {print_operator(unit(m), out_doc)}" for m in conf.B]
@@ -690,6 +690,7 @@ def _parse_fg_document(path, k):
         op = parse_operator(rest, doc)
         poly = {}
         for m, c in op.terms.items():
+            m = doc.algebra.decode(m)
             if any(m.beta):
                 raise ParseError("f and g must be polynomials in p1..pk",
                                  line=lineno)
@@ -751,17 +752,16 @@ def _cmd_verify_series(args):
     op = doc.generators[0]
     if op.is_zero():
         raise ParseError("ODE operator is zero")
-    order = max(m.beta[0] for m in op.terms)
+    terms = {doc.algebra.decode(m).beta[0]: c for m, c in op.terms.items()}
     coeffs = []
-    for i in range(order + 1):
+    for i in range(max(terms) + 1):
         poly = ()
-        for m, c in op.terms.items():
-            if m.beta[0] == i:
-                num, den = c
-                if len(den) > 1:
-                    raise ParseError("ODE coefficients must be polynomials in t")
-                poly = tuple(Fraction(x, den[0]) for x in num)
-        coeffs.append(tuple(poly))
+        if i in terms:
+            num, den = terms[i]
+            if len(den) > 1:
+                raise ParseError("ODE coefficients must be polynomials in t")
+            poly = tuple(Fraction(x, den[0]) for x in num)
+        coeffs.append(poly)
     vals = _read_text(args.series).split()
     try:
         series = tuple(Fraction(v) for v in vals)

@@ -24,17 +24,15 @@ component index ``h*s + i``.
 
 from .arith import InconsistencyError, Record
 from .groebner import ReducedBasis, buchberger, lrem
-from .weyl import (
-    Algebra, Monomial, WeylOperator, components, dtelim_order, grevlex, mul)
+from .weyl import Algebra, WeylOperator, components, dtelim_order, grevlex, mul
 
 
 def dt_degree(a):
     """Largest d_t exponent appearing in `a` (0 for the zero operator)."""
     if not a.algebra.dt:
         raise ValueError("expected an operator with a d_t slot")
-    if a.is_zero():
-        return 0
-    return max(m.beta[0] for m in a.terms)
+    L = a.algebra.layout
+    return max((L.exponent(m, L.n) for m in a.terms), default=0)
 
 
 class ParametricPresentation(Record):
@@ -86,11 +84,7 @@ class ExtensionResult(Record):
 
 def _dt_basis_element(algebra, h, comp):
     """d_t^h e_comp in algebra."""
-    beta = [0] * algebra.n
-    beta[0] = h
-    return WeylOperator(
-        algebra, {Monomial((0,) * algebra.n, tuple(beta), comp): algebra.field.one}
-    )
+    return WeylOperator(algebra, {h * algebra.layout.d[0] + comp - 1: algebra.field.one})
 
 
 def flatten_operator(a, ell, target):
@@ -100,15 +94,14 @@ def flatten_operator(a, ell, target):
     ``x^alpha d^beta e_{h*s+i}`` (slot 0 dropped).  Raises ValueError if
     some monomial exceeds the level bound.
     """
-    src = a.algebra
-    s = src.r
+    L = a.algebra.layout
+    s = a.algebra.r
     terms = {}
     for m, c in a.terms.items():
-        h = m.beta[0]
+        h = L.exponent(m, L.n)
         if h > ell:
             raise ValueError("operator exceeds the stabilization level")
-        flat = Monomial(m.alpha[1:], m.beta[1:], h * s + m.comp)
-        terms[flat] = c
+        terms[L.without_slot0(m) + h * s] = c
     return WeylOperator(target, terms)
 
 
@@ -191,8 +184,6 @@ def embedded_unit(ext, h=0, i=1):
         raise ValueError(f"no basis direction d_t^{h} e_{i}: need 0 <= h <= {ext.ell}"
                          f" and 1 <= i <= {ext.source.s}")
     comp = h * ext.source.s + i
-    return WeylOperator(
-        ext.algebra,
-        {Monomial((0,) * ext.algebra.n, (0,) * ext.algebra.n, comp): ext.algebra.field.one},
-    )
+    A = ext.algebra
+    return WeylOperator(A, {A.unit_monomial(comp): A.field.one})
 

@@ -9,10 +9,11 @@ establishes soundness of everything built on top.
 
 S-pairs are driven by the commutative shadows of leading monomials (legal
 because the product of two monomials always has the componentwise sum as its
-leading monomial).  The classical coprimality skip is adjusted for the Weyl
-relations: a pair is skipped only when the shadows are coprime *and* the two
-leading monomials commute — coprime shadows alone are not enough, as the pair
-(x1, d1) shows: their S-pair is d1 x1 - x1 d1 = 1.  Buchberger's chain
+leading monomial); on packed monomials (:mod:`.weyl`) divisibility, cofactors
+and lcms are int arithmetic.  The classical coprimality skip is adjusted for
+the Weyl relations: a pair is skipped only when the shadows are coprime *and*
+the two leading monomials commute — coprime shadows alone are not enough, as
+the pair (x1, d1) shows: their S-pair is d1 x1 - x1 d1 = 1.  Buchberger's chain
 criterion, which holds in G-algebras such as W^r (Levandovskyy, thesis 2005),
 skips a pair whose lcm some third leading monomial divides once both of that
 element's pairs with the two are done (Gebauer and Moeller, JSC 1988).
@@ -25,19 +26,9 @@ unchanged when asked for it again under the same order.
 from __future__ import annotations
 
 import heapq
-from operator import le
 
 from .arith import Record
-from .weyl import (
-    Monomial,
-    WeylOperator,
-    _term_product,
-    leading_data,
-    mul_monomial,
-    op_scale,
-    shadow_divides,
-    shadow_quotient,
-)
+from .weyl import WeylOperator, _accumulate, leading_data, mul_monomial, op_scale
 
 
 class DivisionCertificate(Record):
@@ -76,8 +67,8 @@ class DivisionCertificate(Record):
         """Whether x == sum q_i g_i + sum d_j w_j exactly.
 
         Each product accumulates term pair by term pair into a dict, as
-        ``mul`` does inside, and is added into one running total in place;
-        the total is compared with x once.
+        ``mul`` does, and is added into one running total in place; the
+        total is compared with x once.
         """
         A = x.algebra
         F = A.field
@@ -89,9 +80,7 @@ class DivisionCertificate(Record):
             if right.algebra != A:
                 raise ValueError("operands live in different algebras")
             product = {}
-            for ml, cl in left.terms.items():
-                for mr, cr in right.terms.items():
-                    _term_product(F, A, product, cl, ml, cr, mr, mr.comp)
+            _accumulate(F, A, product, left, right)
             for m, c in product.items():
                 total[m] = F.add(total[m], c) if m in total else c
         return {m: c for m, c in total.items() if not F.is_zero(c)} == x.terms
@@ -112,29 +101,27 @@ def lrem(a, basis, order, certificate=True):
     """
     A = a.algebra
     F = A.field
-    lead = []
-    for g in basis:
-        lm, lc = leading_data(g, order)
-        lead.append((lm.comp, lm.alpha + lm.beta, lm, lc, g))
+    key = order.key
+    divmask = A.layout.divmask
+    lead = [leading_data(g, order) + (g,) for g in basis]
 
     cert = None
     work = dict(a.terms)
-    heap = [_HeapItem(order.key(m), m) for m in work]
+    heap = [(-key(m), m) for m in work]
     heapq.heapify(heap)  # keys are unique per monomial: the pop order is fixed
     quotients = {} if certificate else None
 
     while heap:
-        m = heapq.heappop(heap).mono
+        m = heapq.heappop(heap)[1]
         c = work.get(m)
         if c is None:
             continue
-        comp, shadow = m.comp, m.alpha + m.beta
-        for i, (lcomp, lshadow, lm, lc, g) in enumerate(lead):
-            if lcomp == comp and all(map(le, lshadow, shadow)):
+        for i, (lm, lc, g) in enumerate(lead):
+            if not (m - lm) & divmask:  # lm divides m
                 break
         else:
             continue
-        cof = shadow_quotient(m, lm)
+        cof = m - lm
         coeff = F.div(c, lc)
         if certificate:
             _cert_add_quotient_dict(quotients, i, cof, coeff, F)
@@ -148,7 +135,7 @@ def lrem(a, basis, order, certificate=True):
                 work.pop(mm, None)
             else:
                 if old is None:
-                    heapq.heappush(heap, _HeapItem(order.key(mm), mm))
+                    heapq.heappush(heap, (-key(mm), mm))
                 work[mm] = new
 
     remainder = WeylOperator(A, work)
@@ -162,19 +149,6 @@ def lrem(a, basis, order, certificate=True):
             (None,) * A.n,
         )
     return remainder, cert
-
-
-class _HeapItem:
-    """Max-heap adapter: larger order key pops first."""
-
-    __slots__ = ("key", "mono")
-
-    def __init__(self, key, mono):
-        self.key = key
-        self.mono = mono
-
-    def __lt__(self, other):
-        return self.key > other.key
 
 
 def _cert_add_quotient_dict(quotients, i, mono, coeff, F):
@@ -199,18 +173,18 @@ def rrem(a, certificate=True):
     if A.dt:
         raise ValueError("right reduction happens in the plain algebra")
     F = A.field
+    L = A.layout
     work = dict(a.terms)
     dw = [dict() for _ in range(A.n)] if certificate else None
 
-    pending = [m for m in work if any(m.beta)]
+    pending = [m for m in work if m & L.dfields]
     while pending:
         m = pending.pop()
         c = work.pop(m, None)
         if c is None:
             continue
-        i = next(j for j, b in enumerate(m.beta) if b)
-        lower_beta = tuple(b - (1 if j == i else 0) for j, b in enumerate(m.beta))
-        m1 = Monomial(m.alpha, lower_beta, m.comp)
+        i = L.first_d(m)
+        m1 = m - L.d[i]
         if certificate:
             old = dw[i].get(m1)
             new = c if old is None else F.add(old, c)
@@ -218,13 +192,9 @@ def rrem(a, certificate=True):
                 dw[i].pop(m1, None)
             else:
                 dw[i][m1] = new
-        ai = m.alpha[i]
+        ai = L.exponent(m, i)
         if ai:
-            m2 = Monomial(
-                tuple(x - (1 if j == i else 0) for j, x in enumerate(m.alpha)),
-                lower_beta,
-                m.comp,
-            )
+            m2 = m1 - L.x[i]
             add = F.mul(c, F.from_int(-ai))
             old = work.get(m2)
             new = add if old is None else F.add(old, add)
@@ -232,7 +202,7 @@ def rrem(a, certificate=True):
                 work.pop(m2, None)
             else:
                 work[m2] = new
-                if any(m2.beta):
+                if m2 & L.dfields:
                     pending.append(m2)
 
     remainder = WeylOperator(A, work)
@@ -244,18 +214,6 @@ def rrem(a, certificate=True):
 
 # ---------------------------------------------------------------------------
 # Buchberger
-
-
-def _lms_commute(m1: Monomial, m2: Monomial):
-    """No x_i-vs-d_i pairing in the same slot across the two monomials."""
-    for a1, b1, a2, b2 in zip(m1.alpha, m1.beta, m2.alpha, m2.beta):
-        if (b1 and a2) or (b2 and a1):
-            return False
-    return True
-
-
-def _shadows_coprime(m1: Monomial, m2: Monomial):
-    return all(min(a, b) == 0 for a, b in zip(m1.shadow(), m2.shadow()))
 
 
 class ReducedBasis(tuple):
@@ -290,6 +248,7 @@ def buchberger(gens, order):
     if not G:
         return ReducedBasis((), order)
 
+    L = G[0].algebra.layout
     lms = [leading_data(g, order)[0] for g in G]
     pairs = []
     pending = set()  # the pairs (i, j), i < j, still on the heap
@@ -298,16 +257,17 @@ def buchberger(gens, order):
     def push_pairs(j):
         nonlocal seq
         lmj = lms[j]
+        nzj = L.nonzero(lmj)
         for i in range(j):
             lmi = lms[i]
-            if lmi.comp != lmj.comp:
+            if L.comp(lmi) != L.comp(lmj):
                 continue
-            if _shadows_coprime(lmi, lmj) and _lms_commute(lmi, lmj):
+            nzi = L.nonzero(lmi)
+            # coprime shadows, and no d_i of either meets an x_i of the other
+            if not (nzi & nzj or (nzi >> L.shift) & nzj or (nzj >> L.shift) & nzi):
                 continue
-            lcm_deg = sum(
-                max(a, b) for a, b in zip(lmi.shadow(), lmj.shadow())
-            )
-            heapq.heappush(pairs, (lcm_deg, seq, i, j))
+            lcm = L.lcm(lmi, lmj)
+            heapq.heappush(pairs, (L.degree(lcm), seq, i, j, lcm))
             pending.add((i, j))
             seq += 1
 
@@ -315,7 +275,7 @@ def buchberger(gens, order):
         """Buchberger's chain criterion: some lm(g_k) divides the lcm, and
         neither pair of k with i or j is still pending."""
         return any(
-            k != i and k != j and shadow_divides(lm, lcm)
+            k != i and k != j and L.divides(lm, lcm)
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
             for k, lm in enumerate(lms)
@@ -325,18 +285,12 @@ def buchberger(gens, order):
         push_pairs(j)
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        _, _, i, j, lcm = heapq.heappop(pairs)
         pending.discard((i, j))
-        lmi, lmj = lms[i], lms[j]
-        lcm = Monomial(
-            tuple(max(a, b) for a, b in zip(lmi.alpha, lmj.alpha)),
-            tuple(max(a, b) for a, b in zip(lmi.beta, lmj.beta)),
-            lmi.comp,
-        )
         if chained(i, j, lcm):
             continue
-        left = mul_monomial(shadow_quotient(lcm, lmi), F.one, G[i])
-        right = mul_monomial(shadow_quotient(lcm, lmj), F.one, G[j])
+        left = mul_monomial(lcm - lms[i], F.one, G[i])
+        right = mul_monomial(lcm - lms[j], F.one, G[j])
         spair = left - right
         if spair.is_zero():
             continue
@@ -361,18 +315,19 @@ def _autoreduce(G, order):
     none of whose terms another kept leading monomial divides is its own
     remainder, and no division runs for it.
     """
+    divides = G[0].algebra.layout.divides
     by_lm = sorted(G, key=lambda g: order.key(leading_data(g, order)[0]))
     kept = []
     kept_lms = []
     for g in by_lm:
         lm = leading_data(g, order)[0]
-        if any(shadow_divides(l, lm) for l in kept_lms):
+        if any(divides(l, lm) for l in kept_lms):
             continue
         kept.append(g)
         kept_lms.append(lm)
 
     for idx, g in enumerate(kept):
         others = kept_lms[:idx] + kept_lms[idx + 1 :]
-        if any(shadow_divides(l, m) for m in g.terms for l in others):
+        if any(divides(l, m) for m in g.terms for l in others):
             kept[idx] = lrem(g, kept[:idx] + kept[idx + 1 :], order, certificate=False)[0]
     return ReducedBasis(kept, order)

@@ -26,15 +26,7 @@ from __future__ import annotations
 from collections import deque
 
 from .arith import Record
-from .weyl import (
-    Monomial,
-    WeylOperator,
-    leading_data,
-    mul,
-    mul_monomial,
-    op_scale,
-    shadow_divides,
-)
+from .weyl import WeylOperator, leading_data, mul, mul_monomial, op_scale
 from .groebner import DivisionCertificate, lrem, rrem
 
 
@@ -59,10 +51,11 @@ class ReductionContext:
         self.basis = tuple(basis)
         self.lead = tuple(leading_data(g, order) for g in self.basis)
 
-    def is_irreducible_monomial(self, m: Monomial):
-        if any(m.beta):
+    def is_irreducible_monomial(self, m):
+        L = self.algebra.layout
+        if m & L.dfields:
             return False
-        return not any(shadow_divides(lm, m) for lm, _ in self.lead)
+        return not any(L.divides(lm, m) for lm, _ in self.lead)
 
     def is_irreducible(self, a: WeylOperator):
         return all(self.is_irreducible_monomial(m) for m in a.terms)
@@ -119,24 +112,22 @@ def _enumerate_candidates(ctx, eta):
     """
     order = ctx.order
     eta_key = order.key(eta)
-    n = ctx.algebra.n
+    L = ctx.algebra.layout
     found = {}
     for gi, (lm, _) in enumerate(ctx.lead):
-        if not any(lm.beta):
+        if not lm & L.dfields:
             continue
-        seen = {(0,) * n}
-        queue = deque([(0,) * n])
+        seen = {0}
+        queue = deque([0])  # gamma, a packed x^gamma
         while queue:
             gamma = queue.popleft()
-            m = Monomial(
-                tuple(a + c for a, c in zip(lm.alpha, gamma)), lm.beta, lm.comp
-            )
+            m = L.check(lm + gamma)
             if order.key(m) > eta_key:
                 continue
             found.setdefault(m, (gi, gamma))
             lo = 1 if ctx.algebra.dt else 0
-            for i in range(lo, n):
-                child = tuple(c + (1 if j == i else 0) for j, c in enumerate(gamma))
+            for i in range(lo, L.n):
+                child = gamma + L.x[i]
                 if child not in seen:
                     seen.add(child)
                     queue.append(child)
@@ -145,7 +136,7 @@ def _enumerate_candidates(ctx, eta):
     for m, tag in found.items():
         excluded = False
         for lm, _ in ctx.lead:
-            if shadow_divides(lm, m) and m.beta != lm.beta:
+            if L.divides(lm, m) and m & L.dfields != lm & L.dfields:
                 excluded = True
                 break
         if not excluded:
@@ -157,36 +148,24 @@ def _defect_element(ctx, m, gi, gamma, certificate):
     """A_m = x^gamma g - lc(g) d^beta x^(alpha+gamma) e_j, plus its dW witness."""
     A = ctx.algebra
     F = A.field
-    n = A.n
+    L = A.layout
     g = ctx.basis[gi]
     lm, lc = ctx.lead[gi]
-    xgamma = Monomial(gamma, (0,) * n, 1)
-    left = mul_monomial(xgamma, F.one, g)
+    left = mul_monomial(gamma, F.one, g)
 
     # write d^beta X as d_i (d^(beta - e_i) X) to witness membership in dW^r
-    i = next(j for j, b in enumerate(lm.beta) if b)
-    beta_rest = tuple(b - (1 if j == i else 0) for j, b in enumerate(lm.beta))
+    i = L.first_d(lm)
+    d_part = L.with_degree(lm & L.dfields)
     scalar_alg = A.with_rank(1)
-    drest = WeylOperator(
-        scalar_alg, {Monomial((0,) * n, beta_rest, 1): F.one}
-    )
-    xmono = WeylOperator(
-        A,
-        {
-            Monomial(
-                tuple(a + c for a, c in zip(lm.alpha, gamma)),
-                (0,) * n,
-                lm.comp,
-            ): lc
-        },
-    )
+    drest = WeylOperator(scalar_alg, {d_part - L.d[i]: F.one})
+    xmono = WeylOperator(A, {lm - d_part + gamma: lc})
     w = mul(drest, xmono)  # so that d_i w = lc * d^beta x^(alpha+gamma) e_j
     raw = left - mul(scalar_alg.dvar(i), w)
 
     cert = None
     if certificate:
-        quot = {gi: WeylOperator(scalar_alg, {xgamma: F.one})}
-        dw = [None] * n
+        quot = {gi: WeylOperator(scalar_alg, {gamma: F.one})}
+        dw = [None] * A.n
         dw[i] = -w
         cert = DivisionCertificate(ctx.basis, quot, tuple(dw))
     return raw, cert
@@ -268,12 +247,8 @@ def largest_monomial_of_degree(algebra, order, s):
     That is v^s e_1 for the largest single variable v (see MonomialOrder);
     slot 0 holds no x when the algebra is t-extended.
     """
-    n = algebra.n
-
-    def power(slot, e):
-        vec = (0,) * slot + (e,) + (0,) * (2 * n - 1 - slot)
-        return Monomial(vec[:n], vec[n:], 1)
-
-    slots = range(1 if algebra.dt else 0, 2 * n)
-    v = max(slots, key=lambda slot: order.key(power(slot, 1)))
-    return power(v, s)
+    L = algebra.layout
+    units = L.x + L.d  # slot codes 0..n-1 for x_i, n..2n-1 for d_i
+    v = max(range(1 if algebra.dt else 0, 2 * L.n),
+            key=lambda slot: order.key(units[slot]))
+    return L.check(s * units[v])

@@ -95,7 +95,6 @@ from .arith import (
 )
 from .weyl import (
     Algebra,
-    Monomial,
     WeylOperator,
     _mono_str,
     coefficientwise_dt,
@@ -121,9 +120,7 @@ from .reduction import (
 
 def _embed(a: WeylOperator, comp, rank):
     target = a.algebra.with_rank(rank)
-    return WeylOperator(
-        target, {Monomial(m.alpha, m.beta, comp): c for m, c in a.terms.items()}
-    )
+    return WeylOperator(target, {m + comp - 1: c for m, c in a.terms.items()})
 
 
 def apply_linear(L, a: WeylOperator):
@@ -179,10 +176,10 @@ class DerivedPresentation:
                 img = coefficientwise_dt(g) + apply_linear(L, g)
             rem, _ = lrem(img, ctx.basis, ctx.order, certificate=False)
             if not rem.is_zero():
+                lead = ctx.algebra.decode(leading_monomial(g, ctx.order))
                 raise ValueError(
                     "module is not stable under the derivation: "
-                    "basis element with lead "
-                    f"{_mono_str(leading_monomial(g, ctx.order))} fails"
+                    f"basis element with lead {_mono_str(lead)} fails"
                 )
 
 
@@ -193,7 +190,8 @@ class DerivedPresentation:
 class Confinement(Record):
     """(eta, B), and the shape of the eta-basis at eta; the modular vote
     elects one by equality of all four fields, and a point is usable only
-    when it confines to the elected one."""
+    when it confines to the elected one.  eta and B are decoded monomials
+    (weyl.Monomial), the shape is packed."""
 
     _fields = ("eta", "B", "row_lms", "tracer")
 
@@ -283,6 +281,7 @@ def confine(ctx, L, f, rho=1, degree_ceiling=40, forms=None):
     if forms is None:
         forms = _ReducedForms(ctx, L, f)
     order = ctx.order
+    lay = ctx.algebra.layout
     s = rho
     while True:
         if s > degree_ceiling:
@@ -294,15 +293,15 @@ def confine(ctx, L, f, rho=1, degree_ceiling=40, forms=None):
         B = set()
         while Q - B:
             m = min(Q - B, key=order.key)
-            if m.degree() > s - rho:
+            if lay.degree(m) > s - rho:
                 break  # no margin left below eta: raise the threshold
             Q |= set(forms.at(eta, m).support())
             B.add(m)
         else:
             basis_e = forms.basis(eta)
             return Confinement(
-                eta=eta,
-                B=tuple(sorted(B, key=order.key)),
+                eta=lay.decode(eta),
+                B=tuple(map(lay.decode, sorted(B, key=order.key))),
                 row_lms=tuple(r.lm for r in basis_e.rows),
                 tracer=basis_e.tracer,
             )
@@ -317,19 +316,22 @@ def _reduced_system(forms, conf):
     is not what confine returned, a fault.  A certified table witnesses
     each of these reductions."""
     reduce = forms.witnessed if forms.certificate else forms.at
-    index = {m: i for i, m in enumerate(conf.B)}
-    zero = forms.ctx.algebra.field.zero
+    A = forms.ctx.algebra
+    eta = A.monomial(*conf.eta)
+    B = [A.monomial(*m) for m in conf.B]
+    index = {m: i for i, m in enumerate(B)}
 
     def coordinates(key):
-        vec = [zero] * len(index)
-        for m, c in reduce(conf.eta, key).terms.items():
+        vec = [A.field.zero] * len(index)
+        for m, c in reduce(eta, key).terms.items():
             pos = index.get(m)
             if pos is None:
-                raise InconsistencyError(f"support escapes the confinement at {m}")
+                raise InconsistencyError(
+                    f"support escapes the confinement at {_mono_str(A.decode(m))}")
             vec[pos] = c
         return tuple(vec)
 
-    return coordinates(None), tuple(map(coordinates, conf.B))
+    return coordinates(None), tuple(map(coordinates, B))
 
 
 def derivative_sequence_step(F, g, matrix):
@@ -565,19 +567,26 @@ def _inputs(pres):
     return pres.ctx.basis + (pres.f,) + tuple(e for row in pres.L for e in row)
 
 
-def _context(pres, field, ops):
-    """(ctx, L, f) over field from the operators _inputs(pres) lists."""
-    A = pres.ctx.algebra
+def _context(pres, ops):
+    """(ctx, L, f) from the operators _inputs(pres) lists, evaluated or
+    lifted: ctx in the algebra of f."""
     nbasis, r = len(pres.ctx.basis), len(pres.L)
-    ctx = ReductionContext(Algebra(A.n, A.r, field, False), pres.ctx.order,
-                           ops[:nbasis])
+    f = ops[nbasis]
+    ctx = ReductionContext(f.algebra, pres.ctx.order, ops[:nbasis])
     L = tuple(ops[nbasis + 1 + i * r:nbasis + 1 + (i + 1) * r] for i in range(r))
-    return ctx, L, ops[nbasis]
+    return ctx, L, f
 
 
 def _evaluate(pres, img):
-    """The operators _inputs(pres) lists, evaluated at img."""
-    return tuple(evaluate_and_reduce(op, img) for op in _inputs(pres))
+    """The operators _inputs(pres) lists, evaluated at img.  The basis and
+    f land in one algebra over img.field and L's entries in its rank-1
+    twin (the same one when r = 1), so algebra checks between them are
+    identity checks."""
+    A = pres.ctx.algebra
+    module = Algebra(A.n, A.r, img.field, False)
+    scalar = module.with_rank(1)
+    return tuple(evaluate_and_reduce(op, img, scalar if op.algebra.r == 1 else module)
+                 for op in _inputs(pres))
 
 
 def _solve_at(ctx, L, f, rho, degree_ceiling):
@@ -681,6 +690,7 @@ class _Tape:
         self.guard_nonzero = []
         self.guard_zero = []
         self._inverses = {}  # constant slot -> its inverse, a constant
+        self._algebras = {}  # rank -> the algebra over the tape of lifted operators
 
     def _value(self, value, point):
         self.slots += 1
@@ -773,6 +783,9 @@ class _Tape:
         constant input, each with the slot of its value, and one that
         vanished at the recording point as absent (slot None)."""
         A = image.algebra
+        target = self._algebras.get(A.r)
+        if target is None:  # one per rank, shared by every operator lifted
+            target = self._algebras[A.r] = Algebra(A.n, A.r, self, False)
         terms = {}
         for m, (num, den) in source.terms.items():
             self.leading_dens.add(den[-1])
@@ -786,7 +799,7 @@ class _Tape:
                 self.point_inputs.append((slot, num, den))
             else:
                 self.const_inputs.append((slot, num[0], den[0]))
-        return WeylOperator(Algebra(A.n, A.r, self, False), terms)
+        return WeylOperator(target, terms)
 
     def finish(self, outputs):
         """Fix the outputs: g0, then the matrix row by row."""
@@ -857,7 +870,7 @@ def _record(pres, Fp, a, rho, degree_ceiling, counts):
     row by row; counts tallies the tape."""
     images = _evaluate(pres, ModularImage(Fp, a))
     tape = _Tape(Fp)
-    lifted = _context(pres, tape, tuple(map(tape.lift, _inputs(pres), images)))
+    lifted = _context(pres, tuple(map(tape.lift, _inputs(pres), images)))
     conf, (g0, rows) = _solve_at(*lifted, rho, degree_ceiling)
     tape.finish(g0 + sum(rows, ()))
     counts["tapes_recorded"] += 1
@@ -877,7 +890,7 @@ def _solved(pres, recording, bound, Fp, a, rho, degree_ceiling, counts, kind):
         return conf, _unflatten(values, len(conf.B))
     images = _evaluate(pres, ModularImage(Fp, a))
     counts[kind + "_generic"] += 1
-    return _solve_at(*_context(pres, Fp, images), rho, degree_ceiling)
+    return _solve_at(*_context(pres, images), rho, degree_ceiling)
 
 
 class _SamplePool:

@@ -33,6 +33,7 @@ def qqt_elements(max_deg=2, allow_zero=False):
 
 
 def monomials(n, r=1, max_exp=3, dt=False):
+    """Decoded monomials (weyl.Monomial); Algebra.monomial(*m) packs one."""
     def build(alpha, beta, comp):
         if dt:
             alpha = (0,) + tuple(alpha[1:])
@@ -47,7 +48,8 @@ def operators(algebra, coeffs=None, max_terms=4, max_exp=3, min_terms=0):
     if coeffs is None:
         coeffs = qqt_elements() if algebra.field is QQ_T else nonzero_fractions()
     return st.dictionaries(
-        monomials(algebra.n, algebra.r, max_exp, dt=algebra.dt),
+        monomials(algebra.n, algebra.r, max_exp, dt=algebra.dt).map(
+            lambda m: algebra.monomial(*m)),
         coeffs,
         min_size=min_terms,
         max_size=max_terms,
@@ -57,7 +59,8 @@ def operators(algebra, coeffs=None, max_terms=4, max_exp=3, min_terms=0):
 def _skip_smallest_candidate(pres, conf):
     """conf with a tracer that also skips its smallest contributing
     candidate: a Confinement that no point confines to."""
-    candidates = reduction._enumerate_candidates(pres.ctx, conf.eta)
+    eta = pres.ctx.algebra.monomial(*conf.eta)
+    candidates = reduction._enumerate_candidates(pres.ctx, eta)
     skipped = min(set(candidates) - conf.tracer, key=pres.ctx.order.key)
     return telescoping.Confinement(conf.eta, conf.B, conf.row_lms,
                                    conf.tracer | {skipped})

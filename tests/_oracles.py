@@ -6,8 +6,9 @@ action of the Weyl algebra) or from data the engine exposes (certificates).
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial
+from itertools import combinations_with_replacement, product
+from math import comb, factorial
+from operator import add, mul as imul, neg
 
 from weylred.arith import T_GEN, padd, pmul
 from weylred.extension import dt_degree, flatten_operator
@@ -15,7 +16,7 @@ from weylred.groebner import lrem
 from weylred.telescoping import apply_linear
 from weylred.weyl import (
     Monomial, MonomialOrder, WeylOperator, coefficientwise_dt, leading_data, mul,
-    op_scale, op_sub, shadow_divides)
+    op_scale, op_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,28 @@ def zz_heu_gcd_oracle(a, b):
 # weyl
 
 
+# The tuple oracle: monomials as the Monomial (alpha, beta, comp) tuples
+# that weyl decodes, with the tuple arithmetic that packed monomials replace.
+
+
+def shadow_divides(m1: Monomial, m2: Monomial):
+    """True when m2 = m1 * (something) componentwise, same module component."""
+    if m1.comp != m2.comp:
+        return False
+    return all(a <= b for a, b in zip(m1.alpha, m2.alpha)) and all(
+        a <= b for a, b in zip(m1.beta, m2.beta)
+    )
+
+
+def shadow_quotient(m2: Monomial, m1: Monomial):
+    """Exponent difference m2 - m1 as a component-1 monomial (the cofactor)."""
+    return Monomial(
+        tuple(b - a for a, b in zip(m1.alpha, m2.alpha)),
+        tuple(b - a for a, b in zip(m1.beta, m2.beta)),
+        1,
+    )
+
+
 def shadow_product(m1: Monomial, m2: Monomial, comp=None):
     return Monomial(
         tuple(a + b for a, b in zip(m1.alpha, m2.alpha)),
@@ -131,10 +154,78 @@ def shadow_product(m1: Monomial, m2: Monomial, comp=None):
     )
 
 
+def shadow_lcm(m1: Monomial, m2: Monomial):
+    return Monomial(tuple(map(max, m1.alpha, m2.alpha)),
+                    tuple(map(max, m1.beta, m2.beta)), m1.comp)
+
+
+def tuple_key(order: MonomialOrder, m: Monomial):
+    """The sort key of a decoded monomial as a tuple: ascending tuple order
+    agrees with the monomial order."""
+    alpha, beta = m.alpha, m.beta
+    vec = alpha + beta
+    if order.kind == "grevlex":
+        key = (sum(vec), tuple(map(neg, reversed(vec))))
+    elif order.kind == "lex":
+        key = tuple(vec[s] for s in order.sequence)
+    elif order.kind == "block":
+        key = (sum(alpha), tuple(map(neg, reversed(alpha))),
+               sum(beta), tuple(map(neg, reversed(beta))))
+    elif order.kind == "weightlex":
+        key = (sum(wi * v for wi, v in zip(order.weights, vec)),) + vec
+    else:  # dtelim: beta[0] dominates, then graded on everything else
+        rest = alpha + beta[1:]
+        key = (beta[0], sum(rest), tuple(map(neg, reversed(rest))))
+    return key + (-m.comp,)
+
+
 def compare(m1: Monomial, m2: Monomial, order: MonomialOrder):
     """-1, 0, or 1 as m1 <, =, > m2 under the order."""
-    k1, k2 = order.key(m1), order.key(m2)
+    k1, k2 = tuple_key(order, m1), tuple_key(order, m2)
     return -1 if k1 < k2 else (0 if k1 == k2 else 1)
+
+
+def tuple_term_product(F, dt, out, cp, mp: Monomial, cq, mq: Monomial, comp):
+    """Accumulate (cp x^ap d^bp) * (cq x^aq d^bq) e_comp into out, keyed by
+    decoded monomials: the normal-ordering expansion on exponent tuples."""
+    n = len(mp.alpha)
+    ap, bp = mp.alpha, mp.beta
+    aq, bq = mq.alpha, mq.beta
+    if not (dt and bp[0]) and not any(map(imul, bp, aq)):
+        m = Monomial(tuple(map(add, ap, aq)), tuple(map(add, bp, bq)), comp)
+        c = F.mul(cp, cq)
+        old = out.get(m)
+        out[m] = c if old is None else F.add(old, c)
+        return
+
+    # coefficient twist for the d_t slot: d_t^b cq = sum_j C(b, j) cq^(j) d_t^(b-j)
+    b0 = bp[0] if dt else 0
+    pairs, der = [(F.mul(cp, cq), 0)], cq
+    for j in range(1, b0 + 1):
+        der = F.derivative(der)
+        pairs.append((F.mul(cp, F.mul(F.from_int(comb(b0, j)), der)), j))
+
+    slots = []
+    for i in range(1 if dt else 0, n):
+        kmax = min(bp[i], aq[i])
+        if kmax:
+            slots.append((i, [(k, comb(bp[i], k) * comb(aq[i], k) * factorial(k))
+                              for k in range(kmax + 1)]))
+
+    for coeff0, j0 in pairs:
+        for choice in product(*(opts for _, opts in slots)):
+            factor = 1
+            for k, f in choice:
+                factor *= f
+            c = coeff0 if factor == 1 else F.mul(coeff0, F.from_int(factor))
+            alpha = [a + b for a, b in zip(ap, aq)]
+            beta = [a + b for a, b in zip(bp, bq)]
+            beta[0] -= j0
+            for (i, _), (k, _) in zip(slots, choice):
+                alpha[i] -= k
+                beta[i] -= k
+            m = Monomial(tuple(alpha), tuple(beta), comp)
+            out[m] = F.add(out.get(m, F.zero), c)
 
 
 def apply_to_polynomial(P: WeylOperator, poly: dict):
@@ -148,6 +239,7 @@ def apply_to_polynomial(P: WeylOperator, poly: dict):
     F = A.field
     out = {}
     for m, c in P.terms.items():
+        m = A.decode(m)
         for e, d in poly.items():
             if any(ei < bi for ei, bi in zip(e, m.beta)):
                 continue
@@ -170,7 +262,7 @@ def mul_by_variables(m: Monomial, c, P: WeylOperator):
     """
     A = P.algebra
     F = A.field
-    terms = dict(P.terms)
+    terms = {A.decode(mq): cq for mq, cq in P.terms.items()}
 
     def add(out, mono, v):
         out[mono] = F.add(out.get(mono, F.zero), v)
@@ -199,7 +291,7 @@ def mul_by_variables(m: Monomial, c, P: WeylOperator):
     for i in reversed(range(A.n)):
         for _ in range(m.alpha[i]):
             terms = x_times(i, terms)
-    return WeylOperator(A, {mq: F.mul(c, cq) for mq, cq in terms.items()})
+    return WeylOperator(A, {A.monomial(*mq): F.mul(c, cq) for mq, cq in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +318,7 @@ def autoreduce_to_fixpoint(G, order):
     F = G[0].algebra.field
     kept, kept_lms = [], []
     for g in sorted(G, key=lambda g: order.key(leading_data(g, order)[0])):
-        lm = leading_data(g, order)[0]
+        lm = g.algebra.decode(leading_data(g, order)[0])
         if not any(shadow_divides(l, lm) for l in kept_lms):
             kept.append(g)
             kept_lms.append(lm)

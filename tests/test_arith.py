@@ -169,11 +169,11 @@ _SHAPES = ("zero", "const", "rational", "poly", "frac", "monomial_den", "shared_
 
 @st.composite
 def rf_pairs(draw, F):
-    """Canonical pairs (a, b) over F covering every shortcut of add and mul:
-    zero, integer and rational constants, unit or constant denominators,
-    denominators c t^m (c negative on some draws), equal denominators,
-    exactly one constant denominator, and a factor h shared across the two
-    operands."""
+    """Canonical pairs (a, b) over F covering every shortcut of add, sub and
+    mul: zero, integer and rational constants, unit or constant
+    denominators, denominators c t^m (c negative on some draws), equal
+    denominators that a + b or a - b cancels in full or in part, exactly one
+    constant denominator, and a factor h shared across the two operands."""
     K = F.ring
     lift = (lambda c: c) if K is ZZ else K.from_int
     poly = st.lists(st.integers(-4, 4), max_size=3).map(
@@ -204,9 +204,11 @@ def rf_pairs(draw, F):
     a = operand(draw(st.sampled_from(_SHAPES)))
     if draw(st.booleans()):
         # (q*ad + r) / ad keeps a's denominator when r is coprime to ad;
-        # r = -an and r = h - an make a + b cancel all or part of it
+        # r = -an and r = h - an make a + b cancel all or part of it, r = an
+        # and r = an - h make a - b do so
         q = draw(poly)
-        r = draw(st.sampled_from(((K.one,), psub(K, (), a[0]), psub(K, h, a[0]))))
+        r = draw(st.sampled_from(((K.one,), psub(K, (), a[0]), psub(K, h, a[0]), a[0],
+                                  psub(K, a[0], h))))
         b = F.normalize(padd(K, pmul(K, q, a[1]), r), a[1])
     else:
         b = operand(draw(st.sampled_from(_SHAPES)))

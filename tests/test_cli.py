@@ -503,7 +503,7 @@ def test_validation_survives_optimize(tmp_path):
             apply_linear, confine, relation_search, telescoper_from_field_relation)
         from weylred.weyl import (
             Algebra, MonomialOrder, dtelim_order, evaluate_and_reduce, grevlex,
-            lex_order, op_add, op_sub, weightlex_order)
+            lex_order, mul, mul_monomial, op_add, op_sub, weightlex_order)
 
         _, pres = regular_presentation(2)
         lam = pres.L[0][0]
@@ -513,6 +513,9 @@ def test_validation_survives_optimize(tmp_path):
             dtelim_order(2))
         ext = build_extension(param)
         f2, g2 = model_polynomials(2)
+        half = Algebra(1).monomial((1 << 14,), (0,))  # degree 2^14: its square overflows
+        x_half = Algebra(1).operator({half: QQ.one})
+        d_half = Algebra(1).operator({Algebra(1).monomial((0,), (1 << 14,)): QQ.one})
         checks = [
             lambda: ModularConfig(max_points=0),
             lambda: DerivedPresentation(pres.ctx, ((lam, lam),), pres.f),
@@ -571,6 +574,13 @@ def test_validation_survives_optimize(tmp_path):
             lambda: telescoper_from_field_relation(QQ, ((1,), (1,))),
             lambda: relation_search(PrimeField(7), [(1, 0), (2, 0, 5), (0, 1, 3)]),
             lambda: Algebra(2).zero().degree(),
+            lambda: Algebra(1).monomial((1 << 15,), (0,)),
+            lambda: Algebra(2).monomial((1 << 14, 0), (0, 1 << 14)),
+            lambda: Algebra(1).monomial((-1,), (1,)),
+            lambda: Algebra(1, 1 << 17),
+            lambda: mul(x_half, x_half),
+            lambda: mul_monomial(half, QQ.one, x_half),
+            lambda: mul(d_half, x_half),
         ]
         for i, check in enumerate(checks):
             try:

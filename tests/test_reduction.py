@@ -3,6 +3,7 @@
 import warnings
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from _helpers import T, operators, qqt_elements
 from _oracles import compare, gd_irreducibility_oracle
 from test_extension import _cubic_exponential_presentation
 from weylred.arith import QQ, QQ_T
+from weylred import reduction
 from weylred.extension import build_extension
 from weylred.groebner import DivisionCertificate, buchberger, lrem
 from weylred.reduction import (
@@ -29,6 +31,7 @@ from weylred.weyl import (
     block_order,
     dtelim_order,
     grevlex,
+    leading_data,
     lex_order,
     mul,
     op_scale,
@@ -56,11 +59,11 @@ def test_reduced_form_golden(airy):
 def test_eta_basis_golden(airy):
     A = airy.algebra
     eta = largest_monomial_of_degree(A, airy.order, 2)
-    assert eta == Monomial((2, 0, 0), (0, 0, 0), 1)
+    assert A.decode(eta) == Monomial((2, 0, 0), (0, 0, 0), 1)
     B = compute_eta_basis(airy.ctx, eta)
     assert len(B.rows) == 1 and B.tracer == frozenset()
     row = B.rows[0]
-    assert row.lm == Monomial((0, 0, 1), (0, 0, 0), 1)
+    assert A.decode(row.lm) == Monomial((0, 0, 1), (0, 0, 0), 1)
     assert row.op == A.xvar(2) + A.scalar(qt([0, Fraction(3, 7)]))
     assert row.cert.verifies(row.op)
 
@@ -89,7 +92,7 @@ def test_eta_rows_stay_below_threshold(airy):
         eta = largest_monomial_of_degree(airy.algebra, airy.order, s)
         B = compute_eta_basis(airy.ctx, eta)
         for row in B.rows:
-            assert compare(row.lm, eta, airy.order) <= 0
+            assert airy.order.key(row.lm) <= airy.order.key(eta)
             assert airy.ctx.is_irreducible(row.op)
             assert row.cert.verifies(row.op)  # row lies in S + dW^r
 
@@ -109,12 +112,13 @@ def poly_ctx():
 def test_polynomial_eta_rows(poly_ctx):
     eta = largest_monomial_of_degree(poly_ctx.algebra, poly_ctx.order, 4)
     B = compute_eta_basis(poly_ctx, eta)
-    assert [r.lm for r in B.rows] == [
+    A = poly_ctx.algebra
+    assert [A.decode(r.lm) for r in B.rows] == [
         Monomial((0,), (0,), 1),
         Monomial((1,), (0,), 1),
         Monomial((2,), (0,), 1),
     ]
-    assert B.tracer == frozenset({Monomial((0,), (1,), 1)})
+    assert B.tracer == frozenset({A.monomial((0,), (1,))})
     x = poly_ctx.algebra.xvar(0)
     red, cert = reduce_eta(mul(x, x), poly_ctx, B)
     assert red.is_zero() and cert is None
@@ -127,11 +131,35 @@ def test_tracer_is_vanished_set(poly_ctx, airy):
     B = compute_eta_basis(poly_ctx, eta)
     candidates = set(_enumerate_candidates(poly_ctx, eta))
     assert B.tracer == candidates - {r.candidate for r in B.rows}
-    assert B.tracer == frozenset({Monomial((0,), (1,), 1)})
+    assert B.tracer == frozenset({poly_ctx.algebra.monomial((0,), (1,))})
     eta = largest_monomial_of_degree(airy.algebra, airy.order, 2)
     B = compute_eta_basis(airy.ctx, eta)
     assert B.tracer == frozenset()
     assert {r.candidate for r in B.rows} == set(_enumerate_candidates(airy.ctx, eta))
+
+
+def test_eta_basis_back_substitutes_into_earlier_rows():
+    """A new row's leading monomial can lie below an earlier row's lm and in
+    its support.  For S = W (x1 x2 d2^2 + 2) under block order at eta = x1^3
+    it does, and compute_eta_basis eliminates it from that row (the
+    _eliminate call on a single new row): the rows come out in Gauss-Jordan
+    form, ascending, each monic at its leading monomial, no row's lm in
+    another row, each witnessed in S + dW^r."""
+    A = Algebra(2)
+    order = block_order(2)
+    g = A.operator({A.monomial((1, 1), (0, 2)): Fraction(1),
+                    A.unit_monomial(): Fraction(2)})
+    ctx = ReductionContext(A, order, buchberger((g,), order))
+    spy = mock.patch.object(reduction, "_eliminate", side_effect=reduction._eliminate)
+    with spy as elim:
+        B = compute_eta_basis(ctx, A.monomial((3, 0), (0, 0)))
+    assert any(isinstance(call.args[1], tuple) for call in elim.call_args_list)
+    keys = [order.key(row.lm) for row in B.rows]
+    assert len(keys) > 1 and keys == sorted(keys)
+    for row in B.rows:
+        assert leading_data(row.op, order) == (row.lm, Fraction(1))
+        assert not any(other.lm in row.op.terms for other in B.rows if other is not row)
+        assert row.cert.verifies(row.op)
 
 
 def test_empty_eta_basis_when_no_lm_has_derivatives():
@@ -258,7 +286,7 @@ def test_witness_rejects_tampering(airy, k3):
     C = pres.algebra
     u = mul(C.dvar(0), mul(C.xvar(1), C.xvar(1)))  # d_t x^2
     rem, cert = lrem(u, ext.gb, pres.order)
-    assert any(m.beta[0] and any(len(n) > 1 or len(d) > 1 for n, d in
+    assert any(C.decode(m).beta[0] and any(len(n) > 1 or len(d) > 1 for n, d in
                                  ext.gb[i].terms.values())
                for i, q in cert.quotients.items() for m in q.terms)
     _assert_rejects_tampering(u - rem, cert)
@@ -328,7 +356,7 @@ ORDER_CASES = [
 @pytest.mark.parametrize("s", [0, 1, 2, 3])
 def test_largest_monomial_is_maximal(order, algebra, s):
     got = largest_monomial_of_degree(algebra, order, s)
-    assert got.degree() == s
+    assert algebra.layout.degree(got) == s
     n = algebra.n
     best = None
     for exps in product(range(s + 1), repeat=2 * n):
@@ -338,7 +366,7 @@ def test_largest_monomial_is_maximal(order, algebra, s):
             m = Monomial(exps[:n], exps[n:], comp)
             if best is None or compare(m, best, order) > 0:
                 best = m
-    assert order.key(got) == order.key(best)
+    assert algebra.decode(got) == best
 
 
 @pytest.mark.parametrize("order,algebra", ORDER_CASES, ids=lambda v: getattr(v, "kind", ""))
@@ -349,7 +377,7 @@ def test_order_spec_round_trip(order, algebra):
 def test_largest_monomial_dt_slot():
     A = Algebra(3, field=QQ_T, dt=True)
     m = largest_monomial_of_degree(A, block_order(3), 2)
-    assert m == Monomial((0, 2, 0), (0, 0, 0), 1)  # slot 0 carries no x power
+    assert A.decode(m) == Monomial((0, 2, 0), (0, 0, 0), 1)  # slot 0 carries no x power
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +410,6 @@ def test_gd_oracle_goldens():
 def test_gd_correspondence(gd_ctx, alpha, beta):
     """x^a is [.]-irreducible iff a is standard for the Jacobian ideal."""
     std, _ = gd_irreducibility_oracle(2, {(3, 0): 1, (0, 3): 1}, 8)
-    m = Monomial(alpha, beta, 1)
+    m = gd_ctx.algebra.monomial(alpha, beta)
     expected = (not any(beta)) and alpha in std
     assert gd_ctx.is_irreducible_monomial(m) == expected

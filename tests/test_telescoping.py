@@ -25,6 +25,7 @@ from weylred.arith import (
     UnluckyEvaluationError)
 from weylred.cli import _module_presentation, parse_document, telescoper_document
 from weylred.groebner import DivisionCertificate
+from weylred.kregular import regular_presentation
 from weylred.reduction import compute_eta_basis, reduce_eta
 from weylred.telescoping import (
     Confinement,
@@ -80,15 +81,16 @@ def assert_effective(conf, ctx, L, f, rho):
     B, and the (g0, matrix) that modular points read off confine's final
     round agree with it."""
     A = ctx.algebra
-    basis_e = compute_eta_basis(ctx, conf.eta, certificate=False)
+    basis_e = compute_eta_basis(ctx, A.monomial(*conf.eta), certificate=False)
     assert [r.lm for r in basis_e.rows] == list(conf.row_lms)
     again, (g0_vec, matrix) = _solve_at(ctx, L, f, rho, 40)
     assert again == conf
-    Bset = set(conf.B)
-    index = {m: i for i, m in enumerate(conf.B)}
+    B = [A.monomial(*m) for m in conf.B]
+    Bset = set(B)
+    index = {m: i for i, m in enumerate(B)}
     margin = conf.eta.degree() - rho
-    for i, m in enumerate(conf.B):
-        assert m.degree() <= margin
+    for i, m in enumerate(B):
+        assert A.decode(m).degree() <= margin
         img, _ = reduce_eta(apply_linear(L, WeylOperator(A, {m: A.field.one})), ctx, basis_e)
         assert set(img.support()) <= Bset
         vec = [A.field.zero] * len(conf.B)
@@ -259,7 +261,7 @@ def test_stability_check_matches_unreduced_derivation(problem, request):
         if bad is None:
             DerivedPresentation(ctx, ((new,),), pres.f)
             continue
-        lead = _mono_str(leading_monomial(bad, ctx.order))
+        lead = _mono_str(ctx.algebra.decode(leading_monomial(bad, ctx.order)))
         with pytest.raises(ValueError, match="module is not stable under the "
                            rf"derivation: basis element with lead {re.escape(lead)} fails$"):
             DerivedPresentation(ctx, ((new,),), pres.f)
@@ -330,7 +332,7 @@ def test_direct_witnesses_f_then_each_image_of_B(airy, k3, name):
 
     def reduce_spy(a, ctx, basis_e, certificate=False):
         out = reduce(a, ctx, basis_e, certificate)
-        if certificate and basis_e.eta == conf.eta:
+        if certificate and basis_e.eta == A.monomial(*conf.eta):
             eliminated.append(out[0])
         return out
 
@@ -342,7 +344,8 @@ def test_direct_witnesses_f_then_each_image_of_B(airy, k3, name):
             mock.patch.object(DivisionCertificate, "verifies", verifies_spy):
         telescope_direct(pres)
     expected = [pres.f] + [
-        apply_linear(pres.L, WeylOperator(A, {m: A.field.one})) for m in conf.B]
+        apply_linear(pres.L, WeylOperator(A, {A.monomial(*m): A.field.one}))
+        for m in conf.B]
     assert len(eliminated) == len(expected)
     for x, a in zip(checked, expected, strict=True):
         assert any(x + red == a for red in eliminated)
@@ -372,7 +375,7 @@ def test_each_operator_reduced_once_per_solve(airy, k3, name):
     assert reduced == [pres.f] + images
     assert len(set(reduced)) == len(reduced)
     conf = confine(pres.ctx, pres.L, pres.f)
-    assert {image(pres.L, WeylOperator(A, {m: A.field.one})) for m in conf.B} \
+    assert {image(pres.L, WeylOperator(A, {A.monomial(*m): A.field.one})) for m in conf.B} \
         <= set(images)
 
 
@@ -499,6 +502,31 @@ def test_modular_airy_family_digest(monkeypatch, path):
     assert digest.hexdigest() == AIRY_FAMILY_DIGESTS[path]
 
 
+KREGULAR_DIGESTS = {
+    ("replayed", 2): "cc4ba1a815d260d4d17e87623b8d015f34a2d74144ec8a36f4c84b225deb59ba",
+    ("replayed", 3): "00b63497c35b05bb37907631db94ee488fb5130dd08355edac02d9f24ada3cae",
+    ("replayed", 4): "ddbbb6eef3d80c3b628b92fba74d0157c398ffc89905bc748af73175484d21c8",
+    ("generic", 2): "e4b7b57425b75ed1ae84f59f351dfb3bfd4baf5e2445eaee3c8bab07f9914ac3",
+    ("generic", 3): "3fcc07e357194e5dd1b366b9aca14fe5e42f15d332c8e0b40b4283d3177732c4",
+    ("generic", 4): "c809b29be718ca2b103c4bb6100b8e2b86952d489860966c93a2d719aa39b663",
+}
+
+
+@pytest.mark.parametrize("path, k", sorted(KREGULAR_DIGESTS))
+def test_modular_kregular_digest(monkeypatch, path, k):
+    """The telescoper, transcript, prime lists and replay counts of the
+    k-regular modular solve at seed 0 hash to one pinned SHA-256, with the
+    tape replayed and with every replay refused, as the airy-family digests
+    above do."""
+    if path == "generic":
+        monkeypatch.setattr(telescoping._Tape, "bind", NoTape.bind)
+    run = telescope_modular(regular_presentation(k)[1], config=ModularConfig(seed=0))
+    digest = hashlib.sha256(repr((
+        run.telescoper.coefficients, run.transcript, run.primes_used,
+        run.primes_discarded, sorted(run.replays.items()))).encode()).hexdigest()
+    assert digest == KREGULAR_DIGESTS[path, k]
+
+
 def _named_primes(transcript):
     return {int(p) for line in transcript
             for p in re.findall(r"prime(?:=|\[\d+\] | )(\d+)", line)}
@@ -561,7 +589,7 @@ def test_generic_eta_basis_runs_once_per_solve(airy, k3, name):
     assert not any("discard point" in line for line in run.transcript)
     assert confined.call_count == 1
     assert len(etas) == len(set(etas)) > 0
-    assert f"eta={_mono_str(etas[-1])} " in votes[0]
+    assert f"eta={_mono_str(pres.ctx.algebra.decode(etas[-1]))} " in votes[0]
     assert None not in replayed
     assert {len(values) for values in replayed} == {nb * (nb + 1)}
     assert len(replayed) == len(votes) - 1 + points
@@ -608,9 +636,9 @@ def test_each_point_evaluated_once(airy, k3, name):
     def run():
         evaluated = Counter()
 
-        def evaluate(op, img):
+        def evaluate(op, img, target):
             evaluated[img.field.p, img.point] += 1
-            return evaluate_and_reduce(op, img)
+            return evaluate_and_reduce(op, img, target)
 
         with mock.patch.object(telescoping, "evaluate_and_reduce", evaluate):
             return telescope_modular(pres, rho=1, config=cfg), evaluated
@@ -644,7 +672,7 @@ def _elected(pres, Fp):
 
 def _direct(pres, Fp, images):
     """_solve_at run at the point where the inputs evaluate to images."""
-    return _solve_at(*telescoping._context(pres, Fp, images), 1, 40)
+    return _solve_at(*telescoping._context(pres, images), 1, 40)
 
 
 def test_replay_equals_generic_path(airy):
@@ -809,10 +837,10 @@ def test_unlucky_points_match_generic_path(airy):
         inputs[i] = (slot, arith.pmul(Fp, tuple(num), q), arith.pmul(Fp, tuple(den), q))
         return Fp, start, inputs
 
-    def evaluate(P, img):
+    def evaluate(P, img, target):
         if img.field.p == p0 and img.point in unlucky:
             raise UnluckyEvaluationError("forced")
-        return evaluate_and_reduce(P, img)
+        return evaluate_and_reduce(P, img, target)
 
     with mock.patch.object(telescoping, "evaluate_and_reduce", evaluate):
         with mock.patch.object(telescoping._Tape, "bind", unlucky_bind):

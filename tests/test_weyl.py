@@ -7,11 +7,14 @@ from hypothesis import event, example, given
 from hypothesis import strategies as st
 
 from _helpers import T, monomials, nonzero_fractions, operators, qqt_elements
-from _oracles import apply_to_polynomial, compare, mul_by_variables, shadow_product
+from _oracles import (
+    apply_to_polynomial, mul_by_variables, shadow_divides, shadow_lcm, shadow_product,
+    shadow_quotient, tuple_key, tuple_term_product)
 from weylred.arith import QQ, QQ_T, ModularImage, PrimeField, UnluckyEvaluationError
 from weylred.weyl import (
     Algebra,
     Monomial,
+    _accumulate,
     block_order,
     coefficientwise_dt,
     commutator,
@@ -26,8 +29,7 @@ from weylred.weyl import (
     op_add,
     op_scale,
     op_sub,
-    shadow_divides,
-    shadow_quotient,
+    order_from_spec,
     sorted_terms,
     weightlex_order,
 )
@@ -37,29 +39,98 @@ A3 = Algebra(3)
 
 
 # ---------------------------------------------------------------------------
-# monomial shadow arithmetic
+# monomial shadow arithmetic, on packed monomials
 
 
 def test_shadow_ops():
-    m1 = Monomial((1, 0), (0, 1), 1)
-    m2 = Monomial((2, 1), (1, 1), 1)
-    assert shadow_divides(m1, m2)
-    assert not shadow_divides(m2, m1)
-    assert shadow_quotient(m2, m1) == Monomial((1, 1), (1, 0), 1)
-    assert shadow_product(m1, Monomial((0, 1), (1, 0), 1)) == Monomial(
-        (1, 1), (1, 1), 1
-    )
-    assert m2.degree() == 5
+    L = A2.layout
+    m1 = A2.monomial((1, 0), (0, 1))
+    m2 = A2.monomial((2, 1), (1, 1))
+    assert L.divides(m1, m2)
+    assert not L.divides(m2, m1)
+    assert m2 - m1 == A2.monomial((1, 1), (1, 0))
+    assert m1 + A2.monomial((0, 1), (1, 0)) == A2.monomial((1, 1), (1, 1))
+    assert L.degree(m2) == 5 == A2.decode(m2).degree()
+    assert A2.decode(m2) == Monomial((2, 1), (1, 1), 1)
 
 
 def test_component_blocks_divisibility():
-    m1 = Monomial((1,), (0,), 1)
-    m2 = Monomial((2,), (0,), 2)
-    assert not shadow_divides(m1, m2)
+    R = Algebra(1, 2)
+    assert not R.layout.divides(R.monomial((1,), (0,), 1), R.monomial((2,), (0,), 2))
+    assert not R.layout.divides(R.monomial((1,), (0,), 2), R.monomial((2,), (0,), 1))
+    assert R.layout.divides(R.monomial((1,), (0,), 2), R.monomial((2,), (0,), 2))
 
 
-# ---------------------------------------------------------------------------
-# the commutation product
+# Random shapes for the tuple oracle: n = 1..4 pairs, ranks 1..3, d_t on and
+# off, exponents up to 3.
+_SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 3), st.booleans())
+_KINDS = ("grevlex", "block", "lex", "weightlex", "dtelim")
+
+
+def _order(kind, n, data):
+    if kind == "lex":
+        return lex_order(n, data.draw(st.permutations(range(2 * n))))
+    if kind == "weightlex":
+        return weightlex_order(n, data.draw(st.lists(st.integers(0, 3), min_size=2 * n,
+                                                     max_size=2 * n)))
+    return order_from_spec(kind, n)
+
+
+@given(_SHAPES, st.data())
+def test_packed_monomials_match_tuple_oracle(shape, data):
+    """Packing commutes with the tuple arithmetic it replaces: decode
+    inverts pack, + is the shadow product, - the quotient, divides and lcm
+    are the componentwise ones, and every order's int key sorts as the
+    tuple key, components included."""
+    n, r, dt = shape
+    A = Algebra(n, r, QQ, dt=dt)
+    L = A.layout
+    m1, m2, u = (data.draw(monomials(n, r, dt=dt)) for _ in range(3))
+    u = u._replace(comp=1)
+    p1, p2, pu = A.monomial(*m1), A.monomial(*m2), A.monomial(*u)
+    assert A.decode(p1) == m1 and L.degree(p1) == m1.degree()
+    assert A.decode(p1 + pu) == shadow_product(m1, u, m1.comp)
+    assert L.divides(p1, p2) == shadow_divides(m1, m2)
+    assert L.divides(p1, p1 + pu)
+    if shadow_divides(m1, m2):
+        assert A.decode(p2 - p1) == shadow_quotient(m2, m1)
+    if m1.comp == m2.comp:
+        assert A.decode(L.lcm(p1, p2)) == shadow_lcm(m1, m2)
+    for kind in _KINDS:
+        order = _order(kind, n, data)
+        assert (order.key(p1) < order.key(p2)) == \
+            (tuple_key(order, m1) < tuple_key(order, m2))
+        assert (order.key(p1) == order.key(p2)) == (m1 == m2)
+
+
+def test_packed_products_match_tuple_oracle():
+    """Term by term, _accumulate expands as the tuple normal ordering does:
+    on commuting pairs, on pairs where a d_i meets an x_i and on pairs whose
+    d_t twists the right coefficient; each kind is met."""
+    seen = set()
+
+    @given(_SHAPES, st.data())
+    def check(shape, data):
+        n, r, dt = shape
+        K = QQ_T if dt else QQ
+        A, S = Algebra(n, r, K, dt=dt), Algebra(n, 1, K, dt=dt)
+        coeffs = qqt_elements() if dt else nonzero_fractions()
+        left = data.draw(operators(S, coeffs, max_terms=3, max_exp=2))
+        right = data.draw(operators(A, coeffs, max_terms=3, max_exp=2))
+        got = {}
+        _accumulate(K, A, got, left, right)
+        expected = {}
+        for mp, cp in left.terms.items():
+            mp = S.decode(mp)
+            for mq, cq in right.terms.items():
+                mq = A.decode(mq)
+                seen.add("twist" if dt and mp.beta[0] else "meet"
+                         if any(map(min, mp.beta, mq.alpha)) else "commute")
+                tuple_term_product(K, dt, expected, cp, mp, cq, mq, mq.comp)
+        assert {A.decode(m): c for m, c in got.items()} == expected
+
+    check()
+    assert seen == {"commute", "meet", "twist"}
 
 
 def test_commutation_golden():
@@ -77,14 +148,14 @@ def test_rank_mixing_rules():
     R = Algebra(1, 2)
     e1, e2 = R.one(1), R.one(2)
     scalar = Algebra(1, 1)
-    assert mul(scalar.xvar(0), e2).terms == {Monomial((1,), (0,), 2): Fraction(1)}
+    assert mul(scalar.xvar(0), e2).terms == {R.monomial((1,), (0,), 2): Fraction(1)}
     with pytest.raises(ValueError):
         mul(e1, e2)  # neither side is a rank-1 scalar
 
 
 def test_mul_monomial():
     g = A2.xvar(0) + A2.dvar(1)
-    m = Monomial((1, 0), (0, 0), 1)
+    m = A2.monomial((1, 0), (0, 0))
     assert mul_monomial(m, Fraction(2), g) == op_scale(mul(A2.xvar(0), g), Fraction(2))
 
 
@@ -115,10 +186,11 @@ def test_mul_monomial_matches_variable_by_variable_oracle(shape, field):
            operators(A, coeffs, max_terms=4, max_exp=2, min_terms=1))
     def check(m, c, P):
         commuting = not (A.dt and m.beta[0]) and not any(
-            m.beta[i] and mq.alpha[i] for mq in P.terms for i in range(A.dt, A.n))
+            m.beta[i] and A.decode(mq).alpha[i] for mq in P.terms
+            for i in range(A.dt, A.n))
         event("all pairs commute" if commuting else "some pair does not commute")
         seen.add(commuting)
-        assert mul_monomial(m, c, P) == mul_by_variables(m, c, P)
+        assert mul_monomial(A.monomial(*m), c, P) == mul_by_variables(m, c, P)
 
     check()
     assert seen == {True, False}
@@ -138,6 +210,7 @@ def test_commutator_matches_products(shape, field):
     seen = set()
 
     def meets(mp, mq):
+        mp, mq = A.decode(mp), A.decode(mq)
         return (A.dt and (mp.beta[0] or mq.beta[0])) or any(
             mp.beta[i] and mq.alpha[i] or mq.beta[i] and mp.alpha[i]
             for i in range(A.dt, A.n))
@@ -211,29 +284,35 @@ ORDERS2 = [
 ]
 
 
+def _cmp(order, m1, m2):
+    """-1, 0 or 1 as the decoded m1 <, =, > m2 under the order's packed key."""
+    k1, k2 = order.key(A2.monomial(*m1)), order.key(A2.monomial(*m2))
+    return -1 if k1 < k2 else (0 if k1 == k2 else 1)
+
+
 @pytest.mark.parametrize("order", ORDERS2, ids=lambda o: o.kind)
 @given(m1=monomials(2), m2=monomials(2), m3=monomials(2))
 def test_compare_total_order(order, m1, m2, m3):
     # trichotomy
-    assert (compare(m1, m2, order) == 0) == (m1 == m2)
-    assert compare(m1, m2, order) == -compare(m2, m1, order)
+    assert (_cmp(order, m1, m2) == 0) == (m1 == m2)
+    assert _cmp(order, m1, m2) == -_cmp(order, m2, m1)
     # transitivity
-    if compare(m1, m2, order) <= 0 and compare(m2, m3, order) <= 0:
-        assert compare(m1, m3, order) <= 0
+    if _cmp(order, m1, m2) <= 0 and _cmp(order, m2, m3) <= 0:
+        assert _cmp(order, m1, m3) <= 0
     # 1 is the minimum monomial; multiplicativity by a shadow product
     unit = Monomial((0, 0), (0, 0), 1)
     if m1.comp == 1:
-        assert compare(unit, m1, order) <= 0
+        assert _cmp(order, unit, m1) <= 0
     if m1.comp == m2.comp == m3.comp:
-        if compare(m1, m2, order) < 0:
-            assert compare(shadow_product(m1, m3), shadow_product(m2, m3), order) < 0
+        if _cmp(order, m1, m2) < 0:
+            assert _cmp(order, shadow_product(m1, m3), shadow_product(m2, m3)) < 0
 
 
 @pytest.mark.parametrize("order", ORDERS2 + [dtelim_order(2)], ids=lambda o: o.kind)
 @given(q=monomials(2), g=operators(A2, min_terms=1, max_terms=4, max_exp=2))
 def test_leading_monomial_law(order, q, g):
     """lm(q g) = lm(lm(q) lm(g)) for monomial q, under every shipped kind."""
-    qop = A2.operator({q: Fraction(1)})
+    qop = A2.operator({A2.monomial(*q): Fraction(1)})
     lm_g, lc_g = leading_data(g, order)
     product = mul(qop, g)
     expected = mul(qop, A2.operator({lm_g: lc_g}))
@@ -251,19 +330,19 @@ def test_hypothesis_finiteness_flags():
 
 def test_block_order_golden():
     # block: compare x-part grevlex first, then d-part
-    order = block_order(3)
-    y2 = Monomial((0, 2, 0), (0, 0, 0), 1)
-    yz = Monomial((0, 1, 1), (0, 0, 0), 1)
-    dz3 = Monomial((0, 0, 0), (0, 0, 3), 1)
-    assert compare(y2, yz, order) > 0  # grevlex ties broken on last exponent
-    assert compare(dz3, yz, order) < 0  # any x beats any pure-d monomial
+    key = block_order(3).key
+    y2 = A3.monomial((0, 2, 0), (0, 0, 0))
+    yz = A3.monomial((0, 1, 1), (0, 0, 0))
+    dz3 = A3.monomial((0, 0, 0), (0, 0, 3))
+    assert key(y2) > key(yz)  # grevlex ties broken on last exponent
+    assert key(dz3) < key(yz)  # any x beats any pure-d monomial
 
 
 def test_dtelim_order_golden():
-    order = dtelim_order(2)
-    dt = Monomial((0, 0), (1, 0), 1)
-    big = Monomial((0, 3), (0, 3), 1)
-    assert compare(dt, big, order) > 0  # d_t exponent dominates everything
+    key = dtelim_order(2).key
+    dt = A2.monomial((0, 0), (1, 0))
+    big = A2.monomial((0, 3), (0, 3))
+    assert key(dt) > key(big)  # d_t exponent dominates everything
 
 
 @given(operators(A2, min_terms=1, max_terms=5))
