@@ -94,10 +94,11 @@ class Layout:
         self.xfields = sum(_FIELD << _W * (1 + i) for i in range(n))
         self.dfields = self.xfields << self.shift
 
-    def pack(self, alpha, beta, comp):
+    def pack(self, alpha, beta):
+        """x^alpha d^beta in component 1."""
         if min(alpha + beta, default=0) < 0:
             raise ValueError("exponents must be non-negative")
-        return self.check(comp - 1 + sum(map(imul, alpha + beta, self.x + self.d)))
+        return self.check(sum(map(imul, alpha + beta, self.x + self.d)))
 
     def decode(self, m):
         n = self.n
@@ -199,18 +200,19 @@ class Algebra(Record):
         alpha, beta = tuple(alpha), tuple(beta)
         if not len(alpha) == len(beta) == self.n:
             raise ValueError(f"exponent vectors must have length {self.n}")
-        if not 1 <= comp <= self.r:
-            raise ValueError(f"component {comp} outside 1..{self.r}")
         if self.dt and alpha[0]:
             raise ValueError("slot 0 is reserved for d_t; t lives in the field")
-        return self.layout.pack(alpha, beta, comp)
+        return self.unit_monomial(comp) + self.layout.pack(alpha, beta)
 
     def decode(self, m):
         """The Monomial (alpha, beta, comp) of a packed monomial."""
         return self.layout.decode(m)
 
     def unit_monomial(self, comp=1):
-        return self.monomial((0,) * self.n, (0,) * self.n, comp)
+        """The packed monomial e_comp, which is comp - 1."""
+        if not 1 <= comp <= self.r:
+            raise ValueError(f"component {comp} outside 1..{self.r}")
+        return comp - 1
 
     def operator(self, terms):
         return WeylOperator(self, terms)
@@ -223,19 +225,15 @@ class Algebra(Record):
 
     def xvar(self, i, comp=1):
         """The operator x_{i+1} (slot index i, 0-based)."""
-        alpha = [0] * self.n
-        alpha[i] = 1
-        return WeylOperator(
-            self, {self.monomial(alpha, (0,) * self.n, comp): self.field.one}
-        )
+        if self.dt and i == 0:
+            raise ValueError("slot 0 is reserved for d_t; t lives in the field")
+        m = self.layout.x[i] + self.unit_monomial(comp)
+        return WeylOperator(self, {m: self.field.one})
 
     def dvar(self, i, comp=1):
         """The operator d_{i+1} (slot index i, 0-based)."""
-        beta = [0] * self.n
-        beta[i] = 1
-        return WeylOperator(
-            self, {self.monomial((0,) * self.n, beta, comp): self.field.one}
-        )
+        m = self.layout.d[i] + self.unit_monomial(comp)
+        return WeylOperator(self, {m: self.field.one})
 
     def scalar(self, c):
         if self.field.is_zero(c):

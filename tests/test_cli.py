@@ -571,6 +571,7 @@ def test_validation_survives_optimize(tmp_path):
             lambda: scalar_product_series({(1,): 1}, {(1, 0): 1}, 4),
             lambda: dt_degree(Algebra(2, field=QQ_T).dvar(0)),
             lambda: Algebra(2, 1, QQ_T, dt=True).xvar(0),
+            lambda: Algebra(2, 2).dvar(1, comp=3),
             lambda: telescoper_from_field_relation(QQ, ((1,), (1,))),
             lambda: relation_search(PrimeField(7), [(1, 0), (2, 0, 5), (0, 1, 3)]),
             lambda: Algebra(2).zero().degree(),
