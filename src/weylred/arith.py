@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from fractions import Fraction
 
 
@@ -710,12 +711,19 @@ class AbscissaTable:
     and l_i = M / ((t - x_i) M'(x_i)), so sum y_i l_i is the polynomial of
     degree below n through the points (x_i, y_i).  The streams of one
     sample pool fit on prefixes of the same abscissae, so one table per
-    pool serves every entry reconstructed from it.
+    pool serves every entry reconstructed from it.  A table keeps at most
+    ``max_entries`` bases: once full, it serves those it keeps and builds
+    any other without keeping it, so a table that outlives its pool (one
+    per prime, shared by the solves of a process) stays bounded.  Bases
+    are kept under a lock, so threads sharing a table hold it to its cap.
     """
+
+    max_entries = 64
 
     def __init__(self, F):
         self.F = F
         self._bases = {}  # abscissae -> (M, columns of the basis)
+        self._lock = threading.Lock()
 
     def basis(self, xs):
         """(M, columns) for the abscissae xs: M = prod (t - x_i), and
@@ -724,7 +732,10 @@ class AbscissaTable:
         xs = tuple(xs)
         got = self._bases.get(xs)
         if got is None:
-            got = self._bases[xs] = self._build(xs)
+            got = self._build(xs)
+            with self._lock:
+                if len(self._bases) < self.max_entries:
+                    self._bases[xs] = got
         return got
 
     def _build(self, xs):

@@ -31,9 +31,16 @@ every entry of a prime on one table of Lagrange bases (AbscissaTable).
 The per-prime relations lift to Q(t) by CRT and rational
 reconstruction, confirmed with an extra prime; as reconstruction can
 succeed spuriously on too few primes, a confirming prime that disagrees
-joins the others and more primes follow.  Each prime is verified once,
-where it is drawn, into the PrimeField that every vote, point and check
-at that prime shares, down to evaluate_and_reduce.
+joins the others and more primes follow.
+
+The primes and their tables depend on the seed alone, so a process draws
+them once per seed (_prime_stream) and every telescope_modular call at
+that seed reads them, as FiniteFlow reuses what does not depend on the
+numeric inputs.  Each prime is verified once per process per seed, where
+it is first drawn, into the PrimeField that every vote, point and check
+at that prime shares, down to evaluate_and_reduce; its AbscissaTable
+keeps the Lagrange bases of every solve at that prime.  The votes' and
+the points' random draws stay per solve.
 
 Each telescope_modular call records _solve_at once and replays it
 everywhere else (Traverso's trace idea, ISSAC 1988, carried to the
@@ -66,8 +73,10 @@ the constants _MIN_PRIMES .. _MAX_PRIMES below.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
+import threading
 
 from .arith import (
     AbscissaTable,
@@ -521,8 +530,10 @@ _MAX_PRIMES = 16  # primes tried before giving up; the consistency check may add
 class ModularConfig(Record):
     """Settings of one modular run.
 
-    seed: seeds every random choice, so it fixes the transcript.
-    max_points: points one reconstructed entry may use per prime.
+    seed: an int that seeds every random choice, so it fixes the
+    transcript.  Not a bool or a float: 1, 1.0 and True are equal but
+    name different seeds.
+    max_points: points one reconstructed entry may use per prime, an int.
     """
 
     _fields = ("seed", "max_points")
@@ -532,6 +543,10 @@ class ModularConfig(Record):
 
     # workers is ignored; it is accepted only because weylbench/worker.py still passes it
     def __init__(self, seed=seed, max_points=max_points, *, workers=None):
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, got {seed!r}")
+        if type(max_points) is not int:
+            raise ValueError(f"max_points must be an int, got {max_points!r}")
         if max_points < 1:
             raise ValueError(f"max_points must be at least 1, got {max_points}")
         self.seed, self.max_points = seed, max_points
@@ -551,7 +566,10 @@ class ModularRun(Record):
     first vote lost the election), and the votes after the first and the
     prime points that replayed the tape or ran _solve_at directly.  Like
     the transcript it depends on the seed alone, but it stays out of the
-    transcript."""
+    transcript.  Every field is the same whether the call was the first of
+    its process at its seed, followed others at that seed, or came between
+    calls at other seeds: those share only the primes and the Lagrange
+    bases (_prime_stream), which the seed determines."""
 
     _fields = ("telescoper", "transcript", "primes_used", "primes_discarded", "replays")
 
@@ -944,11 +962,10 @@ def _usable_points(pres, rho, ref, recording, Fp, rng, log, counts):
         skips += 1
 
 
-def _interpolated_system(points, Fp, nb, cfg):
+def _interpolated_system(points, Fp, table, nb, cfg):
     """Reconstruct g0 and the [L(.)]_eta matrix as F_p(t) entries.  Every
-    entry fits on prefixes of the same pool of points, so they share one
-    AbscissaTable."""
-    table = AbscissaTable(Fp)
+    entry fits on prefixes of the same pool of points, on table, the
+    AbscissaTable of the prime that _prime_stream keeps."""
 
     def entry(pick):
         return adaptive_reconstruct(Fp, points.stream(pick), max_points=cfg.max_points,
@@ -965,20 +982,20 @@ def _shape(rel):
     return len(rel) - 1, tuple(pdeg(c) for c in rel)
 
 
-def _prime_relation(pres, rho, ref, recording, Fp, idx, cfg, counts):
+def _prime_relation(pres, rho, ref, recording, Fp, table, idx, cfg, counts):
     """(p, relation, log) at the prime p of Fp: the first relation on the
-    derivative_sequence of the (g0, matrix) interpolated over F_p(t),
-    content-free with c_N monic, and the prime's transcript.  A prime that
-    runs out of usable points or of point budget is given up: its relation
-    is None and its log gives the reason.  rho, ref, recording and counts
-    as in _usable_points."""
+    derivative_sequence of the (g0, matrix) interpolated over F_p(t) on
+    table, content-free with c_N monic, and the prime's transcript.  A
+    prime that runs out of usable points or of point budget is given up:
+    its relation is None and its log gives the reason.  rho, ref,
+    recording and counts as in _usable_points."""
     prime = Fp.p
     log = [f"prime[{idx}] {prime}"]
     rng = random.Random(f"{cfg.seed}/prime/{idx}")
     points = _SamplePool(_usable_points(pres, rho, ref, recording, Fp, rng, log,
                                         counts).__next__)
     try:
-        g0, matrix = _interpolated_system(points, Fp, len(ref.B), cfg)
+        g0, matrix = _interpolated_system(points, Fp, table, len(ref.B), cfg)
     except (UnluckyEvaluationError, BudgetExhaustedError) as e:
         return prime, None, [log[0], f"  discarded: {e}"]
     F = RationalFunctions(Fp)
@@ -1056,15 +1073,50 @@ def _reduce_canonical_mod(coeffs, Fp):
     return _normalize_modp_relation(Fp, polys)
 
 
-def _prime_fields(rng):
-    """Distinct primes drawn from rng, each verified once into the
-    PrimeField that all of its votes, points and checks share."""
-    seen = set()
-    while True:
-        Fp = random_prime_field(rng)
-        if Fp.p not in seen:
-            seen.add(Fp.p)
-            yield Fp
+class _PrimeStream:
+    """The distinct primes that random.Random(key) draws, in draw order,
+    each verified once into the PrimeField that all of its votes, points
+    and checks share, and the AbscissaTable of each.  Primes are drawn on
+    demand, under a lock so that two threads reading one stream see the
+    same order; iterating starts from the first prime every time."""
+
+    __slots__ = ("_rng", "_lock", "_fields", "_tables")
+
+    def __init__(self, key):
+        self._rng = random.Random(key)
+        self._lock = threading.Lock()
+        self._fields = []
+        self._tables = {}  # p -> the AbscissaTable of p
+
+    def _field(self, i):
+        with self._lock:
+            while len(self._fields) <= i:
+                Fp = random_prime_field(self._rng)
+                if Fp.p not in self._tables:
+                    self._tables[Fp.p] = AbscissaTable(Fp)
+                    self._fields.append(Fp)
+        return self._fields[i]
+
+    def __iter__(self):
+        i = 0
+        while True:
+            yield self._field(i)
+            i += 1
+
+    def table(self, Fp):
+        return self._tables[Fp.p]
+
+
+_PRIME_STREAMS = 8  # seeds whose primes and tables a process keeps
+
+
+@functools.lru_cache(maxsize=_PRIME_STREAMS)
+def _prime_stream(key):
+    """The _PrimeStream of key, shared by every telescope_modular call of
+    the process at that key.  The key is the string f"{seed}/primes" that
+    seeds the stream, not the seed: 1, 1.0 and True are equal keys but
+    seed different streams."""
+    return _PrimeStream(key)
 
 
 def _lift(results):
@@ -1112,10 +1164,17 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
     reconstruction can succeed spuriously on too few primes), so its
     relation joins the others, the lift is tried again and more waves
     follow while it fails.
+
+    The primes, votes first, come from the process's _prime_stream of the
+    seed, which draws and verifies each prime and builds its AbscissaTable
+    once for every call at that seed; the random points of the votes and
+    of each prime are drawn afresh by each call.  So a call returns the
+    same ModularRun whether it is the first at its seed or not.
     """
     cfg = config or ModularConfig()
     log = [f"seed {cfg.seed} rho {rho}"]
-    fields = _prime_fields(random.Random(f"{cfg.seed}/primes"))
+    stream = _prime_stream(f"{cfg.seed}/primes")
+    fields = iter(stream)
     counts = dict.fromkeys(_REPLAY_COUNTS, 0)
     discarded = []
     ref, recording = _elect_reference(pres, rho, cfg, fields, log, degree_ceiling,
@@ -1129,8 +1188,8 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
     candidate, wave = None, _MIN_PRIMES
     for idx, Fp in enumerate(fields):
         if candidate is None:  # a wave prime
-            results.append(_prime_relation(pres, rho, ref, recording, Fp, idx, cfg,
-                                           counts))
+            results.append(_prime_relation(pres, rho, ref, recording, Fp,
+                                           stream.table(Fp), idx, cfg, counts))
             wave -= 1
             if wave:
                 continue
@@ -1139,7 +1198,7 @@ def telescope_modular(pres: DerivedPresentation, rho=1, config: ModularConfig = 
                 raise BudgetExhaustedError("consistency check never completed")
             expected = _reduce_canonical_mod(candidate[0], Fp)
             got = None if expected is None else _prime_relation(
-                pres, rho, ref, recording, Fp, idx, cfg, counts)
+                pres, rho, ref, recording, Fp, stream.table(Fp), idx, cfg, counts)
             if got is None or got[1] is None:
                 unchecked.append(Fp.p)
                 continue

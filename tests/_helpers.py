@@ -134,8 +134,8 @@ def discarded_prime():
     order-2 relation, whose shape no other prime shares."""
     real = telescoping._prime_relation
 
-    def prime_relation(pres, rho, ref, recording, Fp, idx, cfg, counts):
-        p, rel, log = real(pres, rho, ref, recording, Fp, idx, cfg, counts)
+    def prime_relation(pres, rho, ref, recording, Fp, table, idx, cfg, counts):
+        p, rel, log = real(pres, rho, ref, recording, Fp, table, idx, cfg, counts)
         if idx == 0 and len(rel) == 3:
             rel = (rel[0], (1, 1), rel[-1])
         return p, rel, log

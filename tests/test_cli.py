@@ -518,6 +518,11 @@ def test_validation_survives_optimize(tmp_path):
         d_half = Algebra(1).operator({Algebra(1).monomial((0,), (1 << 14,)): QQ.one})
         checks = [
             lambda: ModularConfig(max_points=0),
+            lambda: ModularConfig(seed=True),
+            lambda: ModularConfig(seed=1.0),
+            lambda: ModularConfig(seed="1"),
+            lambda: ModularConfig(max_points=64.0),
+            lambda: ModularConfig(max_points=True),
             lambda: DerivedPresentation(pres.ctx, ((lam, lam),), pres.f),
             lambda: confine(pres.ctx, pres.L, pres.f, rho=-1),
             lambda: solve_presentation(pres, "bogus", ModularConfig()),

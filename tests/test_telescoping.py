@@ -1,8 +1,10 @@
 """Confinement, derivative sequences, and both telescoping drivers."""
 
 import hashlib
+import itertools
 import random
 import re
+import sys
 import threading
 from collections import Counter
 from contextlib import contextmanager
@@ -21,8 +23,8 @@ from _oracles import first_unstable_element
 from weylred import telescoping
 from weylred import arith
 from weylred.arith import (
-    QQ, QQ_T, BudgetExhaustedError, InconsistencyError, ModularImage, PrimeField,
-    UnluckyEvaluationError)
+    QQ, QQ_T, AbscissaTable, BudgetExhaustedError, InconsistencyError, ModularImage,
+    PrimeField, UnluckyEvaluationError)
 from weylred.cli import _module_presentation, parse_document, telescoper_document
 from weylred.groebner import DivisionCertificate
 from weylred.kregular import regular_presentation
@@ -533,9 +535,11 @@ def _named_primes(transcript):
 
 
 def test_modular_builds_one_field_per_prime(airy):
-    """Each drawn prime is verified once: the vote primes, the prime[i]
-    primes and the consistency prime each build one PrimeField, shared by
-    every point image of that prime."""
+    """Each drawn prime is verified once per process and seed: the vote
+    primes, the prime[i] primes and the consistency prime each build one
+    PrimeField, shared by every point image of that prime, and a second
+    solve at the seed builds none."""
+    telescoping._prime_stream.cache_clear()
     with mock.patch.object(PrimeField, "__init__", autospec=True,
                            side_effect=PrimeField.__init__) as built:
         run = telescope_modular(airy.pres, rho=1,
@@ -543,16 +547,102 @@ def test_modular_builds_one_field_per_prime(airy):
     named = _named_primes(run.transcript)
     assert set(run.primes_used) < named
     assert 0 < built.call_count <= len(named)
+    with mock.patch.object(PrimeField, "__init__", autospec=True,
+                           side_effect=PrimeField.__init__) as built:
+        again = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7))
+    assert again == run and built.call_count == 0
 
 
 def test_modular_verifies_each_drawn_prime_once(airy):
-    """Each prime the transcript names went through is_prime exactly once."""
+    """Each prime the transcript names went through is_prime exactly once,
+    and a second solve at the seed calls is_prime on nothing."""
+    telescoping._prime_stream.cache_clear()
     with mock.patch.object(arith, "is_prime", side_effect=arith.is_prime) as tested:
         run = telescope_modular(airy.pres, rho=1,
                                 config=ModularConfig(seed=7))
     calls = [c.args[0] for c in tested.call_args_list]
     named = _named_primes(run.transcript)
     assert named and all(calls.count(p) == 1 for p in named)
+    with mock.patch.object(arith, "is_prime", side_effect=arith.is_prime) as tested:
+        again = telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=7))
+    assert again == run and tested.call_count == 0
+
+
+@pytest.mark.parametrize("name, seed", [("airy", 7), ("k3", 0), ("vote", 0)])
+def test_modular_run_independent_of_other_solves(airy, k3, name, seed):
+    """A solve returns the same ModularRun (telescoper, transcript, primes
+    and replay counts) cold, after other solves at its seed, and between
+    solves at other seeds.  The vote document's first prime at seed 0 is
+    one its input denominators divide; the plain document draws it first
+    and builds its table, and the vote document then discards it."""
+    pres = {"airy": airy.pres, "k3": k3.pres,
+            "vote": _module_presentation(parse_document(
+                vote_prime_document(1339438039)))}[name]
+    plain = _module_presentation(parse_document(airy_family_document(1, 3, 2)))
+
+    def solve(p, s):
+        return telescope_modular(p, rho=1, config=ModularConfig(seed=s))
+
+    telescoping._prime_stream.cache_clear()
+    cold = solve(pres, seed)
+    solve(plain, seed)
+    assert solve(pres, seed) == cold
+    telescoping._prime_stream.cache_clear()
+    solve(plain, seed)
+    assert solve(pres, seed) == cold
+    solve(plain, seed + 1)
+    assert solve(pres, seed) == cold
+    solve(pres, seed + 2)
+    assert solve(pres, seed) == cold
+
+
+def test_prime_stream_order_holds_across_threads():
+    """Threads that read one fresh _PrimeStream at once, switching every
+    microsecond, all see the primes in the order one thread alone draws."""
+    n = 200
+    alone = list(itertools.islice(telescoping._PrimeStream("3/primes"), n))
+    shared = telescoping._PrimeStream("3/primes")
+    start = threading.Barrier(4, timeout=60)
+    seen = []
+
+    def read():
+        start.wait()
+        seen.append(list(itertools.islice(shared, n)))
+
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [alone] * 4
+
+
+def test_prime_streams_and_tables_stay_within_their_caps(airy, k3, monkeypatch):
+    """The process keeps the streams of the last _PRIME_STREAMS seeds, and
+    a table at its cap keeps no more bases but still serves every fit: a
+    k = 3 run, whose wave primes fit on four tuples of abscissae each,
+    gives the same ModularRun on tables capped at two bases."""
+    telescoping._prime_stream.cache_clear()
+    for seed in range(telescoping._PRIME_STREAMS + 2):
+        telescope_modular(airy.pres, rho=1, config=ModularConfig(seed=seed))
+    info = telescoping._prime_stream.cache_info()
+    assert info.currsize == info.maxsize == telescoping._PRIME_STREAMS
+    uncapped = telescope_modular(k3.pres, rho=1, config=ModularConfig(seed=0))
+
+    telescoping._prime_stream.cache_clear()
+    monkeypatch.setattr(AbscissaTable, "max_entries", 2)
+    for _ in range(2):
+        assert telescope_modular(k3.pres, rho=1, config=ModularConfig(seed=0)) \
+            == uncapped
+    stream = telescoping._prime_stream("0/primes")
+    sizes = [len(stream.table(Fp)._bases) for Fp in stream._fields]
+    assert max(sizes) == 2 and min(sizes) == 0  # vote primes fit nothing
 
 
 def _prime_points(transcript):
