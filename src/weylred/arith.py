@@ -21,6 +21,10 @@ matrices, telescopers) carry the field tag; individual payloads do not.  The
 polynomial kernels compute with the payloads themselves and reduce mod p
 once per coefficient over F_p.
 
+Over Q most operands are Laurent polynomials, with a den of c t^m: their
+sums, products and derivatives take closed forms on the int coefficients
+and run no polynomial gcd (RationalFunctions).
+
 Every gcd first splits off the power of t.  What is left of a Q[t] gcd runs
 over Z[t] with the heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC 1989),
 which falls back to a primitive Euclid; F_p[t] gcds run Euclid.
@@ -228,9 +232,13 @@ class RationalFunctions(Record):
     Over Q, the shapes of most operands a solve makes take closed forms that
     return that same canonical payload.  Constants (num and den of length at
     most 1) add, subtract, multiply, divide, invert and negate as fractions
-    of ints with one math.gcd, and differentiate to zero.  A den of c t^m
-    cancels with num by gcd(content(num), c) t^min(v(num), m) (``_cancel``).
-    Every other shape runs the Z[t] kernels.
+    of ints with one math.gcd, and differentiate to zero.  Laurent
+    elements, with a den of c t^m (m >= 0), have gcd(content(num), c) = 1
+    and num(0) != 0 when m > 0: their sums, products (which div and inv
+    reach through mul) and derivatives shift and scale the numerators by
+    ints, then cancel one content gcd and one power of t.  Every other
+    shape runs the Z[t] kernels, where _cancel divides any num over c t^m
+    by gcd(content(num), c) t^min(v(num), m).
     """
 
     __slots__ = ("base", "ring", "_hash")
@@ -291,13 +299,18 @@ class RationalFunctions(Record):
         """a + b (combine = padd, sign = 1) or a - b (psub, -1)."""
         F = self.ring
         (an, ad), (bn, bd) = a, b
-        if F is ZZ and len(an) < 2 and len(bn) < 2 and len(ad) == 1 == len(bd):
+        if not bn:
+            return a
+        if not an:
+            return b if sign > 0 else self.neg(b)
+        if F is ZZ and len(an) == 1 == len(bn) and len(ad) == 1 == len(bd):
             d, e = ad[0], bd[0]
-            return _rational((an[0] * e if an else 0) + sign * (bn[0] * d if bn else 0),
-                             d * e)
+            return _rational(an[0] * e + sign * bn[0] * d, d * e)
+        if F is ZZ and ad.count(0) == len(ad) - 1 and bd.count(0) == len(bd) - 1:
+            return _laurent_sum(an, ad, bn, bd, sign)  # dens c t^m and d t^n
         if ad == bd:
             num = combine(F, an, bn)
-            return self.normalize(num, ad) if len(ad) > 1 else _content_free(F, num, ad)
+            return self.normalize(num, ad) if len(ad) > 1 else (num, ad)  # F_p here
         # A non-constant factor of bd divides an*bd +- bn*ad only if it divides
         # bn, so over a constant ad at most an integer content cancels.
         if len(ad) == 1:
@@ -318,6 +331,8 @@ class RationalFunctions(Record):
             return self.zero
         if F is ZZ and len(an) == 1 == len(bn) and len(ad) == 1 == len(bd):
             return _rational(an[0] * bn[0], ad[0] * bd[0])
+        if F is ZZ and ad.count(0) == len(ad) - 1 and bd.count(0) == len(bd) - 1:
+            return _laurent_mul(an, ad, bn, bd)  # dens c t^m and d t^n
         # an/ad and bn/bd are in lowest terms, so only an, bd and bn, ad can
         # share a factor; the quotients keep den monic, or lc(den) > 0.
         one = (F.one,)
@@ -357,6 +372,11 @@ class RationalFunctions(Record):
         n, d = a
         if len(d) == 1:
             return self.zero if len(n) < 2 else _content_free(F, pderiv(F, n), d)
+        if F is ZZ and d.count(0) == len(d) - 1:
+            # (n / c t^m)' = (n't - mn) / c t^(m+1), where n(0) != 0 cancels no t
+            num = _strip([(i - len(d) + 1) * x for i, x in enumerate(n)])
+            g = math.gcd(d[-1], *num)
+            return _quo_int(num, g), (0,) * len(d) + (d[-1] // g,)
         num = psub(F, pmul(F, pderiv(F, n), d), pmul(F, n, pderiv(F, d)))
         return self.normalize(num, pmul(F, d, d))
 
@@ -418,6 +438,10 @@ def pmul(F, a, b):
     if not a or not b:
         return ()
     p = F.characteristic
+    if len(b) == 1:
+        return _pscale(a, b[0], p)
+    if len(a) == 1:
+        return _pscale(b, a[0], p)
     if p and len(a) >= _KRONECKER_CUTOFF and len(b) >= _KRONECKER_CUTOFF:
         return _pmul_kronecker(p, a, b)
     out = [F.zero] * (len(a) + len(b) - 1)
@@ -552,6 +576,38 @@ def _cancel(F, num, den):
     return pgcd(F, num, den)[1:]
 
 
+def _laurent_sum(an, ad, bn, bd, sign):
+    """an/ad + sign bn/bd over dens c t^m and d t^n: N / (lcm(c, d) t^k),
+    k = max(m, n).  A prime of lcm(c, d) / gcd(c, d) divides just one term of
+    N, so gcd(N, lcm t^k) = gcd(content(N), gcd(c, d)) t^min(v(N), k)."""
+    c, d, m, n = ad[-1], bd[-1], len(ad) - 1, len(bd) - 1
+    g = math.gcd(c, d)
+    e, f, k = d // g, c // g * sign, max(m, n)
+    num = [0] * max(len(an) + k - m, len(bn) + k - n)
+    for i, x in enumerate(an, k - m):
+        num[i] = x * e
+    for i, x in enumerate(bn, k - n):
+        num[i] += x * f
+    num = _strip(num)
+    if not num:
+        return ((), (1,))
+    v = min(_tval(num), k)
+    h = math.gcd(g, *num) if g > 1 else 1
+    return _quo_int(num[v:], h), (0,) * (k - v) + (c * e // h,)
+
+
+def _laurent_mul(an, ad, bn, bd):
+    """(an/ad) (bn/bd) over dens c t^m and d t^n, an and bn nonzero.  By
+    Gauss's lemma only an and d t^n share a factor, gcd(content(an), d)
+    t^min(v(an), n), and bn and c t^m its mirror."""
+    c, d, m, n = ad[-1], bd[-1], len(ad) - 1, len(bd) - 1
+    g, h = math.gcd(d, *an), math.gcd(c, *bn)
+    u = min(_tval(an), n) if n else 0
+    w = min(_tval(bn), m) if m else 0
+    num = pmul(ZZ, _quo_int(an[u:], g), _quo_int(bn[w:], h))
+    return num, (0,) * (m + n - u - w) + (c // h * (d // g),)
+
+
 def _rational(n, d):
     """The Q(t) payload of the rational constant n/d, d != 0."""
     g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
@@ -604,7 +660,7 @@ def _zz_gcd(a, b):
 
 
 def _quo_int(a, c):
-    return a if c == 1 else tuple(x // c for x in a)
+    return a if c == 1 else tuple([x // c for x in a])
 
 
 def _zz_heu_gcd(a, b):

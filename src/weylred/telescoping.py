@@ -200,15 +200,18 @@ class Confinement(Record):
     """(eta, B), and the shape of the eta-basis at eta; the modular vote
     elects one by equality of all four fields, and a point is usable only
     when it confines to the elected one.  eta and B are decoded monomials
-    (weyl.Monomial), the shape is packed."""
+    (weyl.Monomial), the shape is packed.  ``packed``, not a field, holds
+    the packed (eta, B) for _reduced_system; None when built by hand."""
 
+    __slots__ = ("eta", "B", "row_lms", "tracer", "packed")
     _fields = ("eta", "B", "row_lms", "tracer")
 
-    def __init__(self, eta, B, row_lms, tracer):
+    def __init__(self, eta, B, row_lms, tracer, packed=None):
         self.eta = eta
         self.B = B  # monomials, ascending under the ambient order
         self.row_lms = row_lms  # lms of the eta-basis rows
         self.tracer = tracer  # candidates whose row vanished
+        self.packed = packed
 
 
 def _monomial_op(ctx, m):
@@ -308,11 +311,13 @@ def confine(ctx, L, f, rho=1, degree_ceiling=40, forms=None):
             B.add(m)
         else:
             basis_e = forms.basis(eta)
+            B = tuple(sorted(B, key=order.key))
             return Confinement(
                 eta=lay.decode(eta),
-                B=tuple(map(lay.decode, sorted(B, key=order.key))),
+                B=tuple(map(lay.decode, B)),
                 row_lms=tuple(r.lm for r in basis_e.rows),
                 tracer=basis_e.tracer,
+                packed=(eta, B),
             )
         s += 1
 
@@ -320,14 +325,13 @@ def confine(ctx, L, f, rho=1, degree_ceiling=40, forms=None):
 def _reduced_system(forms, conf):
     """(g0, matrix) over the field of the _ReducedForms table forms: the
     coordinates over conf.B of [f]_eta, then of [L(m)]_eta for each m in B
-    in order, as confine's final round left them in forms; the system both
-    drivers build.  That round closed B, so a support outside B means conf
-    is not what confine returned, a fault.  A certified table witnesses
-    each of these reductions."""
+    in order, as confine's final round left them in forms, read at
+    conf.packed; the system both drivers build.  That round closed B, so a
+    support outside B means conf is not what confine returned, a fault.  A
+    certified table witnesses each of these reductions."""
     reduce = forms.witnessed if forms.certificate else forms.at
     A = forms.ctx.algebra
-    eta = A.monomial(*conf.eta)
-    B = [A.monomial(*m) for m in conf.B]
+    eta, B = conf.packed
     index = {m: i for i, m in enumerate(B)}
 
     def coordinates(key):

@@ -321,16 +321,24 @@ def op_sub(P, Q):
     return WeylOperator(P.algebra, terms)
 
 
+def _nonzero_operator(algebra, terms):
+    """The operator of terms whose coefficients are known to be nonzero,
+    untested; WeylOperator tests each, as terms that may cancel need."""
+    P = WeylOperator.__new__(WeylOperator)
+    P.algebra, P.terms, P._sorted, P._xmask = algebra, terms, {}, None
+    return P
+
+
 def op_neg(P):
     F = P.algebra.field
-    return WeylOperator(P.algebra, {m: F.neg(c) for m, c in P.terms.items()})
+    return _nonzero_operator(P.algebra, {m: F.neg(c) for m, c in P.terms.items()})
 
 
 def op_scale(P, c):
     F = P.algebra.field
     if F.is_zero(c):
         return P.algebra.zero()
-    return WeylOperator(P.algebra, {m: F.mul(c, v) for m, v in P.terms.items()})
+    return _nonzero_operator(P.algebra, {m: F.mul(c, v) for m, v in P.terms.items()})
 
 
 def components(a: WeylOperator):
@@ -340,7 +348,7 @@ def components(a: WeylOperator):
     for m, c in a.terms.items():
         comp = m & _FIELD
         out.setdefault(comp + 1, {})[m - comp] = c
-    return {j: WeylOperator(scalar, d) for j, d in out.items()}
+    return {j: _nonzero_operator(scalar, d) for j, d in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +483,7 @@ def mul_monomial(m, c, P):
     if not dm & _x_support(P):
         if P.terms:
             L.check(m + max(P.terms))
-        out = WeylOperator(A, {})
-        out.terms = {m + mq: F.mul(c, cq) for mq, cq in P.terms.items()}
-        return out
+        return _nonzero_operator(A, {m + mq: F.mul(c, cq) for mq, cq in P.terms.items()})
     out = {}
     nonzero, twist = L.nonzero, A.twist
     for mq, cq in P.terms.items():

@@ -163,17 +163,22 @@ def test_derivative_product_rule(a, b):
     assert lhs == rhs
 
 
-_SHAPES = ("zero", "const", "rational", "poly", "frac", "monomial_den", "shared_num",
-           "shared_den")
+_LAURENT_SHAPES = ("zero", "const", "rational", "poly", "poly_over_c", "monomial_den",
+                   "t_num")
+_SHAPES = _LAURENT_SHAPES + ("frac", "shared_num", "shared_den")
 
 
 @st.composite
-def rf_pairs(draw, F):
+def rf_pairs(draw, F, shapes=_SHAPES):
     """Canonical pairs (a, b) over F covering every shortcut of add, sub and
     mul: zero, integer and rational constants, unit or constant
-    denominators, denominators c t^m (c negative on some draws), equal
-    denominators that a + b or a - b cancels in full or in part, exactly one
-    constant denominator, and a factor h shared across the two operands."""
+    denominators, polynomials over a constant c != +-1, denominators c t^m
+    (c negative on some draws, and constants such as 4 and 6 or 2 and 10
+    that share a factor), numerators divisible by t, equal denominators
+    that a + b or a - b cancels in full or in part, a b whose sum or
+    difference with a cancels a power of t, exactly one constant
+    denominator, and a factor h shared across the two operands.  Over the
+    shapes of _LAURENT_SHAPES both dens are c t^m, m >= 0."""
     K = F.ring
     lift = (lambda c: c) if K is ZZ else K.from_int
     poly = st.lists(st.integers(-4, 4), max_size=3).map(
@@ -191,18 +196,25 @@ def rf_pairs(draw, F):
             n, d = draw(st.integers(-6, 6)), draw(st.sampled_from((-4, -3, 2, 3, 6)))
             return F.normalize((lift(n),), (lift(d),))
         if shape == "monomial_den":
-            c = draw(st.sampled_from((-6, -1, 1, 2, 4)))
+            c = draw(st.sampled_from((-6, -1, 1, 2, 4, 6, 10)))
             return F.normalize(num, (0,) * draw(st.integers(1, 3)) + (lift(c),))
         if shape == "poly":
             return F.from_poly(num)
+        if shape == "poly_over_c":
+            c = draw(st.sampled_from((-4, 2, 3, 6, 10, 20)))
+            return F.normalize(draw(nonzero) + (lift(draw(st.integers(1, 4))),), (lift(c),))
+        if shape == "t_num":
+            c = draw(st.sampled_from((1, 3, -4, 6)))
+            return F.normalize((K.zero,) * draw(st.integers(1, 3)) + num, (lift(c),))
         if shape == "shared_num":
             return F.normalize(pmul(K, num, h), den)
         if shape == "shared_den":
             return F.normalize(num, pmul(K, den, h))
         return F.normalize(num, den)
 
-    a = operand(draw(st.sampled_from(_SHAPES)))
-    if draw(st.booleans()):
+    a = operand(draw(st.sampled_from(shapes)))
+    related = draw(st.sampled_from(("no", "same_den", "t_cancel")))
+    if related == "same_den":
         # (q*ad + r) / ad keeps a's denominator when r is coprime to ad;
         # r = -an and r = h - an make a + b cancel all or part of it, r = an
         # and r = an - h make a - b do so
@@ -210,8 +222,15 @@ def rf_pairs(draw, F):
         r = draw(st.sampled_from(((K.one,), psub(K, (), a[0]), psub(K, h, a[0]), a[0],
                                   psub(K, a[0], h))))
         b = F.normalize(padd(K, pmul(K, q, a[1]), r), a[1])
+    elif related == "t_cancel":
+        # b = (t q -+ d an) / (d ad): a + b (a - b) is +-t q / (d ad), which
+        # cancels at least one power of t from a den c t^m
+        d, q = lift(draw(st.sampled_from((1, 2, 3, -2)))), pmul(K, (K.zero, K.one), draw(poly))
+        term = pmul(K, a[0], (d,))
+        b = F.normalize(draw(st.sampled_from((psub(K, q, term), padd(K, q, term)))),
+                        pmul(K, a[1], (d,)))
     else:
-        b = operand(draw(st.sampled_from(_SHAPES)))
+        b = operand(draw(st.sampled_from(shapes)))
     return a, b
 
 
@@ -234,14 +253,37 @@ def assert_canonical(F, x):
         assert x == F.zero
 
 
+def _schoolbook(F, a, b):
+    """{op: (result, the textbook num/den)} of add, sub, mul and derivative."""
+    K = F.ring
+    (an, ad), (bn, bd) = a, b
+    return {
+        "add": (F.add(a, b), (padd(K, pmul(K, an, bd), pmul(K, bn, ad)), pmul(K, ad, bd))),
+        "sub": (F.sub(a, b), (psub(K, pmul(K, an, bd), pmul(K, bn, ad)), pmul(K, ad, bd))),
+        "mul": (F.mul(a, b), (pmul(K, an, bn), pmul(K, ad, bd))),
+        "derivative": (F.derivative(a), (
+            psub(K, pmul(K, pderiv(K, an), ad), pmul(K, an, pderiv(K, ad))),
+            pmul(K, ad, ad))),
+    }
+
+
+def _assert_matches(F, expected):
+    """Each result is canonical and equals its textbook num/den, checked by
+    cross-multiplying, got_num * den = num * got_den."""
+    K = F.ring
+    for op, ((got_num, got_den), (num, den)) in expected.items():
+        assert pmul(K, got_num, den) == pmul(K, num, got_den), op
+        assert_canonical(F, (got_num, got_den))
+
+
 @pytest.mark.parametrize("F", [QQ_T, FPT], ids=["QQ(t)", "GF(1000003)(t)"])
 @settings(max_examples=60)
 @given(data=st.data())
 def test_rational_function_ops_match_schoolbook(F, data):
     """Every operation gives the canonical payload of the textbook formula
-    num/den: checked by cross-multiplying, got_num * den = num * got_den, and
-    with assert_canonical, not with normalize(), which runs the same
-    closed-form cancellations as the operations."""
+    num/den: checked by cross-multiplying and with assert_canonical, not
+    with normalize(), which runs the same closed-form cancellations as the
+    operations."""
     K = F.ring
     p = K.characteristic
     a, b = data.draw(rf_pairs(F))
@@ -250,16 +292,9 @@ def test_rational_function_ops_match_schoolbook(F, data):
     (an, ad), (bn, bd) = a, b
     n = data.draw(st.integers(-3, 3).map(FP.p.__mul__) | st.integers(-2**70, 2**70),
                   label="n")
-    expected = {
-        "neg": (F.neg(a), (psub(K, (), an), ad)),
-        "from_int": (F.from_int(n), (pnorm((n % p if p else n,)), (K.one,))),
-        "add": (F.add(a, b), (padd(K, pmul(K, an, bd), pmul(K, bn, ad)), pmul(K, ad, bd))),
-        "sub": (F.sub(a, b), (psub(K, pmul(K, an, bd), pmul(K, bn, ad)), pmul(K, ad, bd))),
-        "mul": (F.mul(a, b), (pmul(K, an, bn), pmul(K, ad, bd))),
-        "derivative": (F.derivative(a), (
-            psub(K, pmul(K, pderiv(K, an), ad), pmul(K, an, pderiv(K, ad))),
-            pmul(K, ad, ad))),
-    }
+    expected = _schoolbook(F, a, b)
+    expected["neg"] = (F.neg(a), (psub(K, (), an), ad))
+    expected["from_int"] = (F.from_int(n), (pnorm((n % p if p else n,)), (K.one,)))
     if bn:
         expected["div"] = (F.div(a, b), (pmul(K, an, bd), pmul(K, ad, bn)))
         expected["inv"] = (F.inv(b), (bd, bn))
@@ -268,9 +303,26 @@ def test_rational_function_ops_match_schoolbook(F, data):
             F.div(a, b)
         with pytest.raises(ZeroDivisionError):
             F.inv(b)
-    for op, ((got_num, got_den), (num, den)) in expected.items():
-        assert pmul(K, got_num, den) == pmul(K, num, got_den), op
-        assert_canonical(F, (got_num, got_den))
+    _assert_matches(F, expected)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_laurent_ops_run_no_polynomial_gcd(data):
+    """Over Q, add, sub, mul and derivative of two operands with dens c t^m
+    (Laurent polynomials) run no polynomial gcd, nor the cancellation of a
+    computed num/den (_cancel), and give the canonical payload of the
+    textbook formula."""
+    a, b = data.draw(rf_pairs(QQ_T, _LAURENT_SHAPES))
+    for x in (a, b):
+        assert_canonical(QQ_T, x)
+        assert x[1].count(0) == len(x[1]) - 1, x
+    calls = []
+    with mock.patch.object(arith, "pgcd", side_effect=lambda *args: calls.append("pgcd")), \
+            mock.patch.object(arith, "_cancel", side_effect=lambda *args: calls.append("_cancel")):
+        expected = _schoolbook(QQ_T, a, b)
+    assert calls == []
+    _assert_matches(QQ_T, expected)
 
 
 _CONSTANTS = sorted({Fraction(n, d) for n in (-6, -1, 0, 1, 4, 9) for d in (1, 2, 3, -4)})
@@ -736,7 +788,8 @@ def test_value_classes_compare_and_hash_by_fields():
         (MonomialOrder("grevlex", 2), grevlex(2), MonomialOrder("block", 2)),
         (PrimeField(7), PrimeField(7, verified=True), PrimeField(11)),
         (RationalFunctions(FP), FPT, QQ_T),
-        (Confinement(m, (m,), (m,), frozenset()), Confinement(m, (m,), (m,), frozenset()),
+        (Confinement(m, (m,), (m,), frozenset()),  # packed is not a field
+         Confinement(m, (m,), (m,), frozenset(), packed=(5, (5,))),
          Confinement(m, (), (m,), frozenset())),
         (Telescoper(((1,),)), Telescoper(((1,),)), Telescoper(((0, 1),))),
     ]

@@ -64,6 +64,8 @@ def test_confine_golden(airy):
         Monomial((0, 1, 0), (0, 0, 0), 1),
     )
     assert conf.tracer == frozenset()
+    A = airy.ctx.algebra
+    assert conf.packed == (A.monomial(*conf.eta), tuple(A.monomial(*m) for m in conf.B))
     assert _solve_at(airy.ctx, airy.pres.L, airy.pres.f, 1, 40) == \
         (conf, ((QQ_T.one, QQ_T.zero), _AIRY_MATRIX))
 
@@ -305,7 +307,8 @@ def test_direct_support_escape_is_a_fault(k3):
 
     def short_B(*args, **kwargs):
         conf = real(*args, **kwargs)
-        return Confinement(conf.eta, conf.B[:1], conf.row_lms, conf.tracer)
+        eta, B = conf.packed
+        return Confinement(conf.eta, conf.B[:1], conf.row_lms, conf.tracer, (eta, B[:1]))
 
     with mock.patch.object(telescoping, "confine", short_B):
         with pytest.raises(InconsistencyError, match="support escapes the confinement"):
